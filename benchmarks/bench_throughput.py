@@ -28,20 +28,6 @@ Regression gating (see ``docs/performance.md``)::
     PYTHONPATH=src python benchmarks/bench_throughput.py --smoke --repeats 3 \
         --check benchmarks/results/throughput_baseline.json
 
-Backend A/B (``--compare``) interleaves the ``interp`` and ``fast``
-backends on the same warmed arena, repeat by repeat, so both see the
-same machine state; each pair reports per-backend cycles/sec and the
-fast/interp speedup, the run asserts the two backends produced
-identical cycle counts (a free parity check), and the exit code is
-nonzero when fast lands below ``--compare-floor`` (default 0.80: the
-tracked pairs are miss-dominated, where the fast backend adaptively
-routes to the interpreter and lands at ~1.0x, so the gate exists to
-catch pathological slowdowns, with the same order of noise allowance
-as the 30% ``--tolerance`` baseline gate)::
-
-    PYTHONPATH=src python benchmarks/bench_throughput.py --compare \
-        --json ab_report.json
-
 The headline pair is ``Dy-FUSE x SS`` (the paper's preferred config on
 an interleaved compute/memory stream), which exercises every hot layer
 at once: LSU transaction batching, the CBF-approximated 512-way STT
@@ -59,7 +45,6 @@ import sys
 import time
 from typing import List, Optional
 
-from repro.backend import BACKENDS, resolve_backend
 from repro.engine.spec import RunSpec, execute_spec
 from repro.workloads.arena import arena_cache_stats, reset_arena_cache
 
@@ -125,7 +110,6 @@ def measure_pair(
     num_sms: int,
     repeats: int,
     seed: int = 0,
-    backend: str = "",
 ) -> dict:
     """Run one pair *repeats* times; keep the best (lowest-noise) time.
 
@@ -135,7 +119,7 @@ def measure_pair(
     """
     spec = RunSpec.build(
         config, workload, gpu_profile="fermi", scale=scale,
-        seed=seed, num_sms=num_sms, backend=backend,
+        seed=seed, num_sms=num_sms,
     )
     reset_arena_cache()
     before = arena_cache_stats()
@@ -154,7 +138,6 @@ def measure_pair(
         "scale": scale,
         "num_sms": num_sms,
         "repeats": repeats,
-        "backend": resolve_backend(backend or None),
         "simulated_cycles": result.cycles,
         "instructions": result.instructions,
         "transactions": transactions,
@@ -167,13 +150,10 @@ def measure_pair(
     }
 
 
-def run_benchmark(
-    scale: str, num_sms: int, repeats: int, pairs, backend: str = ""
-) -> dict:
+def run_benchmark(scale: str, num_sms: int, repeats: int, pairs) -> dict:
     rows: List[dict] = []
     for config, workload in pairs:
-        row = measure_pair(config, workload, scale, num_sms, repeats,
-                           backend=backend)
+        row = measure_pair(config, workload, scale, num_sms, repeats)
         rows.append(row)
         print(
             f"{config:>9} x {workload:<8} {row['simulated_cycles']:>9,} cyc "
@@ -190,100 +170,6 @@ def run_benchmark(
         "scale": scale,
         "num_sms": num_sms,
         "repeats": repeats,
-        "backend": resolve_backend(backend or None),
-        "rows": rows,
-    }
-
-
-def measure_compare_pair(
-    config: str,
-    workload: str,
-    scale: str,
-    num_sms: int,
-    repeats: int,
-    seed: int = 0,
-) -> dict:
-    """Interleaved A/B of the interp and fast backends on one pair.
-
-    The arena is packed once by an untimed warm-up run, then the two
-    backends alternate timed repeats (interp, fast, interp, fast, ...)
-    so slow machine-state drift -- thermal throttling, a background
-    process -- lands on both sides instead of biasing whichever backend
-    ran second.  Best-of-N is kept per backend.  The two backends'
-    simulated cycle counts are asserted identical: an A/B run doubles as
-    a free bit-level parity spot-check.
-    """
-    specs = {
-        name: RunSpec.build(
-            config, workload, gpu_profile="fermi", scale=scale,
-            seed=seed, num_sms=num_sms, backend=name,
-        )
-        for name in ("interp", "fast")
-    }
-    reset_arena_cache()
-    before = arena_cache_stats()
-    warm = execute_spec(specs["interp"])  # untimed: pays the trace pack
-    after = arena_cache_stats()
-    best: dict = {"interp": None, "fast": None}
-    results: dict = {}
-    for _ in range(repeats):
-        for name in ("interp", "fast"):
-            start = time.perf_counter()
-            results[name] = execute_spec(specs[name])
-            elapsed = time.perf_counter() - start
-            prior = best[name]
-            best[name] = elapsed if prior is None else min(prior, elapsed)
-    for name, result in results.items():
-        if result.cycles != warm.cycles:
-            raise AssertionError(
-                f"{config} x {workload}: backend {name!r} simulated "
-                f"{result.cycles} cycles vs interp {warm.cycles} -- "
-                "backends must be bit-identical"
-            )
-    speedup = best["interp"] / best["fast"] if best["fast"] else 0.0
-    return {
-        "config": config,
-        "workload": workload,
-        "scale": scale,
-        "num_sms": num_sms,
-        "repeats": repeats,
-        "simulated_cycles": warm.cycles,
-        "trace_gen_seconds": after["pack_seconds"] - before["pack_seconds"],
-        "interp": {
-            "wall_seconds": best["interp"],
-            "cycles_per_sec": warm.cycles / best["interp"]
-            if best["interp"] else 0.0,
-        },
-        "fast": {
-            "wall_seconds": best["fast"],
-            "cycles_per_sec": warm.cycles / best["fast"]
-            if best["fast"] else 0.0,
-        },
-        "speedup": speedup,
-    }
-
-
-def run_compare(scale: str, num_sms: int, repeats: int, pairs) -> dict:
-    """Interleaved backend A/B over *pairs*; returns a compare report."""
-    rows: List[dict] = []
-    for config, workload in pairs:
-        row = measure_compare_pair(config, workload, scale, num_sms, repeats)
-        rows.append(row)
-        print(
-            f"{config:>9} x {workload:<8} {row['simulated_cycles']:>9,} cyc  "
-            f"interp {row['interp']['cycles_per_sec']:>10,.0f} cyc/s  "
-            f"fast {row['fast']['cycles_per_sec']:>10,.0f} cyc/s  "
-            f"-> {row['speedup']:5.2f}x",
-            flush=True,
-        )
-    return {
-        "python": platform.python_version(),
-        "host": host_metadata(),
-        "scale": scale,
-        "num_sms": num_sms,
-        "repeats": repeats,
-        "mode": "compare",
-        "backends": ["interp", "fast"],
         "rows": rows,
     }
 
@@ -368,26 +254,6 @@ def main(argv=None) -> int:
         help="CI preset: smoke scale, 2 SMs, reduced pair list",
     )
     parser.add_argument(
-        "--backend", default="", choices=("",) + BACKENDS,
-        metavar="{interp,fast}",
-        help="execution backend to benchmark (default: REPRO_BACKEND "
-             "or interp); ignored with --compare, which runs both",
-    )
-    parser.add_argument(
-        "--compare", action="store_true",
-        help="interleaved interp-vs-fast A/B per pair: report per-pair "
-             "speedup, assert identical simulated cycles, exit 1 when "
-             "fast is slower than --compare-floor on any pair",
-    )
-    parser.add_argument(
-        "--compare-floor", type=float, default=0.80,
-        help="minimum acceptable fast/interp speedup per pair in "
-             "--compare mode (default 0.80: the tracked pairs are "
-             "miss-dominated so fast sits at ~1.0x, and short CI runs "
-             "are noisy; the floor catches pathological slowdowns, "
-             "mirroring the 30%% --tolerance baseline gate)",
-    )
-    parser.add_argument(
         "--json", metavar="PATH", default=None,
         help="also write the report as JSON to PATH",
     )
@@ -409,37 +275,7 @@ def main(argv=None) -> int:
     else:
         scale, num_sms, pairs = args.scale, args.sms, FULL_PAIRS
 
-    if args.compare:
-        report = run_compare(scale, num_sms, args.repeats, pairs)
-        slow = [
-            row for row in report["rows"]
-            if row["speedup"] < args.compare_floor
-        ]
-        at_2x = sum(1 for row in report["rows"] if row["speedup"] >= 2.0)
-        print(
-            f"\ncompare: {at_2x}/{len(report['rows'])} pairs at >= 2x; "
-            f"floor {args.compare_floor:.2f}x "
-            f"({'no pair below' if not slow else f'{len(slow)} pair(s) below'})"
-        )
-        if args.json:
-            path = pathlib.Path(args.json)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(
-                json.dumps(report, indent=1, sort_keys=True) + "\n")
-            print(f"wrote {path}")
-        if slow:
-            for row in slow:
-                print(
-                    f"FAIL: {row['config']} x {row['workload']} fast "
-                    f"backend is {row['speedup']:.2f}x interp "
-                    f"(< {args.compare_floor:.2f}x floor)",
-                    file=sys.stderr,
-                )
-            return 1
-        return 0
-
-    report = run_benchmark(scale, num_sms, args.repeats, pairs,
-                           backend=args.backend)
+    report = run_benchmark(scale, num_sms, args.repeats, pairs)
 
     headline = report["rows"][0]
     trace_gen = sum(row["trace_gen_seconds"] for row in report["rows"])

@@ -126,56 +126,6 @@ class BaseCache(L1DCacheModel):
         return AccessResult(AccessOutcome.MISS, cycle, writebacks, block)
 
     # ------------------------------------------------------------------
-    def bulk_hit_retire(
-        self,
-        txns,
-        start: int,
-        end: int,
-        cycle: int,
-        pc: int,
-        warp_id: int,
-        is_write: bool,
-    ):
-        """All-hit span fast path (see :class:`~repro.cache.interface.
-        L1DCacheModel`): every block must be valid and unreserved.
-
-        A resident block is always a plain hit here -- the hit path
-        never writes back, migrates or rejects -- so residency of the
-        whole span is the complete eligibility condition.
-        """
-        index = self.tags._index
-        entries = []
-        append = entries.append
-        for k in range(start, end):
-            entry = index.get(txns[k])
-            if entry is None:
-                return None
-            append(entry)
-        count = end - start
-        stats = self.stats
-        stats.accesses += count
-        stats.tag_lookups += count
-        stats.hits += count
-        if is_write:
-            stats.write_accesses += count
-            stats.write_hits += count
-        else:
-            stats.read_accesses += count
-            stats.read_hits += count
-        touch = self.tags.touch
-        for set_idx, way in entries:
-            touch(set_idx, way, is_write)
-        self._observe_bulk(txns, start, end, pc, warp_id, is_write)
-        return self.bank.bulk(cycle, count, is_write)
-
-    def _observe_bulk(
-        self, txns, start: int, end: int, pc: int, warp_id: int,
-        is_write: bool,
-    ) -> None:
-        """Per-transaction :meth:`_observe` replay for the bulk path
-        (overridden by predictor-carrying models)."""
-
-    # ------------------------------------------------------------------
     def fill(self, block_addr: int, cycle: int) -> FillResult:
         entry = self.miss_path.release(block_addr)
         primary = entry.requests[0]

@@ -114,46 +114,3 @@ class BankPort:
                 self.stats.sram_writes += 1
         self.busy_until = start + extra + self.write_occupancy
         return start + extra + self.write_latency
-
-    def bulk(self, cycle: int, count: int, is_write: bool) -> int:
-        """Serve *count* back-to-back operations, the k-th arriving at
-        ``cycle + k``; returns the last operation's data-ready cycle.
-
-        Closed form of *count* consecutive :meth:`read`/:meth:`write`
-        calls (no ``extra`` support): with occupancy ``o`` the k-th
-        operation starts at ``start_0 + k*o`` where ``start_0 =
-        max(cycle, busy_until)``, so its wait is ``(start_0 - cycle) +
-        k*(o - 1)``.  Timing, stall charging and event counting are
-        bit-identical to the per-op path -- the fast backend leans on
-        that to retire all-hit transaction spans in one step.
-        """
-        stats = self.stats
-        if is_write:
-            occupancy = self.write_occupancy
-            latency = self.write_latency
-        else:
-            occupancy = self.read_occupancy
-            latency = self.read_latency
-        start0 = self.busy_until
-        if start0 < cycle:
-            start0 = cycle
-        wait = count * (start0 - cycle) + (
-            (occupancy - 1) * (count * (count - 1) // 2)
-        )
-        if wait:
-            stats.bank_wait_cycles += wait
-            if self._is_stt:
-                stats.stt_write_stall_cycles += wait
-        if self.count_events:
-            if self._is_stt:
-                if is_write:
-                    stats.stt_writes += count
-                else:
-                    stats.stt_reads += count
-            else:
-                if is_write:
-                    stats.sram_writes += count
-                else:
-                    stats.sram_reads += count
-        self.busy_until = start0 + count * occupancy
-        return start0 + (count - 1) * occupancy + latency

@@ -121,36 +121,6 @@ class L1DCacheModel(abc.ABC):
     def _observe(self, request: MemoryRequest) -> None:
         """Predictor-training hook, called once per accepted access."""
 
-    def bulk_hit_retire(
-        self,
-        txns,
-        start: int,
-        end: int,
-        cycle: int,
-        pc: int,
-        warp_id: int,
-        is_write: bool,
-    ):
-        """Fast-backend entry point: retire an all-hit transaction span.
-
-        ``txns[start:end]`` are block addresses presented one per cycle
-        from *cycle* (transaction ``k`` arrives at ``cycle + k``), all
-        for one op issued by (*pc*, *warp_id*).  When the model can
-        prove every transaction would be a plain ``HIT`` -- no
-        writebacks, no migrations, no structural hazards, no state the
-        event wheel would need to see -- it applies the exact counter,
-        bank-timing, replacement and predictor-training mutations the
-        per-transaction :meth:`access` path would, in closed form, and
-        returns the **last** transaction's data-ready cycle.
-
-        Returning ``None`` (the default, and mandatory before mutating
-        anything) hands the span back to the interpreter; correctness
-        never depends on this method succeeding.  Implementations are
-        pinned bit-identical to the interpreter by the golden-parity
-        suite (``tests/test_golden_parity.py``).
-        """
-        return None
-
     @abc.abstractmethod
     def fill(self, block_addr: int, cycle: int) -> FillResult:
         """Deliver the off-chip response for *block_addr* at *cycle*."""

@@ -17,8 +17,6 @@ emergent output of this predictor and are reproduced by
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.cache.basecache import BaseCache
 from repro.cache.interface import AccessOutcome, AccessResult
 from repro.cache.request import BLOCK_SIZE, MemoryRequest
@@ -58,17 +56,9 @@ class DeadWritePredictor:
 
     def observe(self, request: MemoryRequest) -> None:
         """Train on one request (no-op for non-sampled warps)."""
-        self.observe_raw(
+        observation = self.sampler.observe(
             request.warp_id, request.block_addr, request.pc,
             request.is_write,
-        )
-
-    def observe_raw(
-        self, warp_id: int, block_addr: int, pc: int, is_write: bool
-    ) -> None:
-        """Request-free form of :meth:`observe` (fast-backend bulk path)."""
-        observation = self.sampler.observe(
-            warp_id, block_addr, pc, is_write
         )
         if observation is None:
             return
@@ -120,14 +110,6 @@ class ByNVMCache(BaseCache):
 
     def _observe(self, request: MemoryRequest) -> None:
         self.predictor.observe(request)
-
-    def _observe_bulk(
-        self, txns, start: int, end: int, pc: int, warp_id: int,
-        is_write: bool,
-    ) -> None:
-        observe = self.predictor.observe_raw
-        for k in range(start, end):
-            observe(warp_id, txns[k], pc, is_write)
 
     def _access_impl(self, request: MemoryRequest, cycle: int) -> AccessResult:
         block = request.block_addr

@@ -75,39 +75,6 @@ class OracleCache(L1DCacheModel):
         self.miss_path.allocate(block, request, cycle=cycle)
         return AccessResult(AccessOutcome.MISS, cycle, (), block)
 
-    def bulk_hit_retire(
-        self,
-        txns,
-        start: int,
-        end: int,
-        cycle: int,
-        pc: int,
-        warp_id: int,
-        is_write: bool,
-    ):
-        """All-hit span fast path: pure set membership (ideal banks mean
-        the k-th transaction is simply ready at ``cycle + k + latency``)."""
-        resident = self._resident
-        for k in range(start, end):
-            if txns[k] not in resident:
-                return None
-        count = end - start
-        stats = self.stats
-        stats.accesses += count
-        stats.tag_lookups += count
-        stats.hits += count
-        if is_write:
-            stats.write_accesses += count
-            stats.write_hits += count
-            stats.sram_writes += count
-            latency = self.write_latency
-        else:
-            stats.read_accesses += count
-            stats.read_hits += count
-            stats.sram_reads += count
-            latency = self.read_latency
-        return cycle + (count - 1) + latency
-
     def fill(self, block_addr: int, cycle: int) -> FillResult:
         entry = self.miss_path.release(block_addr)
         self._resident.add(block_addr)

@@ -100,7 +100,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("config", help="L1D configuration name (see 'list')")
     run.add_argument("workload", help="benchmark name (see 'list')")
     _add_machine_args(run)
-    _add_backend_arg(run)
 
     compare = sub.add_parser(
         "compare", help="compare configurations on one workload"
@@ -112,7 +111,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated configuration names",
     )
     _add_machine_args(compare)
-    _add_backend_arg(compare)
 
     sweep = sub.add_parser(
         "sweep",
@@ -172,7 +170,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _add_profile_args(sweep)
     _add_machine_args(sweep)
-    _add_backend_arg(sweep)
 
     trace = sub.add_parser(
         "trace",
@@ -220,7 +217,6 @@ def _build_parser() -> argparse.ArgumentParser:
     profile.add_argument("workload", help="benchmark name (see 'list')")
     _add_profile_args(profile)
     _add_machine_args(profile)
-    _add_backend_arg(profile)
 
     serve = sub.add_parser(
         "serve",
@@ -352,7 +348,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--quiet", action="store_true", help="suppress the progress ticker",
     )
     _add_machine_args(submit)
-    _add_backend_arg(submit)
 
     store_cmd = sub.add_parser(
         "store",
@@ -490,17 +485,6 @@ def _add_machine_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_backend_arg(parser: argparse.ArgumentParser) -> None:
-    from repro.backend import BACKENDS
-
-    parser.add_argument(
-        "--backend", default="", choices=("",) + BACKENDS,
-        metavar="{interp,fast}",
-        help="execution backend (default: REPRO_BACKEND env or interp; "
-             "results are bit-identical either way)",
-    )
-
-
 def _cmd_list() -> int:
     config_rows = [
         [name, l1d_config(name).description] for name in known_configs()
@@ -543,7 +527,6 @@ def _print_result(result, title: str) -> None:
 def _cmd_run(args: argparse.Namespace) -> int:
     runner = Runner(
         gpu_profile=args.gpu, scale=args.scale, num_sms=args.sms,
-        backend=args.backend,
     )
     result = runner.run(args.config, args.workload)
     _print_result(
@@ -558,7 +541,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     configs = [c.strip() for c in args.configs.split(",") if c.strip()]
     runner = Runner(
         gpu_profile=args.gpu, scale=args.scale, num_sms=args.sms,
-        backend=args.backend,
     )
     rows = []
     baseline: Optional[float] = None
@@ -673,16 +655,13 @@ def _profiled(callable_, sort: str = "cumulative", limit: int = 25):
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    from repro.backend import resolve_backend
     from repro.engine.spec import RunSpec, execute_spec
     from repro.workloads.arena import arena_cache_stats
 
     spec = RunSpec.build(
         args.config, args.workload, gpu_profile=args.gpu, scale=args.scale,
-        num_sms=args.sms, backend=args.backend,
+        num_sms=args.sms,
     )
-    backend = resolve_backend(spec.backend or None)
-    epoch_before = _backend_counters() if backend == "fast" else None
     before = arena_cache_stats()
     result, stats_text, elapsed = _profiled(
         lambda: execute_spec(spec), sort=args.sort, limit=args.limit
@@ -696,8 +675,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     simulate = max(0.0, elapsed - trace_gen)
     print(
         f"{args.config} on {args.workload} ({args.scale} scale, "
-        f"{args.sms} SMs, {backend} backend): {result.cycles:,} simulated "
-        f"cycles in {elapsed:.2f}s wall -> {cycles_per_sec:,.0f} "
+        f"{args.sms} SMs): {result.cycles:,} simulated cycles in "
+        f"{elapsed:.2f}s wall -> {cycles_per_sec:,.0f} "
         f"cycles/sec, {transactions / elapsed if elapsed else 0.0:,.0f} "
         "transactions/sec"
     )
@@ -707,43 +686,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         + (", cached from an earlier run" if packs == 0 else "")
         + f"), simulation {simulate:.2f}s"
     )
-    if epoch_before is not None:
-        epochs, fast_ops, interp_ops, fallbacks = _backend_counters()
-        epochs -= epoch_before[0]
-        fast_ops -= epoch_before[1]
-        interp_ops -= epoch_before[2]
-        deltas = {
-            reason: count - epoch_before[3].get(reason, 0)
-            for reason, count in fallbacks.items()
-        }
-        total_ops = fast_ops + interp_ops
-        share = fast_ops / total_ops if total_ops else 0.0
-        print(
-            f"backend split: {epochs:,} epochs retired {fast_ops:,} of "
-            f"{total_ops:,} ops by epoch scan ({share:.0%}), "
-            f"{interp_ops:,} via interpreter fallback; epoch endings: "
-            + (", ".join(
-                f"{reason} {count:,}"
-                for reason, count in sorted(deltas.items())
-                if count
-            ) or "none")
-        )
     return 0
-
-
-def _backend_counters():
-    """Snapshot the fast backend's telemetry counters
-    ``(epochs, fast_ops, interp_ops, {reason: fallbacks})``."""
-    from repro.backend.fast import EPOCHS, FALLBACKS, FAST_OPS, INTERP_OPS
-
-    fallbacks = {
-        labels[0]: int(child.value)
-        for labels, child in FALLBACKS.children()
-    }
-    return (
-        int(EPOCHS.value), int(FAST_OPS.value), int(INTERP_OPS.value),
-        fallbacks,
-    )
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -769,7 +712,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         configs, workloads,
         gpu_profile=args.gpu, scale=args.scale, seed=args.seed,
         num_sms=args.sms, timeline_interval=args.timeline,
-        backend=args.backend,
     )
     if args.profile:
         # stderr, like the progress ticker: --json consumers own stdout
@@ -938,8 +880,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         snapshot = client.run_to_completion(
             args.configs, args.workloads, gpu_profile=args.gpu,
             scale=args.scale, seed=args.seed, num_sms=args.sms,
-            timeline=args.timeline, backend=args.backend,
-            timeout=args.timeout, on_event=on_event,
+            timeline=args.timeline, timeout=args.timeout, on_event=on_event,
         )
     except (ServiceError, TimeoutError) as error:
         print(f"error: {error}", file=sys.stderr)

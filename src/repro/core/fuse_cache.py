@@ -435,59 +435,6 @@ class FuseCache(L1DCacheModel):
         return self._handle_miss(request, cycle)
 
     # ------------------------------------------------------------------
-    def bulk_hit_retire(
-        self,
-        txns,
-        start: int,
-        end: int,
-        cycle: int,
-        pc: int,
-        warp_id: int,
-        is_write: bool,
-    ):
-        """All-hit span fast path, restricted to **SRAM-resident** spans.
-
-        An SRAM hit is the only FUSE hit with no side channel: no tag
-        queue, no CBF search, no swap buffer, no migration, and it never
-        moves ``_cache_busy_until``.  Swap-buffer and STT hits (flushes,
-        searches, blocking-mode gates) stay with the interpreter.  In
-        blocking mode (``Hybrid``) the whole-cache gate is checked at the
-        first arrival; it cannot re-arm mid-span because SRAM hits never
-        advance it.
-        """
-        if not self.features.non_blocking and cycle < self._cache_busy_until:
-            return None
-        index = self.sram._index
-        entries = []
-        append = entries.append
-        for k in range(start, end):
-            entry = index.get(txns[k])
-            if entry is None:
-                return None
-            append(entry)
-        count = end - start
-        stats = self.stats
-        stats.accesses += count
-        stats.tag_lookups += count
-        stats.hits += count
-        stats.sram_hits += count
-        if is_write:
-            stats.write_accesses += count
-            stats.write_hits += count
-        else:
-            stats.read_accesses += count
-            stats.read_hits += count
-        touch = self.sram.touch
-        for set_idx, way in entries:
-            touch(set_idx, way, is_write)
-        predictor = self.predictor
-        if predictor is not None:
-            observe = predictor.observe_raw
-            for k in range(start, end):
-                observe(warp_id, txns[k], pc, is_write)
-        return self.sram_port.bulk(cycle, count, is_write)
-
-    # ------------------------------------------------------------------
     def _serve_stt_hit(
         self,
         request: MemoryRequest,

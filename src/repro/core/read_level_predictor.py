@@ -106,18 +106,9 @@ class ReadLevelPredictor:
     # ------------------------------------------------------------------
     def observe(self, request: MemoryRequest) -> None:
         """Train the predictor on one L1D access."""
-        self.observe_raw(
+        observation = self.sampler.observe(
             request.warp_id, request.block_addr, request.pc,
             request.is_write,
-        )
-
-    def observe_raw(
-        self, warp_id: int, block_addr: int, pc: int, is_write: bool
-    ) -> None:
-        """Request-free form of :meth:`observe` (fast-backend bulk path,
-        which trains per transaction without materialising requests)."""
-        observation = self.sampler.observe(
-            warp_id, block_addr, pc, is_write
         )
         if observation is None:
             return

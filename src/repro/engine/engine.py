@@ -410,7 +410,6 @@ class ExperimentEngine:
         seed: int = 0,
         num_sms: Optional[int] = None,
         timeline_interval: int = 0,
-        backend: str = "",
         progress: Optional[ProgressCallback] = None,
     ) -> Tuple[Dict[str, Dict[str, SimulationResult]], List[RunOutcome]]:
         """Run a configs x workloads grid.
@@ -419,9 +418,7 @@ class ExperimentEngine:
         A non-zero *timeline_interval* turns on the in-simulation
         timeline sampler (one row per that many cycles; see
         ``docs/observability.md``) and becomes part of each run's
-        identity.  *backend* selects the execution backend
-        (``interp``/``fast``, bit-identical; not part of run identity,
-        so store hits satisfy either).
+        identity.
 
         Returns:
             ``({workload: {config_name: result}}, outcomes)`` -- failed
@@ -434,7 +431,7 @@ class ExperimentEngine:
             RunSpec.build(
                 config, workload, gpu_profile=gpu_profile, scale=scale,
                 seed=seed, num_sms=num_sms,
-                timeline_interval=timeline_interval, backend=backend,
+                timeline_interval=timeline_interval,
             )
             for workload in workloads
             for config in configs

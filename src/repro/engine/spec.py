@@ -37,6 +37,7 @@ from repro.core.factory import L1DConfig, l1d_config, make_l1d
 from repro.energy.model import compute_energy, l1d_energy_params
 from repro.engine.serialize import config_from_dict, config_to_dict
 from repro.gpu.config import GPUConfig, fermi_like, volta_like
+from repro.gpu.simulator import GPUSimulator
 from repro.gpu.stats import SimulationResult
 from repro.telemetry.spans import span
 from repro.telemetry.timeline import TimelineSampler
@@ -110,13 +111,6 @@ class RunSpec:
     perturbs the simulation, but a stored result either carries the
     series or it does not, so timeline runs key separately while every
     pre-existing key stays byte-identical.
-
-    ``backend`` selects the execution backend (``interp``/``fast``, see
-    :mod:`repro.backend`; the empty default defers to ``REPRO_BACKEND``
-    at execution time).  Backends produce **bit-identical** results, so
-    the backend is *excluded* from :class:`RunKey`: a stored result
-    satisfies requests from either backend, and a sweep re-run under
-    ``fast`` hits the interpreter's cache entries.
     """
 
     l1d: L1DConfig
@@ -128,7 +122,6 @@ class RunSpec:
     trace_salt: int = 0
     trace_sha256: Optional[str] = None
     timeline_interval: int = 0
-    backend: str = ""
 
     @classmethod
     def build(
@@ -141,7 +134,6 @@ class RunSpec:
         num_sms: Optional[int] = None,
         trace_salt: Optional[int] = None,
         timeline_interval: int = 0,
-        backend: str = "",
     ) -> "RunSpec":
         """Resolve a named or custom L1D config into a spec.
 
@@ -181,15 +173,10 @@ class RunSpec:
             raise ValueError(
                 f"timeline_interval must be >= 0: {timeline_interval}"
             )
-        if backend:
-            from repro.backend import resolve_backend
-
-            backend = resolve_backend(backend)  # validates the name
         return cls(
             l1d=cfg, workload=workload, gpu_profile=gpu_profile,
             scale=scale, seed=seed, num_sms=num_sms, trace_salt=trace_salt,
             trace_sha256=trace_hash, timeline_interval=timeline_interval,
-            backend=backend,
         )
 
     def key(self) -> "RunKey":
@@ -245,8 +232,6 @@ def spec_to_dict(spec: RunSpec) -> Dict:
         # included only when sampling is on, so the identities (and
         # store keys) of every non-timeline run are unchanged
         payload["timeline_interval"] = spec.timeline_interval
-    # spec.backend is deliberately absent: backends are bit-identical,
-    # so it is not part of run identity (see RunSpec's docstring)
     return payload
 
 
@@ -259,8 +244,6 @@ def spec_from_dict(payload: Dict) -> RunSpec:
     ``RunKey.for_spec(spec_from_dict(spec_to_dict(s))) == s.key()`` --
     which the worker verifies before executing, so a corrupted or
     mismatched payload is rejected instead of poisoning the store.
-    ``backend`` is not part of the payload (not run identity); it
-    stays empty and defers to ``REPRO_BACKEND`` on the executing host.
 
     Raises:
         ValueError: missing or malformed fields.
@@ -394,9 +377,7 @@ def execute_spec(spec: RunSpec, arena_dir=None) -> SimulationResult:
         TimelineSampler(spec.timeline_interval)
         if spec.timeline_interval else None
     )
-    from repro.backend import resolve_backend, simulator_class
-
-    simulator = simulator_class(resolve_backend(spec.backend or None))(
+    simulator = GPUSimulator(
         machine,
         l1d_factory=lambda: make_l1d(spec.l1d),
         warps_per_sm=arena.warps_per_sm,

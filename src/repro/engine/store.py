@@ -104,6 +104,22 @@ def default_store_path() -> Optional[pathlib.Path]:
     return pathlib.Path(DEFAULT_STORE_DIR).expanduser() / "results.jsonl"
 
 
+def _digest(key: Union[str, RunKey]) -> str:
+    """The store digest for *key*: a :class:`RunKey` or its hex digest.
+
+    Raises:
+        TypeError: anything else -- e.g. a :class:`RunSpec`, which would
+            otherwise silently miss (pass ``spec.key()`` instead).
+    """
+    if isinstance(key, RunKey):
+        return key.digest
+    if isinstance(key, str):
+        return key
+    raise TypeError(
+        f"store keys are RunKey or str digests, not {type(key).__name__}"
+    )
+
+
 class ResultStore:
     """Persistent (run key -> SimulationResult) mapping on disk.
 
@@ -160,8 +176,7 @@ class ResultStore:
     # ------------------------------------------------------------------
     def get(self, key: Union[str, RunKey]) -> Optional[SimulationResult]:
         """Fetch a stored result, or ``None`` when absent/stale."""
-        digest = key.digest if isinstance(key, RunKey) else key
-        record = self._backend.get_record(digest)
+        record = self._backend.get_record(_digest(key))
         if record is None:
             _GETS_MISS.inc()
             return None
@@ -190,8 +205,7 @@ class ResultStore:
     def put_record(self, key: Union[str, RunKey], record: dict) -> None:
         """Persist one *raw* record dict unchanged (migration path --
         normal writers use :meth:`put`)."""
-        digest = key.digest if isinstance(key, RunKey) else key
-        self._backend.put_record(digest, record)
+        self._backend.put_record(_digest(key), record)
         _PUTS.inc()
 
     def flush(self) -> None:
@@ -217,8 +231,7 @@ class ResultStore:
         result payload together with the spec it was computed from
         (provenance), without deserialising into simulation objects.
         """
-        digest = key.digest if isinstance(key, RunKey) else key
-        return self._backend.get_record(digest)
+        return self._backend.get_record(_digest(key))
 
     def keys(self) -> Iterator[str]:
         """Iterate over the digests of every live record."""
@@ -241,8 +254,7 @@ class ResultStore:
 
     # ------------------------------------------------------------------
     def __contains__(self, key: Union[str, RunKey]) -> bool:
-        digest = key.digest if isinstance(key, RunKey) else key
-        return self._backend.get_record(digest) is not None
+        return self._backend.get_record(_digest(key)) is not None
 
     def __len__(self) -> int:
         return len(self._backend)

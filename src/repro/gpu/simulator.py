@@ -63,7 +63,6 @@ __all__ = [
 _EV_FILL = 0      # (cycle, seq, _EV_FILL, sm, block_addr, None, 0)
 _EV_RETRY = 1     # (cycle, seq, _EV_RETRY, sm, request, waiting_warp, attempts)
 _EV_WAKE = 2      # (cycle, seq, _EV_WAKE, sm_id, None, None, 0)
-_EV_CALL = 3      # (cycle, seq, _EV_CALL, callback, args, None, 0)
 
 
 class GPUSimulator:
@@ -152,24 +151,6 @@ class GPUSimulator:
             )
 
     # ------------------------------------------------------------------
-    def schedule(self, cycle: int, callback, *args) -> None:
-        """Schedule ``callback(*args, fire_cycle)`` at *cycle*.
-
-        The fire cycle is appended as the last **positional** argument
-        (matching how the event wheel dispatches); callbacks must accept
-        it that way, e.g. ``def on_fire(payload, cycle): ...``.  Events
-        scheduled in the past fire at the current cycle.  The simulator's
-        own traffic uses the typed fill/retry entries instead; this
-        generic form remains for extensions and tests.
-        """
-        if cycle < self.cycle:
-            cycle = self.cycle
-        self._event_seq += 1
-        heappush(
-            self._events,
-            (cycle, self._event_seq, _EV_CALL, callback, args, None, 0),
-        )
-
     def schedule_fill(self, cycle: int, sm: SM, block_addr: int) -> None:
         """Typed event: the off-chip response for *block_addr* arrives."""
         if cycle < self.cycle:
@@ -224,10 +205,8 @@ class GPUSimulator:
                 target._handle_fill(a, cycle)
             elif kind == _EV_RETRY:
                 target._present(a, b, cycle, c)
-            elif kind == _EV_WAKE:
-                self.note_warp_ready(target)
             else:
-                target(*a, cycle)
+                self.note_warp_ready(target)
 
     # ------------------------------------------------------------------
     def run(self, workload_name: str = "", config_name: str = "") -> SimulationResult:

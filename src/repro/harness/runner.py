@@ -69,9 +69,6 @@ class Runner:
             comparison is unaffected).
         store: optional disk-backed result store (the L2 behind the
             in-process memo dict).
-        backend: execution backend (``interp``/``fast``; "" defers to
-            ``REPRO_BACKEND``).  Backends are bit-identical, so the
-            memo/store keys -- and therefore cache hits -- are shared.
     """
 
     def __init__(
@@ -80,7 +77,6 @@ class Runner:
         scale: str = "bench",
         num_sms: Optional[int] = None,
         store: Optional[ResultStore] = None,
-        backend: str = "",
     ) -> None:
         if gpu_profile not in GPU_PROFILES:
             raise ValueError(f"unknown gpu profile {gpu_profile!r}")
@@ -88,7 +84,6 @@ class Runner:
             raise ValueError(f"unknown scale {scale!r}")
         self.gpu_profile = gpu_profile
         self.scale_name = scale
-        self.backend = backend
         self.config: GPUConfig = GPU_PROFILES[gpu_profile]()
         if num_sms is not None:
             self.config = self.config.with_overrides(num_sms=num_sms)
@@ -112,7 +107,6 @@ class Runner:
             scale=self.scale_name,
             seed=seed,
             num_sms=self.config.num_sms,
-            backend=self.backend,
         )
 
     def run(

@@ -146,7 +146,6 @@ class ServiceClient:
         seed: int = 0,
         num_sms: Optional[int] = None,
         timeline: int = 0,
-        backend: str = "",
     ) -> Dict:
         """POST a sweep; returns the acceptance payload (``job``,
         ``created``, ``total``, ``location``).
@@ -155,9 +154,7 @@ class ServiceClient:
         tokens follow the sweep grammar (names, suites, ``trace:``,
         ``all``).  A non-zero *timeline* asks the service to sample the
         in-simulation timeline every that many cycles (fetch the series
-        with :meth:`timeline` once the job settles).  *backend* picks
-        the server-side execution backend (``interp``/``fast``; results
-        are bit-identical, so it does not change run identity).
+        with :meth:`timeline` once the job settles).
         """
         payload: Dict = {
             "configs": configs, "workloads": workloads,
@@ -167,8 +164,6 @@ class ServiceClient:
             payload["num_sms"] = num_sms
         if timeline:
             payload["timeline"] = timeline
-        if backend:
-            payload["backend"] = backend
         return self._request("POST", "/v1/sweeps", payload)
 
     def job(self, job_id: str) -> Dict:
@@ -225,8 +220,8 @@ class ServiceClient:
 
         *runs* is a list of ``{"key", "result"}`` (success, the
         serialized result payload) or ``{"key", "error"}`` entries,
-        optionally carrying a ``timing`` object ({"sim_s", "cycles",
-        "backend"}) for fleet attribution.  *heartbeat* piggybacks
+        optionally carrying a ``timing`` object ({"sim_s", "cycles"})
+        for fleet attribution.  *heartbeat* piggybacks
         worker telemetry like :meth:`lease`.
 
         Raises:
@@ -248,8 +243,8 @@ class ServiceClient:
     def heartbeat(self, payload: Dict) -> Dict:
         """POST /v1/workers/heartbeat: report liveness while idle
         (remote mode).  *payload* carries ``name`` plus optional
-        telemetry (pid/host, cumulative runs/cycles/seconds, backend
-        split, arena hit rate)."""
+        telemetry (pid/host, cumulative runs/cycles/seconds, arena hit
+        rate)."""
         return self._request("POST", "/v1/workers/heartbeat", payload)
 
     def workers(self) -> Dict:
@@ -384,7 +379,6 @@ class ServiceClient:
         seed: int = 0,
         num_sms: Optional[int] = None,
         timeline: int = 0,
-        backend: str = "",
         timeout: float = 600.0,
         on_event: Optional[Callable[[str, Dict], None]] = None,
     ) -> Dict:
@@ -405,7 +399,6 @@ class ServiceClient:
             return self.submit(
                 configs, workloads, gpu_profile=gpu_profile, scale=scale,
                 seed=seed, num_sms=num_sms, timeline=timeline,
-                backend=backend,
             )
 
         job_id = resubmit()["job"]

@@ -127,22 +127,15 @@ def render(state: Dict, now: Optional[float] = None) -> str:
         )
         lines.append(
             "  name                      state  runs  err   cycles/s"
-            "  backends          last seen"
+            "  last seen"
         )
         for worker in workers.get("workers", []):
-            backends = ",".join(
-                f"{name}:{count}"
-                for name, count in sorted(
-                    (worker.get("backends") or {}).items()
-                )
-            ) or "-"
             lines.append(
                 f"  {worker.get('name', '?')[:24]:24s}  "
                 f"{worker.get('state', '?'):5s}  "
                 f"{worker.get('runs_settled', 0):4d}  "
                 f"{worker.get('errors', 0):3d}  "
                 f"{worker.get('cycles_per_s', 0.0):9,.0f}"
-                f"  {backends[:16]:16s}"
                 f"  {worker.get('last_seen_s', 0.0):5.1f}s ago"
             )
         if not workers.get("workers"):

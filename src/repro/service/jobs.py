@@ -33,7 +33,6 @@ import time
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.backend import BACKENDS
 from repro.core.factory import l1d_config
 from repro.engine.spec import GPU_PROFILES, SCALE_PRESETS, RunSpec
 from repro.telemetry.tracectx import trace_id_for_job
@@ -116,17 +115,12 @@ class SweepRequest:
     #: cycles between timeline samples (0 = sampling off); part of run
     #: identity when set, so sampled and unsampled runs key separately
     timeline: int = 0
-    #: execution backend (``interp``/``fast``; "" defers to the server's
-    #: ``REPRO_BACKEND``).  Backends are bit-identical, so the choice is
-    #: *not* part of run identity: requests differing only in backend
-    #: coalesce, and stored results satisfy both.
-    backend: str = ""
 
     #: payload keys from_payload accepts (anything else is a 400: typos
     #: like "workload" must not silently produce a default sweep)
     FIELDS = (
         "configs", "workloads", "gpu_profile", "scale", "seed", "num_sms",
-        "timeline", "backend",
+        "timeline",
     )
 
     @classmethod
@@ -201,16 +195,10 @@ class SweepRequest:
         timeline = _int_field(
             payload.get("timeline", 0), "timeline", minimum=0
         )
-        backend = payload.get("backend", "") or ""
-        if backend:
-            if not isinstance(backend, str) or backend not in BACKENDS:
-                raise InvalidRequest(
-                    f"unknown backend {backend!r}; known: {list(BACKENDS)}"
-                )
         return cls(
             configs=tuple(configs), workloads=tuple(workloads),
             gpu_profile=gpu_profile, scale=scale, seed=seed, num_sms=num_sms,
-            timeline=timeline, backend=backend,
+            timeline=timeline,
         )
 
     def to_specs(self) -> List[RunSpec]:
@@ -226,7 +214,7 @@ class SweepRequest:
                 RunSpec.build(
                     config, workload, gpu_profile=self.gpu_profile,
                     scale=self.scale, seed=self.seed, num_sms=self.num_sms,
-                    timeline_interval=self.timeline, backend=self.backend,
+                    timeline_interval=self.timeline,
                 )
                 for workload in self.workloads
                 for config in self.configs
@@ -243,7 +231,6 @@ class SweepRequest:
             "seed": self.seed,
             "num_sms": self.num_sms,
             "timeline": self.timeline,
-            "backend": self.backend,
         }
 
     @classmethod
@@ -255,6 +242,8 @@ class SweepRequest:
         re-validation would wrongly reject a journaled job whose
         ``trace:`` file has since moved (its canonical specs are
         journaled alongside and carry the hashed trace content).
+        Keys this version no longer writes (``backend``, from journals
+        of older coordinators) are ignored.
 
         Raises:
             ValueError: structurally malformed payload (wrong types).
@@ -273,7 +262,6 @@ class SweepRequest:
                     else int(payload["num_sms"])
                 ),
                 timeline=int(payload.get("timeline", 0)),
-                backend=str(payload.get("backend") or ""),
             )
         except (KeyError, TypeError) as error:
             raise ValueError(f"malformed request payload: {error}") from error
@@ -301,7 +289,7 @@ class _RunState:
     #: fleet attribution (remote mode): which worker settled the run
     worker: Optional[str] = None
     #: per-run execution timing echoed back in the settle entry
-    #: ({"sim_s", "cycles", "backend"}); None for local/store settles
+    #: ({"sim_s", "cycles"}); None for local/store settles
     timing: Optional[Dict] = None
 
 

@@ -8,7 +8,7 @@ that view on the scheduler's event loop, fed two ways:
 
 * **piggybacked heartbeats** -- every ``POST /v1/leases`` and
   ``…/settle`` body may carry a ``heartbeat`` object (name, pid/host,
-  cumulative runs/cycles/seconds, backend split, arena hit rate);
+  cumulative runs/cycles/seconds, arena hit rate);
 * **idle heartbeats** -- ``POST /v1/workers/heartbeat`` for workers
   with nothing leased, so a quiet fleet still reads as alive.
 
@@ -45,7 +45,7 @@ class WorkerState:
         "name", "pid", "host", "first_seen", "last_seen",
         "runs_settled", "errors", "leases",
         "reported_runs", "reported_errors",
-        "sim_cycles", "sim_seconds", "backends", "arena_hit_rate",
+        "sim_cycles", "sim_seconds", "arena_hit_rate",
     )
 
     def __init__(self, name: str, now: float):
@@ -63,7 +63,6 @@ class WorkerState:
         self.reported_errors = 0
         self.sim_cycles = 0
         self.sim_seconds = 0.0
-        self.backends: Dict[str, int] = {}
         self.arena_hit_rate: Optional[float] = None
 
     def cycles_per_second(self) -> float:
@@ -86,7 +85,6 @@ class WorkerState:
             "sim_cycles": self.sim_cycles,
             "sim_seconds": round(self.sim_seconds, 6),
             "cycles_per_s": round(self.cycles_per_second(), 3),
-            "backends": dict(self.backends),
             "arena_hit_rate": self.arena_hit_rate,
         }
 
@@ -158,12 +156,6 @@ class WorkerRegistry:
                                    state.sim_cycles)
         state.sim_seconds = _as_float(payload.get("sim_seconds"),
                                       state.sim_seconds)
-        backends = payload.get("backends")
-        if isinstance(backends, dict):
-            state.backends = {
-                str(k)[:32]: _as_int(v)
-                for k, v in list(backends.items())[:8]
-            }
         rate = payload.get("arena_hit_rate")
         if rate is not None:
             state.arena_hit_rate = round(

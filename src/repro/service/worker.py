@@ -8,7 +8,7 @@ state.  It loops
 against a ``repro serve --remote`` scheduler, executing each leased
 :class:`~repro.engine.spec.RunSpec` through the exact
 :func:`~repro.engine.spec.execute_spec` path a local sweep uses (same
-packed-arena cache, same backend resolution, bit-identical results).
+packed-arena cache, bit-identical results).
 Everything that can go wrong is the scheduler's problem by design:
 
 * a worker that dies mid-lease simply stops settling -- the lease TTL
@@ -43,7 +43,6 @@ import time
 import traceback
 from typing import Callable, Dict, List, Optional
 
-from repro.backend import resolve_backend
 from repro.engine.spec import RunKey, execute_spec, spec_from_dict
 from repro.engine.serialize import result_to_dict
 from repro.service.client import ServiceClient, ServiceError
@@ -77,16 +76,15 @@ def _execute_one(key: str, run: Dict) -> Dict:
     """Execute one leased run; returns its settle entry (never raises:
     failures settle as errors so the scheduler's ledger always closes).
 
-    The entry carries a ``timing`` object ({"sim_s", "cycles",
-    "backend"}) so the coordinator can attribute job wall-clock per
-    worker, and the run's ``trace`` context (stamped by the coordinator
-    on the grant) is adopted for every span the execution emits --
+    The entry carries a ``timing`` object ({"sim_s", "cycles"}) so the
+    coordinator can attribute job wall-clock per worker, and the run's
+    ``trace`` context (stamped by the coordinator on the grant) is
+    adopted for every span the execution emits --
     `simulate`/`arena`/`store_put` lines in this worker's ``REPRO_SPANS``
     log carry the submitting job's trace id.
     """
     trace = parse_traceparent(run.get("trace"))
     started = time.perf_counter()
-    backend = "?"
     try:
         spec = spec_from_dict(run["spec"])
         digest = RunKey.for_spec(spec).digest
@@ -95,7 +93,6 @@ def _execute_one(key: str, run: Dict) -> Dict:
                 f"leased spec hashes to {digest[:12]}, not the "
                 f"advertised key {key[:12]} -- refusing to execute"
             )
-        backend = resolve_backend(spec.backend or None)
         with trace_scope(trace[0] if trace else None):
             result = execute_spec(spec)
     except Exception:
@@ -105,7 +102,6 @@ def _execute_one(key: str, run: Dict) -> Dict:
             "timing": {
                 "sim_s": time.perf_counter() - started,
                 "cycles": 0,
-                "backend": backend,
             },
         }
     return {
@@ -114,7 +110,6 @@ def _execute_one(key: str, run: Dict) -> Dict:
         "timing": {
             "sim_s": time.perf_counter() - started,
             "cycles": result.cycles,
-            "backend": backend,
         },
     }
 
@@ -128,7 +123,6 @@ class _WorkerStats:
         self.errors = 0
         self.sim_cycles = 0
         self.sim_seconds = 0.0
-        self.backends: Dict[str, int] = {}
 
     def account(self, outcome: Dict) -> None:
         timing = outcome.get("timing") or {}
@@ -137,8 +131,6 @@ class _WorkerStats:
             self.errors += 1
         self.sim_cycles += int(timing.get("cycles", 0))
         self.sim_seconds += float(timing.get("sim_s", 0.0))
-        backend = str(timing.get("backend", "?"))
-        self.backends[backend] = self.backends.get(backend, 0) + 1
 
     def heartbeat(self) -> Dict:
         arena = arena_cache_stats()
@@ -155,7 +147,6 @@ class _WorkerStats:
                 self.sim_cycles / self.sim_seconds
                 if self.sim_seconds > 0 else 0.0
             ),
-            "backends": dict(self.backends),
             "arena_hit_rate": (
                 arena["hits"] / probes if probes else None
             ),

@@ -10,13 +10,6 @@ pre-refactor engine.  The test re-runs each tuple through
 :func:`repro.engine.spec.execute_spec` -- the single execution path all
 harnesses share -- and asserts the payload matches field for field.
 
-Every tuple runs under **both execution backends** (``interp`` and the
-epoch-based ``fast`` engine, see :mod:`repro.backend`), pinning the
-backends' bit-identity contract against the recorded goldens; a second
-cross-check compares the fast backend against a freshly-computed
-interpreter result, so the contract holds even where the golden file
-itself is stale.
-
 Regenerating the goldens (only legitimate after an *intentional*
 model-behaviour change, never to paper over a refactor diff)::
 
@@ -66,13 +59,11 @@ def run_id(config: str, workload: str, scale: str) -> str:
     return f"{config}|{workload}|{GOLDEN_PROFILE}|{scale}|sms{GOLDEN_SMS}|seed{GOLDEN_SEED}"
 
 
-def simulate_payload(
-    config: str, workload: str, scale: str, backend: str = ""
-) -> dict:
+def simulate_payload(config: str, workload: str, scale: str) -> dict:
     """Execute one golden run and flatten it to the compared payload."""
     spec = RunSpec.build(
         config, workload, gpu_profile=GOLDEN_PROFILE, scale=scale,
-        seed=GOLDEN_SEED, num_sms=GOLDEN_SMS, backend=backend,
+        seed=GOLDEN_SEED, num_sms=GOLDEN_SMS,
     )
     payload = result_to_dict(execute_spec(spec))
     payload.pop("energy", None)
@@ -105,45 +96,22 @@ def test_golden_file_covers_declared_runs(goldens):
     )
 
 
-@pytest.mark.parametrize("backend", ["interp", "fast"])
+# the "-interp" id suffix keeps the ids stable for tooling that tracks
+# results by test id
 @pytest.mark.parametrize(
     "config,workload,scale", GOLDEN_RUNS,
-    ids=[f"{c}-{w}-{s}" for c, w, s in GOLDEN_RUNS],
+    ids=[f"{c}-{w}-{s}-interp" for c, w, s in GOLDEN_RUNS],
 )
-def test_golden_parity(goldens, config, workload, scale, backend):
+def test_golden_parity(goldens, config, workload, scale):
     recorded = goldens["runs"][run_id(config, workload, scale)]
-    payload = simulate_payload(config, workload, scale, backend=backend)
+    payload = simulate_payload(config, workload, scale)
     # digest first for a crisp one-line failure, full dict for the diff
     if payload_digest(payload) != recorded["digest"]:
         assert payload == recorded["payload"], (
             f"simulation diverged from golden recording for "
-            f"{config} on {workload} ({scale} scale, {backend} backend)"
+            f"{config} on {workload} ({scale} scale)"
         )
         pytest.fail("digest mismatch but payloads equal: golden file corrupt")
-
-
-@pytest.mark.parametrize(
-    "config,workload,scale", GOLDEN_RUNS,
-    ids=[f"{c}-{w}-{s}" for c, w, s in GOLDEN_RUNS],
-)
-def test_fast_backend_matches_fresh_interp(config, workload, scale):
-    """Backends agree byte for byte on *freshly computed* results.
-
-    The golden pin above would pass even if both backends drifted in
-    the same direction; this cross-check compares the fast backend
-    against an interpreter result computed in the same process, so the
-    bit-identity contract holds independently of the recorded file.
-    """
-    interp = simulate_payload(config, workload, scale, backend="interp")
-    fast = simulate_payload(config, workload, scale, backend="fast")
-    canonical = (
-        json.dumps(interp, sort_keys=True, separators=(",", ":")),
-        json.dumps(fast, sort_keys=True, separators=(",", ":")),
-    )
-    assert canonical[0] == canonical[1], (
-        f"fast backend diverged from interpreter for "
-        f"{config} on {workload} ({scale} scale)"
-    )
 
 
 def record() -> None:  # pragma: no cover - maintenance entry point

@@ -519,6 +519,25 @@ class TestRecoveryInProcess:
         assert entry["job"] == job.id
         assert entry["state"] == "done"
 
+    def test_old_backend_request_key_replays_to_done(self, tmp_path):
+        """Journals written while requests still carried an execution
+        ``backend`` field replay: restore ignores the key."""
+        journal = tmp_path / "journal.jsonl"
+        job = make_job()
+        fields = accepted_fields(job)
+        fields["request"]["backend"] = "fast"
+        writer = JobJournal(journal)
+        writer.append(EV_JOB_ACCEPTED, **fields)
+        writer.close()
+        assert SweepRequest.restore(fields["request"]) == job.request
+        with BackgroundService(
+            workers=1, no_store=True, journal=str(journal),
+        ) as svc:
+            assert svc.service.scheduler.recovered["requeued_jobs"] == 1
+            snap = ServiceClient(svc.url).wait(job.id, timeout=120)
+            assert snap["state"] == "done"
+            assert snap["errors"] == 0
+
     def test_unrecoverable_entry_skipped(self, tmp_path):
         journal = tmp_path / "journal.jsonl"
         job = make_job()

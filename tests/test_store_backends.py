@@ -110,6 +110,21 @@ def test_schema_bump_invalidates_both_backends_identically(tmp_path):
     assert states["jsonl"] == states["sharded"]
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_key_lookups_take_run_key_or_digest_only(tmp_path, backend):
+    store = make_store(tmp_path, backend)
+    spec = smoke_spec(seed=1)
+    key = store.put(spec, fake_result(spec))
+    assert store.get(key).cycles == store.get(key.digest).cycles
+    assert key in store and key.digest in store
+    assert store.record(key) == store.record(key.digest)
+    # a spec is not a key: refuse it instead of silently missing
+    for call in (store.get, store.record, store.__contains__,
+                 lambda k: store.put_record(k, store.record(key))):
+        with pytest.raises(TypeError, match="RunSpec"):
+            call(spec)
+
+
 def test_corrupt_line_tolerance_is_equivalent(tmp_path):
     states = {}
     for backend in BACKENDS:
