@@ -19,14 +19,25 @@ Run directly::
     PYTHONPATH=src python benchmarks/bench_throughput.py --smoke      # CI
     PYTHONPATH=src python benchmarks/bench_throughput.py --json out.json
 
+Each pair also reports ``py_calls_per_access``: the Python calls made
+inside ``GPUSimulator.run`` per L1D access
+(:mod:`repro.telemetry.callcount`), counted in one extra, untimed run
+after the timed repeats.  The count is deterministic for a given
+interpreter, so it is gated exactly.
+
 Regression gating (see ``docs/performance.md``)::
 
     # record a baseline after a deliberate perf change
-    PYTHONPATH=src python benchmarks/bench_throughput.py --smoke --repeats 3 \
+    PYTHONPATH=src python benchmarks/bench_throughput.py --smoke --repeats 5 \
         --json benchmarks/results/throughput_baseline.json
-    # fail (exit 1) when any pair regresses >30% against it
-    PYTHONPATH=src python benchmarks/bench_throughput.py --smoke --repeats 3 \
+    # fail (exit 1) when any pair's cycles/sec regresses >30% against it,
+    # or its py_calls_per_access exceeds the baseline's at all
+    PYTHONPATH=src python benchmarks/bench_throughput.py --smoke --repeats 5 \
         --check benchmarks/results/throughput_baseline.json
+
+Calls per access differ between interpreter versions, so compare only
+against a baseline recorded on the same Python (the report's ``python``
+field; CI runs the gate on 3.11).
 
 The headline pair is ``Dy-FUSE x SS`` (the paper's preferred config on
 an interleaved compute/memory stream), which exercises every hot layer
@@ -46,6 +57,7 @@ import time
 from typing import List, Optional
 
 from repro.engine.spec import RunSpec, execute_spec
+from repro.telemetry.callcount import profile_run
 from repro.workloads.arena import arena_cache_stats, reset_arena_cache
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
@@ -131,6 +143,8 @@ def measure_pair(
         elapsed = time.perf_counter() - start
         best = elapsed if best is None else min(best, elapsed)
     after = arena_cache_stats()
+    # the noise-free proxy, counted once the pair's caches are warm
+    _, calls = profile_run(lambda: execute_spec(spec))
     transactions = result.load_transactions + result.store_transactions
     return {
         "config": config,
@@ -147,6 +161,8 @@ def measure_pair(
         "trace_packs": after["packs"] - before["packs"],
         "cycles_per_sec": result.cycles / best if best else 0.0,
         "transactions_per_sec": transactions / best if best else 0.0,
+        "py_calls": calls.calls,
+        "py_calls_per_access": calls.calls_per_access,
     }
 
 
@@ -160,6 +176,7 @@ def run_benchmark(scale: str, num_sms: int, repeats: int, pairs) -> dict:
             f"in {row['wall_seconds']:6.2f}s  -> "
             f"{row['cycles_per_sec']:>10,.0f} cyc/s  "
             f"{row['transactions_per_sec']:>9,.0f} txn/s  "
+            f"{row['py_calls_per_access']:6.2f} calls/access  "
             f"(trace-gen {row['trace_gen_seconds']:5.2f}s, "
             f"{row['trace_packs']} pack)",
             flush=True,
@@ -177,10 +194,14 @@ def run_benchmark(scale: str, num_sms: int, repeats: int, pairs) -> dict:
 def check_against_baseline(
     report: dict, baseline_path: pathlib.Path, tolerance: float
 ) -> int:
-    """Compare cycles/sec per pair against a recorded baseline.
+    """Compare each pair against a recorded baseline.
 
-    Returns the number of regressed pairs (``new < old * (1 -
-    tolerance)``); pairs absent from the baseline, and baseline pairs
+    Returns the number of regressed pairs.  A pair regresses when its
+    cycles/sec falls below ``old * (1 - tolerance)`` (wall-clock, so
+    with a tolerance for host noise), or when its
+    ``py_calls_per_access`` exceeds the baseline's by any amount (a
+    deterministic count, gated exactly; skipped when the baseline
+    predates it).  Pairs absent from the baseline, and baseline pairs
     not measured now, are reported but never fail the check.
     Improvements always pass.  When anything regresses, both host
     stamps are printed so interpreter/machine/env drift is the first
@@ -219,6 +240,19 @@ def check_against_baseline(
             f"{row['cycles_per_sec']:>10,.0f} cyc/s "
             f"({ratio:5.2f}x)  {status}"
         )
+        old_calls = old.get("py_calls_per_access")
+        if old_calls is not None:
+            calls_status = (
+                "ok" if row["py_calls_per_access"] <= old_calls
+                else "REGRESSED"
+            )
+            print(
+                f"baseline check: {key[0]:>9} x {key[1]:<8} "
+                f"{old_calls:>10.3f} -> {row['py_calls_per_access']:>10.3f} "
+                f"calls/access (exact)  {calls_status}"
+            )
+            if calls_status == "REGRESSED":
+                status = "REGRESSED"
         if status == "REGRESSED":
             regressed += 1
     for key in old_rows:
@@ -260,7 +294,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--check", metavar="BASELINE", default=None,
         help="compare against a recorded baseline JSON; exit 1 when any "
-             "pair's cycles/sec regresses more than --tolerance",
+             "pair's cycles/sec regresses more than --tolerance or its "
+             "py_calls_per_access exceeds the baseline's",
     )
     parser.add_argument(
         "--tolerance", type=float, default=0.30,
@@ -298,12 +333,14 @@ def main(argv=None) -> int:
         )
         if regressed:
             print(
-                f"FAIL: {regressed} pair(s) regressed more than "
-                f"{args.tolerance:.0%} against {args.check}",
+                f"FAIL: {regressed} pair(s) regressed against "
+                f"{args.check} (cycles/sec beyond {args.tolerance:.0%}, "
+                "or calls per access above the baseline)",
                 file=sys.stderr,
             )
             return 1
-        print(f"baseline check passed (tolerance {args.tolerance:.0%})")
+        print(f"baseline check passed (cycles/sec tolerance "
+              f"{args.tolerance:.0%}, calls per access exact)")
     return 0
 
 

@@ -21,7 +21,7 @@ the MSHR, and one :class:`~repro.cache.engine.WritebackSink`.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.cache.engine import BankPort, MissPath, WritebackSink
 from repro.cache.interface import (
@@ -32,11 +32,15 @@ from repro.cache.interface import (
 )
 from repro.cache.mshr import MSHR
 from repro.cache.request import MemoryRequest
-from repro.cache.tag_array import EvictedLine, TagArray
+from repro.cache.tag_array import CacheLine, TagArray
 
 __all__ = [
     "BaseCache",
 ]
+
+_HIT = AccessOutcome.HIT
+_MISS = AccessOutcome.MISS
+_MISS_BYPASS = AccessOutcome.MISS_BYPASS
 
 
 class BaseCache(L1DCacheModel):
@@ -55,6 +59,14 @@ class BaseCache(L1DCacheModel):
         mshr_entries / mshr_max_merge: MSHR geometry.
         technology: ``"sram"`` or ``"stt"``; routes energy event counters.
     """
+
+    #: predictor-accuracy scoring hook for a departed line (By-NVM)
+    _score_eviction: Optional[Callable[[CacheLine], None]] = None
+
+    #: bypass predicate on the request PC (By-NVM's dead-write
+    #: prediction): when it holds, a clean miss -- block neither resident
+    #: nor pending -- goes straight to L2 without allocating
+    _bypass_pc: Optional[Callable[[int], bool]] = None
 
     def __init__(
         self,
@@ -89,55 +101,55 @@ class BaseCache(L1DCacheModel):
         self.writeback = WritebackSink(self.stats, scorer=self._score_eviction)
 
     # ------------------------------------------------------------------
-    def _score_eviction(self, evicted: EvictedLine) -> None:
-        """Hook for predictor-accuracy scoring (used by By-NVM / FUSE)."""
-
-    # ------------------------------------------------------------------
     def _access_impl(self, request: MemoryRequest, cycle: int) -> AccessResult:
         stats = self.stats
         stats.tag_lookups += 1
-        is_write = request.is_write
         block = request.block_addr
-        set_idx, way = self.tags.lookup(block)
+        hit = self.tags.find(block)
 
-        if way is not None:
+        if hit is not None:
             stats.hits += 1
-            self.tags.touch(set_idx, way, is_write)
+            is_write = request.is_write
+            self.tags.touch(hit[0], hit[1], is_write)
             if is_write:
                 stats.write_hits += 1
                 ready = self.bank.write(cycle)
             else:
                 stats.read_hits += 1
                 ready = self.bank.read(cycle)
-            return AccessResult(AccessOutcome.HIT, ready, (), block)
+            return AccessResult(_HIT, ready, (), block)
 
         # -- miss path ---------------------------------------------------
-        merged = self.miss_path.merge_or_reject(request, block, cycle)
-        if merged is not None:
-            return merged
-        if not self.tags.can_reserve(block):
+        mshr = self.mshr
+        entry = mshr.get(block)
+        if entry is not None:
+            return self.miss_path.merge(entry, request, block, cycle)
+        bypass_pc = self._bypass_pc
+        if bypass_pc is not None and bypass_pc(request.pc):
+            stats.bypasses += 1
+            return AccessResult(_MISS_BYPASS, cycle, (), block)
+        if (mshr.occupancy() >= mshr.num_entries
+                or not self.tags.can_reserve(block)):
             return self.miss_path.reject(block, cycle)
 
         _, _, evicted = self.tags.reserve(block, cycle)
-        writebacks = self.writeback.evict(evicted)
-        self.miss_path.allocate(
-            block, request, destination=self.technology, cycle=cycle
-        )
-        return AccessResult(AccessOutcome.MISS, cycle, writebacks, block)
+        writebacks = () if evicted is None else self.writeback.evict(evicted)
+        mshr.allocate(block, request, self.technology, cycle)
+        stats.misses += 1
+        return AccessResult(_MISS, cycle, writebacks, block)
 
     # ------------------------------------------------------------------
     def fill(self, block_addr: int, cycle: int) -> FillResult:
-        entry = self.miss_path.release(block_addr)
-        primary = entry.requests[0]
+        entry = self.mshr.release(block_addr)
+        requests = entry.requests
+        primary = requests[0]
         set_idx, way = self.tags.fill(
-            block_addr,
-            cycle,
-            is_write=primary.is_write,
-            fill_pc=primary.pc,
+            block_addr, cycle, primary.is_write, primary.pc
         )
-        # account residency counters for merged secondaries
-        MissPath.apply_merged(entry, self.tags.line(set_idx, way))
+        if len(requests) > 1:
+            # account residency counters for merged secondaries
+            MissPath.apply_merged(entry, self.tags.line(set_idx, way))
 
         ready = self.bank.write(cycle)
         self.stats.fills += 1
-        return FillResult(ready, list(entry.requests), ())
+        return FillResult(ready, requests, ())

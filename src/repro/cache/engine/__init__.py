@@ -15,10 +15,11 @@ This package extracts them as three primitives the cache models compose:
   resource: acquire-at-``max(cycle, busy_until)``, charge wait cycles to
   ``bank_wait_cycles`` (and ``stt_write_stall_cycles`` for STT-MRAM
   banks), count read/write events for the energy model.
-* :class:`~repro.cache.engine.misspath.MissPath` -- the check-then-commit
-  MSHR discipline: probe, merge-or-reject, allocate primaries, release
-  fills, and apply merged secondaries to the filled line's residency
-  counters.
+* :class:`~repro.cache.engine.misspath.MissPath` -- the accounting of
+  the check-then-commit MSHR discipline: merge a secondary miss into
+  the outstanding entry the engine probed (or reject it when the entry
+  is merge-full), count reservation failures, and apply merged
+  secondaries to the filled line's residency counters.
 * :class:`~repro.cache.engine.writeback.WritebackSink` -- eviction
   accounting plus the dirty-writeback tuple handed back to the simulator.
 

@@ -73,18 +73,6 @@ class BankPort:
         self._is_stt = technology == "stt"
 
     # ------------------------------------------------------------------
-    def start(self, cycle: int) -> int:
-        """Acquire the bank; returns the start cycle, charging any wait."""
-        start = self.busy_until
-        if start <= cycle:
-            return cycle
-        stats = self.stats
-        wait = start - cycle
-        stats.bank_wait_cycles += wait
-        if self._is_stt:
-            stats.stt_write_stall_cycles += wait
-        return start
-
     def read(self, cycle: int, extra: int = 0) -> int:
         """One bank read; returns the data-ready cycle.
 
@@ -95,22 +83,36 @@ class BankPort:
         hold the bank through their ``extra`` cycles -- see
         :meth:`write`.
         """
-        start = self.start(cycle)
+        stats = self.stats
+        start = self.busy_until
+        if start > cycle:
+            stats.bank_wait_cycles += start - cycle
+            if self._is_stt:
+                stats.stt_write_stall_cycles += start - cycle
+        else:
+            start = cycle
         if self.count_events:
             if self._is_stt:
-                self.stats.stt_reads += 1
+                stats.stt_reads += 1
             else:
-                self.stats.sram_reads += 1
+                stats.sram_reads += 1
         self.busy_until = start + self.read_occupancy
         return start + extra + self.read_latency
 
     def write(self, cycle: int, extra: int = 0) -> int:
         """One bank write; returns the write-complete cycle."""
-        start = self.start(cycle)
+        stats = self.stats
+        start = self.busy_until
+        if start > cycle:
+            stats.bank_wait_cycles += start - cycle
+            if self._is_stt:
+                stats.stt_write_stall_cycles += start - cycle
+        else:
+            start = cycle
         if self.count_events:
             if self._is_stt:
-                self.stats.stt_writes += 1
+                stats.stt_writes += 1
             else:
-                self.stats.sram_writes += 1
+                stats.sram_writes += 1
         self.busy_until = start + extra + self.write_occupancy
         return start + extra + self.write_latency

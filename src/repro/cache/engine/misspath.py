@@ -11,13 +11,12 @@ check-then-commit sequence on a tag miss:
 3. the off-chip response *releases* the entry, and every merged
    secondary is replayed against the filled line's residency counters.
 
-``MissPath`` owns steps 1 and 3 plus the primary-allocation accounting
-of step 2; the engine keeps only its own resource checks.
+The engine probes the MSHR itself (``mshr.get``, one dict lookup) and
+owns its resource checks and the primary allocation; ``MissPath`` owns
+the accounting of steps 1 and 3 and of every reservation failure.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 from repro.cache.interface import AccessOutcome, AccessResult
 from repro.cache.mshr import MSHR, MSHREntry
@@ -28,63 +27,43 @@ __all__ = [
     "MissPath",
 ]
 
+_HIT_PENDING = AccessOutcome.HIT_PENDING
+_RESERVATION_FAIL = AccessOutcome.RESERVATION_FAIL
+
 
 class MissPath:
-    """MSHR merge + off-chip forward + fill completion."""
+    """MSHR merge + reservation-failure accounting + fill completion."""
 
-    __slots__ = ("mshr", "stats")
+    __slots__ = ("stats", "_max_merged")
 
     def __init__(self, mshr: MSHR, stats: CacheStats) -> None:
-        self.mshr = mshr
         self.stats = stats
+        self._max_merged = mshr.max_merged
 
     # ------------------------------------------------------------------
-    def merge_or_reject(
-        self, request: MemoryRequest, block: int, cycle: int
-    ) -> Optional[AccessResult]:
-        """Resolve the in-flight-miss cases for *block*.
+    def merge(
+        self, entry: MSHREntry, request: MemoryRequest, block: int,
+        cycle: int,
+    ) -> AccessResult:
+        """Resolve an access to a block with an outstanding miss *entry*.
 
-        Returns the final :class:`AccessResult` when the access merged
-        into an outstanding entry (``HIT_PENDING``), could not merge or
-        could not allocate (``RESERVATION_FAIL`` with the fail counted),
-        or ``None`` when this is a fresh primary miss the engine should
-        now find resources for.
+        The access merges into the entry (``HIT_PENDING``) or, when the
+        entry is merge-full, is rejected (``RESERVATION_FAIL``, counted).
         """
-        mshr = self.mshr
-        if mshr.probe(block):
-            if not mshr.can_merge(block):
-                return self.reject(block, cycle)
-            mshr.merge(block, request)
+        requests = entry.requests
+        if len(requests) < self._max_merged:
+            requests.append(request)
             self.stats.merged_misses += 1
-            return AccessResult(AccessOutcome.HIT_PENDING, cycle, (), block)
-        if mshr.full():
-            return self.reject(block, cycle)
-        return None
+            return AccessResult(_HIT_PENDING, cycle, (), block)
+        self.stats.reservation_fails += 1
+        return AccessResult(_RESERVATION_FAIL, cycle, (), block)
 
     def reject(self, block: int, cycle: int) -> AccessResult:
         """Count and report one structural-hazard reservation failure."""
         self.stats.reservation_fails += 1
-        return AccessResult(AccessOutcome.RESERVATION_FAIL, cycle, (), block)
-
-    def allocate(
-        self,
-        block: int,
-        request: MemoryRequest,
-        destination: str = "sram",
-        cycle: int = 0,
-    ) -> MSHREntry:
-        """Commit a primary miss (resources already checked)."""
-        entry = self.mshr.allocate(
-            block, request, destination=destination, cycle=cycle
-        )
-        self.stats.misses += 1
-        return entry
+        return AccessResult(_RESERVATION_FAIL, cycle, (), block)
 
     # ------------------------------------------------------------------
-    def release(self, block: int) -> MSHREntry:
-        """Pop the entry for an arrived fill."""
-        return self.mshr.release(block)
-
     @staticmethod
     def apply_merged(entry: MSHREntry, line) -> None:
         """Replay merged secondaries on the filled line's counters.
@@ -92,6 +71,7 @@ class MissPath:
         The primary request's read/write nature is applied by the tag
         array's fill itself; secondaries only touch residency counters
         (and dirtiness for stores), exactly like a hit would have.
+        Engines call this only when the entry holds secondaries.
         """
         for merged in entry.requests[1:]:
             if merged.is_write:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Callable, Optional, Tuple
 
 from repro.cache.stats import CacheStats
-from repro.cache.tag_array import EvictedLine
+from repro.cache.tag_array import CacheLine
 
 __all__ = [
     "WritebackSink",
@@ -36,16 +36,15 @@ class WritebackSink:
         self,
         stats: CacheStats,
         leaves_cache: bool = False,
-        scorer: Optional[Callable[[EvictedLine], None]] = None,
+        scorer: Optional[Callable[[CacheLine], None]] = None,
     ) -> None:
         self.stats = stats
         self.leaves_cache = leaves_cache
         self.scorer = scorer
 
-    def evict(self, evicted: Optional[EvictedLine]) -> Tuple[int, ...]:
-        """Account one eviction; returns the writeback tuple."""
-        if evicted is None:
-            return ()
+    def evict(self, evicted: CacheLine) -> Tuple[int, ...]:
+        """Account one eviction (the departed line); returns the
+        writeback tuple."""
         stats = self.stats
         stats.evictions += 1
         if self.leaves_cache:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import abc
 import enum
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.cache.request import MemoryRequest
 from repro.cache.stats import CacheStats
@@ -71,6 +71,9 @@ class AccessResult:
         return self.outcome is AccessOutcome.HIT
 
 
+_RESERVATION_FAIL = AccessOutcome.RESERVATION_FAIL
+
+
 @dataclass(slots=True)
 class FillResult:
     """Outcome of :meth:`L1DCacheModel.fill`.
@@ -99,27 +102,32 @@ class L1DCacheModel(abc.ABC):
     #: short configuration name (e.g. ``"Dy-FUSE"``), set by factories
     name: str = "l1d"
 
+    #: predictor-training hook ``(request) -> None``, called once per
+    #: accepted access; models that train a predictor bind it (usually
+    #: straight to the predictor's ``observe``), the rest leave it None
+    _observe: Optional[Callable[[MemoryRequest], None]] = None
+
     def __init__(self) -> None:
         self.stats = CacheStats()
 
     def access(self, request: MemoryRequest, cycle: int) -> AccessResult:
         """Present one coalesced transaction to the cache at *cycle*."""
         result = self._access_impl(request, cycle)
-        if result.outcome is not AccessOutcome.RESERVATION_FAIL:
-            self.stats.accesses += 1
+        if result.outcome is not _RESERVATION_FAIL:
+            stats = self.stats
+            stats.accesses += 1
             if request.is_write:
-                self.stats.write_accesses += 1
+                stats.write_accesses += 1
             else:
-                self.stats.read_accesses += 1
-            self._observe(request)
+                stats.read_accesses += 1
+            observe = self._observe
+            if observe is not None:
+                observe(request)
         return result
 
     @abc.abstractmethod
     def _access_impl(self, request: MemoryRequest, cycle: int) -> AccessResult:
         """Cache-specific access logic (see :meth:`access`)."""
-
-    def _observe(self, request: MemoryRequest) -> None:
-        """Predictor-training hook, called once per accepted access."""
 
     @abc.abstractmethod
     def fill(self, block_addr: int, cycle: int) -> FillResult:

@@ -31,9 +31,6 @@ class MSHREntry:
     requests: List[MemoryRequest] = field(default_factory=list)
     destination: str = "sram"
     allocate_cycle: int = 0
-    #: metadata slot for cache engines (e.g. reserved way index)
-    reserved_way: int = -1
-    reserved_set: int = -1
 
     @property
     def merged_count(self) -> int:
@@ -49,6 +46,14 @@ class MSHR:
             default for Fermi-class L1Ds is 32).
         max_merged: maximum requests merged per entry, including the primary
             (8 matches GPGPU-Sim's ``mshr_max_merge``).
+
+    The per-access operations are bound builtins of the entry table, so
+    a cache engine's miss path makes no Python call to reach them:
+
+    * ``get(block_addr)`` -- the outstanding entry, or None;
+    * ``occupancy()`` -- entries in flight;
+    * ``release(block_addr)`` -- remove and return the entry when its
+      fill arrives (``KeyError`` when there is none).
     """
 
     def __init__(self, num_entries: int = 32, max_merged: int = 8) -> None:
@@ -59,6 +64,9 @@ class MSHR:
         self.num_entries = num_entries
         self.max_merged = max_merged
         self._entries: Dict[int, MSHREntry] = {}
+        self.get = self._entries.get
+        self.occupancy = self._entries.__len__
+        self.release = self._entries.pop
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -71,10 +79,6 @@ class MSHR:
     def probe(self, block_addr: int) -> bool:
         """True when *block_addr* already has an outstanding miss."""
         return block_addr in self._entries
-
-    def get(self, block_addr: int) -> Optional[MSHREntry]:
-        """Return the entry for *block_addr*, or None."""
-        return self._entries.get(block_addr)
 
     def can_merge(self, block_addr: int) -> bool:
         """True when a secondary miss to *block_addr* can be merged."""
@@ -98,17 +102,14 @@ class MSHR:
                 pending (callers must check ``full()`` / ``probe()`` first;
                 this keeps the check-then-commit discipline explicit).
         """
-        if self.full():
+        entries = self._entries
+        if len(entries) >= self.num_entries:
             raise RuntimeError("MSHR allocate() on a full table")
-        if block_addr in self._entries:
+        if block_addr in entries:
             raise RuntimeError(f"MSHR already tracks block 0x{block_addr:x}")
-        entry = MSHREntry(
-            block_addr=block_addr,
-            requests=[request],
-            destination=destination,
-            allocate_cycle=cycle,
+        entry = entries[block_addr] = MSHREntry(
+            block_addr, [request], destination, cycle
         )
-        self._entries[block_addr] = entry
         return entry
 
     def merge(self, block_addr: int, request: MemoryRequest) -> MSHREntry:
@@ -125,14 +126,6 @@ class MSHR:
             raise RuntimeError(f"MSHR entry 0x{block_addr:x} is merge-full")
         entry.requests.append(request)
         return entry
-
-    def release(self, block_addr: int) -> MSHREntry:
-        """Remove and return the entry when its fill response arrives.
-
-        Raises:
-            KeyError: when no entry exists for *block_addr*.
-        """
-        return self._entries.pop(block_addr)
 
     def outstanding_blocks(self) -> List[int]:
         """Block addresses currently in flight (for debugging/tests)."""

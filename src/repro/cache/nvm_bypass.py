@@ -18,9 +18,8 @@ emergent output of this predictor and are reproduced by
 from __future__ import annotations
 
 from repro.cache.basecache import BaseCache
-from repro.cache.interface import AccessOutcome, AccessResult
 from repro.cache.request import BLOCK_SIZE, MemoryRequest
-from repro.cache.tag_array import EvictedLine
+from repro.cache.tag_array import CacheLine
 from repro.core.sampler import SamplerTable, SaturatingCounterTable, pc_signature
 
 __all__ = [
@@ -56,6 +55,8 @@ class DeadWritePredictor:
 
     def observe(self, request: MemoryRequest) -> None:
         """Train on one request (no-op for non-sampled warps)."""
+        if not self.sampler.samples_warp(request.warp_id):
+            return
         observation = self.sampler.observe(
             request.warp_id, request.block_addr, request.pc,
             request.is_write,
@@ -107,26 +108,13 @@ class ByNVMCache(BaseCache):
         self.predictor = DeadWritePredictor(
             dead_threshold=dead_threshold, sampled_warps=sampled_warps
         )
+        self._observe = self.predictor.observe
+        # a bypass is only legal when the block is neither resident nor
+        # pending (otherwise it would create a stale copy); BaseCache
+        # consults the predicate exactly there
+        self._bypass_pc = self.predictor.is_dead
 
-    def _observe(self, request: MemoryRequest) -> None:
-        self.predictor.observe(request)
-
-    def _access_impl(self, request: MemoryRequest, cycle: int) -> AccessResult:
-        block = request.block_addr
-
-        # A bypass is only legal when the block is not already resident or
-        # pending -- otherwise we would create a stale copy.
-        _, way = self.tags.lookup(block)
-        if way is None and not self.mshr.probe(block):
-            if self.predictor.is_dead(request.pc):
-                self.stats.tag_lookups += 1
-                self.stats.bypasses += 1
-                return AccessResult(
-                    AccessOutcome.MISS_BYPASS, cycle, (), block
-                )
-        return super()._access_impl(request, cycle)
-
-    def _score_eviction(self, evicted: EvictedLine) -> None:
+    def _score_eviction(self, evicted: CacheLine) -> None:
         """Track how many resident blocks really were dead (diagnostics)."""
         if evicted.reads_observed == 0 and evicted.writes_observed == 0:
             self.stats.pred_false += 1  # kept a block that was never reused

@@ -68,16 +68,20 @@ class OracleCache(L1DCacheModel):
                 ready = cycle + self.read_latency
             return AccessResult(AccessOutcome.HIT, ready, (), block)
 
-        merged = self.miss_path.merge_or_reject(request, block, cycle)
-        if merged is not None:
-            return merged
+        mshr = self.mshr
+        entry = mshr.get(block)
+        if entry is not None:
+            return self.miss_path.merge(entry, request, block, cycle)
+        if mshr.occupancy() >= mshr.num_entries:
+            return self.miss_path.reject(block, cycle)
 
-        self.miss_path.allocate(block, request, cycle=cycle)
+        mshr.allocate(block, request, "sram", cycle)
+        stats.misses += 1
         return AccessResult(AccessOutcome.MISS, cycle, (), block)
 
     def fill(self, block_addr: int, cycle: int) -> FillResult:
-        entry = self.miss_path.release(block_addr)
+        entry = self.mshr.release(block_addr)
         self._resident.add(block_addr)
         self.stats.fills += 1
         self.stats.sram_writes += 1
-        return FillResult(cycle + self.write_latency, list(entry.requests), ())
+        return FillResult(cycle + self.write_latency, entry.requests, ())

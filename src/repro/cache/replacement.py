@@ -174,11 +174,9 @@ class LRUPolicy(_StampedPolicy):
 
     name = "lru"
 
-    def on_fill(self, set_idx: int, way: int) -> None:
-        self._stamp(set_idx, way)
-
-    def on_access(self, set_idx: int, way: int) -> None:
-        self._stamp(set_idx, way)
+    # a fill and a hit both restamp the way; binding the hooks to the
+    # stamp itself keeps a hit at one call into the policy
+    on_fill = on_access = _StampedPolicy._stamp
 
 
 class FIFOPolicy(_StampedPolicy):
@@ -190,8 +188,7 @@ class FIFOPolicy(_StampedPolicy):
 
     name = "fifo"
 
-    def on_fill(self, set_idx: int, way: int) -> None:
-        self._stamp(set_idx, way)
+    on_fill = _StampedPolicy._stamp
 
     def on_access(self, set_idx: int, way: int) -> None:
         # FIFO ignores hits by definition.

@@ -72,6 +72,13 @@ class MemoryRequest:
             objects (:mod:`repro.gpu.sm`), so a recycled request keeps
             its original id: treat it as an object identity for
             debugging, not as a per-transaction sequence number.
+        block_addr: block-granular address (``address >> BLOCK_SHIFT``).
+        is_write: True when the request is a store.
+
+    ``block_addr`` and ``is_write`` are plain slots derived once at
+    construction, because every cache model reads them on every access.
+    Code that re-targets a request (the SM's request pool) must set them
+    together with ``address`` and ``access_type``.
     """
 
     address: int
@@ -81,16 +88,12 @@ class MemoryRequest:
     warp_id: int = 0
     issue_cycle: int = 0
     request_id: int = field(default_factory=_allocate_request_id)
+    block_addr: int = field(init=False)
+    is_write: bool = field(init=False)
 
-    @property
-    def block_addr(self) -> int:
-        """Block-granular address of this request."""
-        return self.address >> BLOCK_SHIFT
-
-    @property
-    def is_write(self) -> bool:
-        """True when this request is a store."""
-        return self.access_type is AccessType.STORE
+    def __post_init__(self) -> None:
+        self.block_addr = self.address >> BLOCK_SHIFT
+        self.is_write = self.access_type is AccessType.STORE
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "ST" if self.is_write else "LD"

@@ -17,14 +17,14 @@ counts.  Those feed two paper mechanisms:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Iterator, List, Optional, Tuple
 
 from repro.cache.replacement import ReplacementPolicy, make_replacement_policy
 
 __all__ = [
-    "CacheLine", "EvictedLine", "TagArray",
+    "CacheLine", "TagArray", "UNALLOCATED",
 ]
 
 
@@ -48,30 +48,12 @@ class CacheLine:
     reads_observed: int = 0
     fill_cycle: int = 0
 
-    def reset(self) -> None:
-        """Return the line to the invalid state."""
-        self.tag = -1
-        self.valid = False
-        self.dirty = False
-        self.reserved = False
-        self.block_addr = -1
-        self.fill_pc = 0
-        self.predicted_level = None
-        self.writes_observed = 0
-        self.reads_observed = 0
-        self.fill_cycle = 0
 
-
-@dataclass(slots=True)
-class EvictedLine:
-    """Snapshot of a line pushed out by :meth:`TagArray.reserve`."""
-
-    block_addr: int
-    dirty: bool
-    fill_pc: int
-    predicted_level: Optional[object]
-    writes_observed: int
-    reads_observed: int
+#: The line every unreserved, invalid way points at.  One object is
+#: shared by every tag array and is never written: :meth:`TagArray.reserve`
+#: swaps a fresh line into the way instead, so building a machine costs
+#: no per-line allocation (the shared L2 alone has 6,144 ways).
+UNALLOCATED = CacheLine()
 
 
 class TagArray:
@@ -80,6 +62,13 @@ class TagArray:
     A fully-associative array is simply ``num_sets=1`` with a large
     associativity, which is exactly how the paper's FA-FUSE configures the
     STT-MRAM bank (1 set x 512 ways, Table I).
+
+    Each way holds a line object.  Reserving a way installs a new
+    :class:`CacheLine`; the line it replaces leaves the array untouched
+    and is handed back as the eviction record (``reserve``,
+    ``install``, ``invalidate``), so a departed line is a read-only
+    snapshot nobody writes again.  Ways never reserved, and ways emptied
+    by :meth:`invalidate`, point at :data:`UNALLOCATED`.
     """
 
     def __init__(
@@ -97,19 +86,25 @@ class TagArray:
         self.policy: ReplacementPolicy = make_replacement_policy(
             replacement, num_sets, assoc
         )
+        self._on_access = self.policy.on_access
+        self._on_fill = self.policy.on_fill
+        self._on_reserve = self.policy.on_reserve
         self._sets: List[List[CacheLine]] = [
-            [CacheLine() for _ in range(assoc)] for _ in range(num_sets)
+            [UNALLOCATED] * assoc for _ in range(num_sets)
         ]
         self._set_mask = num_sets - 1
         #: valid-block index: block_addr -> (set_idx, way); keeps lookups
         #: O(1) even for the 512-way fully-associative STT organisation
         self._index: dict = {}
+        #: ``find(block_addr) -> (set_idx, way) | None``: the valid-block
+        #: probe as a bound builtin, the one lookup an engine's hit path
+        #: makes (no Python frame)
+        self.find = self._index.get
         #: pending reservations: block_addr -> (set_idx, way); lets fills
         #: complete without scanning the set
         self._reserved_index: dict = {}
-        #: per-set way counts keeping the reserve path off O(assoc) scans
-        #: in the steady state (set full, no reservation pending)
-        self._free_count: List[int] = [assoc] * num_sets
+        #: per-set reserved-way counts keeping the reserve path off
+        #: O(assoc) scans in the steady state (set full, none pending)
         self._reserved_count: List[int] = [0] * num_sets
         #: per-set min-heaps of free (invalid, unreserved) way indices:
         #: popping the minimum is identical to scanning the set for the
@@ -130,7 +125,11 @@ class TagArray:
         return block_addr & self._set_mask
 
     def line(self, set_idx: int, way: int) -> CacheLine:
-        """Direct line access (used by cache engines and tests)."""
+        """Direct line access (used by cache engines and tests).
+
+        A way that holds no valid or reserved line returns
+        :data:`UNALLOCATED`, which must not be written.
+        """
         return self._sets[set_idx][way]
 
     def iter_valid_lines(self) -> Iterator[CacheLine]:
@@ -145,12 +144,13 @@ class TagArray:
         """Return ``(set_idx, way)``; way is None on miss.
 
         Only valid lines match; reserved (in-flight) lines do not count as
-        hits -- the MSHR handles those as merged misses.
+        hits -- the MSHR handles those as merged misses.  Hot paths use
+        :attr:`find` instead, which returns None on a miss.
         """
         entry = self._index.get(block_addr)
         if entry is not None:
             return entry
-        return self.set_index(block_addr), None
+        return block_addr & self._set_mask, None
 
     def probe_reserved(self, block_addr: int) -> bool:
         """True if a reservation for *block_addr* is pending in its set."""
@@ -159,7 +159,7 @@ class TagArray:
     def touch(self, set_idx: int, way: int, is_write: bool) -> None:
         """Record a hit for replacement state and residency counters."""
         line = self._sets[set_idx][way]
-        self.policy.on_access(set_idx, way)
+        self._on_access(set_idx, way)
         if is_write:
             line.dirty = True
             line.writes_observed += 1
@@ -169,7 +169,7 @@ class TagArray:
     # ------------------------------------------------------------------
     def can_reserve(self, block_addr: int) -> bool:
         """True when the set has at least one non-reserved way."""
-        return self._reserved_count[self.set_index(block_addr)] < self.assoc
+        return self._reserved_count[block_addr & self._set_mask] < self.assoc
 
     def peek_victim(self, block_addr: int) -> Tuple[bool, Optional[CacheLine]]:
         """Preview what :meth:`reserve` would do, without mutating.
@@ -181,8 +181,8 @@ class TagArray:
         victim; ``RandomPolicy`` does not (its RNG advances per call), so
         check-then-commit cache engines should avoid it.
         """
-        set_idx = self.set_index(block_addr)
-        if self._free_count[set_idx] > 0:
+        set_idx = block_addr & self._set_mask
+        if self._free_ways[set_idx]:
             return True, None
         ways = self._sets[set_idx]
         if self._reserved_count[set_idx] == 0:
@@ -196,12 +196,13 @@ class TagArray:
 
     def reserve(
         self, block_addr: int, cycle: int = 0
-    ) -> Tuple[int, int, Optional[EvictedLine]]:
+    ) -> Tuple[int, int, Optional[CacheLine]]:
         """Reserve a way for an in-flight fill of *block_addr*.
 
-        Selects a victim among non-reserved ways (invalid ways first), marks
-        the chosen way reserved and returns ``(set_idx, way, evicted)``.
-        ``evicted`` describes the valid line that was displaced, or None.
+        Selects a victim among non-reserved ways (invalid ways first),
+        installs a reserved line there and returns ``(set_idx, way,
+        evicted)``.  ``evicted`` is the valid line that was displaced
+        (no longer part of the array), or None.
 
         Raises:
             RuntimeError: when every way in the set is already reserved.
@@ -209,15 +210,16 @@ class TagArray:
                 ways is the "cannot obtain a free cache line" structural
                 hazard that surfaces as a reservation failure.
         """
-        set_idx = self.set_index(block_addr)
+        set_idx = block_addr & self._set_mask
         ways = self._sets[set_idx]
-
-        victim_way: Optional[int] = None
-        if self._free_count[set_idx] > 0:
-            # lowest free way index, same choice the old first-free scan
-            # made, in O(log assoc)
-            victim_way = heappop(self._free_ways[set_idx])
-        if victim_way is None:
+        free = self._free_ways[set_idx]
+        evicted: Optional[CacheLine] = None
+        if free:
+            # lowest free way index, same choice a first-free scan makes,
+            # in O(log assoc)
+            victim_way = heappop(free)
+        else:
+            # no free way: every non-reserved way holds a valid line
             if self._reserved_count[set_idx] == 0:
                 victim_way = self.policy.select_victim_all(set_idx)
             else:
@@ -226,52 +228,16 @@ class TagArray:
                     raise RuntimeError(
                         f"reserve() with all ways reserved in set {set_idx}"
                     )
-
-        line = ways[victim_way]
-        evicted: Optional[EvictedLine] = None
-        if line.valid:
-            evicted = EvictedLine(
-                block_addr=line.block_addr,
-                dirty=line.dirty,
-                fill_pc=line.fill_pc,
-                predicted_level=line.predicted_level,
-                writes_observed=line.writes_observed,
-                reads_observed=line.reads_observed,
-            )
-            self._index.pop(line.block_addr, None)
-        else:
-            self._free_count[set_idx] -= 1
-        line.reset()
-        line.reserved = True
-        line.block_addr = block_addr
-        line.tag = block_addr >> 0
-        line.fill_cycle = cycle
+            evicted = ways[victim_way]
+            del self._index[evicted.block_addr]
+        ways[victim_way] = CacheLine(
+            tag=block_addr, reserved=True, block_addr=block_addr,
+            fill_cycle=cycle,
+        )
         self._reserved_count[set_idx] += 1
         self._reserved_index[block_addr] = (set_idx, victim_way)
-        self.policy.on_reserve(set_idx, victim_way)
+        self._on_reserve(set_idx, victim_way)
         return set_idx, victim_way, evicted
-
-    def _complete_reservation(
-        self,
-        block_addr: int,
-        set_idx: int,
-        way: int,
-        cycle: int,
-        dirty: bool,
-        fill_pc: int,
-        predicted_level: Optional[object],
-    ) -> None:
-        line = self._sets[set_idx][way]
-        line.reserved = False
-        line.valid = True
-        line.dirty = dirty
-        line.fill_pc = fill_pc
-        line.predicted_level = predicted_level
-        line.fill_cycle = cycle
-        self._reserved_count[set_idx] -= 1
-        del self._reserved_index[block_addr]
-        self.policy.on_fill(set_idx, way)
-        self._index[block_addr] = (set_idx, way)
 
     def fill(
         self,
@@ -289,17 +255,23 @@ class TagArray:
             RuntimeError: when no reservation exists (fills must always have
                 been preceded by a reserve; anything else is an engine bug).
         """
-        entry = self._reserved_index.get(block_addr)
+        entry = self._reserved_index.pop(block_addr, None)
         if entry is None:
             raise RuntimeError(
                 f"fill() without reservation for 0x{block_addr:x}"
             )
         set_idx, way = entry
-        self._complete_reservation(
-            block_addr, set_idx, way, cycle, is_write, fill_pc,
-            predicted_level,
-        )
-        return set_idx, way
+        line = self._sets[set_idx][way]
+        line.reserved = False
+        line.valid = True
+        line.dirty = is_write
+        line.fill_pc = fill_pc
+        line.predicted_level = predicted_level
+        line.fill_cycle = cycle
+        self._reserved_count[set_idx] -= 1
+        self._on_fill(set_idx, way)
+        self._index[block_addr] = entry
+        return entry
 
     def install(
         self,
@@ -308,35 +280,25 @@ class TagArray:
         dirty: bool = False,
         fill_pc: int = 0,
         predicted_level: Optional[object] = None,
-    ) -> Tuple[int, int, Optional[EvictedLine]]:
+    ) -> Tuple[int, int, Optional[CacheLine]]:
         """Reserve-and-fill in one step (used for migrations between banks,
         where the data is already on chip and no fill response is pending).
         """
         set_idx, way, evicted = self.reserve(block_addr, cycle)
-        self._complete_reservation(
-            block_addr, set_idx, way, cycle, dirty, fill_pc, predicted_level,
-        )
+        self.fill(block_addr, cycle, dirty, fill_pc, predicted_level)
         return set_idx, way, evicted
 
-    def invalidate(self, block_addr: int) -> Optional[EvictedLine]:
-        """Invalidate *block_addr* if present; return its snapshot."""
-        set_idx, way = self.lookup(block_addr)
-        if way is None:
+    def invalidate(self, block_addr: int) -> Optional[CacheLine]:
+        """Invalidate *block_addr* if present; return the departed line."""
+        entry = self._index.pop(block_addr, None)
+        if entry is None:
             return None
-        line = self._sets[set_idx][way]
-        snapshot = EvictedLine(
-            block_addr=line.block_addr,
-            dirty=line.dirty,
-            fill_pc=line.fill_pc,
-            predicted_level=line.predicted_level,
-            writes_observed=line.writes_observed,
-            reads_observed=line.reads_observed,
-        )
-        line.reset()
-        self._index.pop(block_addr, None)
-        self._free_count[set_idx] += 1
+        set_idx, way = entry
+        ways = self._sets[set_idx]
+        departed = ways[way]
+        ways[way] = UNALLOCATED
         heappush(self._free_ways[set_idx], way)
-        return snapshot
+        return departed
 
     def occupancy(self) -> int:
         """Number of valid lines currently held."""

@@ -22,7 +22,8 @@ first:
   or print ``info`` about a file (see ``docs/trace-format.md``).
 * ``profile`` -- simulate one pair under :mod:`cProfile` and print the
   top entries plus simulated-cycles/sec (the simulator's own speed, not
-  the model's).
+  the model's), Python calls per L1D access and the run's self time by
+  package.
 * ``serve``   -- run the HTTP job service (``docs/service-api.md``):
   sweeps over the wire, single-flight dedup, results served from the
   store.  ``--remote`` turns it into a lease-granting scheduler that
@@ -656,6 +657,7 @@ def _profiled(callable_, sort: str = "cumulative", limit: int = 25):
 
 def _cmd_profile(args: argparse.Namespace) -> int:
     from repro.engine.spec import RunSpec, execute_spec
+    from repro.telemetry.callcount import profile_run
     from repro.workloads.arena import arena_cache_stats
 
     spec = RunSpec.build(
@@ -686,6 +688,16 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         + (", cached from an earlier run" if packs == 0 else "")
         + f"), simulation {simulate:.2f}s"
     )
+    # a second, run-only profile of the same (now warm) simulation:
+    # the deterministic calls-per-access proxy and where the run's
+    # self time goes by package
+    _, calls = profile_run(lambda: execute_spec(spec))
+    print(
+        f"inside GPUSimulator.run: {calls.calls:,} Python calls / "
+        f"{calls.accesses:,} L1D accesses = "
+        f"{calls.calls_per_access:.2f} calls per access"
+    )
+    print(f"self time by package: {calls.split_line()}")
     return 0
 
 

@@ -17,27 +17,29 @@ quantifies.  The tag queue keeps those extra cycles off the SM's critical
 path (they surface as ``tag_search_stall_cycles``, Figure 15).
 
 Implementation note: the "test every CBF in parallel" step is priced
-through per-group **nonzero bitmasks** -- bit ``c`` of group *g*'s mask
-is set while counter ``(g, c)`` is nonzero, maintained incrementally on
-0<->1 crossings.  A key's membership in every group then collapses to
-one vectorised ``(masks & key_masks) == key_masks`` over a uint64 lane
-per group -- semantically identical to testing 128 independent
-:class:`~repro.core.bloom.CountingBloomFilter` objects (2-bit saturating
-counters, double hashing, no false negatives) but orders of magnitude
-faster, which the pure-Python simulator needs.  The hash-index and
-key-mask patterns are pure functions of the filter geometry, so they are
-memoised **process-wide** (shared across every SM's bank and every run
-of a sweep) rather than per instance.  The standalone class remains the
-reference implementation and the Figure 20 microbench subject; property
-tests assert the two agree on the no-false-negative invariant.
+through one **packed nonzero bitmap** -- a Python int holding one lane
+per group, where bit ``c`` of group *g*'s lane is set while counter
+``(g, c)`` is nonzero, maintained incrementally on 0<->1 crossings.  A
+key's membership in every group then collapses to a handful of big-int
+operations: the key's packed slot mask minus the bitmap leaves, in
+each group's lane, the slots the key needs that are still zero; folding
+each lane onto its lowest bit and counting bits yields the number of
+negative groups.  That is semantically identical to testing 128
+independent :class:`~repro.core.bloom.CountingBloomFilter` objects
+(2-bit saturating counters, double hashing, no false negatives) but
+orders of magnitude faster, which the pure-Python simulator needs.  The
+hash-index and key-mask patterns are pure functions of the filter
+geometry, so they are memoised **process-wide** (shared across every
+SM's bank and every run of a sweep) rather than per instance.  The
+standalone class remains the reference implementation and the Figure 20
+microbench subject; property tests assert the two agree on the
+no-false-negative invariant.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
-
-import numpy as np
 
 from repro.core.bloom import NVMCBFTimingModel, _mix64
 
@@ -68,9 +70,9 @@ def _shared_patterns(num_cbfs: int, num_hashes: int,
     if patterns is None:
         patterns = {
             "slots": {},      # (h1m, h2m) -> tuple[tuple[int, ...], ...]
-            "masks": {},      # (h1m, h2m) -> np.ndarray[uint64]
+            "masks": {},      # (h1m, h2m) -> packed per-group slot mask
             "key_slots": {},  # key -> shared slots tuple
-            "key_masks": {},  # key -> shared mask array
+            "key_masks": {},  # key -> shared packed slot mask
         }
         _PATTERN_CACHE[geometry] = patterns
     return patterns
@@ -106,8 +108,8 @@ class ApproximateAssociativeArray:
         num_ways: ways in the (single-set) array; Table I uses 512.
         num_cbfs: tag-array partitions, one CBF each (Table I: 128).
         num_hashes: hash functions per CBF (Table I: 3).
-        cbf_counters: counter-array length per CBF (Table I: 16; must fit
-            the uint64 mask lane, i.e. <= 64).
+        cbf_counters: counter-array length per CBF (Table I: 16; at
+            most 64).
         num_comparators: tags compared per polling iteration (4).
         exact: when True, model an ideal fully-associative search (single
             cycle, no CBFs) -- the comparison baseline of Figure 7b.
@@ -131,8 +133,7 @@ class ApproximateAssociativeArray:
         if num_hashes < 1:
             raise ValueError("num_hashes must be >= 1")
         if cbf_counters < 1 or cbf_counters > 64:
-            raise ValueError("cbf_counters must be in [1, 64] (one uint64 "
-                             "mask lane per group)")
+            raise ValueError("cbf_counters must be in [1, 64]")
         self.num_ways = num_ways
         self.num_cbfs = num_cbfs
         self.num_hashes = num_hashes
@@ -147,9 +148,21 @@ class ApproximateAssociativeArray:
         self._counters: List[List[int]] = [
             [0] * cbf_counters for _ in range(num_cbfs)
         ]
-        #: per-group nonzero bitmask (see module docstring)
-        self._nonzero = np.zeros(num_cbfs, dtype=np.uint64)
+        #: packed nonzero bitmap (see module docstring): group *g* owns
+        #: bits ``[g * lane, (g + 1) * lane)``; the lane is the counter
+        #: count rounded up to a power of two, so folding a lane onto its
+        #: lowest bit never pulls in a neighbour's bits
+        self._lane = 1 << (cbf_counters - 1).bit_length()
+        self._nonzero = 0
+        #: bit ``g * lane`` for every group
+        self._lane_lsbs = sum(1 << (g * self._lane) for g in range(num_cbfs))
+        #: right shifts that OR a lane onto its lowest bit
+        self._fold_shifts = tuple(
+            self._lane >> k for k in range(1, self._lane.bit_length())
+        )
+        self._test_cycles = self.timing.test_cycles
         self._patterns = _shared_patterns(num_cbfs, num_hashes, cbf_counters)
+        self._key_mask_of = self._patterns["key_masks"].get
 
         self._way_block: List[int] = [-1] * num_ways
         self._block_way: Dict[int, int] = {}
@@ -168,7 +181,7 @@ class ApproximateAssociativeArray:
         h2 = _mix64(h1 ^ 0xDA942042E4DD58B5) | 1
         return h1 % self.cbf_counters, h2 % self.cbf_counters
 
-    def _build_patterns(self, key: int) -> Tuple[tuple, np.ndarray]:
+    def _build_patterns(self, key: int) -> Tuple[tuple, int]:
         """Resolve (and memoise) *key*'s per-group slot/mask patterns."""
         h1m, h2m = self._key_hashes(key)
         residue = (h1m, h2m)
@@ -176,20 +189,17 @@ class ApproximateAssociativeArray:
         if slots is None:
             m = self.cbf_counters
             salt_step = _GROUP_SALT % m
-            slots = tuple(
-                tuple(
-                    (h1m + (group * salt_step) % m + step * h2m) % m
-                    for step in range(self.num_hashes)
-                )
-                for group in range(self.num_cbfs)
-            )
-            mask_ints = []
-            for group_slots in slots:
-                bits = 0
+            rows = []
+            for group in range(self.num_cbfs):
+                base = h1m + (group * salt_step) % m
+                rows.append(tuple([
+                    (base + step * h2m) % m for step in range(self.num_hashes)
+                ]))
+            slots = tuple(rows)
+            masks = 0
+            for group, group_slots in enumerate(slots):
                 for s in group_slots:
-                    bits |= 1 << s
-                mask_ints.append(bits)
-            masks = np.array(mask_ints, dtype=np.uint64)
+                    masks |= 1 << (group * self._lane + s)
             self._patterns["slots"][residue] = slots
             self._patterns["masks"][residue] = masks
         masks = self._patterns["masks"][residue]
@@ -204,18 +214,9 @@ class ApproximateAssociativeArray:
             return cached
         return self._build_patterns(key)[0]
 
-    def _key_masks(self, key: int) -> np.ndarray:
-        cached = self._patterns["key_masks"].get(key)
-        if cached is not None:
-            return cached
-        return self._build_patterns(key)[1]
-
     def _group_indices(self, key: int, group: int) -> tuple:
         """Per-group counter-slot indices (test helper)."""
         return self._key_slots(key)[group]
-
-    def _group_of_way(self, way: int) -> int:
-        return way // self._group_size
 
     # ------------------------------------------------------------------
     def __contains__(self, block_addr: int) -> bool:
@@ -246,24 +247,32 @@ class ApproximateAssociativeArray:
             return SearchResult(actual_way, 1, 1, 0)
 
         self.tests += 1
-        key_masks = self._key_masks(block_addr)
-        positive = (self._nonzero & key_masks) == key_masks
+        key_masks = self._key_mask_of(block_addr)
+        if key_masks is None:
+            key_masks = self._build_patterns(block_addr)[1]
+        # slots the key needs that are zero, lane by lane; a lane with any
+        # such slot is a negative group
+        missing = key_masks & ~self._nonzero
+        for shift in self._fold_shifts:
+            missing |= missing >> shift
+        negative = missing & self._lane_lsbs
 
         if actual_way is None:
             # A miss polls every positive group before concluding absent.
-            iterations = int(np.count_nonzero(positive))
+            iterations = self.num_cbfs - negative.bit_count()
             false_positives = iterations
         else:
-            actual_group = self._group_of_way(actual_way)
+            actual_group = actual_way // self._group_size
             # CBFs have no false negatives: the actual group is positive,
             # and groups are polled in ascending index order.
-            position = int(np.count_nonzero(positive[:actual_group]))
+            below = (1 << (actual_group * self._lane)) - 1
+            position = actual_group - (negative & below).bit_count()
             iterations = position + 1
             false_positives = position
 
         self.total_iterations += iterations
         self.false_positive_groups += false_positives
-        cycles = self.timing.test_cycles + max(1, iterations)
+        cycles = self._test_cycles + max(1, iterations)
         return SearchResult(actual_way, cycles, iterations, false_positives)
 
     # ------------------------------------------------------------------
@@ -274,7 +283,7 @@ class ApproximateAssociativeArray:
             if value < self.COUNTER_MAX:
                 row[slot] = value + 1
                 if value == 0:
-                    self._nonzero[group] |= np.uint64(1 << slot)
+                    self._nonzero |= 1 << (group * self._lane + slot)
         self.updates += 1
 
     def _cbf_remove(self, block_addr: int, group: int) -> None:
@@ -286,9 +295,7 @@ class ApproximateAssociativeArray:
             if 0 < value < self.COUNTER_MAX:
                 row[slot] = value - 1
                 if value == 1:
-                    self._nonzero[group] &= np.uint64(
-                        0xFFFFFFFFFFFFFFFF ^ (1 << slot)
-                    )
+                    self._nonzero &= ~(1 << (group * self._lane + slot))
         self.updates += 1
 
     # ------------------------------------------------------------------
@@ -306,7 +313,7 @@ class ApproximateAssociativeArray:
         way = self._fifo_cursor
         self._fifo_cursor = (self._fifo_cursor + 1) % self.num_ways
         evicted = self._way_block[way]
-        group = self._group_of_way(way)
+        group = way // self._group_size
         if evicted != -1:
             del self._block_way[evicted]
             self._cbf_remove(evicted, group)
@@ -321,7 +328,7 @@ class ApproximateAssociativeArray:
         if way is None:
             return False
         self._way_block[way] = -1
-        self._cbf_remove(block_addr, self._group_of_way(way))
+        self._cbf_remove(block_addr, way // self._group_size)
         return True
 
     # ------------------------------------------------------------------
@@ -344,7 +351,7 @@ class ApproximateAssociativeArray:
             raise RuntimeError(f"block 0x{block_addr:x} already mirrored")
         self._way_block[way] = block_addr
         self._block_way[block_addr] = way
-        self._cbf_insert(block_addr, self._group_of_way(way))
+        self._cbf_insert(block_addr, way // self._group_size)
 
     def note_evict(self, block_addr: int) -> None:
         """Mirror an eviction performed by the owning tag array."""

@@ -50,6 +50,19 @@ class ArbiterDecision:
     level: Optional[ReadLevel]
 
 
+#: every decision the tree can produce, built once: decisions are
+#: immutable, so the arbiter hands out shared instances (picked by
+#: identity tests on the level; hashing an enum member runs Python code)
+_SRAM_UNPREDICTED = ArbiterDecision(Destination.SRAM, None)
+_SRAM_WM = ArbiterDecision(Destination.SRAM, ReadLevel.WM)
+_SRAM_WORO = ArbiterDecision(Destination.SRAM, ReadLevel.WORO)
+_STT_UNPREDICTED = ArbiterDecision(Destination.STT, None)
+_STT_WM = ArbiterDecision(Destination.STT, ReadLevel.WM)
+_STT_WORM = ArbiterDecision(Destination.STT, ReadLevel.WORM)
+_STT_NEUTRAL = ArbiterDecision(Destination.STT, ReadLevel.NEUTRAL)
+_L2_WORO = ArbiterDecision(Destination.L2, ReadLevel.WORO)
+
+
 class Arbiter:
     """Figure 9's decision tree, parameterised by predictor availability."""
 
@@ -60,20 +73,24 @@ class Arbiter:
     def fill_destination(self, pc: int) -> ArbiterDecision:
         """Destination bank for a block about to be fetched by *pc*."""
         if self.predictor is None:
-            return ArbiterDecision(Destination.SRAM, None)
+            return _SRAM_UNPREDICTED
         level = self.predictor.predict(pc)
-        if level in (ReadLevel.WM, ReadLevel.WORO):
-            return ArbiterDecision(Destination.SRAM, level)
-        return ArbiterDecision(Destination.STT, level)
+        if level is ReadLevel.WM:
+            return _SRAM_WM
+        if level is ReadLevel.WORO:
+            return _SRAM_WORO
+        return _STT_WORM if level is ReadLevel.WORM else _STT_NEUTRAL
 
     def eviction_destination(self, fill_pc: int) -> ArbiterDecision:
         """Destination for a line being evicted from the SRAM bank."""
         if self.predictor is None:
-            return ArbiterDecision(Destination.STT, None)
+            return _STT_UNPREDICTED
         level = self.predictor.predict(fill_pc)
         if level is ReadLevel.WORO:
-            return ArbiterDecision(Destination.L2, level)
-        return ArbiterDecision(Destination.STT, level)
+            return _L2_WORO
+        if level is ReadLevel.WM:
+            return _STT_WM
+        return _STT_WORM if level is ReadLevel.WORM else _STT_NEUTRAL
 
     def migrate_on_stt_write_hit(self) -> bool:
         """True when a store hitting STT-MRAM should migrate to SRAM."""

@@ -56,9 +56,9 @@ from repro.cache.interface import (
 )
 from repro.cache.mshr import MSHR
 from repro.cache.request import BLOCK_SIZE, MemoryRequest
-from repro.cache.tag_array import EvictedLine, TagArray
+from repro.cache.tag_array import CacheLine, TagArray
 from repro.core.approx_assoc import ApproximateAssociativeArray
-from repro.core.arbitration import Arbiter, Destination
+from repro.core.arbitration import Arbiter, ArbiterDecision, Destination
 from repro.core.read_level_predictor import ReadLevel, ReadLevelPredictor
 from repro.core.swap_buffer import SwapBuffer
 from repro.core.tag_queue import TagQueue
@@ -66,6 +66,11 @@ from repro.core.tag_queue import TagQueue
 __all__ = [
     "FuseCache", "FuseFeatures",
 ]
+
+_HIT = AccessOutcome.HIT
+_MISS = AccessOutcome.MISS
+#: :meth:`FuseCache._plan_sram_eviction`'s "structural hazard" verdict
+_HAZARD = object()
 
 
 @dataclass(frozen=True, slots=True)
@@ -168,9 +173,6 @@ class FuseCache(L1DCacheModel):
 
         self.mshr = MSHR(mshr_entries, mshr_max_merge)
         self.miss_path = MissPath(self.mshr, self.stats)
-        self.l2_sink = WritebackSink(
-            self.stats, leaves_cache=True, scorer=self._score_departure
-        )
         self.sram_read_latency = sram_read_latency
         self.sram_write_latency = sram_write_latency
         self.stt_read_latency = stt_read_latency
@@ -201,9 +203,16 @@ class FuseCache(L1DCacheModel):
 
         if features.use_predictor:
             self.predictor = predictor or ReadLevelPredictor()
+            self._observe = self.predictor.observe
         else:
             self.predictor = None
         self.arbiter = Arbiter(self.predictor)
+        #: lines leaving the L1D for L2 also score the predictor (Fig. 16)
+        self.l2_sink = WritebackSink(
+            self.stats, leaves_cache=True,
+            scorer=self._score_departure if self.predictor else None,
+        )
+        self._non_blocking = features.non_blocking
 
         if features.non_blocking:
             self.swap = SwapBuffer(swap_entries)
@@ -225,42 +234,12 @@ class FuseCache(L1DCacheModel):
         self._pending_levels: dict = {}
 
     # ==================================================================
-    # helpers
-    def _search_stt(self, block_addr: int) -> Tuple[Optional[int], int]:
-        """Search the STT tag array; returns ``(way_or_None, cycles)``.
-
-        The authoritative result comes from the tag array; the
-        approximation structure prices the search and records CBF
-        statistics.  Lines parked behind a reservation never hit.
-        """
-        set_idx, way = self.stt.lookup(block_addr)
-        if self.approx is not None:
-            result = self.approx.search(block_addr)
-            stats = self.stats
-            stats.tag_searches += 1
-            stats.tag_search_iterations += result.iterations
-            stats.cbf_tests += 1
-            stats.cbf_false_positives += result.false_positives
-            extra = result.cycles - 1
-            if extra > 0:
-                stats.tag_search_stall_cycles += extra
-            return way, result.cycles
-        return way, 1
-
-    def _score_departure(self, evicted: EvictedLine) -> None:
-        """WritebackSink scorer: a line left the L1D for L2."""
-        self._score_line_departure(
-            evicted.predicted_level, evicted.writes_observed
-        )
-
-    def _score_line_departure(
-        self, predicted_level: Optional[object], writes_observed: int
-    ) -> None:
-        """Figure 16 accounting when a block leaves the L1D for L2."""
-        if self.predictor is None:
-            return
+    # predictor scoring
+    def _score_departure(self, line: CacheLine) -> None:
+        """Figure 16 accounting when a line leaves the L1D for L2 (or is
+        still resident at the end of the run)."""
         verdict = ReadLevelPredictor.score_eviction(
-            predicted_level, writes_observed
+            line.predicted_level, line.writes_observed
         )
         if verdict == "true":
             self.stats.pred_true += 1
@@ -270,86 +249,61 @@ class FuseCache(L1DCacheModel):
             self.stats.pred_neutral += 1
 
     # ==================================================================
-    # structural-hazard pre-checks (check-then-commit)
-    def _sram_eviction_hazard(self, block_addr: int, cycle: int) -> Optional[str]:
+    # structural-hazard pre-check (check-then-commit)
+    def _plan_sram_eviction(self, block_addr: int, cycle: int):
         """Can the SRAM bank absorb a reservation for *block_addr* now?
 
-        Returns None when safe, otherwise a reason string.  Must stay in
-        lockstep with the commit in :meth:`_handle_sram_eviction` (same
-        victim, same destination decision).
+        Returns :data:`_HAZARD` when a structural hazard forbids it, None
+        when a free way takes the block (nothing is displaced), and
+        otherwise the arbiter's decision for the victim line, which
+        :meth:`_handle_sram_eviction` then commits.  Must stay in lockstep
+        with that commit: same victim, same destination.
         """
         can, victim = self.sram.peek_victim(block_addr)
         if not can:
-            return "sram_all_reserved"
+            return _HAZARD
         if victim is None:
             return None  # free way: no eviction at all
         decision = self.arbiter.eviction_destination(victim.fill_pc)
         if decision.destination is Destination.L2:
-            return None  # leaves the cache; nothing on-chip to arrange
+            return decision  # leaves the cache; nothing on-chip to arrange
         # destination STT: needs a swap-buffer register and a queue slot
-        if self.features.non_blocking:
+        if self._non_blocking:
             if self.swap.is_full(cycle):
                 self.stats.swap_buffer_full_events += 1
                 self.stats.stt_write_stall_cycles += RETRY_INTERVAL
-                return "swap_full"
+                return _HAZARD
             if self.tag_queue.is_full(cycle):
                 self.stats.tag_queue_full_events += 1
                 self.stats.stt_write_stall_cycles += RETRY_INTERVAL
-                return "tag_queue_full"
+                return _HAZARD
         if not self.stt.can_reserve(victim.block_addr):
-            return "stt_all_reserved"
-        return None
+            return _HAZARD
+        return decision
 
     # ==================================================================
     # eviction / migration machinery
-    def _install_in_stt(
-        self,
-        block_addr: int,
-        cycle: int,
-        dirty: bool,
-        fill_pc: int,
-        predicted_level: Optional[object],
-        writes_observed: int = 0,
-        reads_observed: int = 0,
-    ) -> Tuple[int, Tuple[int, ...]]:
-        """Install a line into the STT tag array (data write priced by the
-        caller).  Returns ``(way, writebacks)`` from any displaced victim.
-        """
-        set_idx, way, displaced = self.stt.install(
-            block_addr, cycle, dirty=dirty, fill_pc=fill_pc,
-            predicted_level=predicted_level,
-        )
-        line = self.stt.line(set_idx, way)
-        line.writes_observed = writes_observed
-        line.reads_observed = reads_observed
-        writebacks: Tuple[int, ...] = ()
-        if displaced is not None:
-            if self.approx is not None:
-                self.approx.note_evict(displaced.block_addr)
-            writebacks = self.l2_sink.evict(displaced)
-        if self.approx is not None:
-            self.approx.note_install(block_addr, way)
-        return way, writebacks
-
     def _handle_sram_eviction(
-        self, evicted: EvictedLine, cycle: int
+        self, evicted: CacheLine, cycle: int, decision: ArbiterDecision
     ) -> Tuple[int, ...]:
         """Route a line displaced from SRAM (Figure 9, eviction leg).
 
-        The hazard pre-check has already guaranteed resources; this method
-        commits the move.
+        *decision* is the plan :meth:`_plan_sram_eviction` made for this
+        line, which also guaranteed the resources; this method commits
+        the move.
         """
-        decision = self.arbiter.eviction_destination(evicted.fill_pc)
         if decision.destination is Destination.L2:
             return self.l2_sink.evict(evicted)
 
         # SRAM -> STT migration.
-        self.stats.migrations_sram_to_stt += 1
-        self.stats.stt_writes += 1
-        if self.features.non_blocking:
+        stats = self.stats
+        stats.migrations_sram_to_stt += 1
+        stats.stt_writes += 1
+        block_addr = evicted.block_addr
+        if self._non_blocking:
             completion = self.tag_queue.enqueue("migrate", cycle)
             self.swap.stage(
-                evicted.block_addr,
+                block_addr,
                 cycle,
                 release_cycle=completion,
                 dirty=evicted.dirty,
@@ -362,25 +316,29 @@ class FuseCache(L1DCacheModel):
             completion = start + self.stt_write_latency
             self.stt_port.busy_until = completion
             self._cache_busy_until = max(self._cache_busy_until, completion)
-            self.stats.stt_write_stall_cycles += completion - cycle
-        _, writebacks = self._install_in_stt(
-            evicted.block_addr,
-            cycle,
-            dirty=evicted.dirty,
-            fill_pc=evicted.fill_pc,
+            stats.stt_write_stall_cycles += completion - cycle
+
+        # install into the STT tag array (the data write is priced above)
+        stt = self.stt
+        set_idx, way, displaced = stt.install(
+            block_addr, cycle, dirty=evicted.dirty, fill_pc=evicted.fill_pc,
             predicted_level=evicted.predicted_level,
-            writes_observed=evicted.writes_observed,
-            reads_observed=evicted.reads_observed,
         )
+        line = stt.line(set_idx, way)
+        line.writes_observed = evicted.writes_observed
+        line.reads_observed = evicted.reads_observed
+        writebacks: Tuple[int, ...] = ()
+        approx = self.approx
+        if displaced is not None:
+            if approx is not None:
+                approx.note_evict(displaced.block_addr)
+            writebacks = self.l2_sink.evict(displaced)
+        if approx is not None:
+            approx.note_install(block_addr, way)
         return writebacks
 
     # ==================================================================
-    def _observe(self, request: MemoryRequest) -> None:
-        if self.predictor is not None:
-            self.predictor.observe(request)
-
     def _access_impl(self, request: MemoryRequest, cycle: int) -> AccessResult:
-        is_write = request.is_write
         block = request.block_addr
         stats = self.stats
 
@@ -388,73 +346,119 @@ class FuseCache(L1DCacheModel):
         # L1D cannot accept requests at all -- the access is rejected and
         # the SM's pipeline stalls (Section IV-A's motivation for the swap
         # buffer and tag queue).
-        if not self.features.non_blocking and cycle < self._cache_busy_until:
+        if not self._non_blocking and cycle < self._cache_busy_until:
             gate_wait = min(self._cache_busy_until - cycle, RETRY_INTERVAL)
             stats.stt_write_stall_cycles += gate_wait
             stats.bank_wait_cycles += gate_wait
             return self.miss_path.reject(block, cycle)
 
         stats.tag_lookups += 1
+        is_write = request.is_write
 
         # ---- 1. SRAM bank -------------------------------------------------
-        s_set, s_way = self.sram.lookup(block)
-        if s_way is not None:
+        hit = self.sram.find(block)
+        if hit is not None:
             stats.hits += 1
             stats.sram_hits += 1
-            self.sram.touch(s_set, s_way, is_write)
+            self.sram.touch(hit[0], hit[1], is_write)
             if is_write:
                 stats.write_hits += 1
                 ready = self.sram_port.write(cycle)
             else:
                 stats.read_hits += 1
                 ready = self.sram_port.read(cycle)
-            return AccessResult(AccessOutcome.HIT, ready, (), block)
+            return AccessResult(_HIT, ready, (), block)
 
         # ---- 2. swap buffer ----------------------------------------------
-        if self.features.non_blocking and self.swap.touch(block, cycle, is_write):
+        if self._non_blocking and self.swap.touch(block, cycle, is_write):
             stats.hits += 1
             stats.swap_buffer_hits += 1
             if is_write:
                 stats.write_hits += 1
                 # keep the (already installed) STT copy's metadata honest
-                set_idx, way = self.stt.lookup(block)
-                if way is not None:
-                    self.stt.touch(set_idx, way, True)
+                hit = self.stt.find(block)
+                if hit is not None:
+                    self.stt.touch(hit[0], hit[1], True)
             else:
                 stats.read_hits += 1
-            return AccessResult(AccessOutcome.HIT, cycle + 1, (), block)
+            return AccessResult(_HIT, cycle + 1, (), block)
 
         # ---- 3. STT-MRAM bank ---------------------------------------------
-        stt_way, search_cycles = self._search_stt(block)
-        if stt_way is not None:
-            return self._serve_stt_hit(
-                request, cycle, stt_way, search_cycles
-            )
+        # The tag array is authoritative (lines parked behind a
+        # reservation never hit); the approximation prices the search and
+        # records CBF statistics.
+        hit = self.stt.find(block)
+        approx = self.approx
+        if approx is None:
+            search_cycles = 1
+        else:
+            result = approx.search(block)
+            stats.tag_searches += 1
+            stats.tag_search_iterations += result.iterations
+            stats.cbf_tests += 1
+            stats.cbf_false_positives += result.false_positives
+            search_cycles = result.cycles
+            if search_cycles > 1:
+                stats.tag_search_stall_cycles += search_cycles - 1
+        if hit is not None:
+            return self._serve_stt_hit(request, cycle, hit, search_cycles)
 
         # ---- 4. miss path ---------------------------------------------------
-        return self._handle_miss(request, cycle)
+        mshr = self.mshr
+        entry = mshr.get(block)
+        if entry is not None:
+            return self.miss_path.merge(entry, request, block, cycle)
+        if mshr.occupancy() >= mshr.num_entries:
+            return self.miss_path.reject(block, cycle)
+
+        decision = self.arbiter.fill_destination(request.pc)
+        writebacks: Tuple[int, ...] = ()
+        if decision.destination is Destination.SRAM:
+            plan = self._plan_sram_eviction(block, cycle)
+            if plan is _HAZARD:
+                return self.miss_path.reject(block, cycle)
+            _, _, evicted = self.sram.reserve(block, cycle)
+            if evicted is not None:
+                writebacks = self._handle_sram_eviction(evicted, cycle, plan)
+            destination = "sram"
+        else:
+            if not self.stt.can_reserve(block):
+                return self.miss_path.reject(block, cycle)
+            _, _, evicted = self.stt.reserve(block, cycle)
+            if evicted is not None:
+                if approx is not None:
+                    approx.note_evict(evicted.block_addr)
+                writebacks = self.l2_sink.evict(evicted)
+            destination = "stt"
+
+        mshr.allocate(block, request, destination, cycle)
+        stats.misses += 1
+        # Remember the level that motivated the placement; scored on
+        # eviction (Figure 16).
+        self._pending_levels[block] = decision.level
+        return AccessResult(_MISS, cycle, writebacks, block)
 
     # ------------------------------------------------------------------
     def _serve_stt_hit(
         self,
         request: MemoryRequest,
         cycle: int,
-        way: int,
+        hit: Tuple[int, int],
         search_cycles: int,
     ) -> AccessResult:
         block = request.block_addr
-        set_idx = self.stt.set_index(block)
-        is_write = request.is_write
+        set_idx, way = hit
         stats = self.stats
 
-        if not is_write:
+        if not request.is_write:
             # Read hit: ride the tag queue (or the blocking bank).
-            if self.features.non_blocking:
-                if self.tag_queue.is_full(cycle):
+            if self._non_blocking:
+                tag_queue = self.tag_queue
+                if tag_queue.is_full(cycle):
                     stats.tag_queue_full_events += 1
                     stats.stt_write_stall_cycles += RETRY_INTERVAL
                     return self.miss_path.reject(block, cycle)
-                ready = self.tag_queue.enqueue(
+                ready = tag_queue.enqueue(
                     "read", cycle, extra_search_cycles=search_cycles - 1
                 )
             else:
@@ -464,7 +468,7 @@ class FuseCache(L1DCacheModel):
             stats.read_hits += 1
             stats.stt_reads += 1
             self.stt.touch(set_idx, way, False)
-            return AccessResult(AccessOutcome.HIT, ready, (), block)
+            return AccessResult(_HIT, ready, (), block)
 
         # Store hit on STT-MRAM.
         if self.arbiter.migrate_on_stt_write_hit():
@@ -472,7 +476,7 @@ class FuseCache(L1DCacheModel):
 
         # Write in place: the queue holds no payloads, so flush it first
         # (Section IV-A), then pay the 5-cycle write.
-        if self.features.non_blocking:
+        if self._non_blocking:
             drain_done, _ = self.tag_queue.flush(cycle)
             stats.tag_queue_flushes += 1
             stats.stt_write_stall_cycles += drain_done - cycle
@@ -486,7 +490,7 @@ class FuseCache(L1DCacheModel):
         stats.write_hits += 1
         stats.stt_writes += 1
         self.stt.touch(set_idx, way, True)
-        return AccessResult(AccessOutcome.HIT, ready, (), block)
+        return AccessResult(_HIT, ready, (), block)
 
     # ------------------------------------------------------------------
     def _migrate_stt_to_sram(
@@ -496,126 +500,81 @@ class FuseCache(L1DCacheModel):
         read the line out of STT-MRAM, invalidate it there, install it in
         SRAM and let SRAM serve the store."""
         block = request.block_addr
+        stats = self.stats
 
         # The SRAM side must be able to take the line first.
-        hazard = self._sram_eviction_hazard(block, cycle)
-        if hazard is not None:
+        plan = self._plan_sram_eviction(block, cycle)
+        if plan is _HAZARD:
             return self.miss_path.reject(block, cycle)
 
         drain_done, _ = self.tag_queue.flush(cycle)
-        self.stats.tag_queue_flushes += 1
-        self.stats.stt_write_stall_cycles += drain_done - cycle
+        stats.tag_queue_flushes += 1
+        stats.stt_write_stall_cycles += drain_done - cycle
 
-        snapshot = self.stt.invalidate(block)
-        if snapshot is None:  # pragma: no cover - guarded by caller
+        departed = self.stt.invalidate(block)
+        if departed is None:  # pragma: no cover - guarded by caller
             raise RuntimeError("migration source vanished")
         if self.approx is not None:
             self.approx.note_evict(block)
-        self.stats.stt_reads += 1
-        self.stats.migrations_stt_to_sram += 1
+        stats.stt_reads += 1
+        stats.migrations_stt_to_sram += 1
         read_done = drain_done + search_cycles - 1 + self.stt_read_latency
         self.tag_queue.occupy_until(read_done)
 
-        _, _, displaced = self.sram.install(
+        set_idx, way, displaced = self.sram.install(
             block,
             cycle,
             dirty=True,  # the store makes it dirty immediately
-            fill_pc=snapshot.fill_pc,
+            fill_pc=departed.fill_pc,
             predicted_level=ReadLevel.WM,
         )
-        line = self.sram.line(*self.sram.lookup(block))
-        line.writes_observed = snapshot.writes_observed + 1
-        line.reads_observed = snapshot.reads_observed
+        line = self.sram.line(set_idx, way)
+        line.writes_observed = departed.writes_observed + 1
+        line.reads_observed = departed.reads_observed
         writebacks: Tuple[int, ...] = ()
         if displaced is not None:
-            writebacks = self._handle_sram_eviction(displaced, cycle)
+            writebacks = self._handle_sram_eviction(displaced, cycle, plan)
 
         ready = self.sram_port.write(read_done)
-        self.stats.hits += 1
-        self.stats.stt_hits += 1
-        self.stats.write_hits += 1
-        return AccessResult(AccessOutcome.HIT, ready, writebacks, block)
-
-    # ------------------------------------------------------------------
-    def _handle_miss(
-        self, request: MemoryRequest, cycle: int
-    ) -> AccessResult:
-        block = request.block_addr
-
-        merged = self.miss_path.merge_or_reject(request, block, cycle)
-        if merged is not None:
-            return merged
-
-        decision = self.arbiter.fill_destination(request.pc)
-        writebacks: Tuple[int, ...] = ()
-
-        if decision.destination is Destination.SRAM:
-            hazard = self._sram_eviction_hazard(block, cycle)
-            if hazard is not None:
-                return self.miss_path.reject(block, cycle)
-            _, _, evicted = self.sram.reserve(block, cycle)
-            if evicted is not None:
-                writebacks = self._handle_sram_eviction(evicted, cycle)
-            destination = "sram"
-        else:
-            if not self.stt.can_reserve(block):
-                return self.miss_path.reject(block, cycle)
-            _, way, evicted = self.stt.reserve(block, cycle)
-            if evicted is not None:
-                if self.approx is not None:
-                    self.approx.note_evict(evicted.block_addr)
-                writebacks = self.l2_sink.evict(evicted)
-            destination = "stt"
-
-        entry = self.miss_path.allocate(
-            block, request, destination=destination, cycle=cycle
-        )
-        entry.reserved_way = -1
-        # Remember the level that motivated the placement; scored on
-        # eviction (Figure 16).
-        self._pending_levels[block] = decision.level
-        return AccessResult(AccessOutcome.MISS, cycle, writebacks, block)
+        stats.hits += 1
+        stats.stt_hits += 1
+        stats.write_hits += 1
+        return AccessResult(_HIT, ready, writebacks, block)
 
     # ------------------------------------------------------------------
     def fill(self, block_addr: int, cycle: int) -> FillResult:
-        entry = self.miss_path.release(block_addr)
+        entry = self.mshr.release(block_addr)
         level = self._pending_levels.pop(block_addr, None)
-        primary = entry.requests[0]
+        requests = entry.requests
+        primary = requests[0]
 
         if entry.destination == "sram":
-            set_idx, way = self.sram.fill(
-                block_addr,
-                cycle,
-                is_write=primary.is_write,
-                fill_pc=primary.pc,
-                predicted_level=level,
+            tags = self.sram
+            set_idx, way = tags.fill(
+                block_addr, cycle, primary.is_write, primary.pc, level
             )
             ready = self.sram_port.write(cycle)
-            line = self.sram.line(set_idx, way)
         else:
-            set_idx, way = self.stt.fill(
-                block_addr,
-                cycle,
-                is_write=primary.is_write,
-                fill_pc=primary.pc,
-                predicted_level=level,
+            tags = self.stt
+            set_idx, way = tags.fill(
+                block_addr, cycle, primary.is_write, primary.pc, level
             )
             if self.approx is not None:
                 self.approx.note_install(block_addr, way)
             self.stats.stt_writes += 1
-            if self.features.non_blocking:
+            if self._non_blocking:
                 ready = self.tag_queue.enqueue("fill", cycle, force=True)
             else:
                 start = max(cycle, self.stt_port.busy_until)
                 ready = start + self.stt_write_latency
                 self.stt_port.busy_until = ready
                 self._cache_busy_until = max(self._cache_busy_until, ready)
-            line = self.stt.line(set_idx, way)
 
-        MissPath.apply_merged(entry, line)
+        if len(requests) > 1:
+            MissPath.apply_merged(entry, tags.line(set_idx, way))
 
         self.stats.fills += 1
-        return FillResult(ready, list(entry.requests), ())
+        return FillResult(ready, requests, ())
 
     # ------------------------------------------------------------------
     def flush_metadata(self) -> None:
@@ -624,9 +583,9 @@ class FuseCache(L1DCacheModel):
         if self.predictor is None:
             return
         for line in self.sram.iter_valid_lines():
-            self._score_line_departure(line.predicted_level, line.writes_observed)
+            self._score_departure(line)
         for line in self.stt.iter_valid_lines():
-            self._score_line_departure(line.predicted_level, line.writes_observed)
+            self._score_departure(line)
 
     # convenience for tests -------------------------------------------------
     def resident_in_sram(self, block_addr: int) -> bool:

@@ -106,6 +106,8 @@ class ReadLevelPredictor:
     # ------------------------------------------------------------------
     def observe(self, request: MemoryRequest) -> None:
         """Train the predictor on one L1D access."""
+        if not self.sampler.samples_warp(request.warp_id):
+            return
         observation = self.sampler.observe(
             request.warp_id, request.block_addr, request.pc,
             request.is_write,

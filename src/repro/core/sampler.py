@@ -118,19 +118,16 @@ class SamplerTable:
         self._warp_to_set = {
             warp: idx % num_sets for idx, warp in enumerate(sampled_warps)
         }
+        #: ``samples_warp(warp_id)``: True when requests from *warp_id*
+        #: are observed (a bound builtin: predictors test it on every
+        #: access before calling :meth:`observe`)
+        self.samples_warp = self._warp_to_set.__contains__
         self._sets: List[List[_SamplerEntry]] = [
             [_SamplerEntry() for _ in range(assoc)] for _ in range(num_sets)
         ]
         self._tick = 0
 
     # ------------------------------------------------------------------
-    def samples_warp(self, warp_id: int) -> bool:
-        """True when requests from *warp_id* are observed."""
-        return warp_id in self._warp_to_set
-
-    def _partial_tag(self, block_addr: int) -> int:
-        return block_addr & self._tag_mask
-
     # ------------------------------------------------------------------
     def observe(
         self, warp_id: int, block_addr: int, pc: int, is_write: bool
@@ -146,7 +143,7 @@ class SamplerTable:
                 return None
 
         self._tick += 1
-        tag = self._partial_tag(block_addr)
+        tag = block_addr & self._tag_mask
         ways = self._sets[set_idx]
 
         for entry in ways:
@@ -216,24 +213,22 @@ class SaturatingCounterTable:
         self._counters = [init_value] * entries
         self._status_written = [False] * entries
 
-    def _index(self, signature: int) -> int:
-        return signature % self.entries
-
+    # a signature indexes entry ``signature % entries``
     def counter(self, signature: int) -> int:
-        return self._counters[self._index(signature)]
+        return self._counters[signature % self.entries]
 
     def is_written(self, signature: int) -> bool:
-        return self._status_written[self._index(signature)]
+        return self._status_written[signature % self.entries]
 
     def increment(self, signature: int) -> None:
-        idx = self._index(signature)
+        idx = signature % self.entries
         if self._counters[idx] < self.max_value:
             self._counters[idx] += 1
 
     def decrement(self, signature: int) -> None:
-        idx = self._index(signature)
+        idx = signature % self.entries
         if self._counters[idx] > 0:
             self._counters[idx] -= 1
 
     def mark_written(self, signature: int) -> None:
-        self._status_written[self._index(signature)] = True
+        self._status_written[signature % self.entries] = True

@@ -60,13 +60,12 @@ class SwapBuffer:
 
     # ------------------------------------------------------------------
     def _prune(self, cycle: int) -> None:
-        released = [
-            addr
-            for addr, entry in self._entries.items()
-            if entry.release_cycle <= cycle
-        ]
-        for addr in released:
-            del self._entries[addr]
+        entries = self._entries
+        if not entries:
+            return
+        for addr, entry in list(entries.items()):
+            if entry.release_cycle <= cycle:
+                del entries[addr]
 
     def occupancy(self, cycle: int) -> int:
         """Entries still in flight at *cycle*."""
@@ -77,7 +76,8 @@ class SwapBuffer:
         """True when no eviction can be staged at *cycle*."""
         if self.num_entries == 0:
             return True
-        return self.occupancy(cycle) >= self.num_entries
+        self._prune(cycle)
+        return len(self._entries) >= self.num_entries
 
     def contains(self, block_addr: int, cycle: int) -> bool:
         """True when *block_addr* is parked in the buffer at *cycle*."""
@@ -121,6 +121,8 @@ class SwapBuffer:
         A write marks the parked copy dirty (the updated data will land in
         STT-MRAM when the "F" command drains).
         """
+        if not self._entries:
+            return False  # the common case: nothing parked
         self._prune(cycle)
         entry = self._entries.get(block_addr)
         if entry is None:

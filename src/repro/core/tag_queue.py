@@ -53,8 +53,6 @@ class TagQueue:
             fills and "F" migrations.
     """
 
-    _OP_LATENCY_KEY = {"read": "read", "fill": "write", "migrate": "write"}
-
     def __init__(
         self,
         capacity: int = 16,
@@ -84,20 +82,16 @@ class TagQueue:
 
     def is_full(self, cycle: int) -> bool:
         """True when no operation can be accepted at *cycle*."""
-        return self.occupancy(cycle) >= self.capacity
+        pending = self._pending
+        while pending and pending[0] <= cycle:  # _prune, inline
+            pending.popleft()
+        return len(pending) >= self.capacity
 
     def free_at(self) -> int:
         """Cycle at which the bank drains everything currently queued."""
         return self._free_at
 
     # ------------------------------------------------------------------
-    def _latency_of(self, op: str, extra_search_cycles: int) -> int:
-        kind = self._OP_LATENCY_KEY.get(op)
-        if kind is None:
-            raise ValueError(f"unknown tag-queue op {op!r}")
-        base = self.read_latency if kind == "read" else self.write_latency
-        return base + extra_search_cycles
-
     def enqueue(
         self,
         op: str,
@@ -122,25 +116,30 @@ class TagQueue:
             RuntimeError: when the queue is full and *force* is False
             (check-then-commit).
         """
-        if self.is_full(cycle) and not force:
+        pending = self._pending
+        while pending and pending[0] <= cycle:  # _prune, inline
+            pending.popleft()
+        if len(pending) >= self.capacity and not force:
             self.stats.full_rejections += 1
             raise RuntimeError("tag queue enqueue() on a full queue")
-        start = max(cycle, self._free_at)
-        completion = start + self._latency_of(op, extra_search_cycles)
+        start = self._free_at if self._free_at > cycle else cycle
         # Reads are pipelined (tag polling overlaps the next operation's
         # data access), so they occupy the bank for a single cycle; MTJ
-        # writes hold it for the full write latency.
+        # writes (fills, migrations) hold it for the full write latency.
         if op == "read":
+            completion = start + self.read_latency + extra_search_cycles
             self._free_at = start + 1
-        else:
-            self._free_at = completion
-        self._pending.append(completion)
-        if op == "read":
             self.stats.enqueued_reads += 1
-        elif op == "fill":
-            self.stats.enqueued_fills += 1
+        elif op == "fill" or op == "migrate":
+            completion = start + self.write_latency + extra_search_cycles
+            self._free_at = completion
+            if op == "fill":
+                self.stats.enqueued_fills += 1
+            else:
+                self.stats.enqueued_migrations += 1
         else:
-            self.stats.enqueued_migrations += 1
+            raise ValueError(f"unknown tag-queue op {op!r}")
+        pending.append(completion)
         return completion
 
     def occupy_until(self, cycle: int) -> None:

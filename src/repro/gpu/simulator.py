@@ -12,18 +12,19 @@ The issue loop is *ready-set driven*: instead of polling every SM every
 cycle, the simulator keeps the set of SMs that might issue now.  An SM
 that reports "nothing to do" leaves the set and registers its next
 possible issue cycle in a wake heap; it re-enters when that cycle
-arrives or when :meth:`note_warp_ready` fires (a warp's last outstanding
+arrives or when an ``EV_WAKE`` event fires (a warp's last outstanding
 load retired).  Wake entries may go stale (a retry can push the issue
 port further out) -- a stale wake just triggers one no-op poll, which
 keeps the schedule bit-identical to the poll-every-SM loop this
 replaced (pinned by ``tests/test_golden_parity.py``).
 
 Events live in a typed wheel: fixed-shape heap entries tagged
-``_EV_FILL`` (off-chip response for a block) or ``_EV_RETRY``
-(re-present a rejected transaction), dispatched directly to the owning
-SM -- no per-event varargs callback indirection.  Per-transaction load
-*completions* are not events at all; the LSU retires hits eagerly (see
-:mod:`repro.gpu.sm`).
+``EV_FILL`` (off-chip response for a block), ``EV_RETRY`` (re-present a
+rejected transaction) or ``EV_WAKE`` (a warp's last load landed).  The
+SMs post them straight onto :attr:`GPUSimulator.events` and the run
+loop dispatches due entries inline to the owning SM -- no per-event
+callback indirection (see :data:`repro.gpu.sm.EV_FILL`).  Per-transaction
+load *completions* are not events at all; the LSU retires hits eagerly.
 
 Warps consume a **packed trace arena** (columnar op/transaction buffers,
 :mod:`repro.workloads.arena`): pass one via ``arena`` to replay a
@@ -38,13 +39,14 @@ mirroring the per-SM L1D caches of the real machine; the memory subsystem
 
 from __future__ import annotations
 
+import itertools
 from heapq import heappop, heappush
 from typing import Callable, Iterable, List, Optional
 
 from repro.cache.interface import L1DCacheModel
 from repro.gpu.config import GPUConfig
 from repro.gpu.scheduler import make_scheduler
-from repro.gpu.sm import SM
+from repro.gpu.sm import EV_FILL, EV_RETRY, SM
 from repro.gpu.stats import (
     SimulationResult,
     merge_cache_stats,
@@ -58,11 +60,6 @@ from repro.workloads.trace import WarpInstruction
 __all__ = [
     "GPUSimulator",
 ]
-
-#: typed event-wheel tags (fixed-shape entries, direct dispatch)
-_EV_FILL = 0      # (cycle, seq, _EV_FILL, sm, block_addr, None, 0)
-_EV_RETRY = 1     # (cycle, seq, _EV_RETRY, sm, request, waiting_warp, attempts)
-_EV_WAKE = 2      # (cycle, seq, _EV_WAKE, sm_id, None, None, 0)
 
 
 class GPUSimulator:
@@ -107,12 +104,12 @@ class GPUSimulator:
         self.memory = MemorySubsystem(config)
         self.max_cycles = max_cycles
         self.sampler = sampler
-        self._events: List = []
-        self._event_seq = 0
+        #: the event wheel: a heap of ``(cycle, seq, tag, ...)`` entries
+        #: the SMs post (layout in :mod:`repro.gpu.sm`); *seq* breaks
+        #: same-cycle ties in posting order
+        self.events: List = []
+        self.next_event_seq = itertools.count(1).__next__
         self.cycle = 0
-        self._wakeups: set = set()
-        #: SM ids that might issue at the current cycle
-        self._active: set = set()
 
         active_warps = warps_per_sm or config.warps_per_sm
         if active_warps > config.warps_per_sm:
@@ -151,64 +148,6 @@ class GPUSimulator:
             )
 
     # ------------------------------------------------------------------
-    def schedule_fill(self, cycle: int, sm: SM, block_addr: int) -> None:
-        """Typed event: the off-chip response for *block_addr* arrives."""
-        if cycle < self.cycle:
-            cycle = self.cycle
-        self._event_seq += 1
-        heappush(
-            self._events,
-            (cycle, self._event_seq, _EV_FILL, sm, block_addr, None, 0),
-        )
-
-    def schedule_retry(
-        self, cycle: int, sm: SM, request, waiting_warp, attempts: int
-    ) -> None:
-        """Typed event: re-present a transaction rejected by a hazard."""
-        if cycle < self.cycle:
-            cycle = self.cycle
-        self._event_seq += 1
-        heappush(
-            self._events,
-            (cycle, self._event_seq, _EV_RETRY, sm, request, waiting_warp,
-             attempts),
-        )
-
-    def schedule_wake(self, cycle: int, sm_id: int) -> None:
-        """Typed event: a warp's last outstanding load lands at *cycle*.
-
-        One wake per warp-unblock replaces the per-transaction completion
-        events of the old loop: it fires :meth:`note_warp_ready` exactly
-        when the data is usable, keeping the clock's advance pattern (and
-        therefore the final cycle count) bit-identical.
-        """
-        if cycle < self.cycle:
-            cycle = self.cycle
-        self._event_seq += 1
-        heappush(
-            self._events,
-            (cycle, self._event_seq, _EV_WAKE, sm_id, None, None, 0),
-        )
-
-    def note_warp_ready(self, sm_id: int) -> None:
-        """An SM regained a ready warp (wakes the issue loop)."""
-        self._wakeups.add(sm_id)
-        self._active.add(sm_id)
-
-    # ------------------------------------------------------------------
-    def _run_due_events(self) -> None:
-        events = self._events
-        cycle = self.cycle
-        while events and events[0][0] <= cycle:
-            _, _, kind, target, a, b, c = heappop(events)
-            if kind == _EV_FILL:
-                target._handle_fill(a, cycle)
-            elif kind == _EV_RETRY:
-                target._present(a, b, cycle, c)
-            else:
-                self.note_warp_ready(target)
-
-    # ------------------------------------------------------------------
     def run(self, workload_name: str = "", config_name: str = "") -> SimulationResult:
         """Simulate until every warp drains; returns the result bundle.
 
@@ -218,11 +157,12 @@ class GPUSimulator:
                 which SMs were stuck).
         """
         sms = self.sms
-        events = self._events
-        active = self._active
-        active.update(range(len(sms)))
+        events = self.events
+        #: SM ids that might issue at the current cycle
+        active = set(range(len(sms)))
         wake_heap: List = []
-        wakeups = self._wakeups
+        #: SM ids woken by an EV_WAKE this cycle
+        wakeups: set = set()
         max_cycles = self.max_cycles
         # timeline sampling: with no sampler, sample_at is an
         # unreachable sentinel and the per-iteration cost is one
@@ -231,10 +171,19 @@ class GPUSimulator:
         sample_at = sampler.interval if sampler is not None else SAMPLER_STOP
 
         while True:
-            if events and events[0][0] <= self.cycle:
-                self._run_due_events()
-
             cycle = self.cycle
+            # dispatch due events (entries posted meanwhile for this very
+            # cycle -- a wake-up at the current cycle -- run in this pass)
+            while events and events[0][0] <= cycle:
+                _, _, kind, target, a, b, c = heappop(events)
+                if kind == EV_FILL:
+                    target._handle_fill(a, cycle)
+                elif kind == EV_RETRY:
+                    target._present(a, b, cycle, c)
+                else:  # EV_WAKE: an SM regained a ready warp
+                    wakeups.add(target)
+                    active.add(target)
+
             while wake_heap and wake_heap[0][0] <= cycle:
                 active.add(heappop(wake_heap)[1])
 
@@ -275,8 +224,7 @@ class GPUSimulator:
                     f"exceeded max_cycles={self.max_cycles}; aborting"
                 )
 
-        # drain any same-cycle stragglers and finish bookkeeping
-        self._run_due_events()
+        # the loop only breaks once the event wheel is empty
         for sm in sms:
             sm.l1d.flush_metadata()
 

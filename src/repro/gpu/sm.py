@@ -38,6 +38,7 @@ all-ways-reserved) convert into the stall cycles of Figure 15.
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import TYPE_CHECKING, List, Optional
 
 from repro.cache.interface import (
@@ -51,7 +52,7 @@ from repro.gpu.warp import Warp
 from repro.workloads.trace import COMPUTE, LOAD
 
 __all__ = [
-    "MAX_RETRIES", "SM",
+    "EV_FILL", "EV_RETRY", "EV_WAKE", "MAX_RETRIES", "SM",
 ]
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
@@ -59,6 +60,27 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
 
 #: Retries per transaction before the simulator declares livelock.
 MAX_RETRIES = 100_000
+
+#: Event-wheel entry tags.  The SM posts fixed-shape entries
+#: ``(cycle, seq, tag, target, a, b, c)`` straight onto the simulator's
+#: heap (:attr:`GPUSimulator.events`), which dispatches them by tag:
+#:
+#: * ``EV_FILL``  -- target SM, ``a`` the block whose off-chip response
+#:   arrives;
+#: * ``EV_RETRY`` -- target SM, ``a`` the request a hazard rejected,
+#:   ``b`` its waiting warp, ``c`` the attempt number;
+#: * ``EV_WAKE``  -- target SM id: a warp's last outstanding load lands.
+#:
+#: An entry's cycle is never before the simulator's current cycle (fills
+#: and retries lie in the future by construction; wake-ups are clamped).
+EV_FILL = 0
+EV_RETRY = 1
+EV_WAKE = 2
+
+_HIT = AccessOutcome.HIT
+_HIT_PENDING = AccessOutcome.HIT_PENDING
+_MISS = AccessOutcome.MISS
+_MISS_BYPASS = AccessOutcome.MISS_BYPASS
 
 
 class SM:
@@ -77,6 +99,9 @@ class SM:
         self.warps = warps
         self.scheduler = scheduler
         self.sim = simulator
+        self.memory = simulator.memory
+        self._events = simulator.events
+        self._next_seq = simulator.next_event_seq
         self.port_busy_until = 0
         self.issue_busy_cycles = 0
         self.lsu_stall_cycles = 0
@@ -106,9 +131,15 @@ class SM:
         None when every remaining warp is blocked on memory (an event will
         wake them) or the SM is done.  One fused pass determines both
         (the :attr:`done` property would walk the warps a second time).
+        Nothing issues before the *floor* -- the later of *cycle* and the
+        issue port's free cycle -- so the pass stops at the first warp
+        that is ready by then (the common case: a busy issue port).
         """
         if self._done:
             return None
+        floor = self.port_busy_until
+        if floor < cycle:
+            floor = cycle
         best: Optional[int] = None
         alive = False
         for warp in self.warps:
@@ -120,14 +151,13 @@ class SM:
             alive = True
             if outstanding == 0:
                 ready_at = warp.ready_at
+                if ready_at <= floor:
+                    return floor
                 if best is None or ready_at < best:
                     best = ready_at
         if not alive:
             self._done = True
-            return None
-        if best is None:
-            return None
-        return max(best, self.port_busy_until, cycle)
+        return best
 
     # ------------------------------------------------------------------
     def try_issue(self, cycle: int) -> bool:
@@ -175,12 +205,14 @@ class SM:
         count = end - start
         if kind == LOAD:
             access_type = AccessType.LOAD
+            is_write = False
             waiting_warp: Optional[Warp] = warp
-            warp.block_on(count)
+            warp.outstanding += count
             self.load_transactions += count
         else:
             # stores retire at issue; bank pressure is modelled in the cache
             access_type = AccessType.STORE
+            is_write = True
             waiting_warp = None
             warp.ready_at = cycle + 1
             self.store_transactions += count
@@ -198,7 +230,9 @@ class SM:
             if pool:
                 request = pool.pop()
                 request.address = block_addr << 7
+                request.block_addr = block_addr
                 request.access_type = access_type
+                request.is_write = is_write
                 request.pc = pc
                 request.warp_id = warp_id
                 request.issue_cycle = arrival
@@ -233,43 +267,43 @@ class SM:
                 f"livelock: transaction 0x{request.address:x} on SM "
                 f"{self.sm_id} exceeded {MAX_RETRIES} retries"
             )
-        sim = self.sim
         result = self.l1d.access(request, cycle)
 
         for dirty_block in result.writebacks:
-            sim.memory.issue_writeback(dirty_block, self.sm_id, cycle)
+            self.memory.issue_writeback(dirty_block, self.sm_id, cycle)
 
         outcome = result.outcome
-        if outcome is AccessOutcome.HIT:
+        if outcome is _HIT:
             if waiting_warp is not None and waiting_warp.complete_transaction_at(
                 result.ready_cycle
             ):
-                sim.schedule_wake(waiting_warp.ready_at, self.sm_id)
+                self._post_wake(waiting_warp.ready_at)
             self._request_pool.append(request)
             return
-        if outcome is AccessOutcome.HIT_PENDING:
+        if outcome is _HIT_PENDING:
             # the fill's completion list will include this request
             return
-        if outcome is AccessOutcome.MISS:
-            completion = sim.memory.issue_read(
-                request.block_addr, self.sm_id, cycle
-            )
-            sim.schedule_fill(completion, self, request.block_addr)
+        if outcome is _MISS:
+            block = request.block_addr
+            heappush(self._events, (
+                self.memory.issue_read(block, self.sm_id, cycle),
+                self._next_seq(), EV_FILL, self, block, None, 0,
+            ))
             return
-        if outcome is AccessOutcome.MISS_BYPASS:
+        if outcome is _MISS_BYPASS:
             if request.is_write:
                 # a bypassed store is write traffic straight to L2
-                sim.memory.issue_writeback(
+                self.memory.issue_writeback(
                     request.block_addr, self.sm_id, cycle
                 )
             else:
-                completion = sim.memory.issue_read(
+                completion = self.memory.issue_read(
                     request.block_addr, self.sm_id, cycle
                 )
                 if waiting_warp is not None and (
                     waiting_warp.complete_transaction_at(completion)
                 ):
-                    sim.schedule_wake(waiting_warp.ready_at, self.sm_id)
+                    self._post_wake(waiting_warp.ready_at)
             self._request_pool.append(request)
             return
         # RESERVATION_FAIL: the LSU cannot hand the transaction over, so
@@ -283,23 +317,38 @@ class SM:
         if retry_at > self.port_busy_until:
             self.port_busy_until = retry_at
         self.lsu_stall_cycles += RETRY_INTERVAL
-        sim.schedule_retry(retry_at, self, request, waiting_warp, attempts + 1)
+        heappush(self._events, (
+            retry_at, self._next_seq(), EV_RETRY, self, request,
+            waiting_warp, attempts + 1,
+        ))
+
+    def _post_wake(self, when: int) -> None:
+        """A warp's last outstanding load lands at *when*: post the wake.
+
+        One wake per warp-unblock (not one event per transaction) fires
+        the simulator's ready-set update exactly when the data is usable,
+        keeping the clock's advance pattern bit-identical.
+        """
+        now = self.sim.cycle
+        heappush(self._events, (
+            when if when > now else now, self._next_seq(), EV_WAKE,
+            self.sm_id, None, None, 0,
+        ))
 
     # ------------------------------------------------------------------
     def _handle_fill(self, block_addr: int, cycle: int) -> None:
         """Off-chip response arrived: fill the L1D, retire merged loads."""
         fill = self.l1d.fill(block_addr, cycle)
         for dirty_block in fill.writebacks:
-            self.sim.memory.issue_writeback(dirty_block, self.sm_id, cycle)
+            self.memory.issue_writeback(dirty_block, self.sm_id, cycle)
         ready = fill.ready_cycle
         warps = self.warps
-        sim = self.sim
-        sm_id = self.sm_id
-        for request in fill.completed:
-            if request.access_type is AccessType.LOAD:
+        completed = fill.completed
+        for request in completed:
+            if not request.is_write:
                 warp = warps[request.warp_id]
                 if warp.complete_transaction_at(ready):
-                    sim.schedule_wake(warp.ready_at, sm_id)
+                    self._post_wake(warp.ready_at)
         # the MSHR entry is released; its requests (loads and stores
         # alike) are dead and return to the pool
-        self._request_pool.extend(fill.completed)
+        self._request_pool.extend(completed)

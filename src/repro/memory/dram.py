@@ -19,7 +19,7 @@ servers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List
 
 from repro.gpu.config import GPUConfig
 
@@ -50,6 +50,8 @@ class DRAMChannel:
         self._banks: List[_BankState] = [
             _BankState() for _ in range(config.dram_banks_per_channel)
         ]
+        self._blocks_per_row = config.blocks_per_dram_row
+        self._controller_cycles = config.dram_controller_cycles
         self._bus_busy_until = 0
         self.row_hits = 0
         self.row_misses = 0
@@ -58,22 +60,19 @@ class DRAMChannel:
         self.wait_cycles = 0
 
     # ------------------------------------------------------------------
-    def _locate(self, block_addr: int) -> Tuple[int, int]:
-        """Map a (channel-stripped) block address to (bank, row)."""
-        blocks_per_row = self.config.blocks_per_dram_row
-        row_addr = block_addr // blocks_per_row
-        bank = row_addr % len(self._banks)
-        row = row_addr // len(self._banks)
-        return bank, row
-
-    # ------------------------------------------------------------------
     def access(self, block_addr: int, cycle: int, is_write: bool) -> int:
-        """Service one 128-byte access; returns the completion cycle."""
-        bank_idx, row = self._locate(block_addr)
-        bank = self._banks[bank_idx]
+        """Service one 128-byte access; returns the completion cycle.
+
+        *block_addr* has the channel-interleave bits stripped; it maps to
+        a (bank, row) by consecutive rows striping across the banks.
+        """
+        banks = self._banks
+        row_addr = block_addr // self._blocks_per_row
+        bank = banks[row_addr % len(banks)]
+        row = row_addr // len(banks)
 
         # memory-controller request-queue processing precedes the bank
-        cycle = cycle + self.config.dram_controller_cycles
+        cycle = cycle + self._controller_cycles
         start = max(cycle, bank.busy_until)
         self.wait_cycles += start - cycle
 

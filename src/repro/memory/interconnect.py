@@ -32,10 +32,12 @@ class Interconnect:
         self.base_latency = config.net_hops * config.net_hop_cycles
         self.request_flits = 1
         self.response_flits = 1 + BLOCK_SIZE // config.flit_bytes
-        #: per-SM injection ports (requests, writebacks)
-        self._sm_inject: List[int] = [0] * config.num_sms
+        #: per-SM injection ports (requests, writebacks): the cycle each
+        #: port is free again (the memory subsystem's hot path does the
+        #: same port arithmetic as :meth:`_traverse` inline)
+        self.sm_inject: List[int] = [0] * config.num_sms
         #: per-bank injection ports (responses)
-        self._bank_inject: List[int] = [0] * config.l2_num_banks
+        self.bank_inject: List[int] = [0] * config.l2_num_banks
         # lifetime counters
         self.request_flits_sent = 0
         self.response_flits_sent = 0
@@ -63,7 +65,7 @@ class Interconnect:
         """SM -> L2 direction; returns ``(arrival, network_cycles)``."""
         flits = self.request_flits if flits is None else flits
         self.request_flits_sent += flits
-        return self._traverse(self._sm_inject, sm_id, cycle, flits)
+        return self._traverse(self.sm_inject, sm_id, cycle, flits)
 
     def send_response(
         self, bank_id: int, cycle: int, flits: int | None = None
@@ -71,7 +73,7 @@ class Interconnect:
         """L2 -> SM direction; returns ``(arrival, network_cycles)``."""
         flits = self.response_flits if flits is None else flits
         self.response_flits_sent += flits
-        return self._traverse(self._bank_inject, bank_id, cycle, flits)
+        return self._traverse(self.bank_inject, bank_id, cycle, flits)
 
     def send_writeback(self, sm_id: int, cycle: int) -> Tuple[int, int]:
         """A dirty L1D block travelling to L2 (data-sized request)."""

@@ -32,29 +32,28 @@ class L2Bank:
         self.bank_id = bank_id
         self.config = config
         self.tags = TagArray(config.l2_sets, config.l2_assoc, "lru")
-        self._busy_until = 0
+        self._num_banks = config.l2_num_banks
+        self._service_cycles = config.l2_service_cycles
+        #: cycle the bank is free for the next access (the memory
+        #: subsystem's hot path applies :meth:`start_service` inline)
+        self.busy_until = 0
         self.hits = 0
         self.misses = 0
         self.write_accesses = 0
         self.wait_cycles = 0
 
     # ------------------------------------------------------------------
-    def _bank_address(self, block_addr: int) -> int:
-        """Strip the bank-interleave bits so sets spread over the bank."""
-        return block_addr // self.config.l2_num_banks
-
     def start_service(self, cycle: int) -> int:
         """Acquire the bank; returns the service start cycle."""
-        start = max(cycle, self._busy_until)
+        start = max(cycle, self.busy_until)
         self.wait_cycles += start - cycle
-        self._busy_until = start + self.config.l2_occupancy_cycles
+        self.busy_until = start + self.config.l2_occupancy_cycles
         return start
 
     # ------------------------------------------------------------------
     def probe(self, block_addr: int) -> bool:
         """Tag check without state change (used by tests)."""
-        _, way = self.tags.lookup(self._bank_address(block_addr))
-        return way is not None
+        return self.tags.find(block_addr // self._num_banks) is not None
 
     def access(
         self, block_addr: int, is_write: bool, cycle: int
@@ -65,26 +64,24 @@ class L2Bank:
         ``dirty_victim_block`` is -1 or the block address that must be
         written back to DRAM because this access displaced it.
         """
-        local = self._bank_address(block_addr)
-        set_idx, way = self.tags.lookup(local)
-        service_done = cycle + self.config.l2_service_cycles
+        # strip the bank-interleave bits so sets spread over the bank
+        local = block_addr // self._num_banks
+        tags = self.tags
+        hit = tags.find(local)
+        service_done = cycle + self._service_cycles
         if is_write:
             self.write_accesses += 1
-        if way is not None:
+        if hit is not None:
             self.hits += 1
-            self.tags.touch(set_idx, way, is_write)
+            tags.touch(hit[0], hit[1], is_write)
             return service_done, True, -1
 
+        # installs complete at once, so no way is ever reserved and the
+        # install always finds a victim
         self.misses += 1
-        victim_block = -1
-        if self.tags.can_reserve(local):
-            _, _, evicted = self.tags.install(
-                local, cycle, dirty=is_write
-            )
-            if evicted is not None and evicted.dirty:
-                # restore the interleave bits for the DRAM address
-                victim_block = (
-                    evicted.block_addr * self.config.l2_num_banks
-                    + self.bank_id
-                )
-        return service_done, False, victim_block
+        _, _, evicted = tags.install(local, cycle, dirty=is_write)
+        if evicted is not None and evicted.dirty:
+            # restore the interleave bits for the DRAM address
+            return (service_done, False,
+                    evicted.block_addr * self._num_banks + self.bank_id)
+        return service_done, False, -1

@@ -53,17 +53,13 @@ class MemorySubsystem:
         self._lat_dram = 0
 
     # ------------------------------------------------------------------
-    def _l2_bank_of(self, block_addr: int) -> L2Bank:
-        return self.l2_banks[block_addr % self.config.l2_num_banks]
-
-    def _channel_of(self, block_addr: int) -> DRAMChannel:
-        return self.channels[block_addr % self.config.dram_channels]
-
-    def _dram_block_addr(self, block_addr: int) -> int:
-        """Strip channel-interleave bits before bank/row mapping."""
-        return block_addr // self.config.dram_channels
-
-    # ------------------------------------------------------------------
+    # The two operations below do the per-hop arithmetic inline: a port
+    # or bank is a ``busy_until`` server -- start at max(arrival, free),
+    # charge the wait, hold it for the occupancy -- exactly what
+    # Interconnect.send_request/send_response/send_writeback and
+    # L2Bank.start_service do one hop at a time.  Blocks interleave over
+    # L2 banks and DRAM channels by ``block % count``; a DRAM channel
+    # sees the block with its channel bits stripped (``block // count``).
     def issue_read(self, block_addr: int, sm_id: int, cycle: int) -> int:
         """Fetch one block for an L1D miss; returns the completion cycle.
 
@@ -74,14 +70,29 @@ class MemorySubsystem:
         """
         stats = self.stats
         network = self.network
+        config = self.config
         stats.reads += 1
-        arrive_l2, net_out = network.send_request(sm_id, cycle)
 
-        bank = self._l2_bank_of(block_addr)
-        service_start = bank.start_service(arrive_l2)
-        l2_wait = service_start - arrive_l2
+        # SM -> L2: one address flit through the SM's injection port
+        flits = network.request_flits
+        network.request_flits_sent += flits
+        ports = network.sm_inject
+        start = ports[sm_id]
+        if start < cycle:
+            start = cycle
+        network.total_wait_cycles += start - cycle
+        ports[sm_id] = start + flits
+        arrive_l2 = start + flits + network.base_latency
+
+        # the L2 bank: queue behind its occupancy, then look up
+        bank = self.l2_banks[block_addr % config.l2_num_banks]
+        service_start = bank.busy_until
+        if service_start < arrive_l2:
+            service_start = arrive_l2
+        bank.wait_cycles += service_start - arrive_l2
+        bank.busy_until = service_start + config.l2_occupancy_cycles
         service_done, hit, victim = bank.access(
-            block_addr, is_write=False, cycle=service_start
+            block_addr, False, service_start
         )
 
         if hit:
@@ -89,25 +100,34 @@ class MemorySubsystem:
             data_at = service_done
         else:
             stats.l2_misses += 1
-            channel = self._channel_of(block_addr)
-            dram_done = channel.access(
-                self._dram_block_addr(block_addr), service_done, is_write=False
+            channels = self.channels
+            count = config.dram_channels
+            data_at = channels[block_addr % count].access(
+                block_addr // count, service_done, False
             )
             stats.dram_reads += 1
             if victim != -1:
                 # L2 victim writeback rides the same channel afterwards
-                victim_channel = self._channel_of(victim)
-                victim_channel.access(
-                    self._dram_block_addr(victim), dram_done, is_write=True
+                channels[victim % count].access(
+                    victim // count, data_at, True
                 )
                 stats.dram_writes += 1
-            self._lat_dram += dram_done - service_done
-            data_at = dram_done
+            self._lat_dram += data_at - service_done
 
-        completion, net_back = network.send_response(bank.bank_id, data_at)
+        # L2 -> SM: the block's data flits through the bank's port
+        flits = network.response_flits
+        network.response_flits_sent += flits
+        ports = network.bank_inject
+        bank_id = bank.bank_id
+        start = ports[bank_id]
+        if start < data_at:
+            start = data_at
+        network.total_wait_cycles += start - data_at
+        ports[bank_id] = start + flits
+        completion = start + flits + network.base_latency
 
-        self._lat_network += net_out + net_back
-        self._lat_l2 += l2_wait + self.config.l2_service_cycles
+        self._lat_network += (arrive_l2 - cycle) + (completion - data_at)
+        self._lat_l2 += (service_start - arrive_l2) + config.l2_service_cycles
         return completion
 
     def issue_read_sampled(
@@ -129,23 +149,37 @@ class MemorySubsystem:
     def issue_writeback(self, block_addr: int, sm_id: int, cycle: int) -> None:
         """Send one dirty block toward L2 (fire-and-forget)."""
         stats = self.stats
+        network = self.network
+        config = self.config
         stats.writebacks += 1
-        arrive_l2, _ = self.network.send_writeback(sm_id, cycle)
-        stats.writeback_flits += self.network.response_flits
 
-        bank = self._l2_bank_of(block_addr)
-        service_start = bank.start_service(arrive_l2)
-        _, hit, victim = bank.access(
-            block_addr, is_write=True, cycle=service_start
-        )
+        # SM -> L2: a data-sized request through the SM's injection port
+        flits = network.response_flits
+        network.request_flits_sent += flits
+        ports = network.sm_inject
+        start = ports[sm_id]
+        if start < cycle:
+            start = cycle
+        network.total_wait_cycles += start - cycle
+        ports[sm_id] = start + flits
+        arrive_l2 = start + flits + network.base_latency
+        stats.writeback_flits += flits
+
+        bank = self.l2_banks[block_addr % config.l2_num_banks]
+        service_start = bank.busy_until
+        if service_start < arrive_l2:
+            service_start = arrive_l2
+        bank.wait_cycles += service_start - arrive_l2
+        bank.busy_until = service_start + config.l2_occupancy_cycles
+        _, hit, victim = bank.access(block_addr, True, service_start)
         if hit:
             stats.l2_hits += 1
         else:
             stats.l2_misses += 1
         if victim != -1:
-            channel = self._channel_of(victim)
-            channel.access(
-                self._dram_block_addr(victim), service_start, is_write=True
+            count = config.dram_channels
+            self.channels[victim % count].access(
+                victim // count, service_start, True
             )
             stats.dram_writes += 1
 

@@ -47,6 +47,12 @@ GOLDEN_RUNS = [
     ("Hybrid", "PVC", "test"),
     ("Dy-FUSE", "PVC", "test"),
     ("Dy-FUSE", "SS", "test"),
+    # the Figure 13 matrix at test scale (Dy-FUSE x SS is pinned above);
+    # L1-SRAM x ATAX is the matrix's reservation-failure retry storm
+    *[(config, workload, "test")
+      for config in ("L1-SRAM", "FA-SRAM", "By-NVM", "Dy-FUSE")
+      for workload in ("SS", "2DCONV", "ATAX", "GEMM", "SYR2K")
+      if (config, workload) != ("Dy-FUSE", "SS")],
 ]
 
 #: machine shape shared by every golden run
