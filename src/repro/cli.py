@@ -34,8 +34,7 @@ first:
   execute them locally and settle the outcomes back (the execution
   side of the distributed fabric).
 * ``store``   -- operator tooling for the result store: ``info``,
-  ``compact``, ``path``, ``migrate`` (convert between the single-file
-  and sharded layouts).
+  ``compact``, ``path``.
 * ``journal`` -- inspect a coordinator job journal (``repro serve
   --journal``): events by type, skipped lines, and per-job recovery
   state -- what a restart on this journal would do.
@@ -141,12 +140,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--no-store", action="store_true",
         help="disable the persistent store for this sweep",
-    )
-    sweep.add_argument(
-        "--store-backend", choices=("jsonl", "sharded"), default=None,
-        help="on-disk layout for a NEW store (default: "
-             "REPRO_STORE_BACKEND or jsonl; an existing store's layout "
-             "always wins)",
     )
     sweep.add_argument(
         "--seed", type=int, default=0, help="simulation seed (default 0)",
@@ -257,11 +250,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="serve without a persistent store (in-memory dedup only)",
     )
     serve.add_argument(
-        "--store-backend", choices=("jsonl", "sharded"), default=None,
-        help="on-disk layout for a NEW store (default: "
-             "REPRO_STORE_BACKEND or jsonl)",
-    )
-    serve.add_argument(
         "--remote", action="store_true",
         help="dispatch runs to pulling `repro worker` processes over "
              "the lease protocol instead of simulating in-process "
@@ -366,27 +354,6 @@ def _build_parser() -> argparse.ArgumentParser:
             help="result-store path (default: REPRO_STORE env or "
                  "~/.cache/repro/results.jsonl)",
         )
-    migrate = store_sub.add_parser(
-        "migrate",
-        help="copy every live record into a fresh store at DEST "
-             "(convert between single-file and sharded layouts)",
-    )
-    migrate.add_argument(
-        "dest", help="destination store path (must be empty or absent)",
-    )
-    migrate.add_argument(
-        "--store", default=None,
-        help="source store path (default: REPRO_STORE env or "
-             "~/.cache/repro/results.jsonl)",
-    )
-    migrate.add_argument(
-        "--backend", choices=("jsonl", "sharded"), default=None,
-        help="destination layout (default: REPRO_STORE_BACKEND or jsonl)",
-    )
-    migrate.add_argument(
-        "--shards", type=int, default=None,
-        help="segment count for a sharded destination (default 16)",
-    )
 
     journal_cmd = sub.add_parser(
         "journal",
@@ -712,7 +679,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         # --store "" disables persistence, mirroring REPRO_STORE=""
         path = args.store if args.store is not None else default_store_path()
         if path:
-            store = ResultStore(path, backend=args.store_backend)
+            store = ResultStore(path)
     engine = ExperimentEngine(
         store=store,
         # profiling needs the work in-process (and really executed, hence
@@ -829,7 +796,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         host=host, port=port, store_path=args.store, no_store=args.no_store,
         workers=args.workers, max_queue=args.queue, max_active=args.active,
         remote=True if args.remote else None,
-        store_backend=args.store_backend,
         journal=args.journal,
     )
     store = service.scheduler.engine.store
@@ -975,60 +941,25 @@ def _cmd_store(args: argparse.Namespace) -> int:
     if args.store_command == "path":
         print(path)
         return 0
-    if args.store_command == "migrate":
-        from repro.engine.store import migrate_store
-
-        source = ResultStore(path)
-        dest = ResultStore(
-            args.dest, backend=args.backend, shards=args.shards
-        )
-        try:
-            copied = migrate_store(source, dest)
-        except ValueError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-        print(
-            f"migrated {copied} records: {source.path} "
-            f"({source.backend_name}) -> {dest.path} ({dest.backend_name})"
-        )
-        return 0
     store = ResultStore(path)
     if args.store_command == "info":
-        info = store.info()
-        fields = [
-            "path", "backend", "records", "stale_records",
-            "schema_version", "size_bytes",
-        ]
-        if "shards" in info:
-            fields.insert(2, "shards")
         print(format_table(
             ["field", "value"],
-            [[key, info[key]] for key in fields],
+            [[key, value] for key, value in store.info().items()],
             title="Result store",
         ))
-        for row in info.get("shard_info", ()):
-            if row["records"] or row["stale_records"]:
-                print(
-                    f"  shard {row['shard']:02d}: {row['records']} records, "
-                    f"{row['stale_records']} stale, "
-                    f"{row['size_bytes']} bytes"
-                )
         return 0
     # compact: rewrite keeping one live record per key, dropping
     # stale-schema and superseded records
     before = store.info()
     raw_records = 0
-    for file_path in store.files():
-        try:
-            with file_path.open("r", encoding="utf-8") as handle:
-                raw_records += sum(1 for line in handle if line.strip())
-        except OSError:
-            pass
+    with contextlib.suppress(OSError):
+        with store.path.open("r", encoding="utf-8") as handle:
+            raw_records = sum(1 for line in handle if line.strip())
     live = store.compact()
     after = store.info()
     print(
-        f"compacted {store.path} ({store.backend_name}): "
-        f"{live} live records, "
+        f"compacted {store.path}: {live} live records, "
         f"{max(0, raw_records - live)} dropped (stale or superseded), "
         f"{before['size_bytes']} -> {after['size_bytes']} bytes"
     )

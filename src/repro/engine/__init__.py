@@ -47,12 +47,7 @@ from repro.engine.spec import (
     spec_to_dict,
     trace_key,
 )
-from repro.engine.store import (
-    STORE_BACKENDS,
-    ResultStore,
-    default_store_path,
-    migrate_store,
-)
+from repro.engine.store import ResultStore, default_store_path
 
 __all__ = [
     "ExperimentEngine",
@@ -65,7 +60,6 @@ __all__ = [
     "RunSpec",
     "SCALE_PRESETS",
     "SCHEMA_VERSION",
-    "STORE_BACKENDS",
     "arena_for_spec",
     "config_from_dict",
     "config_to_dict",
@@ -73,7 +67,6 @@ __all__ = [
     "default_workers",
     "execute_spec",
     "gpu_profile",
-    "migrate_store",
     "result_from_dict",
     "result_to_dict",
     "scale_preset",

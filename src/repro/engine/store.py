@@ -20,7 +20,7 @@ Results are schema-versioned JSON records (one per line):
   -- which the experiment engine wraps around every sweep -- puts write
   through held handles and the store flushes every ``flush_every``
   records (the engine passes its pool chunk size) and at block exit, so
-  a sweep of N runs costs one open/close per touched file instead of N.
+  a sweep of N runs costs one open/close instead of N.
   Crash tolerance inside a batch weakens only boundedly: a killed
   process loses at most the puts since the last flush (plus whatever
   the OS had not yet made durable -- the store never fsyncs, batched or
@@ -29,14 +29,10 @@ Results are schema-versioned JSON records (one per line):
 * **corruption tolerance** -- unparsable lines (e.g. a truncated final
   line from a killed process) are skipped, never fatal.
 
-The on-disk **layout** is pluggable (see
-:mod:`repro.engine.store_backends`): the default ``"jsonl"`` backend is
-the original single file, and the ``"sharded"`` backend spreads records
-over N per-shard segment files so fleet-scale concurrent writers do not
-contend on one flock.  The layout is selected per store by
-``--store-backend`` / ``REPRO_STORE_BACKEND`` for *new* stores; an
-existing store's on-disk layout always wins, and
-:func:`migrate_store` converts between the two losslessly.
+The file itself -- index, locking, compaction -- is a
+:class:`~repro.engine.store_backends.JsonlSegment`.  A directory is
+refused: it is a store of the removed sharded layout, whose segment
+files concatenate losslessly into one store file.
 
 The default location is ``~/.cache/repro/results.jsonl``, overridable
 via the ``REPRO_STORE`` environment variable or an explicit path
@@ -49,7 +45,8 @@ from __future__ import annotations
 import contextlib
 import os
 import pathlib
-from typing import Dict, Iterator, List, Optional, Union
+import shlex
+from typing import Dict, Iterator, Optional, Union
 
 from repro.engine.serialize import (
     SCHEMA_VERSION,
@@ -57,23 +54,12 @@ from repro.engine.serialize import (
     result_to_dict,
 )
 from repro.engine.spec import RunKey, RunSpec, spec_to_dict
-from repro.engine.store_backends import (
-    BACKEND_ENV,
-    STORE_BACKENDS,
-    ShardedBackend,
-    SingleFileBackend,
-    _flock,
-    default_store_backend,
-    detect_backend,
-)
+from repro.engine.store_backends import JsonlSegment
 from repro.gpu.stats import SimulationResult
 from repro.telemetry.metrics import REGISTRY
 from repro.telemetry.spans import span
 
-__all__ = [
-    "BACKEND_ENV", "DEFAULT_STORE_DIR", "ResultStore", "STORE_BACKENDS",
-    "default_store_path", "migrate_store",
-]
+__all__ = ["DEFAULT_STORE_DIR", "ResultStore", "default_store_path"]
 
 #: default on-disk location (under the user cache directory)
 DEFAULT_STORE_DIR = "~/.cache/repro"
@@ -123,60 +109,45 @@ def _digest(key: Union[str, RunKey]) -> str:
 class ResultStore:
     """Persistent (run key -> SimulationResult) mapping on disk.
 
-    The mapping semantics (content-hashed keys, newest record wins,
-    schema invalidation, batched appends, corruption tolerance) are
-    identical across backends; only the on-disk layout differs.
-
     Args:
-        path: store location -- a JSON-lines file for the ``"jsonl"``
-            backend, a directory for ``"sharded"``.  Parents are
-            created lazily on first write.
+        path: the store's JSON-lines file.  Parents are created lazily
+            on first write.
         schema_version: records carrying any other tag are invisible
             (tests override this to simulate stale caches).
-        backend: on-disk layout, one of :data:`STORE_BACKENDS`.  When
-            omitted, an existing store's detected layout wins, then
-            ``REPRO_STORE_BACKEND``, then ``"jsonl"``.
-        shards: segment count for a *newly created* sharded store
-            (existing stores keep their recorded count).
+
+    Raises:
+        ValueError: *path* is a directory -- a store of the removed
+            sharded layout; the message gives the one-line import.
     """
 
     def __init__(
         self,
         path: Union[str, pathlib.Path],
         schema_version: int = SCHEMA_VERSION,
-        backend: Optional[str] = None,
-        shards: Optional[int] = None,
     ) -> None:
         self.path = pathlib.Path(path).expanduser()
         self.schema_version = schema_version
-        name = backend or detect_backend(self.path) or default_store_backend()
-        if name == "sharded":
-            self._backend = ShardedBackend(
-                self.path, schema_version, shards=shards)
-        elif name == "jsonl":
-            self._backend = SingleFileBackend(self.path, schema_version)
-        else:
+        if self.path.is_dir():
+            # each run-key digest lived in exactly one shard, in append
+            # order, so concatenating the shards loses nothing
             raise ValueError(
-                f"unknown store backend {name!r}; "
-                f"expected one of {list(STORE_BACKENDS)}"
+                f"{self.path} is a directory: the sharded store layout "
+                "was removed and a store is one JSON-lines file; import "
+                f"it with `cat {shlex.quote(str(self.path))}/shard-*.jsonl"
+                " > results.jsonl`"
             )
-
-    @property
-    def backend_name(self) -> str:
-        """The active on-disk layout (``"jsonl"`` or ``"sharded"``)."""
-        return self._backend.name
+        self._segment = JsonlSegment(self.path, schema_version)
 
     @property
     def _batch_handle(self):
-        """Truthy while a :meth:`batched` block is open (kept for
-        callers that probe batch state; the handle itself is owned by
-        the backend)."""
-        return self._backend.batch_active
+        """The held append handle while a :meth:`batched` block is
+        open, else ``None``."""
+        return self._segment._batch_handle
 
     # ------------------------------------------------------------------
     def get(self, key: Union[str, RunKey]) -> Optional[SimulationResult]:
         """Fetch a stored result, or ``None`` when absent/stale."""
-        record = self._backend.get_record(_digest(key))
+        record = self._segment.get_record(_digest(key))
         if record is None:
             _GETS_MISS.inc()
             return None
@@ -198,29 +169,30 @@ class ResultStore:
             "result": result_to_dict(result),
         }
         with span("store_put", key=key.digest[:12]):
-            self._backend.put_record(key.digest, record)
+            self._segment.put_record(key.digest, record)
         _PUTS.inc()
         return key
 
     def put_record(self, key: Union[str, RunKey], record: dict) -> None:
-        """Persist one *raw* record dict unchanged (migration path --
-        normal writers use :meth:`put`)."""
-        self._backend.put_record(_digest(key), record)
+        """Persist one *raw* record dict unchanged (the service's
+        settle path for worker-computed results -- local runs use
+        :meth:`put`)."""
+        self._segment.put_record(_digest(key), record)
         _PUTS.inc()
 
     def flush(self) -> None:
         """Push batched writes to the OS (no-op outside a batch)."""
-        self._backend.flush()
+        self._segment.flush()
 
     @contextlib.contextmanager
     def batched(self, flush_every: int = 16) -> Iterator["ResultStore"]:
-        """Hold append handles open across many :meth:`put` calls.
+        """Hold one append handle open across many :meth:`put` calls.
 
-        Reentrant: nested blocks reuse the outer handles (the outer
-        block owns closing them).  See the module docstring for the
+        Reentrant: nested blocks reuse the outer handle (the outer
+        block owns closing it).  See the module docstring for the
         crash-tolerance semantics.
         """
-        with self._backend.batched(flush_every):
+        with self._segment.batched(flush_every):
             yield self
 
     def record(self, key: Union[str, RunKey]) -> Optional[dict]:
@@ -231,87 +203,53 @@ class ResultStore:
         result payload together with the spec it was computed from
         (provenance), without deserialising into simulation objects.
         """
-        return self._backend.get_record(_digest(key))
+        return self._segment.get_record(_digest(key))
 
     def keys(self) -> Iterator[str]:
         """Iterate over the digests of every live record."""
-        return iter(self._backend.keys())
-
-    def files(self) -> List[pathlib.Path]:
-        """Every on-disk file holding records (one for ``jsonl``, the
-        existing segments for ``sharded``)."""
-        return self._backend.files()
+        return iter(self._segment.keys())
 
     def info(self) -> Dict[str, object]:
-        """Operator-facing snapshot: path, backend, live/stale record
-        counts and the on-disk size in bytes (0 when nothing exists
-        yet).  Sharded stores add ``shards`` and a per-shard
-        ``shard_info`` breakdown."""
-        data = self._backend.info()
-        data["path"] = str(self.path)
-        data["schema_version"] = self.schema_version
-        return data
+        """Operator-facing snapshot: path, live/stale record counts,
+        schema version and the on-disk size in bytes (0 when nothing
+        exists yet)."""
+        return {
+            "path": str(self.path),
+            "records": len(self._segment),
+            "stale_records": self._segment.stale_records,
+            "schema_version": self.schema_version,
+            "size_bytes": self._segment.size_bytes(),
+        }
 
     # ------------------------------------------------------------------
     def __contains__(self, key: Union[str, RunKey]) -> bool:
-        return self._backend.get_record(_digest(key)) is not None
+        return self._segment.get_record(_digest(key)) is not None
 
     def __len__(self) -> int:
-        return len(self._backend)
+        return len(self._segment)
 
     @property
     def stale_records(self) -> int:
         """Records skipped on load because their schema tag mismatched."""
-        return self._backend.stale_records
+        return self._segment.stale_records
 
     def compact(self) -> int:
         """Rewrite the store keeping only current-schema records (one
         per key); returns the number of live records.
 
-        Each file is rewritten under an exclusive writer lock and
+        The file is rewritten under an exclusive writer lock and
         re-read beneath it, so records appended by another process
         after this store loaded its index are preserved, and a process
         currently *holding* a writer lock (a sweep mid-append) makes
-        compaction refuse rather than orphan its inode.  On the sharded
-        backend the rewrite is per shard: a refused shard leaves every
-        other shard compacted.
+        compaction refuse rather than orphan its inode.
 
         Raises:
             RuntimeError: inside a :meth:`batched` block (the rewrite
-                would orphan the held append handles and silently drop
-                their subsequent writes), or while another process
-                holds a writer lock on a file being rewritten.
+                would orphan the held append handle and silently drop
+                its subsequent writes), or while another process holds
+                a writer lock on the file.
         """
-        live = self._backend.compact()
+        live = self._segment.compact()
         _COMPACTIONS.inc()
         return live
 
-
-def migrate_store(source: ResultStore, dest: ResultStore) -> int:
-    """Copy every live record from *source* into *dest* (one-shot
-    ``repro store migrate``); returns the number of records copied.
-
-    Records are copied raw (bytes-for-bytes payloads, no re-keying), so
-    the migration is lossless for everything visible: stale-schema and
-    corrupt lines are dropped exactly as a :meth:`ResultStore.compact`
-    would drop them.
-
-    Raises:
-        ValueError: *dest* already holds records (a partial overwrite
-            could silently shadow newer results; point the migration at
-            a fresh path instead).
-    """
-    if len(dest) > 0:
-        raise ValueError(
-            f"destination store {dest.path} already holds {len(dest)} "
-            "record(s); migrate into a fresh path"
-        )
-    copied = 0
-    with dest.batched(flush_every=64):
-        for digest in source.keys():
-            record = source.record(digest)
-            if record is None:  # pragma: no cover - raced compaction
-                continue
-            dest.put_record(digest, record)
-            copied += 1
-    return copied

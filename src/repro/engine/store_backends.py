@@ -1,31 +1,17 @@
-"""Pluggable on-disk layouts for the result store.
+"""The on-disk segment behind :class:`~repro.engine.store.ResultStore`.
 
-:class:`~repro.engine.store.ResultStore` is a facade: the mapping
-semantics (content-hashed keys, schema-versioned records, newest record
-wins, corrupt lines tolerated) live here, behind the
-:class:`StoreBackend` protocol, with two layouts:
+A store is one JSON-lines file of schema-versioned records, held by a
+:class:`JsonlSegment`: an in-memory newest-record-wins index, batched
+append handles and a lock-holding :meth:`~JsonlSegment.compact`.
 
-* :class:`SingleFileBackend` (``"jsonl"``) -- the original one-file
-  JSON-lines store, byte-compatible with every store written before the
-  backend split.  One advisory ``flock`` guards the whole file, so many
-  concurrent writers serialise on it.
-* :class:`ShardedBackend` (``"sharded"``) -- a directory of N segment
-  files (``shard-00.jsonl`` ..), each holding the records whose run-key
-  digest routes to it by leading hex prefix.  Locking and
-  :meth:`~JsonlSegment.compact` are **per shard**: concurrent writers
-  touching different shards never contend, and a compaction refused by
-  one busy shard leaves every other shard compacted.  The shard count
-  is fixed at creation and recorded in ``shards.json`` (records would
-  otherwise become unreachable after a re-route).
-
-Both layouts are built from the same :class:`JsonlSegment` -- one
-flock-guarded JSON-lines file with an in-memory index, batched append
-handles and a lock-holding compact -- so their crash-recovery behaviour
-(at most the torn final record lost, stale schemas invisible) is
-identical by construction.  ``tests/test_store_backends.py`` drives the
-same operation sequences against both and asserts the visible state
-matches; ``tests/test_store_faults.py`` pins the recovery contract
-under writer kills, truncation and corruption.
+One process writes a store in normal operation (a sweep, or the service
+persisting settled runs under its engine lock).  The file tolerates
+more: appends take a *shared* ``flock`` -- only ``compact`` takes it
+exclusive -- so a second appender never waits, and append-mode writes
+of whole records do not interleave.  ``tests/test_store_faults.py``
+pins the crash contract (at most the torn final record lost, stale
+schemas invisible) under writer kills, truncation, corruption and
+concurrent appenders.
 """
 
 from __future__ import annotations
@@ -41,48 +27,7 @@ try:
 except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None
 
-from repro.telemetry.metrics import REGISTRY
-
-__all__ = [
-    "BACKEND_ENV", "DEFAULT_SHARDS", "JsonlSegment", "SHARDS_ENV",
-    "ShardedBackend", "SingleFileBackend", "STORE_BACKENDS",
-    "default_store_backend", "detect_backend",
-]
-
-#: backend names accepted by ``REPRO_STORE_BACKEND`` / ``--store-backend``
-STORE_BACKENDS = ("jsonl", "sharded")
-
-#: environment knob selecting the backend for *new* stores (an existing
-#: store's on-disk layout always wins; see :func:`detect_backend`)
-BACKEND_ENV = "REPRO_STORE_BACKEND"
-
-#: environment knob for the shard count of *newly created* sharded stores
-SHARDS_ENV = "REPRO_STORE_SHARDS"
-
-#: default segment count for new sharded stores; 16 shards = one leading
-#: hex digit, plenty of write parallelism for a worker fleet while
-#: keeping ``repro store info`` output readable
-DEFAULT_SHARDS = 16
-
-#: hard bound on the shard count (matches the metrics label-cardinality
-#: cap so per-shard counters can never overflow into ``overflow``)
-MAX_SHARDS = 256
-
-#: metadata file naming a directory as a sharded store
-SHARD_META = "shards.json"
-
-# per-shard accounting (sharded backend only), exposed as
-# repro_store_shard_* at GET /metrics
-_SHARD_PUTS = REGISTRY.counter(
-    "repro_store_shard_puts",
-    "Result records appended per shard (sharded backend)",
-    labelnames=("shard",),
-)
-_SHARD_COMPACTIONS = REGISTRY.counter(
-    "repro_store_shard_compactions",
-    "Per-shard segment rewrites (sharded backend)",
-    labelnames=("shard",),
-)
+__all__ = ["JsonlSegment"]
 
 
 def _flock(handle, exclusive: bool, blocking: bool = True) -> bool:
@@ -107,43 +52,11 @@ def _flock(handle, exclusive: bool, blocking: bool = True) -> bool:
         return False
 
 
-def default_store_backend() -> str:
-    """Backend for stores whose path does not exist yet
-    (``REPRO_STORE_BACKEND`` env, else ``"jsonl"``).
-
-    Raises:
-        ValueError: the env var names an unknown backend.
-    """
-    name = os.environ.get(BACKEND_ENV, "").strip() or "jsonl"
-    if name not in STORE_BACKENDS:
-        raise ValueError(
-            f"{BACKEND_ENV} must be one of {list(STORE_BACKENDS)}, "
-            f"got {name!r}"
-        )
-    return name
-
-
-def detect_backend(path: pathlib.Path) -> Optional[str]:
-    """Infer the backend from what is on disk at *path*.
-
-    A directory (or a ``shards.json`` under it) is a sharded store; an
-    existing file is a single-file store; ``None`` when nothing exists
-    yet (the caller falls back to :func:`default_store_backend`).  The
-    on-disk layout always wins over the env knob, so pointing any tool
-    at an existing store never misreads it.
-    """
-    if (path / SHARD_META).exists() or path.is_dir():
-        return "sharded"
-    if path.exists():
-        return "jsonl"
-    return None
-
-
 class JsonlSegment:
     """One schema-versioned JSON-lines file of store records.
 
-    This is the unit both backends compose: an append-only file of
-    ``{"schema", "key", "spec", "result"}`` records with
+    An append-only file of ``{"schema", "key", "spec", "result"}``
+    records with
 
     * an in-memory newest-record-wins index, loaded lazily;
     * stale-schema records skipped on load (counted, dropped on
@@ -319,274 +232,3 @@ class JsonlSegment:
             tmp.replace(self.path)
         self._stale_records = 0
         return len(self._index)
-
-
-class SingleFileBackend:
-    """The original one-file JSON-lines layout (backend ``"jsonl"``).
-
-    On-disk format is unchanged from before the backend split: any
-    pre-existing ``results.jsonl`` opens under this backend untouched.
-    """
-
-    name = "jsonl"
-
-    def __init__(self, path: pathlib.Path, schema_version: int) -> None:
-        if path.is_dir():
-            raise ValueError(
-                f"{path} is a directory (a sharded store?); the jsonl "
-                "backend needs a file path"
-            )
-        self._segment = JsonlSegment(path, schema_version)
-
-    # thin delegation: one segment is the whole store
-    def get_record(self, digest: str) -> Optional[dict]:
-        return self._segment.get_record(digest)
-
-    def put_record(self, digest: str, record: dict) -> None:
-        self._segment.put_record(digest, record)
-
-    def flush(self) -> None:
-        self._segment.flush()
-
-    def batched(self, flush_every: int = 16):
-        return self._segment.batched(flush_every)
-
-    def keys(self) -> List[str]:
-        return self._segment.keys()
-
-    def __len__(self) -> int:
-        return len(self._segment)
-
-    @property
-    def stale_records(self) -> int:
-        return self._segment.stale_records
-
-    @property
-    def batch_active(self):
-        return self._segment._batch_handle
-
-    def compact(self) -> int:
-        return self._segment.compact()
-
-    def files(self) -> List[pathlib.Path]:
-        return [self._segment.path] if self._segment.path.exists() else []
-
-    def info(self) -> Dict[str, object]:
-        return {
-            "backend": self.name,
-            "records": len(self._segment),
-            "stale_records": self._segment.stale_records,
-            "size_bytes": self._segment.size_bytes(),
-        }
-
-
-class ShardedBackend:
-    """N segment files keyed by run-key digest prefix (``"sharded"``).
-
-    The root directory holds ``shards.json`` (the authoritative shard
-    count -- re-routing existing records is never attempted) and one
-    ``shard-NN.jsonl`` segment per shard, created lazily on first
-    write.  A digest routes to ``int(digest[:8], 16) % shards``, so
-    keys spread uniformly and a record's home shard is a pure function
-    of its key.
-
-    Per-shard independence is the point: appends lock only their own
-    segment (concurrent writers on different shards never contend) and
-    :meth:`compact` walks the shards one at a time -- a shard refused
-    because another process is mid-append leaves the others compacted.
-    """
-
-    name = "sharded"
-
-    def __init__(
-        self,
-        root: pathlib.Path,
-        schema_version: int,
-        shards: Optional[int] = None,
-    ) -> None:
-        if root.is_file():
-            raise ValueError(
-                f"{root} is a file (a jsonl store?); the sharded backend "
-                "needs a directory path"
-            )
-        self.root = pathlib.Path(root)
-        self.schema_version = schema_version
-        self.shards = self._resolve_shard_count(shards)
-        self._segments: Dict[int, JsonlSegment] = {}
-        # batch bookkeeping: when a store-level batch is open, segments
-        # enter their own batched() context lazily on first routed put
-        self._batch_stack: Optional[contextlib.ExitStack] = None
-        self._batch_flush_every = 1
-        self._batched_shards: set = set()
-
-    def _resolve_shard_count(self, shards: Optional[int]) -> int:
-        meta_path = self.root / SHARD_META
-        if meta_path.exists():
-            try:
-                with meta_path.open("r", encoding="utf-8") as handle:
-                    meta = json.load(handle)
-                count = int(meta["shards"])
-            except (OSError, ValueError, KeyError, TypeError) as error:
-                raise ValueError(
-                    f"unreadable sharded-store metadata {meta_path}: {error}"
-                ) from error
-            # the on-disk count is authoritative: records are already
-            # routed by it, so a conflicting request must not re-route
-            return max(1, min(MAX_SHARDS, count))
-        if shards is None:
-            env = os.environ.get(SHARDS_ENV, "").strip()
-            shards = int(env) if env else DEFAULT_SHARDS
-        if not 1 <= shards <= MAX_SHARDS:
-            raise ValueError(
-                f"shard count must be in [1, {MAX_SHARDS}], got {shards}"
-            )
-        return shards
-
-    # ------------------------------------------------------------------
-    def shard_of(self, digest: str) -> int:
-        """The home shard of a run-key digest (leading hex prefix)."""
-        try:
-            return int(digest[:8], 16) % self.shards
-        except ValueError:
-            # non-hex keys (tests, exotic callers) still route stably
-            return hash(digest) % self.shards
-
-    def shard_path(self, index: int) -> pathlib.Path:
-        return self.root / f"shard-{index:02d}.jsonl"
-
-    def _segment(self, index: int) -> JsonlSegment:
-        segment = self._segments.get(index)
-        if segment is None:
-            segment = JsonlSegment(
-                self.shard_path(index), self.schema_version
-            )
-            self._segments[index] = segment
-        return segment
-
-    def _all_segments(self) -> List[JsonlSegment]:
-        """Every shard segment (instantiating the on-disk ones)."""
-        return [self._segment(i) for i in range(self.shards)]
-
-    def _ensure_layout(self) -> None:
-        """Create the directory + metadata file on first write."""
-        meta_path = self.root / SHARD_META
-        if meta_path.exists():
-            return
-        self.root.mkdir(parents=True, exist_ok=True)
-        tmp = meta_path.with_suffix(".tmp")
-        with tmp.open("w", encoding="utf-8") as handle:
-            json.dump(
-                {"backend": self.name, "shards": self.shards, "version": 1},
-                handle,
-            )
-        tmp.replace(meta_path)
-
-    # ------------------------------------------------------------------
-    def get_record(self, digest: str) -> Optional[dict]:
-        return self._segment(self.shard_of(digest)).get_record(digest)
-
-    def put_record(self, digest: str, record: dict) -> None:
-        self._ensure_layout()
-        index = self.shard_of(digest)
-        segment = self._segment(index)
-        if self._batch_stack is not None and index not in self._batched_shards:
-            self._batch_stack.enter_context(
-                segment.batched(self._batch_flush_every)
-            )
-            self._batched_shards.add(index)
-        segment.put_record(digest, record)
-        _SHARD_PUTS.labels(str(index)).inc()
-
-    def flush(self) -> None:
-        for index in self._batched_shards:
-            self._segments[index].flush()
-
-    @contextlib.contextmanager
-    def batched(self, flush_every: int = 16):
-        """Store-level batch: each shard's append handle opens lazily on
-        the first put routed to it and closes at block exit (reentrant:
-        nested blocks reuse the outer batch)."""
-        if self._batch_stack is not None:
-            yield self  # nested: the outer batch owns the handles
-            return
-        self._batch_flush_every = max(1, flush_every)
-        with contextlib.ExitStack() as stack:
-            self._batch_stack = stack
-            try:
-                yield self
-            finally:
-                self._batch_stack = None
-                self._batched_shards.clear()
-
-    # ------------------------------------------------------------------
-    def keys(self) -> List[str]:
-        out: List[str] = []
-        for segment in self._all_segments():
-            out.extend(segment.keys())
-        return out
-
-    def __len__(self) -> int:
-        return sum(len(segment) for segment in self._all_segments())
-
-    @property
-    def stale_records(self) -> int:
-        return sum(
-            segment.stale_records for segment in self._all_segments()
-        )
-
-    @property
-    def batch_active(self):
-        return self._batch_stack
-
-    def compact(self) -> int:
-        """Compact every shard independently; returns total live records.
-
-        Raises:
-            RuntimeError: store-level batch open, or a shard refused
-                because another process holds its writer lock.  Shards
-                compacted before the refusal stay compacted -- per-shard
-                independence means a busy shard never blocks the rest
-                from being rewritten.
-        """
-        if self._batch_stack is not None:
-            raise RuntimeError("compact() is not allowed inside batched()")
-        live = 0
-        for index in range(self.shards):
-            segment = self._segment(index)
-            if not segment.path.exists():
-                continue
-            try:
-                live += segment.compact()
-            except RuntimeError as error:
-                raise RuntimeError(f"shard {index:02d}: {error}") from error
-            _SHARD_COMPACTIONS.labels(str(index)).inc()
-        return live
-
-    def files(self) -> List[pathlib.Path]:
-        return [
-            self.shard_path(i)
-            for i in range(self.shards)
-            if self.shard_path(i).exists()
-        ]
-
-    def info(self) -> Dict[str, object]:
-        shard_rows = []
-        for index in range(self.shards):
-            segment = self._segment(index)
-            shard_rows.append({
-                "shard": index,
-                "path": str(segment.path),
-                "records": len(segment),
-                "stale_records": segment.stale_records,
-                "size_bytes": segment.size_bytes(),
-            })
-        return {
-            "backend": self.name,
-            "shards": self.shards,
-            "records": sum(row["records"] for row in shard_rows),
-            "stale_records": sum(
-                row["stale_records"] for row in shard_rows
-            ),
-            "size_bytes": sum(row["size_bytes"] for row in shard_rows),
-            "shard_info": shard_rows,
-        }

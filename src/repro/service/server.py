@@ -834,7 +834,6 @@ def build_service(
     allow_traces: Optional[bool] = None,
     access_log: Optional[str] = None,
     remote: Optional[bool] = None,
-    store_backend: Optional[str] = None,
     journal: Optional[str] = None,
 ) -> SimulationService:
     """Assemble engine -> scheduler -> service with env-var defaults.
@@ -850,8 +849,7 @@ def build_service(
     store resolves like the CLI's (explicit path, else ``REPRO_STORE``,
     else the user cache directory; ``no_store`` disables persistence --
     the scheduler's in-memory record mirror still dedupes within the
-    process lifetime), and ``store_backend`` picks its on-disk layout
-    for new stores (else ``REPRO_STORE_BACKEND``, else single-file).
+    process lifetime).
     ``journal`` (or ``REPRO_SERVICE_JOURNAL=<path>``) attaches the
     write-ahead job journal: accepted work survives coordinator
     restarts, replayed against the store on startup
@@ -861,7 +859,7 @@ def build_service(
     if not no_store:
         path = store_path if store_path is not None else default_store_path()
         if path:
-            store = ResultStore(path, backend=store_backend)
+            store = ResultStore(path)
     journal_path = (
         journal if journal is not None
         else os.environ.get("REPRO_SERVICE_JOURNAL", "").strip() or None

@@ -63,18 +63,18 @@ def subprocess_env(**extra) -> dict:
 
 
 # ----------------------------------------------------------------------
-# crash injection: a writer subprocess to SIGKILL mid-append
+# store writer subprocesses: SIGKILLed mid-append, or run side by side
 _WRITER_SCRIPT = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
 from repro.engine.store import ResultStore
 from repro.engine.serialize import SCHEMA_VERSION
 
-store = ResultStore(sys.argv[2], backend=sys.argv[3])
+store = ResultStore(sys.argv[2])
 filler = "x" * 2048  # fat records: a random kill likely lands mid-line
-i = 0
+i, stop = int(sys.argv[3]), int(sys.argv[4])
 with store.batched(flush_every=1):
-    while True:
+    while stop < 0 or i < stop:
         key = "%064x" % i
         store.put_record(key, {
             "schema": SCHEMA_VERSION, "key": key,
@@ -85,11 +85,14 @@ with store.batched(flush_every=1):
 """
 
 
-def spawn_store_writer(path, backend: str) -> subprocess.Popen:
+def spawn_store_writer(path, start=0, count=None) -> subprocess.Popen:
     """Start a subprocess appending records to *path* as fast as it can
-    (one flush per record).  The caller SIGKILLs it mid-stream."""
+    (one flush per record), keyed ``start``, ``start + 1``, ...  With no
+    *count* it never stops: the caller SIGKILLs it mid-stream."""
+    stop = -1 if count is None else start + count
     return subprocess.Popen(
-        [sys.executable, "-c", _WRITER_SCRIPT, SRC_DIR, str(path), backend],
+        [sys.executable, "-c", _WRITER_SCRIPT, SRC_DIR, str(path),
+         str(start), str(stop)],
         env=subprocess_env(REPRO_STORE="", REPRO_SPANS=""),
         stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
     )
@@ -107,8 +110,8 @@ def kill_writer_after_bytes(
             raise AssertionError(
                 "writer died early: " + writer.stderr.read().decode()
             )
-        total = sum(f.stat().st_size for f in store.files())
-        if total >= min_bytes:
+        size = store.path.stat().st_size if store.path.exists() else 0
+        if size >= min_bytes:
             writer.kill()
             writer.wait(10)
             return
@@ -135,16 +138,8 @@ def corrupt_line(path: pathlib.Path, index: int) -> None:
     path.write_bytes(b"\n".join(body) + b"\n")
 
 
-def file_containing(store: ResultStore, digest: str) -> pathlib.Path:
-    """The on-disk file holding *digest*'s record (any backend)."""
-    for path in store.files():
-        if digest in path.read_text(encoding="utf-8"):
-            return path
-    raise AssertionError(f"no store file holds {digest[:12]}")
-
-
 def parseable_tail_state(path: pathlib.Path):
-    """(complete_lines, torn_tail) decomposition of a segment file.
+    """(complete_lines, torn_tail) decomposition of a store file.
 
     Complete lines are the newline-terminated ones; whatever follows
     the final newline is the torn tail a crashed writer may leave.
@@ -159,14 +154,13 @@ def assert_crash_consistent(store: ResultStore) -> int:
     line parses as JSON (only the torn tail may be garbage), and the
     loaded index agrees with what parses.  Returns the live count."""
     expected_keys = set()
-    for path in store.files():
-        complete, _tail = parseable_tail_state(path)
-        for line in complete:
-            if not line.strip():
-                continue
-            record = json.loads(line)  # raises -> corruption beyond tail
-            if record.get("schema") == store.schema_version:
-                expected_keys.add(record["key"])
+    complete, _tail = parseable_tail_state(store.path)
+    for line in complete:
+        if not line.strip():
+            continue
+        record = json.loads(line)  # raises -> corruption beyond tail
+        if record.get("schema") == store.schema_version:
+            expected_keys.add(record["key"])
     assert set(store.keys()) == expected_keys
     return len(expected_keys)
 
@@ -223,15 +217,12 @@ def free_port() -> int:
 
 
 def spawn_coordinator(
-    port: int, *, store, journal=None, remote: bool = True,
-    store_backend: str = None, workers: int = 1,
+    port: int, *, store, journal=None, remote: bool = True, workers: int = 1,
 ) -> subprocess.Popen:
     """Start a real ``repro serve`` subprocess on a fixed *port*."""
     cmd = [sys.executable, "-m", "repro", "serve",
            "--host", "127.0.0.1", "--port", str(port),
            "--store", str(store), "--workers", str(workers)]
-    if store_backend is not None:
-        cmd += ["--store-backend", store_backend]
     if remote:
         cmd.append("--remote")
     if journal is not None:

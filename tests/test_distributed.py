@@ -223,8 +223,7 @@ class TestWireFormat:
 
 # ----------------------------------------------------------------------
 def remote_service(tmp_path, **kwargs):
-    kwargs.setdefault("store_path", tmp_path / "store")
-    kwargs.setdefault("store_backend", "sharded")
+    kwargs.setdefault("store_path", tmp_path / "store.jsonl")
     kwargs.setdefault("workers", 1)
     return BackgroundService(remote=True, **kwargs)
 
@@ -292,10 +291,8 @@ class TestFleet:
                 spec = spec_from_dict(record["spec"])
                 assert record["result"] == result_to_dict(execute_spec(spec))
 
-        # the sharded store holds every record (readable after drain)
-        store = ResultStore(tmp_path / "store")
-        assert store.backend_name == "sharded"
-        assert len(store) == SWEEP_TOTAL
+        # the store holds every record (readable after drain)
+        assert len(ResultStore(tmp_path / "store.jsonl")) == SWEEP_TOTAL
 
     def test_expired_lease_requeues_to_live_worker(self, tmp_path):
         """A worker that leases work and goes silent forfeits it: the

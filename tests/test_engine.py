@@ -1,9 +1,14 @@
 """Tests for the parallel experiment engine and the persistent store."""
 
+import json
+import re
+import subprocess
 from fractions import Fraction
 
 import pytest
 
+from faultutil import fake_result, fill_store
+from repro.cli import main
 from repro.core.factory import l1d_config, ratio_config
 from repro.engine import (
     SCHEMA_VERSION,
@@ -14,6 +19,7 @@ from repro.engine import (
     execute_spec,
     result_from_dict,
     result_to_dict,
+    spec_to_dict,
 )
 from repro.harness.runner import Runner
 
@@ -170,6 +176,105 @@ class TestResultStore:
         other.put(second, execute_spec(second))
         assert store.compact() == 2
         assert len(ResultStore(path)) == 2
+
+    def test_key_lookups_take_run_key_or_digest_only(self, tmp_path):
+        store = ResultStore(tmp_path / "store.jsonl")
+        spec = smoke_spec(seed=1)
+        key = store.put(spec, fake_result(spec))
+        assert store.get(key).cycles == store.get(key.digest).cycles
+        assert key in store and key.digest in store
+        assert store.record(key) == store.record(key.digest)
+        # a spec is not a key: refuse it instead of silently missing
+        for call in (store.get, store.record, store.__contains__,
+                     lambda k: store.put_record(k, store.record(key))):
+            with pytest.raises(TypeError, match="RunSpec"):
+                call(spec)
+
+    def test_batch_handle_probe(self, tmp_path):
+        store = ResultStore(tmp_path / "store.jsonl")
+        assert store._batch_handle is None
+        with store.batched():
+            assert store._batch_handle is not None
+        assert store._batch_handle is None
+
+    def test_info_fields(self, tmp_path):
+        store = ResultStore(tmp_path / "store.jsonl")
+        fill_store(store, 3)
+        assert store.info() == {
+            "path": str(store.path),
+            "records": 3,
+            "stale_records": 0,
+            "schema_version": SCHEMA_VERSION,
+            "size_bytes": store.path.stat().st_size,
+        }
+        assert store.info()["size_bytes"] > 0
+
+    def test_cli_store_info_and_compact(self, tmp_path, capsys):
+        store = ResultStore(tmp_path / "store.jsonl")
+        fill_store(store, 4)
+        spec = smoke_spec(seed=0)  # superseded record for compact to drop
+        store.put(spec, fake_result(spec))
+
+        assert main(["store", "info", "--store", str(store.path)]) == 0
+        out = capsys.readouterr().out
+        for field in store.info():
+            assert field in out
+        assert str(store.path) in out
+
+        assert main(["store", "compact", "--store", str(store.path)]) == 0
+        out = capsys.readouterr().out
+        assert f"compacted {store.path}: 4 live records" in out
+        assert "1 dropped" in out
+
+    def test_legacy_sharded_store_fails_clearly(self, tmp_path):
+        """A directory -- a store of the removed sharded layout -- is
+        refused, and the import the message names recovers every
+        record, newest-wins order included."""
+        legacy = tmp_path / "legacy-store"
+        legacy.mkdir()
+        (legacy / "shards.json").write_text(
+            '{"backend": "sharded", "shards": 2, "version": 1}')
+        keys = []
+
+        def append(seed: int, cycles: int) -> None:
+            spec = smoke_spec(seed=seed)
+            record = {
+                "schema": SCHEMA_VERSION, "key": spec.key().digest,
+                "spec": spec_to_dict(spec),
+                "result": result_to_dict(fake_result(spec)),
+            }
+            record["result"]["cycles"] = cycles
+            shard = legacy / f"shard-{seed % 2:02d}.jsonl"
+            with shard.open("a", encoding="utf-8") as handle:
+                handle.write(json.dumps(record, sort_keys=True) + "\n")
+            keys.append(record["key"])
+
+        for seed in range(6):
+            append(seed, cycles=100 + seed)
+        append(0, cycles=999)  # a later record for seed 0, same shard
+
+        with pytest.raises(ValueError, match="sharded store layout was "
+                                             "removed") as refusal:
+            ResultStore(legacy)
+        command = re.search(r"`(cat [^`]+)`", str(refusal.value)).group(1)
+        subprocess.run(command, shell=True, cwd=tmp_path, check=True)
+
+        imported = ResultStore(tmp_path / "results.jsonl")
+        assert set(imported.keys()) == set(keys)
+        assert [imported.get(key).cycles for key in keys[:6]] == [
+            999, 101, 102, 103, 104, 105]
+
+    def test_cli_refuses_legacy_sharded_store(self, tmp_path, capsys):
+        legacy = tmp_path / "legacy-store"
+        legacy.mkdir()
+        sweep = ["sweep", "--configs", "L1-SRAM", "--workloads", "ATAX",
+                 "--scale", "smoke", "--sms", "2", "--quiet"]
+        for argv in (["store", "info"], ["store", "compact"], sweep,
+                     ["serve", "--port", "0"]):
+            assert main(argv + ["--store", str(legacy)]) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith("error: "), argv
+            assert f"cat {legacy}/shard-*.jsonl > results.jsonl" in err
 
 
 class TestEngine:

@@ -384,8 +384,8 @@ class TestTwoWorkerFleet:
         enable_spans(str(coord_log))
         try:
             with BackgroundService(
-                store_path=tmp_path / "store", store_backend="sharded",
-                remote=True, workers=1,
+                store_path=tmp_path / "store.jsonl", remote=True,
+                workers=1,
             ) as svc:
                 client = ServiceClient(svc.url)
                 workers = [

@@ -603,10 +603,10 @@ class TestCoordinatorCrash:
     def test_sigkill_mid_fleet_exactly_once(self, tmp_path):
         port = free_port()
         url = f"http://127.0.0.1:{port}"
-        store = tmp_path / "store"
+        store = tmp_path / "store.jsonl"
         journal = tmp_path / "journal.jsonl"
         spawn = lambda: spawn_coordinator(  # noqa: E731
-            port, store=store, journal=journal, store_backend="sharded",
+            port, store=store, journal=journal,
         )
         coordinator = spawn()
         workers = []
@@ -687,7 +687,7 @@ class TestCoordinatorCrash:
         # snapshot arrives, and exactly one terminal event is delivered
         port = free_port()
         url = f"http://127.0.0.1:{port}"
-        store = tmp_path / "store"
+        store = tmp_path / "store.jsonl"
         journal = tmp_path / "journal.jsonl"
         spawn = lambda: spawn_coordinator(  # noqa: E731
             port, store=store, journal=journal,

@@ -1,13 +1,11 @@
-"""Crash and corruption recovery contract for both store backends.
+"""Crash, corruption and concurrency contract of the result store.
 
 The fabric's durability claim is that a result store survives the ugly
-ways a worker fleet dies: a writer SIGKILLed mid-append, a torn final
-record, a corrupted line in the middle of a segment.  Recovery must
-lose at most the torn record, and ``compact()`` must refuse -- not
-corrupt -- while a live writer holds a segment lock.  Every test runs
-against both layouts; the recovery behaviour is identical by
-construction (both compose :class:`~repro.engine.store_backends.JsonlSegment`)
-and these tests pin that equivalence under faults.
+ways a writer dies: SIGKILLed mid-append, a torn final record, a
+corrupted line in the middle of the file.  Recovery must lose at most
+the torn record, and ``compact()`` must refuse -- not corrupt -- while
+a live writer holds the file lock.  Concurrent appenders are pinned
+too: they share the lock, and every record they write survives.
 """
 
 import json
@@ -18,7 +16,6 @@ from faultutil import (
     assert_crash_consistent,
     corrupt_line,
     fake_result,
-    file_containing,
     fill_store,
     kill_writer_after_bytes,
     parseable_tail_state,
@@ -28,12 +25,9 @@ from faultutil import (
 )
 from repro.engine import ResultStore
 
-BACKENDS = ("jsonl", "sharded")
 
-
-def make_store(tmp_path, backend: str, **kwargs) -> ResultStore:
-    path = tmp_path / ("store" if backend == "sharded" else "store.jsonl")
-    return ResultStore(path, backend=backend, **kwargs)
+def make_store(tmp_path, **kwargs) -> ResultStore:
+    return ResultStore(tmp_path / "store.jsonl", **kwargs)
 
 
 def _line_index_of(path, digest: str) -> int:
@@ -44,12 +38,11 @@ def _line_index_of(path, digest: str) -> int:
 
 
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_sigkill_mid_append_recovers(tmp_path, backend):
+def test_sigkill_mid_append_recovers(tmp_path):
     """A writer killed mid-stream loses at most its torn final record;
     the survivors load, and compact() heals the torn tail away."""
-    observer = make_store(tmp_path, backend)
-    writer = spawn_store_writer(observer.path, backend)
+    observer = make_store(tmp_path)
+    writer = spawn_store_writer(observer.path)
     try:
         kill_writer_after_bytes(writer, observer, min_bytes=200_000)
     finally:
@@ -57,7 +50,7 @@ def test_sigkill_mid_append_recovers(tmp_path, backend):
             writer.kill()
             writer.wait(10)
 
-    recovered = make_store(tmp_path, backend)
+    recovered = make_store(tmp_path)
     live = assert_crash_consistent(recovered)
     assert live > 0
     # the index serves reads for everything that survived
@@ -66,25 +59,42 @@ def test_sigkill_mid_append_recovers(tmp_path, backend):
 
     # compact() heals: same live count, and no torn tail remains
     assert recovered.compact() == live
-    for path in recovered.files():
-        complete, tail = parseable_tail_state(path)
-        assert tail == b""
-        for line in complete:
-            json.loads(line)
-    assert len(make_store(tmp_path, backend)) == live
+    complete, tail = parseable_tail_state(recovered.path)
+    assert tail == b""
+    for line in complete:
+        json.loads(line)
+    assert len(make_store(tmp_path)) == live
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_truncated_tail_loses_only_the_torn_record(tmp_path, backend):
-    store = make_store(tmp_path, backend)
+def test_concurrent_appenders_keep_every_record(tmp_path):
+    """Writers appending to one file at once share its lock: nothing
+    is lost and no line is torn -- the property that makes one store
+    file enough for every writer the fabric has."""
+    path = tmp_path / "store.jsonl"
+    count = 1500
+    writers = [
+        spawn_store_writer(path, start=index * count, count=count)
+        for index in range(3)
+    ]
+    for writer in writers:
+        _out, err = writer.communicate(timeout=120)
+        assert writer.returncode == 0, err.decode()
+
+    reopened = ResultStore(path)
+    assert assert_crash_consistent(reopened) == 3 * count
+    assert set(reopened.keys()) == {"%064x" % i for i in range(3 * count)}
+    assert parseable_tail_state(path)[1] == b""
+
+
+def test_truncated_tail_loses_only_the_torn_record(tmp_path):
+    store = make_store(tmp_path)
     keys = fill_store(store, 6)
 
-    # the most recent put is the last line of its segment: tearing a
-    # few bytes off that file tears exactly that record
-    truncate_tail(file_containing(store, keys[-1]), nbytes=10)
+    # the most recent put is the last line: tearing a few bytes off the
+    # file tears exactly that record
+    truncate_tail(store.path, nbytes=10)
 
-    recovered = make_store(tmp_path, backend)
-    assert recovered.backend_name == backend  # layout detected from disk
+    recovered = make_store(tmp_path)
     assert keys[-1] not in recovered
     assert len(recovered) == 5
     for seed, key in enumerate(keys[:-1]):
@@ -93,31 +103,27 @@ def test_truncated_tail_loses_only_the_torn_record(tmp_path, backend):
     assert_crash_consistent(recovered)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_corrupt_line_skipped_and_compacted_away(tmp_path, backend):
-    store = make_store(tmp_path, backend)
+def test_corrupt_line_skipped_and_compacted_away(tmp_path):
+    store = make_store(tmp_path)
     keys = fill_store(store, 6)
 
-    victim_file = file_containing(store, keys[0])
-    corrupt_line(victim_file, _line_index_of(victim_file, keys[0]))
+    corrupt_line(store.path, _line_index_of(store.path, keys[0]))
 
-    recovered = make_store(tmp_path, backend)
+    recovered = make_store(tmp_path)
     assert keys[0] not in recovered  # corrupt record invisible, not fatal
     assert len(recovered) == 5
     assert all(key in recovered for key in keys[1:])
 
     # compact() drops the garbage line physically
     assert recovered.compact() == 5
-    for path in recovered.files():
-        for line in path.read_text().splitlines():
-            json.loads(line)
-    assert len(make_store(tmp_path, backend)) == 5
+    for line in recovered.path.read_text().splitlines():
+        json.loads(line)
+    assert len(make_store(tmp_path)) == 5
 
 
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_compact_refuses_inside_own_batch(tmp_path, backend):
-    store = make_store(tmp_path, backend)
+def test_compact_refuses_inside_own_batch(tmp_path):
+    store = make_store(tmp_path)
     fill_store(store, 2)
     with store.batched():
         with pytest.raises(RuntimeError, match="batched"):
@@ -125,42 +131,33 @@ def test_compact_refuses_inside_own_batch(tmp_path, backend):
     assert store.compact() == 2  # fine once the batch closed
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_compact_refuses_while_writer_holds_lock(tmp_path, backend):
-    """A live writer's segment lock makes compaction refuse rather than
-    orphan the writer's inode (which would silently eat its appends)."""
-    store = make_store(tmp_path, backend)
-    keys = fill_store(store, 6)
+def test_compact_refuses_while_writer_holds_lock(tmp_path):
+    """A live writer's lock makes compaction refuse rather than orphan
+    the writer's inode (which would silently eat its appends)."""
+    store = make_store(tmp_path)
+    fill_store(store, 6)
     # duplicate every record so a successful compact is observable as
     # the file shrinking to one line per key
     for seed in range(6):
         spec = smoke_spec(seed=seed)
         store.put(spec, fake_result(spec))
 
-    writer = make_store(tmp_path, backend)
-    locked_file = file_containing(store, keys[0])
-    locked_before = locked_file.read_bytes()
+    writer = make_store(tmp_path)
+    before = store.path.read_bytes()
     with writer.batched():
-        # touch only keys[0]'s segment, so only that lock is held
         spec = smoke_spec(seed=0)
         writer.put(spec, fake_result(spec))
         writer.flush()
-        locked_held = locked_file.read_bytes()
+        held = store.path.read_bytes()
 
-        other = make_store(tmp_path, backend)
-        with pytest.raises(RuntimeError) as refusal:
-            other.compact()
-        if backend == "sharded":
-            assert "shard" in str(refusal.value)
-        # the locked segment was left exactly as the writer had it
-        assert locked_file.read_bytes() == locked_held
-    assert len(locked_file.read_bytes()) > len(locked_before)
+        with pytest.raises(RuntimeError, match="another process"):
+            make_store(tmp_path).compact()
+        # the file was left exactly as the writer had it
+        assert store.path.read_bytes() == held
+    assert len(held) > len(before)
 
-    # lock released: compaction succeeds and dedups every segment
-    assert make_store(tmp_path, backend).compact() == 6
-    reloaded = make_store(tmp_path, backend)
+    # lock released: compaction succeeds and dedups the file
+    assert make_store(tmp_path).compact() == 6
+    reloaded = make_store(tmp_path)
     assert len(reloaded) == 6
-    total_lines = sum(
-        len(path.read_text().splitlines()) for path in reloaded.files()
-    )
-    assert total_lines == 6
+    assert len(reloaded.path.read_text().splitlines()) == 6
