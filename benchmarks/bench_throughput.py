@@ -74,6 +74,7 @@ FULL_PAIRS = [
 SMOKE_PAIRS = [
     ("Dy-FUSE", "SS"),
     ("L1-SRAM", "2DCONV"),
+    ("Base-FUSE", "ATAX"),
 ]
 
 

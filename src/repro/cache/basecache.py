@@ -68,6 +68,12 @@ class BaseCache(L1DCacheModel):
     #: nor pending -- goes straight to L2 without allocating
     _bypass_pc: Optional[Callable[[int], bool]] = None
 
+    #: retry replay: a rejection (merge-full MSHR entry, full MSHR, all
+    #: ways reserved) reads no clock and mutates nothing but one tag
+    #: lookup and one reservation failure; the bypass predicate it may
+    #: consult trains only on accepted accesses
+    _replay_rejection = L1DCacheModel._replay_lookup_rejection
+
     def __init__(
         self,
         num_sets: int,
@@ -130,7 +136,7 @@ class BaseCache(L1DCacheModel):
             return AccessResult(_MISS_BYPASS, cycle, (), block)
         if (mshr.occupancy() >= mshr.num_entries
                 or not self.tags.can_reserve(block)):
-            return self.miss_path.reject(block, cycle)
+            return self.miss_path.reject()
 
         _, _, evicted = self.tags.reserve(block, cycle)
         writebacks = () if evicted is None else self.writeback.evict(evicted)

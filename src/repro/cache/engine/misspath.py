@@ -18,7 +18,7 @@ the accounting of steps 1 and 3 and of every reservation failure.
 
 from __future__ import annotations
 
-from repro.cache.interface import AccessOutcome, AccessResult
+from repro.cache.interface import REJECTED, AccessOutcome, AccessResult
 from repro.cache.mshr import MSHR, MSHREntry
 from repro.cache.request import MemoryRequest
 from repro.cache.stats import CacheStats
@@ -28,7 +28,6 @@ __all__ = [
 ]
 
 _HIT_PENDING = AccessOutcome.HIT_PENDING
-_RESERVATION_FAIL = AccessOutcome.RESERVATION_FAIL
 
 
 class MissPath:
@@ -56,12 +55,12 @@ class MissPath:
             self.stats.merged_misses += 1
             return AccessResult(_HIT_PENDING, cycle, (), block)
         self.stats.reservation_fails += 1
-        return AccessResult(_RESERVATION_FAIL, cycle, (), block)
+        return REJECTED
 
-    def reject(self, block: int, cycle: int) -> AccessResult:
+    def reject(self) -> AccessResult:
         """Count and report one structural-hazard reservation failure."""
         self.stats.reservation_fails += 1
-        return AccessResult(_RESERVATION_FAIL, cycle, (), block)
+        return REJECTED
 
     # ------------------------------------------------------------------
     @staticmethod

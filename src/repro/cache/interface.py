@@ -13,6 +13,12 @@ The GPU simulator drives any L1D through two calls:
 
 Dirty evictions surface as ``writebacks`` on either call; the simulator
 forwards them to the memory subsystem as fire-and-forget traffic.
+
+A rejected request retries every :data:`RETRY_INTERVAL` cycles.  A
+model that declares :attr:`L1DCacheModel._replay_rejection` lets a retry
+whose answer cannot have changed skip the cache walk: it re-applies the
+counter delta of the request's last real rejection and returns
+:data:`REJECTED` (docs/performance.md, "Retry replay").
 """
 
 from __future__ import annotations
@@ -26,8 +32,8 @@ from repro.cache.request import MemoryRequest
 from repro.cache.stats import CacheStats
 
 __all__ = [
-    "AccessOutcome", "AccessResult", "FillResult", "L1DCacheModel",
-    "RETRY_INTERVAL",
+    "AccessOutcome", "AccessResult", "FillResult", "L1DCacheModel", "NEVER",
+    "REJECTED", "RETRY_INTERVAL", "RejectionDelta",
 ]
 
 
@@ -73,6 +79,20 @@ class AccessResult:
 
 _RESERVATION_FAIL = AccessOutcome.RESERVATION_FAIL
 
+#: the one result every rejection returns (real or replayed): the SM
+#: reads nothing from a ``RESERVATION_FAIL`` but its outcome, so a
+#: rejection carries no ready cycle, block or writebacks
+REJECTED = AccessResult(_RESERVATION_FAIL)
+
+#: ``fail_until`` of a rejection that no passage of time can lift (only
+#: an accepted access or a fill -- a new epoch -- can)
+NEVER = 1 << 62
+
+#: a rejection's counter delta: ``(counters, field, amount)`` triples,
+#: ``counters`` being the cache's :class:`CacheStats` or another counter
+#: object the rejection bumps (the CBF array's)
+RejectionDelta = Tuple[Tuple[object, str, int], ...]
+
 
 @dataclass(slots=True)
 class FillResult:
@@ -97,6 +117,17 @@ class L1DCacheModel(abc.ABC):
     hook so that **rejected attempts are not double-counted**: an LSU
     retries a ``RESERVATION_FAIL`` every few cycles, and counting each
     attempt would inflate APKI and mistrain samplers with phantom reuse.
+
+    :meth:`access` also owns **retry replay**.  The cache's *epoch*,
+    ``stats.accesses + stats.fills``, moves with every accepted access
+    and every fill -- the only operations that change what a rejection
+    reads.  On a real rejection of a declared model, the request keeps
+    the epoch, the model's ``fail_until`` bound and the counter delta of
+    the rejection; a retry of the same request at the same epoch before
+    ``fail_until`` re-applies that delta and returns :data:`REJECTED`
+    without calling :meth:`_access_impl`.  The request's fields must not
+    change between a rejection and its retry (the SM re-presents the
+    same object).
     """
 
     #: short configuration name (e.g. ``"Dy-FUSE"``), set by factories
@@ -107,14 +138,39 @@ class L1DCacheModel(abc.ABC):
     #: straight to the predictor's ``observe``), the rest leave it None
     _observe: Optional[Callable[[MemoryRequest], None]] = None
 
+    #: Retry-replay declaration: ``() -> (fail_until, delta)``, describing
+    #: the rejection :meth:`_access_impl` just returned.  ``fail_until``
+    #: is the first cycle at which the rejection might lift without a new
+    #: epoch (:data:`NEVER` when it reads no clock); ``delta`` is every
+    #: counter increment it made.  A model may declare it only when its
+    #: rejections change nothing but those counters, and when everything
+    #: a rejection reads changes only through an accepted access or a
+    #: fill that counts ``stats.fills`` (the epoch).  ``None``, the
+    #: default, makes every retry re-run :meth:`_access_impl` -- the safe
+    #: choice for a model (a user's custom L1D) nobody has checked.
+    _replay_rejection: Optional[
+        Callable[[], Tuple[int, RejectionDelta]]
+    ] = None
+
     def __init__(self) -> None:
-        self.stats = CacheStats()
+        stats = self.stats = CacheStats()
+        #: the delta of a rejection that costs one tag lookup and one
+        #: reservation failure
+        self._lookup_rejection: RejectionDelta = (
+            (stats, "tag_lookups", 1), (stats, "reservation_fails", 1),
+        )
 
     def access(self, request: MemoryRequest, cycle: int) -> AccessResult:
         """Present one coalesced transaction to the cache at *cycle*."""
+        stats = self.stats
+        epoch = stats.accesses + stats.fills
+        if (request.fail_epoch == epoch and cycle < request.fail_until
+                and request.fail_owner is self):
+            for counters, name, amount in request.fail_delta:
+                setattr(counters, name, getattr(counters, name) + amount)
+            return REJECTED
         result = self._access_impl(request, cycle)
         if result.outcome is not _RESERVATION_FAIL:
-            stats = self.stats
             stats.accesses += 1
             if request.is_write:
                 stats.write_accesses += 1
@@ -123,7 +179,19 @@ class L1DCacheModel(abc.ABC):
             observe = self._observe
             if observe is not None:
                 observe(request)
+            return result
+        replay = self._replay_rejection
+        if replay is not None:
+            request.fail_until, request.fail_delta = replay()
+            request.fail_epoch = epoch
+            request.fail_owner = self
         return result
+
+    def _replay_lookup_rejection(self) -> Tuple[int, RejectionDelta]:
+        """Replay declaration of a model whose every rejection reads no
+        clock and costs exactly one tag lookup plus one reservation
+        failure (the baseline engines and the oracle)."""
+        return NEVER, self._lookup_rejection
 
     @abc.abstractmethod
     def _access_impl(self, request: MemoryRequest, cycle: int) -> AccessResult:

@@ -36,6 +36,10 @@ class OracleCache(L1DCacheModel):
             still models realistic miss-level parallelism.
     """
 
+    #: retry replay: a rejection (merge-full or full MSHR) reads no clock
+    #: and mutates nothing but one tag lookup and one reservation failure
+    _replay_rejection = L1DCacheModel._replay_lookup_rejection
+
     def __init__(
         self,
         read_latency: int = 1,
@@ -73,7 +77,7 @@ class OracleCache(L1DCacheModel):
         if entry is not None:
             return self.miss_path.merge(entry, request, block, cycle)
         if mshr.occupancy() >= mshr.num_entries:
-            return self.miss_path.reject(block, cycle)
+            return self.miss_path.reject()
 
         mshr.allocate(block, request, "sram", cycle)
         stats.misses += 1

@@ -74,6 +74,12 @@ class MemoryRequest:
             debugging, not as a per-transaction sequence number.
         block_addr: block-granular address (``address >> BLOCK_SHIFT``).
         is_write: True when the request is a store.
+        fail_owner / fail_epoch / fail_until / fail_delta: retry replay
+            state, written by :meth:`L1DCacheModel.access
+            <repro.cache.interface.L1DCacheModel.access>` on a real
+            rejection -- the cache, its epoch, the cycle the rejection
+            may lift and its counter delta.  A recycled request's stale
+            values never match: an accepted access moves the epoch.
 
     ``block_addr`` and ``is_write`` are plain slots derived once at
     construction, because every cache model reads them on every access.
@@ -90,6 +96,12 @@ class MemoryRequest:
     request_id: int = field(default_factory=_allocate_request_id)
     block_addr: int = field(init=False)
     is_write: bool = field(init=False)
+    fail_owner: object = field(default=None, init=False, repr=False,
+                               compare=False)
+    fail_epoch: int = field(default=-1, init=False, repr=False, compare=False)
+    fail_until: int = field(default=0, init=False, repr=False, compare=False)
+    fail_delta: tuple = field(default=(), init=False, repr=False,
+                              compare=False)
 
     def __post_init__(self) -> None:
         self.block_addr = self.address >> BLOCK_SHIFT

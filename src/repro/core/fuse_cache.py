@@ -39,6 +39,13 @@ data copy exists in either SRAM or STT-MRAM".  While a line is parked in
 the swap buffer its tag is already installed in the STT tag array and the
 probe order (SRAM, swap buffer, STT) keeps the freshest copy visible; the
 integration tests assert the single-copy invariant after every operation.
+
+Retry replay (docs/performance.md): a rejection here mutates nothing but
+counters, so the engine declares :meth:`FuseCache._replay_rejection`.
+Four rejection sites depend on the clock -- the Hybrid whole-cache gate,
+a full tag queue on an STT read hit, and a full swap buffer or tag queue
+behind an SRAM eviction -- and each records the cycle its hazard lifts;
+every other rejection lifts only with a new epoch.
 """
 
 from __future__ import annotations
@@ -48,11 +55,13 @@ from typing import Optional, Tuple
 
 from repro.cache.engine import BankPort, MissPath, WritebackSink
 from repro.cache.interface import (
+    NEVER,
     RETRY_INTERVAL,
     AccessOutcome,
     AccessResult,
     FillResult,
     L1DCacheModel,
+    RejectionDelta,
 )
 from repro.cache.mshr import MSHR
 from repro.cache.request import BLOCK_SIZE, MemoryRequest
@@ -233,6 +242,27 @@ class FuseCache(L1DCacheModel):
         #: fill-time predicted levels keyed by block, applied at fill
         self._pending_levels: dict = {}
 
+        # retry replay: the deltas of the clock-bounded rejections, and
+        # the notes a rejection site leaves for _replay_rejection
+        stats = self.stats
+        lookup = self._lookup_rejection
+        stall = (stats, "stt_write_stall_cycles", RETRY_INTERVAL)
+        self._gate_rejection: RejectionDelta = (
+            stall, (stats, "bank_wait_cycles", RETRY_INTERVAL),
+            (stats, "reservation_fails", 1),
+        )
+        self._queue_full_rejection: RejectionDelta = lookup + (
+            (stats, "tag_queue_full_events", 1), stall,
+        )
+        self._swap_full_rejection: RejectionDelta = lookup + (
+            (stats, "swap_buffer_full_events", 1), stall,
+        )
+        self._fail_until = NEVER
+        self._fail_delta = lookup
+        #: the latest approximated tag search (every rejection past the
+        #: gate follows one in the same access)
+        self._search = None
+
     # ==================================================================
     # predictor scoring
     def _score_departure(self, line: CacheLine) -> None:
@@ -272,10 +302,15 @@ class FuseCache(L1DCacheModel):
             if self.swap.is_full(cycle):
                 self.stats.swap_buffer_full_events += 1
                 self.stats.stt_write_stall_cycles += RETRY_INTERVAL
+                release = self.swap.next_release(cycle)
+                self._fail_until = NEVER if release is None else release
+                self._fail_delta = self._swap_full_rejection
                 return _HAZARD
             if self.tag_queue.is_full(cycle):
                 self.stats.tag_queue_full_events += 1
                 self.stats.stt_write_stall_cycles += RETRY_INTERVAL
+                self._fail_until = self.tag_queue.head_completion(cycle)
+                self._fail_delta = self._queue_full_rejection
                 return _HAZARD
         if not self.stt.can_reserve(victim.block_addr):
             return _HAZARD
@@ -350,7 +385,10 @@ class FuseCache(L1DCacheModel):
             gate_wait = min(self._cache_busy_until - cycle, RETRY_INTERVAL)
             stats.stt_write_stall_cycles += gate_wait
             stats.bank_wait_cycles += gate_wait
-            return self.miss_path.reject(block, cycle)
+            # a retry pays the same wait while a full interval remains
+            self._fail_until = self._cache_busy_until - RETRY_INTERVAL + 1
+            self._fail_delta = self._gate_rejection
+            return self.miss_path.reject()
 
         stats.tag_lookups += 1
         is_write = request.is_write
@@ -392,7 +430,7 @@ class FuseCache(L1DCacheModel):
         if approx is None:
             search_cycles = 1
         else:
-            result = approx.search(block)
+            result = self._search = approx.search(block)
             stats.tag_searches += 1
             stats.tag_search_iterations += result.iterations
             stats.cbf_tests += 1
@@ -409,21 +447,21 @@ class FuseCache(L1DCacheModel):
         if entry is not None:
             return self.miss_path.merge(entry, request, block, cycle)
         if mshr.occupancy() >= mshr.num_entries:
-            return self.miss_path.reject(block, cycle)
+            return self.miss_path.reject()
 
         decision = self.arbiter.fill_destination(request.pc)
         writebacks: Tuple[int, ...] = ()
         if decision.destination is Destination.SRAM:
             plan = self._plan_sram_eviction(block, cycle)
             if plan is _HAZARD:
-                return self.miss_path.reject(block, cycle)
+                return self.miss_path.reject()
             _, _, evicted = self.sram.reserve(block, cycle)
             if evicted is not None:
                 writebacks = self._handle_sram_eviction(evicted, cycle, plan)
             destination = "sram"
         else:
             if not self.stt.can_reserve(block):
-                return self.miss_path.reject(block, cycle)
+                return self.miss_path.reject()
             _, _, evicted = self.stt.reserve(block, cycle)
             if evicted is not None:
                 if approx is not None:
@@ -437,6 +475,39 @@ class FuseCache(L1DCacheModel):
         # eviction (Figure 16).
         self._pending_levels[block] = decision.level
         return AccessResult(_MISS, cycle, writebacks, block)
+
+    # ------------------------------------------------------------------
+    def _replay_rejection(self) -> Tuple[int, RejectionDelta]:
+        """Retry replay: describe the rejection :meth:`_access_impl` just
+        returned -- the cycle its clock-bounded hazard lifts (the site's
+        note, :data:`NEVER` otherwise) and every counter it bumped,
+        the CBF array's own search counters included."""
+        until, delta = self._fail_until, self._fail_delta
+        self._fail_until, self._fail_delta = NEVER, self._lookup_rejection
+        search = self._search
+        if search is not None and delta is not self._gate_rejection:
+            stats, approx = self.stats, self.approx
+            iterations = search.iterations
+            delta += (
+                (stats, "tag_searches", 1),
+                (stats, "cbf_tests", 1),
+                (stats, "tag_search_iterations", iterations),
+                (approx, "total_searches", 1),
+                (approx, "total_iterations", iterations),
+            )
+            if not approx.exact:
+                delta += ((approx, "tests", 1),)
+            false_positives = search.false_positives
+            if false_positives:
+                delta += (
+                    (stats, "cbf_false_positives", false_positives),
+                    (approx, "false_positive_groups", false_positives),
+                )
+            if search.cycles > 1:
+                delta += (
+                    (stats, "tag_search_stall_cycles", search.cycles - 1),
+                )
+        return until, delta
 
     # ------------------------------------------------------------------
     def _serve_stt_hit(
@@ -457,7 +528,9 @@ class FuseCache(L1DCacheModel):
                 if tag_queue.is_full(cycle):
                     stats.tag_queue_full_events += 1
                     stats.stt_write_stall_cycles += RETRY_INTERVAL
-                    return self.miss_path.reject(block, cycle)
+                    self._fail_until = tag_queue.head_completion(cycle)
+                    self._fail_delta = self._queue_full_rejection
+                    return self.miss_path.reject()
                 ready = tag_queue.enqueue(
                     "read", cycle, extra_search_cycles=search_cycles - 1
                 )
@@ -505,7 +578,7 @@ class FuseCache(L1DCacheModel):
         # The SRAM side must be able to take the line first.
         plan = self._plan_sram_eviction(block, cycle)
         if plan is _HAZARD:
-            return self.miss_path.reject(block, cycle)
+            return self.miss_path.reject()
 
         drain_done, _ = self.tag_queue.flush(cycle)
         stats.tag_queue_flushes += 1

@@ -84,6 +84,16 @@ class SwapBuffer:
         self._prune(cycle)
         return block_addr in self._entries
 
+    def next_release(self, cycle: int) -> Optional[int]:
+        """Earliest cycle after *cycle* at which an entry drains, or None
+        when nothing is parked.  A full buffer stays full until then
+        unless a new eviction is staged."""
+        self._prune(cycle)
+        entries = self._entries
+        if not entries:
+            return None
+        return min([entry.release_cycle for entry in entries.values()])
+
     # ------------------------------------------------------------------
     def stage(
         self,
@@ -133,8 +143,12 @@ class SwapBuffer:
             self.stats.write_hits += 1
         return True
 
-    def entry_metadata(self, block_addr: int) -> Optional[_SwapEntry]:
-        """Metadata of a parked line (used when the line lands in STT)."""
+    def entry_metadata(
+        self, block_addr: int, cycle: int
+    ) -> Optional[_SwapEntry]:
+        """Metadata of the line parked for *block_addr* at *cycle*, or
+        None once its "F" command has drained (diagnostics and tests)."""
+        self._prune(cycle)
         return self._entries.get(block_addr)
 
     def pending_blocks(self, cycle: int) -> List[int]:

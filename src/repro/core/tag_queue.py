@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Tuple
+from typing import Deque, Optional, Tuple
 
 __all__ = [
     "TagQueue", "TagQueueStats",
@@ -90,6 +90,14 @@ class TagQueue:
     def free_at(self) -> int:
         """Cycle at which the bank drains everything currently queued."""
         return self._free_at
+
+    def head_completion(self, cycle: int) -> Optional[int]:
+        """Completion cycle of the oldest operation still pending at
+        *cycle*, or None when the queue is empty.  The FIFO retires from
+        its head, so a full queue stays full until then unless something
+        is enqueued."""
+        self._prune(cycle)
+        return self._pending[0] if self._pending else None
 
     # ------------------------------------------------------------------
     def enqueue(

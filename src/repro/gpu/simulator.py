@@ -13,10 +13,14 @@ cycle, the simulator keeps the set of SMs that might issue now.  An SM
 that reports "nothing to do" leaves the set and registers its next
 possible issue cycle in a wake heap; it re-enters when that cycle
 arrives or when an ``EV_WAKE`` event fires (a warp's last outstanding
-load retired).  Wake entries may go stale (a retry can push the issue
-port further out) -- a stale wake just triggers one no-op poll, which
-keeps the schedule bit-identical to the poll-every-SM loop this
-replaced (pinned by ``tests/test_golden_parity.py``).
+load retired).  An SM whose issue port is busy when its turn comes --
+a compute span, or a retry that pushed the port past a wake it had
+already registered -- is not polled: it re-parks at
+``port_busy_until``.  That cycle is one the loop visits anyway (the
+compute warp is ready then, or the retry event fires then), so the
+schedule and every sampled timeline row stay bit-identical to the
+poll-every-SM loop this replaced (pinned by
+``tests/test_golden_parity.py``).
 
 Events live in a typed wheel: fixed-shape heap entries tagged
 ``EV_FILL`` (off-chip response for a block), ``EV_RETRY`` (re-present a
@@ -191,7 +195,15 @@ class GPUSimulator:
             if active:
                 for sm_id in sorted(active):
                     sm = sms[sm_id]
-                    if sm.try_issue(cycle):
+                    busy_until = sm.port_busy_until
+                    if busy_until > cycle:
+                        # a compute span or a retry holds the issue
+                        # port: re-park at the cycle it frees instead of
+                        # polling (a cycle the loop visits anyway, see
+                        # the module docstring)
+                        active.discard(sm_id)
+                        heappush(wake_heap, (busy_until, sm_id))
+                    elif sm.try_issue(cycle):
                         issued_any = True
                     else:
                         active.discard(sm_id)

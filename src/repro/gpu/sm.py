@@ -33,7 +33,11 @@ depth, so steady state creates no request objects at all.
 
 ``RESERVATION_FAIL`` results retry after ``RETRY_INTERVAL`` cycles, which
 is how structural hazards (MSHR full, tag-queue full, swap-buffer full,
-all-ways-reserved) convert into the stall cycles of Figure 15.
+all-ways-reserved) convert into the stall cycles of Figure 15.  Every
+retry re-enters :meth:`SM._present` and calls the L1D's ``access``; a
+retry the cache can answer without walking its arrays is replayed
+there (:class:`~repro.cache.interface.L1DCacheModel`), so the SM counts
+``retries`` and the cache ``reservation_fails``, one each per attempt.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ from heapq import heappush
 from typing import TYPE_CHECKING, List, Optional
 
 from repro.cache.interface import (
+    REJECTED,
     RETRY_INTERVAL,
     AccessOutcome,
     L1DCacheModel,
@@ -268,50 +273,54 @@ class SM:
                 f"{self.sm_id} exceeded {MAX_RETRIES} retries"
             )
         result = self.l1d.access(request, cycle)
+        if result is not REJECTED:
+            for dirty_block in result.writebacks:
+                self.memory.issue_writeback(dirty_block, self.sm_id, cycle)
 
-        for dirty_block in result.writebacks:
-            self.memory.issue_writeback(dirty_block, self.sm_id, cycle)
-
-        outcome = result.outcome
-        if outcome is _HIT:
-            if waiting_warp is not None and waiting_warp.complete_transaction_at(
-                result.ready_cycle
-            ):
-                self._post_wake(waiting_warp.ready_at)
-            self._request_pool.append(request)
-            return
-        if outcome is _HIT_PENDING:
-            # the fill's completion list will include this request
-            return
-        if outcome is _MISS:
-            block = request.block_addr
-            heappush(self._events, (
-                self.memory.issue_read(block, self.sm_id, cycle),
-                self._next_seq(), EV_FILL, self, block, None, 0,
-            ))
-            return
-        if outcome is _MISS_BYPASS:
-            if request.is_write:
-                # a bypassed store is write traffic straight to L2
-                self.memory.issue_writeback(
-                    request.block_addr, self.sm_id, cycle
-                )
-            else:
-                completion = self.memory.issue_read(
-                    request.block_addr, self.sm_id, cycle
-                )
+            outcome = result.outcome
+            if outcome is _HIT:
                 if waiting_warp is not None and (
-                    waiting_warp.complete_transaction_at(completion)
+                    waiting_warp.complete_transaction_at(result.ready_cycle)
                 ):
                     self._post_wake(waiting_warp.ready_at)
-            self._request_pool.append(request)
-            return
-        # RESERVATION_FAIL: the LSU cannot hand the transaction over, so
-        # the in-order memory pipeline backs up and the SM's issue port
-        # stalls until the retry -- this is how cache thrashing (MSHR and
-        # way exhaustion) throttles the whole SM, the paper's motivating
+                self._request_pool.append(request)
+                return
+            if outcome is _HIT_PENDING:
+                # the fill's completion list will include this request
+                return
+            if outcome is _MISS:
+                block = request.block_addr
+                heappush(self._events, (
+                    self.memory.issue_read(block, self.sm_id, cycle),
+                    self._next_seq(), EV_FILL, self, block, None, 0,
+                ))
+                return
+            if outcome is _MISS_BYPASS:
+                if request.is_write:
+                    # a bypassed store is write traffic straight to L2
+                    self.memory.issue_writeback(
+                        request.block_addr, self.sm_id, cycle
+                    )
+                else:
+                    completion = self.memory.issue_read(
+                        request.block_addr, self.sm_id, cycle
+                    )
+                    if waiting_warp is not None and (
+                        waiting_warp.complete_transaction_at(completion)
+                    ):
+                        self._post_wake(waiting_warp.ready_at)
+                self._request_pool.append(request)
+                return
+        # RESERVATION_FAIL -- the shared REJECTED, tested first because
+        # retries outnumber accepted accesses in a storm, or a custom
+        # model's own rejection, which falls through the chain above.
+        # The LSU cannot hand the transaction over, so the in-order
+        # memory pipeline backs up and the SM's issue port stalls until
+        # the retry -- this is how cache thrashing (MSHR and way
+        # exhaustion) throttles the whole SM, the paper's motivating
         # pathology for the small L1-SRAM.  The request rides the retry
-        # event and re-enters here, so it is not recycled yet.
+        # event and re-enters here, so it is not recycled yet (nor
+        # changed: the L1D may replay its last rejection).
         self.retries += 1
         retry_at = cycle + RETRY_INTERVAL
         if retry_at > self.port_busy_until:

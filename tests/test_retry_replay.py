@@ -1,0 +1,340 @@
+"""Retry replay: a retry whose answer cannot have changed skips the walk.
+
+:meth:`L1DCacheModel.access` replays a rejected request's last real
+rejection -- same counter delta, shared :data:`REJECTED` result -- while
+the cache's epoch (``accesses + fills``) and the rejection's
+``fail_until`` cycle still hold, for models that declare
+``_replay_rejection``.  These tests pin that the shortcut is invisible:
+
+* replay on and replay off (the declarations patched back to the
+  undeclared default) give identical payloads and CBF counters, for
+  every configuration, both on whole simulations and on hand-driven
+  retry sequences that exercise the clock-bounded FUSE hazards;
+* an undeclared model never replays, and the ``MAX_RETRIES`` livelock
+  guard still fires for a declared one;
+* the SM/cache accounting identity ``retries == reservation_fails``
+  holds for every configuration;
+* the run loop never polls an SM whose issue port is busy.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import dataclasses
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.cache.basecache import BaseCache
+from repro.cache.interface import (
+    NEVER,
+    REJECTED,
+    RETRY_INTERVAL,
+    AccessOutcome,
+    FillResult,
+    L1DCacheModel,
+)
+from repro.cache.nvm_bypass import ByNVMCache
+from repro.cache.oracle import OracleCache
+from repro.core.factory import known_configs, make_l1d
+from repro.core.fuse_cache import FuseCache, FuseFeatures
+from repro.engine.serialize import result_to_dict
+from repro.engine.spec import (
+    RunSpec,
+    arena_for_spec,
+    execute_spec,
+    gpu_profile,
+)
+from repro.gpu.config import fermi_like
+from repro.gpu.simulator import GPUSimulator
+from repro.gpu.sm import SM
+from repro.workloads.trace import load_instruction
+from tests.conftest import load, store
+
+_RESERVATION_FAIL = AccessOutcome.RESERVATION_FAIL
+
+#: smoke workloads whose runs retry: ATAX storms on the FUSE and
+#: L1-SRAM configs, GEMM fills every MSHR, SS exercises Dy-FUSE
+RETRY_WORKLOADS = ["ATAX", "GEMM", "SS"]
+
+#: the CBF array's own lifetime counters
+CBF_COUNTERS = ("tests", "total_searches", "total_iterations",
+                "false_positive_groups")
+
+
+def _declaring_classes():
+    found, todo = [], [L1DCacheModel]
+    while todo:
+        cls = todo.pop()
+        todo.extend(cls.__subclasses__())
+        if "_replay_rejection" in vars(cls) and cls is not L1DCacheModel:
+            found.append(cls)
+    return found
+
+
+@contextlib.contextmanager
+def replay_off():
+    """Patch every model declaration back to the undeclared default."""
+    saved = {cls: vars(cls)["_replay_rejection"]
+             for cls in _declaring_classes()}
+    try:
+        for cls in saved:
+            cls._replay_rejection = None
+        yield
+    finally:
+        for cls, declaration in saved.items():
+            cls._replay_rejection = declaration
+
+
+def test_the_bundled_engines_declare_replay():
+    assert {cls.__name__ for cls in _declaring_classes()} >= {
+        "BaseCache", "OracleCache", "FuseCache",
+    }
+    with replay_off():
+        assert not [cls for cls in _declaring_classes()
+                    if cls._replay_rejection is not None]
+    assert BaseCache._replay_rejection is not None
+
+
+# ----------------------------------------------------------------------
+# whole simulations
+def _simulate(config: str, workload: str, seed: int, num_sms: int):
+    spec = RunSpec.build(config, workload, scale="smoke", seed=seed,
+                         num_sms=num_sms)
+    arena = arena_for_spec(spec)
+    sim = GPUSimulator(
+        gpu_profile(spec.gpu_profile).with_overrides(num_sms=num_sms),
+        l1d_factory=lambda: make_l1d(spec.l1d),
+        warps_per_sm=arena.warps_per_sm,
+        arena=arena,
+    )
+    result = sim.run(workload_name=workload, config_name=config)
+    cbf = [
+        tuple(getattr(sm.l1d.approx, name) for name in CBF_COUNTERS)
+        for sm in sim.sms if getattr(sm.l1d, "approx", None) is not None
+    ]
+    return result_to_dict(result), cbf
+
+
+@pytest.mark.parametrize("config", known_configs())
+@settings(max_examples=3, deadline=None)
+@given(
+    workload=st.sampled_from(RETRY_WORKLOADS),
+    seed=st.integers(min_value=0, max_value=2**16),
+    num_sms=st.integers(min_value=1, max_value=4),
+)
+def test_replay_on_equals_replay_off(config, workload, seed, num_sms):
+    payload, cbf = _simulate(config, workload, seed, num_sms)
+    with replay_off():
+        payload_off, cbf_off = _simulate(config, workload, seed, num_sms)
+    assert payload == payload_off
+    assert cbf == cbf_off
+
+
+@pytest.mark.parametrize("config", known_configs())
+def test_every_retry_is_one_reservation_fail(config):
+    for workload in RETRY_WORKLOADS:
+        result = execute_spec(
+            RunSpec.build(config, workload, scale="smoke", num_sms=2)
+        )
+        assert result.retries == result.l1d.reservation_fails
+
+
+# ----------------------------------------------------------------------
+# hand-driven retry sequences
+def _small_fuse(features, swap_entries=1, tag_queue_capacity=2):
+    # a 4-set SRAM bank churns evictions through tiny staging buffers:
+    # every clock-bounded hazard fires often (a one-entry queue fills
+    # while the swap buffer is free, the plan's second hazard)
+    return lambda: FuseCache(
+        sram_kb=1, sram_assoc=2, stt_kb=4, stt_assoc=2, features=features,
+        swap_entries=swap_entries, tag_queue_capacity=tag_queue_capacity,
+        mshr_entries=4, mshr_max_merge=2,
+    )
+
+
+MODELS = {
+    "hybrid": _small_fuse(FuseFeatures.hybrid()),
+    "base-fuse": _small_fuse(FuseFeatures.base_fuse()),
+    "base-fuse-short-queue": _small_fuse(FuseFeatures.base_fuse(), 2, 1),
+    "fa-fuse": _small_fuse(FuseFeatures.fa_fuse()),
+    "dy-fuse": _small_fuse(FuseFeatures.dy_fuse()),
+    "dy-fuse-short-queue": _small_fuse(FuseFeatures.dy_fuse(), 2, 1),
+    "sram": lambda: BaseCache(4, 2, mshr_entries=2, mshr_max_merge=2),
+    "by-nvm": lambda: ByNVMCache(size_kb=2, assoc=2, mshr_entries=2),
+    "oracle": lambda: OracleCache(mshr_entries=2, mshr_max_merge=2),
+}
+
+#: (kind -- 0 a store, else a load --, block, pc_index, cycles since the
+#: previous request, retry gap, retries, fill latency)
+ATTEMPT = st.tuples(
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=0, max_value=23),
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=0, max_value=2),
+    st.integers(min_value=0, max_value=6),
+    st.integers(min_value=0, max_value=8),
+    st.integers(min_value=1, max_value=30),
+)
+
+
+def _drive(make, attempts):
+    """Present each request, retrying rejections at the drawn gap, and
+    deliver fills in completion order; returns everything observable."""
+    cache = make()
+    cycle, outcomes, inflight = 0, [], []
+    for kind, block, pc_index, advance, gap, retries, latency in attempts:
+        cycle += advance
+        request = (store if kind == 0 else load)(
+            block << 7, pc=0x40 + pc_index * 8, warp_id=pc_index * 12
+        )
+        for _ in range(retries + 1):
+            inflight.sort()
+            while inflight and inflight[0][0] <= cycle:
+                cache.fill(inflight.pop(0)[1], cycle)
+            result = cache.access(request, cycle)
+            outcomes.append(result.outcome)
+            if result.outcome is not _RESERVATION_FAIL:
+                break
+            cycle += gap
+        if result.outcome is AccessOutcome.MISS:
+            inflight.append((cycle + latency, block))
+    state = [outcomes, cache.stats.as_dict()]
+    for part in ("swap", "tag_queue"):
+        if hasattr(cache, part):
+            state.append(dataclasses.asdict(getattr(cache, part).stats))
+    approx = getattr(cache, "approx", None)
+    if approx is not None:
+        state.append({name: getattr(approx, name) for name in CBF_COUNTERS})
+    return state
+
+
+@pytest.mark.parametrize("model", sorted(MODELS))
+@settings(max_examples=40, deadline=None)
+@given(attempts=st.lists(ATTEMPT, max_size=80))
+def test_retry_sequences_match_real_walks(model, attempts):
+    replayed = _drive(MODELS[model], attempts)
+    with replay_off():
+        walked = _drive(MODELS[model], attempts)
+    assert replayed == walked
+
+
+class CountingCache(L1DCacheModel):
+    """Rejects everything; counts the walks it is asked for."""
+
+    name = "counting"
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.walks = 0
+
+    def _access_impl(self, request, cycle):
+        self.walks += 1
+        self.stats.tag_lookups += 1
+        self.stats.reservation_fails += 1
+        return REJECTED
+
+    def fill(self, block_addr, cycle):  # pragma: no cover - never missed
+        return FillResult(cycle, [], ())
+
+
+class DeclaredCountingCache(CountingCache):
+    _replay_rejection = L1DCacheModel._replay_lookup_rejection
+
+
+def _rejecting_sim(model) -> GPUSimulator:
+    return GPUSimulator(
+        fermi_like().with_overrides(num_sms=1),
+        l1d_factory=model,
+        warp_streams=lambda sm_id, warp_id: [load_instruction(0x40, [0])],
+        warps_per_sm=1,
+        max_cycles=10_000_000,
+    )
+
+
+class TestDeclarations:
+    def test_undeclared_model_never_replays(self):
+        cache = CountingCache()
+        request = load(0x80)
+        for cycle in range(10):
+            assert cache.access(request, cycle) is REJECTED
+        assert cache.walks == 10
+        assert request.fail_owner is None
+
+    def test_declared_model_replays_until_a_new_epoch(self):
+        cache = DeclaredCountingCache()
+        request = load(0x80)
+        for cycle in range(10):
+            assert cache.access(request, cycle) is REJECTED
+        assert cache.walks == 1
+        assert cache.stats.reservation_fails == 10
+        assert cache.stats.tag_lookups == 10
+        cache.stats.fills += 1  # a fill opens a new epoch
+        cache.access(request, 10)
+        assert cache.walks == 2
+
+    def test_replay_is_bound_to_its_cache(self):
+        first, second = DeclaredCountingCache(), DeclaredCountingCache()
+        request = load(0x80)
+        first.access(request, 0)
+        second.access(request, 1)  # same epoch, other cache: a real walk
+        assert (first.walks, second.walks) == (1, 1)
+        assert first.stats.reservation_fails == 1
+
+    @pytest.mark.parametrize("model", [CountingCache, DeclaredCountingCache])
+    def test_livelock_guard_still_fires(self, model, monkeypatch):
+        monkeypatch.setattr("repro.gpu.sm.MAX_RETRIES", 50)
+        sim = _rejecting_sim(model)
+        with pytest.raises(RuntimeError, match="livelock"):
+            sim.run()
+        sm = sim.sms[0]
+        assert sm.retries == 51
+        assert sm.l1d.stats.reservation_fails == sm.retries
+        assert sm.l1d.walks == (51 if model is CountingCache else 1)
+
+
+class TestClockBounds:
+    def test_hybrid_gate_replays_while_a_full_interval_remains(self):
+        cache = MODELS["hybrid"]()
+        cache._cache_busy_until = 100  # an STT write blocks the cache
+        request = load(7 << 7)
+        assert cache.access(request, 2) is REJECTED
+        assert request.fail_until == 100 - RETRY_INTERVAL + 1
+        stats = cache.stats
+        stall = stats.stt_write_stall_cycles
+        # replayed: the same full interval of gate wait
+        cache.access(request, request.fail_until - 1)
+        assert stats.stt_write_stall_cycles == stall + RETRY_INTERVAL
+        # from fail_until on the wait is shorter, so the retry walks
+        cache.access(request, request.fail_until)
+        assert stats.stt_write_stall_cycles == (
+            stall + RETRY_INTERVAL + RETRY_INTERVAL - 1
+        )
+
+    def test_lookup_rejections_never_lift_by_time(self):
+        cache = BaseCache(4, 2, mshr_entries=1)
+        cache.access(load(1 << 7), 0)
+        request = load(2 << 7)
+        assert cache.access(request, 0) is REJECTED
+        assert request.fail_until == NEVER
+
+
+def test_run_loop_never_polls_a_busy_port(monkeypatch):
+    """A retry storm (Base-FUSE x ATAX) pushes the issue port out again
+    and again; the SM re-parks at the free cycle instead of polling."""
+    busy_polls, polls = [], []
+    try_issue = SM.try_issue
+
+    def counting_try_issue(self, cycle):
+        polls.append(cycle)
+        if cycle < self.port_busy_until:
+            busy_polls.append(cycle)
+        return try_issue(self, cycle)
+
+    monkeypatch.setattr(SM, "try_issue", counting_try_issue)
+    result = execute_spec(
+        RunSpec.build("Base-FUSE", "ATAX", scale="smoke", num_sms=2)
+    )
+    assert result.retries > 10 * result.l1d.accesses
+    assert polls
+    assert busy_polls == []

@@ -56,6 +56,16 @@ class TestTagQueueService:
         assert queue.occupancy(6) == 1
         assert queue.occupancy(10) == 0
 
+    def test_head_completion_bounds_a_full_queue(self):
+        queue = TagQueue(capacity=2)
+        assert queue.head_completion(0) is None
+        queue.enqueue("fill", 0)       # completes at 5
+        queue.enqueue("read", 0)       # behind it: completes at 6
+        assert queue.head_completion(0) == 5
+        assert queue.is_full(4)
+        assert not queue.is_full(queue.head_completion(4))
+        assert queue.head_completion(5) == 6
+
     def test_unknown_op_rejected(self):
         queue = TagQueue()
         with pytest.raises(ValueError, match="unknown tag-queue op"):
@@ -121,8 +131,24 @@ class TestSwapBuffer:
         buffer = SwapBuffer(1)
         buffer.stage(0x10, 0, release_cycle=50, dirty=False)
         buffer.touch(0x10, 5, is_write=True)
-        assert buffer.entry_metadata(0x10).dirty
+        assert buffer.entry_metadata(0x10, 5).dirty
         assert buffer.stats.write_hits == 1
+
+    def test_entry_metadata_ends_when_the_line_drains(self):
+        buffer = SwapBuffer(1)
+        buffer.stage(0x10, 0, release_cycle=50)
+        assert buffer.entry_metadata(0x10, 49) is not None
+        assert buffer.entry_metadata(0x10, 50) is None
+
+    def test_next_release_bounds_a_full_buffer(self):
+        buffer = SwapBuffer(2)
+        assert buffer.next_release(0) is None
+        buffer.stage(0x10, 0, release_cycle=60)
+        buffer.stage(0x20, 0, release_cycle=40)
+        assert buffer.next_release(0) == 40
+        assert buffer.is_full(39)
+        assert not buffer.is_full(buffer.next_release(39))
+        assert buffer.next_release(45) == 60
 
     def test_pending_blocks_listing(self):
         buffer = SwapBuffer(3)
