@@ -1,5 +1,6 @@
-"""Generic cache substrate: tag arrays, replacement policies, MSHRs and the
-baseline L1D cache models the paper evaluates FUSE against.
+"""Generic cache substrate: tag arrays (with the paper's LRU and FIFO
+replacement), MSHRs and the baseline L1D cache models the paper evaluates
+FUSE against.
 
 The modules in this package know nothing about STT-MRAM heterogeneity; they
 provide the building blocks (``TagArray``, ``MSHR``, ``BaseCache``) that both
@@ -17,13 +18,6 @@ from repro.cache.mshr import MSHR, MSHREntry
 from repro.cache.basecache import BaseCache
 from repro.cache.nvm_bypass import ByNVMCache, DeadWritePredictor
 from repro.cache.oracle import OracleCache
-from repro.cache.replacement import (
-    FIFOPolicy,
-    LRUPolicy,
-    PseudoLRUPolicy,
-    RandomPolicy,
-    make_replacement_policy,
-)
 from repro.cache.request import AccessType, MemoryRequest, block_address
 from repro.cache.sram_cache import make_fa_sram_cache, make_sram_cache
 from repro.cache.stats import CacheStats
@@ -38,19 +32,14 @@ __all__ = [
     "CacheLine",
     "CacheStats",
     "DeadWritePredictor",
-    "FIFOPolicy",
     "FillResult",
     "L1DCacheModel",
-    "LRUPolicy",
     "MSHR",
     "MSHREntry",
     "MemoryRequest",
     "OracleCache",
-    "PseudoLRUPolicy",
-    "RandomPolicy",
     "TagArray",
     "block_address",
     "make_fa_sram_cache",
-    "make_replacement_policy",
     "make_sram_cache",
 ]

@@ -55,7 +55,6 @@ class BaseCache(L1DCacheModel):
         read_occupancy: bank busy time per read (1 = fully pipelined).
         write_occupancy: bank busy time per write; STT-MRAM writes block
             the bank for the whole write (defaults to ``write_latency``).
-        replacement: replacement policy name.
         mshr_entries / mshr_max_merge: MSHR geometry.
         technology: ``"sram"`` or ``"stt"``; routes energy event counters.
     """
@@ -82,7 +81,6 @@ class BaseCache(L1DCacheModel):
         write_latency: int = 1,
         read_occupancy: int = 1,
         write_occupancy: Optional[int] = None,
-        replacement: str = "lru",
         mshr_entries: int = 32,
         mshr_max_merge: int = 8,
         technology: str = "sram",
@@ -90,7 +88,7 @@ class BaseCache(L1DCacheModel):
     ) -> None:
         super().__init__()
         self.name = name
-        self.tags = TagArray(num_sets, assoc, replacement)
+        self.tags = TagArray(num_sets, assoc, "lru")
         self.mshr = MSHR(mshr_entries, mshr_max_merge)
         self.read_latency = read_latency
         self.write_latency = write_latency

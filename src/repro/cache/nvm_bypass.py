@@ -99,7 +99,6 @@ class ByNVMCache(BaseCache):
             read_latency=read_latency,
             write_latency=write_latency,
             write_occupancy=write_latency,
-            replacement="lru",
             mshr_entries=mshr_entries,
             mshr_max_merge=mshr_max_merge,
             technology="stt",

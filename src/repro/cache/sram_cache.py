@@ -37,7 +37,6 @@ def make_sram_cache(
         assoc=assoc,
         read_latency=1,
         write_latency=1,
-        replacement="lru",
         mshr_entries=mshr_entries,
         mshr_max_merge=mshr_max_merge,
         technology="sram",
@@ -58,7 +57,6 @@ def make_fa_sram_cache(
         assoc=num_lines,
         read_latency=1,
         write_latency=1,
-        replacement="lru",
         mshr_entries=mshr_entries,
         mshr_max_merge=mshr_max_merge,
         technology="sram",
@@ -90,7 +88,6 @@ def make_pure_nvm_cache(
         read_latency=read_latency,
         write_latency=write_latency,
         write_occupancy=write_latency,
-        replacement="lru",
         mshr_entries=mshr_entries,
         mshr_max_merge=mshr_max_merge,
         technology="stt",

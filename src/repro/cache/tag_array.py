@@ -13,15 +13,20 @@ counts.  Those feed two paper mechanisms:
   the line was resident, and
 * the read-level analysis of Figure 6 is validated against the same
   counters in integration tests.
+
+Replacement is one of the two policies Section V uses: LRU for the SRAM
+bank and the set-associative baselines, FIFO for the fully-associative
+STT-MRAM bank ("the circuit complexity of LRU is not affordable in a
+full-associative cache").  Both order ways by a logical stamp -- a fill
+stamps the way, and under LRU so does a hit -- and evict the way with
+the oldest stamp.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from typing import Iterator, List, Optional, Tuple
-
-from repro.cache.replacement import ReplacementPolicy, make_replacement_policy
 
 __all__ = [
     "CacheLine", "TagArray", "UNALLOCATED",
@@ -55,9 +60,20 @@ class CacheLine:
 #: no per-line allocation (the shared L2 alone has 6,144 ways).
 UNALLOCATED = CacheLine()
 
+#: stamp of a way holding no valid line (reserved, or never filled):
+#: larger than any real stamp, so a plain minimum scan over a set's
+#: stamps never picks such a way while a valid one exists
+_UNSTAMPED = 1 << 62
+
+#: associativity at which victim selection switches from a minimum scan
+#: to a lazily-invalidated oldest-stamp heap per set (the 256-way FA-SRAM
+#: and 512-way approximated-FA STT banks are the targets; tiny 2/4-way
+#: sets scan faster than they heap)
+_HEAP_ASSOC_THRESHOLD = 16
+
 
 class TagArray:
-    """A ``num_sets`` x ``assoc`` tag array with pluggable replacement.
+    """A ``num_sets`` x ``assoc`` tag array with LRU or FIFO replacement.
 
     A fully-associative array is simply ``num_sets=1`` with a large
     associativity, which is exactly how the paper's FA-FUSE configures the
@@ -69,6 +85,9 @@ class TagArray:
     ``install``, ``invalidate``), so a departed line is a read-only
     snapshot nobody writes again.  Ways never reserved, and ways emptied
     by :meth:`invalidate`, point at :data:`UNALLOCATED`.
+
+    ``replacement`` is ``"lru"`` or ``"fifo"``; anything else raises
+    ValueError.
     """
 
     def __init__(
@@ -81,14 +100,28 @@ class TagArray:
             raise ValueError("num_sets and assoc must be >= 1")
         if num_sets & (num_sets - 1):
             raise ValueError("num_sets must be a power of two")
+        if replacement not in ("lru", "fifo"):
+            raise ValueError(
+                f"unknown replacement policy {replacement!r}; known: "
+                "fifo, lru"
+            )
         self.num_sets = num_sets
         self.assoc = assoc
-        self.policy: ReplacementPolicy = make_replacement_policy(
-            replacement, num_sets, assoc
+        #: LRU restamps a way on every hit; FIFO only on fill
+        self._lru = replacement == "lru"
+        #: last stamp handed out; stamps are unique and increasing, so
+        #: the oldest-stamped way is a deterministic victim
+        self._tick = 0
+        self._stamps: List[List[int]] = [
+            [_UNSTAMPED] * assoc for _ in range(num_sets)
+        ]
+        #: wide sets only: per-set min-heaps of ``(stamp, way)``, pushed
+        #: on every stamp and invalidated lazily -- an entry is stale once
+        #: its way holds a different stamp
+        self._heaps: Optional[List[list]] = (
+            [[] for _ in range(num_sets)]
+            if assoc >= _HEAP_ASSOC_THRESHOLD else None
         )
-        self._on_access = self.policy.on_access
-        self._on_fill = self.policy.on_fill
-        self._on_reserve = self.policy.on_reserve
         self._sets: List[List[CacheLine]] = [
             [UNALLOCATED] * assoc for _ in range(num_sets)
         ]
@@ -159,7 +192,8 @@ class TagArray:
     def touch(self, set_idx: int, way: int, is_write: bool) -> None:
         """Record a hit for replacement state and residency counters."""
         line = self._sets[set_idx][way]
-        self._on_access(set_idx, way)
+        if self._lru:
+            self._stamp(set_idx, way)
         if is_write:
             line.dirty = True
             line.writes_observed += 1
@@ -176,23 +210,16 @@ class TagArray:
 
         Returns ``(can_reserve, victim_line)``: ``victim_line`` is the
         valid line that would be displaced, or None when a free way exists
-        (or when reservation is impossible).  Deterministic policies (LRU,
-        FIFO, PLRU) guarantee the subsequent :meth:`reserve` picks the same
-        victim; ``RandomPolicy`` does not (its RNG advances per call), so
-        check-then-commit cache engines should avoid it.
+        (or when reservation is impossible).  The subsequent
+        :meth:`reserve` picks the same victim.
         """
         set_idx = block_addr & self._set_mask
         if self._free_ways[set_idx]:
             return True, None
-        ways = self._sets[set_idx]
-        if self._reserved_count[set_idx] == 0:
-            # steady state: set full, nothing in flight -> every way is a
-            # candidate and the policy can answer without a set scan
-            return True, ways[self.policy.select_victim_all(set_idx)]
-        victim_way = self.policy.select_victim_scan(set_idx, ways)
+        victim_way = self._victim(set_idx)
         if victim_way is None:
             return False, None
-        return True, ways[victim_way]
+        return True, self._sets[set_idx][victim_way]
 
     def reserve(
         self, block_addr: int, cycle: int = 0
@@ -220,14 +247,11 @@ class TagArray:
             victim_way = heappop(free)
         else:
             # no free way: every non-reserved way holds a valid line
-            if self._reserved_count[set_idx] == 0:
-                victim_way = self.policy.select_victim_all(set_idx)
-            else:
-                victim_way = self.policy.select_victim_scan(set_idx, ways)
-                if victim_way is None:
-                    raise RuntimeError(
-                        f"reserve() with all ways reserved in set {set_idx}"
-                    )
+            victim_way = self._victim(set_idx)
+            if victim_way is None:
+                raise RuntimeError(
+                    f"reserve() with all ways reserved in set {set_idx}"
+                )
             evicted = ways[victim_way]
             del self._index[evicted.block_addr]
         ways[victim_way] = CacheLine(
@@ -236,7 +260,8 @@ class TagArray:
         )
         self._reserved_count[set_idx] += 1
         self._reserved_index[block_addr] = (set_idx, victim_way)
-        self._on_reserve(set_idx, victim_way)
+        # a reserved way is never a victim; the completing fill restamps it
+        self._stamps[set_idx][victim_way] = _UNSTAMPED
         return set_idx, victim_way, evicted
 
     def fill(
@@ -269,7 +294,7 @@ class TagArray:
         line.predicted_level = predicted_level
         line.fill_cycle = cycle
         self._reserved_count[set_idx] -= 1
-        self._on_fill(set_idx, way)
+        self._stamp(set_idx, way)
         self._index[block_addr] = entry
         return entry
 
@@ -299,6 +324,49 @@ class TagArray:
         ways[way] = UNALLOCATED
         heappush(self._free_ways[set_idx], way)
         return departed
+
+    # ------------------------------------------------------------------
+    def _stamp(self, set_idx: int, way: int) -> None:
+        """Make *way* the youngest in its set (a fill; an LRU hit)."""
+        tick = self._tick + 1
+        self._tick = tick
+        stamps = self._stamps[set_idx]
+        stamps[way] = tick
+        heaps = self._heaps
+        if heaps is not None:
+            heap = heaps[set_idx]
+            heappush(heap, (tick, way))
+            # Stale entries are normally dropped by _victim, but
+            # hit-dominated phases (LRU restamps on every hit and a
+            # high-hit-rate set rarely evicts) would grow the heap
+            # O(accesses).  Rebuilding from the live stamps keeps it
+            # bounded at O(assoc), amortized O(1) per stamp, and cannot
+            # change any selection: live entries are identical either way.
+            if len(heap) > 2 * self.assoc + 64:
+                heap = heaps[set_idx] = [
+                    (stamp, way_)
+                    for way_, stamp in enumerate(stamps)
+                    if stamp != _UNSTAMPED
+                ]
+                heapify(heap)
+
+    def _victim(self, set_idx: int) -> Optional[int]:
+        """The oldest-stamped way of a set with no free way, or None
+        when every way is reserved."""
+        stamps = self._stamps[set_idx]
+        heaps = self._heaps
+        if heaps is None:
+            way = min(range(self.assoc), key=stamps.__getitem__)
+            return None if stamps[way] == _UNSTAMPED else way
+        # reserved ways hold no live entry, so the first live entry is
+        # the oldest-stamped eligible way
+        heap = heaps[set_idx]
+        while heap:
+            stamp, way = heap[0]
+            if stamps[way] == stamp:
+                return way
+            heappop(heap)
+        return None
 
     def occupancy(self) -> int:
         """Number of valid lines currently held."""

@@ -11,7 +11,6 @@ completions (see ARCHITECTURE.md, "GPU layer").
 
 from repro.gpu.coalescer import coalesce
 from repro.gpu.config import GPUConfig, fermi_like, volta_like
-from repro.gpu.scheduler import GTOScheduler, LRRScheduler, make_scheduler
 from repro.gpu.simulator import GPUSimulator
 from repro.gpu.stats import LatencyBreakdown, SimulationResult
 from repro.gpu.warp import Warp
@@ -19,13 +18,10 @@ from repro.gpu.warp import Warp
 __all__ = [
     "GPUConfig",
     "GPUSimulator",
-    "GTOScheduler",
-    "LRRScheduler",
     "LatencyBreakdown",
     "SimulationResult",
     "Warp",
     "coalesce",
     "fermi_like",
-    "make_scheduler",
     "volta_like",
 ]

@@ -32,7 +32,6 @@ class GPUConfig:
     ctas_per_sm: int = 8
     issue_width: int = 1
     core_clock_ghz: float = 1.4
-    scheduler: str = "gto"
 
     # -- shared L2 ----------------------------------------------------------
     l2_num_banks: int = 12

@@ -49,7 +49,6 @@ from typing import Callable, Iterable, List, Optional
 
 from repro.cache.interface import L1DCacheModel
 from repro.gpu.config import GPUConfig
-from repro.gpu.scheduler import make_scheduler
 from repro.gpu.sm import EV_FILL, EV_RETRY, SM
 from repro.gpu.stats import (
     SimulationResult,
@@ -146,7 +145,6 @@ class GPUSimulator:
                     sm_id=sm_id,
                     l1d=l1d_factory(),
                     warps=warps,
-                    scheduler=make_scheduler(config.scheduler),
                     simulator=self,
                 )
             )

@@ -2,9 +2,11 @@
 
 Each SM owns a private L1D, up to 48 warps and one issue port
 (``issue_width`` = 1, matching the in-order shader cores of Section II-A).
-Per cycle the scheduler picks one ready warp and the issue path reads
-the warp's **packed trace cursor** directly (columnar kind/pc/count
-buffers plus the shared transaction pool -- see
+Per cycle the SM picks one ready warp greedy-then-oldest (GTO,
+GPGPU-Sim's default): it keeps issuing from the warp it holds while
+that warp stays ready, else takes the lowest-id ready warp.  The issue
+path reads the warp's **packed trace cursor** directly (columnar
+kind/pc/count buffers plus the shared transaction pool -- see
 :mod:`repro.workloads.arena`), so no ``WarpInstruction`` object exists
 on the hot path:
 
@@ -52,7 +54,6 @@ from repro.cache.interface import (
     L1DCacheModel,
 )
 from repro.cache.request import AccessType, MemoryRequest
-from repro.gpu.scheduler import WarpScheduler
 from repro.gpu.warp import Warp
 from repro.workloads.trace import COMPUTE, LOAD
 
@@ -96,13 +97,13 @@ class SM:
         sm_id: int,
         l1d: L1DCacheModel,
         warps: List[Warp],
-        scheduler: WarpScheduler,
         simulator: "GPUSimulator",
     ) -> None:
         self.sm_id = sm_id
         self.l1d = l1d
         self.warps = warps
-        self.scheduler = scheduler
+        #: the warp GTO keeps issuing from while it stays ready
+        self._held: Optional[Warp] = None
         self.sim = simulator
         self.memory = simulator.memory
         self._events = simulator.events
@@ -169,9 +170,22 @@ class SM:
         """Issue at most one instruction; True when something issued."""
         if cycle < self.port_busy_until:
             return False
-        warp = self.scheduler.pick(self.warps, cycle)
-        if warp is None:
-            return False
+        # greedy: stick with the held warp while it stays ready; oldest:
+        # else the first ready warp, ``warps`` being ordered by warp id
+        warp = self._held
+        if (
+            warp is None or warp.done or warp.outstanding != 0
+            or warp.ready_at > cycle
+        ):
+            for warp in self.warps:
+                if (
+                    not warp.done and warp.outstanding == 0
+                    and warp.ready_at <= cycle
+                ):
+                    self._held = warp
+                    break
+            else:
+                return False
         index = warp.op_index
         if index >= warp.op_end:
             # exhausted cursor consulted for the first time: the warp
@@ -179,7 +193,6 @@ class SM:
             warp.done = True
             return False
         warp.op_index = index + 1
-        warp.last_issue = cycle
         kind = warp.op_kind[index]
         if kind == COMPUTE:
             span = warp.op_count[index]

@@ -62,7 +62,6 @@ class Warp:
         "done",
         "instructions_issued",
         "memory_instructions",
-        "last_issue",
     )
 
     def __init__(
@@ -76,7 +75,6 @@ class Warp:
         self.done = False
         self.instructions_issued = 0
         self.memory_instructions = 0
-        self.last_issue = -1
         # compatibility constructor: pack the given stream into a private
         # single-warp arena (the simulator's warps re-bind to a shared
         # arena via from_arena instead); packing an already-materialised
@@ -133,7 +131,7 @@ class Warp:
     def blocked(self) -> bool:
         """True while the warp waits on outstanding load transactions.
 
-        Hot paths (``WarpScheduler.pick``, ``SM.next_event_time``) inline
+        Hot paths (``SM.try_issue``, ``SM.next_event_time``) inline
         the full readiness predicate -- ``not done and outstanding == 0
         and ready_at <= cycle`` -- instead of calling this property;
         a new blocking condition must be added to those sites too.

@@ -915,50 +915,3 @@ class JobScheduler:
             self._reaper = None
         if self.journal is not None:
             self.journal.close()  # releases the single-writer flock
-
-    # ------------------------------------------------------------------
-    def metrics_snapshot(self) -> Dict[str, object]:
-        """Counters for /healthz and tests (scheduler + store view).
-
-        ``GET /metrics`` no longer renders from this: it serves the
-        Prometheus exposition of :attr:`registry` (same numbers, real
-        format).
-        """
-        counters = self.metrics
-        served = counters["runs_store"] + counters["runs_fresh"]
-        out: Dict[str, object] = {
-            "queue_depth": self.queue_depth,
-            "queue_limit": self.max_queue,
-            "active_jobs": self.active_jobs,
-            "max_active": self.max_active,
-            "draining": int(self.draining),
-            "result_cache_records": len(self._records),
-            **counters,
-            "store_hit_rate": (
-                counters["runs_store"] / served if served else 0.0
-            ),
-        }
-        for state in ("queued", "running", "done", "failed"):
-            out[f"jobs_{state}"] = sum(
-                1 for job in self.jobs.values() if job.state == state
-            )
-        if self.engine.store is not None:
-            info = self.engine.store.info()
-            out["store_records"] = info["records"]
-            out["store_size_bytes"] = info["size_bytes"]
-        if self.remote:
-            out["remote"] = 1
-            out["lease_pending_runs"] = self.leases.pending_runs
-            out["lease_active"] = self.leases.active_leases
-            out["fleet_workers_live"] = self.workers.count("live")
-            out["fleet_workers_stale"] = self.workers.count("stale")
-        if self.journal is not None:
-            out["journal_appends"] = int(self._journal_appends.value)
-            out["journal_replayed_events"] = int(
-                self._journal_replayed.value
-            )
-            out["journal_recovered_jobs"] = int(
-                self._journal_recovered.value
-            )
-            out["journal_requeued_runs"] = int(self._journal_requeued.value)
-        return out

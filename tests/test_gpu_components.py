@@ -1,12 +1,14 @@
-"""Unit tests for coalescer, warps, schedulers and arbitration."""
+"""Unit tests for coalescer, warps, GTO issue and arbitration."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.cache.sram_cache import make_sram_cache
 from repro.core.arbitration import Arbiter, Destination
 from repro.core.read_level_predictor import ReadLevel, ReadLevelPredictor
 from repro.gpu.coalescer import coalesce, coalesce_count, warp_addresses
-from repro.gpu.scheduler import GTOScheduler, LRRScheduler, make_scheduler
+from repro.gpu.config import fermi_like
+from repro.gpu.simulator import GPUSimulator
 from repro.gpu.warp import Warp
 from repro.workloads.trace import compute_block, load_instruction
 from tests.conftest import load, store
@@ -71,34 +73,43 @@ class TestWarp:
 
 
 class TestSchedulers:
-    def _warps(self, n):
-        return [Warp(i, iter([])) for i in range(n)]
+    """Greedy-then-oldest warp issue, driven through ``SM.try_issue``."""
+
+    def _sm(self, num_warps):
+        sim = GPUSimulator(
+            fermi_like().with_overrides(num_sms=1),
+            l1d_factory=make_sram_cache,
+            warp_streams=lambda sm_id, warp_id: [compute_block(1)] * 8,
+            warps_per_sm=num_warps,
+        )
+        return sim.sms[0]
+
+    def _issue(self, sm, cycle):
+        """Id of the warp ``try_issue`` issued at *cycle*, or None."""
+        before = [warp.instructions_issued for warp in sm.warps]
+        if not sm.try_issue(cycle):
+            return None
+        (issued,) = [warp.warp_id for warp, count in zip(sm.warps, before)
+                     if warp.instructions_issued != count]
+        return issued
 
     def test_gto_sticks_to_current(self):
-        warps = self._warps(4)
-        gto = GTOScheduler()
-        first = gto.select(warps, 0)
-        assert first.warp_id == 0
-        # current warp stays selected while ready
-        assert gto.select(warps, 1).warp_id == 0
-        # when it disappears, the oldest ready warp wins
-        assert gto.select(warps[2:], 2).warp_id == 2
+        sm = self._sm(3)
+        assert self._issue(sm, 0) == 0
+        assert self._issue(sm, 1) == 0  # greedy: still ready, still held
+        sm.warps[0].outstanding = 1  # blocked on a load
+        assert self._issue(sm, 2) == 1  # oldest ready warp, not warp 2
+        sm.warps[0].outstanding = 0
+        assert self._issue(sm, 3) == 1  # greedy beats oldest
+        sm.warps[1].ready_at = 100
+        assert self._issue(sm, 4) == 0  # oldest ready again
 
-    def test_lrr_rotates(self):
-        warps = self._warps(3)
-        lrr = LRRScheduler()
-        order = []
-        for cycle in range(3):
-            warp = lrr.select(warps, cycle)
-            warp.last_issue = cycle
-            order.append(warp.warp_id)
-        assert order == [0, 1, 2]
-
-    def test_factory(self):
-        assert make_scheduler("gto").name == "gto"
-        assert make_scheduler("lrr").name == "lrr"
-        with pytest.raises(ValueError):
-            make_scheduler("fair")
+    def test_nothing_ready_issues_nothing(self):
+        sm = self._sm(2)
+        for warp in sm.warps:
+            warp.ready_at = 50
+        assert self._issue(sm, 0) is None
+        assert self._issue(sm, 50) == 0
 
 
 class TestArbitration:

@@ -591,9 +591,6 @@ class TestRecoveryInProcess:
             job_id = client.submit(**SMALL)["job"]
             assert client.wait(job_id, timeout=120)["state"] == "done"
             assert "repro_journal_" not in client.metrics()
-            assert "journal_appends" not in (
-                svc.service.scheduler.metrics_snapshot()
-            )
 
 
 # ----------------------------------------------------------------------
