@@ -27,11 +27,6 @@ Environment knobs:
   count; 1 forces serial execution).
 * ``REPRO_STORE``         -- result-store path (default
   ``~/.cache/repro/results.jsonl``; empty string disables persistence).
-* ``REPRO_ARENA_DIR``     -- persistent directory for packed-trace
-  spills (``docs/performance.md``).  Unset (the default) still shares
-  compiled traces in-process and across fork workers; setting it
-  additionally reuses them across bench invocations and spawn-style
-  pools.
 
 Every bench module shares the figure matrix through process-wide
 runners, so the trace of each workload is compiled into its packed

@@ -72,10 +72,6 @@ class AccessResult:
     writebacks: Tuple[int, ...] = ()
     block_addr: int = -1
 
-    @property
-    def is_hit(self) -> bool:
-        return self.outcome is AccessOutcome.HIT
-
 
 _RESERVATION_FAIL = AccessOutcome.RESERVATION_FAIL
 

@@ -214,10 +214,6 @@ class ApproximateAssociativeArray:
             return cached
         return self._build_patterns(key)[0]
 
-    def _group_indices(self, key: int, group: int) -> tuple:
-        """Per-group counter-slot indices (test helper)."""
-        return self._key_slots(key)[group]
-
     # ------------------------------------------------------------------
     def __contains__(self, block_addr: int) -> bool:
         return block_addr in self._block_way
@@ -228,12 +224,6 @@ class ApproximateAssociativeArray:
     def way_of(self, block_addr: int) -> Optional[int]:
         """Stored way for a block (bypasses timing; used by tests)."""
         return self._block_way.get(block_addr)
-
-    def group_test(self, block_addr: int, group: int) -> bool:
-        """Membership test of a single group's CBF (test helper)."""
-        row = self._counters[group]
-        return all(row[slot] > 0
-                   for slot in self._key_slots(block_addr)[group])
 
     # ------------------------------------------------------------------
     def search(self, block_addr: int) -> SearchResult:

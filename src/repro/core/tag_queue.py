@@ -87,10 +87,6 @@ class TagQueue:
             pending.popleft()
         return len(pending) >= self.capacity
 
-    def free_at(self) -> int:
-        """Cycle at which the bank drains everything currently queued."""
-        return self._free_at
-
     def head_completion(self, cycle: int) -> Optional[int]:
         """Completion cycle of the oldest operation still pending at
         *cycle*, or None when the queue is empty.  The FIFO retires from

@@ -26,10 +26,11 @@ identity (:func:`~repro.engine.spec.trace_key`) among the pending specs
 -- *pack before fork*, so a fork-style pool's workers inherit every
 arena through copy-on-write page sharing and regenerate nothing.
 Pending work is dispatched in trace-key order, so each pool chunk's
-runs share one arena.  Spawn-style pools (no inherited memory) get the
-arenas spilled to disk in the portable trace-file format
-(:func:`~repro.workloads.tracefile.spill_arena`); workers rebuild from
-the spill instead of regenerating, once per worker process.  Fresh
+runs share one arena.  Under a non-fork start method (spawn,
+forkserver) the parent packs nothing: workers share no memory, so each
+builds the arenas it needs through
+:func:`~repro.engine.spec.arena_for_spec`, deterministically from the
+spec (per-warp RNG seeds plus its snapshotted ``trace_salt``).  Fresh
 results are persisted through one batched store handle
 (:meth:`~repro.engine.store.ResultStore.batched`) instead of an
 open/append/close per run.
@@ -41,7 +42,6 @@ import contextlib
 import multiprocessing
 import os
 import signal
-import tempfile
 import time
 import traceback
 from dataclasses import dataclass
@@ -154,16 +154,10 @@ def _pool_worker_init():
 
 
 def _run_one(task):
-    """Pool worker body: execute one spec, never raise.
-
-    *task* is ``(index, spec)`` or ``(index, spec, arena_dir)``; the
-    optional directory points spawn-style workers at the engine's arena
-    spill files (fork-style workers inherit the arenas directly).
-    """
-    index, spec = task[0], task[1]
-    arena_dir = task[2] if len(task) > 2 else None
+    """Pool worker body: execute one ``(index, spec)`` task, never raise."""
+    index, spec = task
     try:
-        return index, execute_spec(spec, arena_dir=arena_dir), None
+        return index, execute_spec(spec), None
     except Exception:
         return index, None, traceback.format_exc()
 
@@ -296,109 +290,60 @@ class ExperimentEngine:
             use_pool = self.workers > 1 and len(pending) > 1
             workers = min(self.workers, len(pending))
             chunksize = max(1, len(pending) // (workers * 4))
-            arena_dir: Optional[str] = None
-            spill_tmp: Optional[tempfile.TemporaryDirectory] = None
             if use_pool:
-                arena_dir, spill_tmp = self._prepare_arenas(
-                    [spec for _, spec in pending]
-                )
+                self._prepare_arenas([spec for _, spec in pending])
             batch = (
                 self.store.batched(flush_every=chunksize)
                 if self.store is not None else contextlib.nullcontext()
             )
-            try:
-                with batch:
-                    if not use_pool:
-                        for digest, spec in pending:
-                            _, result, error = _run_one((0, spec))
-                            settle(digest, result, error)
-                    else:
-                        tasks = [
-                            (index, spec, arena_dir)
-                            for index, (_, spec) in enumerate(pending)
-                        ]
-                        digests = [digest for digest, _ in pending]
-                        with multiprocessing.Pool(
-                            processes=workers, initializer=_pool_worker_init
-                        ) as pool:
-                            for index, result, error in pool.imap_unordered(
-                                _run_one, tasks, chunksize=chunksize
-                            ):
-                                settle(digests[index], result, error)
-            finally:
-                if spill_tmp is not None:
-                    spill_tmp.cleanup()
+            with batch:
+                if not use_pool:
+                    for digest, spec in pending:
+                        _, result, error = _run_one((0, spec))
+                        settle(digest, result, error)
+                else:
+                    tasks = list(enumerate(spec for _, spec in pending))
+                    digests = [digest for digest, _ in pending]
+                    with multiprocessing.Pool(
+                        processes=workers, initializer=_pool_worker_init
+                    ) as pool:
+                        for index, result, error in pool.imap_unordered(
+                            _run_one, tasks, chunksize=chunksize
+                        ):
+                            settle(digests[index], result, error)
 
         return [outcome for outcome in outcomes if outcome is not None]
 
     # ------------------------------------------------------------------
-    def _prepare_arenas(
-        self, specs: Sequence[RunSpec]
-    ) -> Tuple[Optional[str], Optional[tempfile.TemporaryDirectory]]:
-        """Compile the distinct trace arenas before the pool exists.
+    def _prepare_arenas(self, specs: Sequence[RunSpec]) -> None:
+        """Compile the distinct trace arenas before a fork pool exists.
 
         Fork-style workers inherit the packed buffers through
         copy-on-write page sharing, so no worker regenerates a trace
         (for sweeps with more distinct trace identities than the arena
         cache retains -- ``ARENA_CACHE_LIMIT`` -- the overflow is left
-        for workers to generate on demand).
-        Spawn-style workers share no memory: the arenas are additionally
-        spilled as portable trace files (``REPRO_ARENA_DIR`` if set,
-        else a sweep-lifetime temp directory) and each worker rebuilds
-        from the spill once.  Pack/spill failures are swallowed -- the
+        for workers to generate on demand).  Under any other start
+        method workers share no memory and build their own arenas, so
+        nothing is packed here.  Pack failures are swallowed -- the
         affected run will re-raise inside its own error-isolated worker.
-
-        Returns:
-            ``(arena_dir, tmp_handle)`` -- the spill directory to hand
-            to workers (``None`` for fork pools) and the owning temp-dir
-            handle to clean up after the sweep (``None`` when
-            ``REPRO_ARENA_DIR`` provided a persistent directory).
         """
+        if multiprocessing.get_start_method() != "fork":
+            return
         from repro.workloads.arena import ARENA_CACHE_LIMIT
 
         distinct: Dict[str, RunSpec] = {}
         for spec in specs:
             distinct.setdefault(trace_key(spec), spec)
-        if multiprocessing.get_start_method() == "fork":
-            # pack only what the LRU cache will actually retain at fork
-            # time (dispatch is sorted by trace key, so these are the
-            # first-dispatched identities); packing beyond the cap would
-            # evict earlier arenas and waste the parent's work -- the
-            # overflow regenerates in workers, exactly as pre-arena
-            for spec in list(distinct.values())[:ARENA_CACHE_LIMIT]:
-                try:
-                    arena_for_spec(spec)
-                except Exception:
-                    pass  # the run itself will report the failure
-            return None, None
-        # spawn workers share no memory: the spill *file* is the durable
-        # handoff, so every distinct identity is packed and spilled even
-        # past the in-process cache cap (eviction cannot lose a file)
-        arena_dir = os.environ.get("REPRO_ARENA_DIR") or None
-        spill_tmp: Optional[tempfile.TemporaryDirectory] = None
-        if arena_dir is None:
-            spill_tmp = tempfile.TemporaryDirectory(prefix="repro-arenas-")
-            arena_dir = spill_tmp.name
-        import pathlib
-
-        from repro.workloads.benchmarks import TRACE_PREFIX
-        from repro.workloads.tracefile import spill_arena
-
-        for key, spec in distinct.items():
-            if spec.workload.startswith(TRACE_PREFIX):
-                continue  # the trace file itself is the on-disk form
-            target = pathlib.Path(arena_dir) / f"{key}.jsonl"
-            if target.exists():
-                continue
+        # pack only what the LRU cache will actually retain at fork
+        # time (dispatch is sorted by trace key, so these are the
+        # first-dispatched identities); packing beyond the cap would
+        # evict earlier arenas and waste the parent's work -- the
+        # overflow regenerates in workers, exactly as pre-arena
+        for spec in list(distinct.values())[:ARENA_CACHE_LIMIT]:
             try:
-                # arena_for_spec already spills into arena_dir when it
-                # has to build; only a cache hit leaves the file missing
-                arena = arena_for_spec(spec, arena_dir=arena_dir)
-                if not target.exists():
-                    spill_arena(arena, target, spec)
+                arena_for_spec(spec)
             except Exception:
-                pass
-        return arena_dir, spill_tmp
+                pass  # the run itself will report the failure
 
     # ------------------------------------------------------------------
     def run_matrix(

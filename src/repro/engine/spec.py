@@ -20,8 +20,8 @@ compiles that trace exactly once per key into a
 :class:`~repro.workloads.arena.PackedTraceArena` -- every run sharing
 the key (a whole config sweep, every repeat in a benchmark loop) replays
 the same packed buffers.  Workers in a fork-style pool inherit the
-parent's arenas via copy-on-write; spawn-style workers rebuild them from
-the engine's on-disk spill files (see
+parent's arenas via copy-on-write; spawn-style workers regenerate the
+ones they need from the spec (see
 :meth:`~repro.engine.engine.ExperimentEngine.run_specs`).
 """
 
@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import pathlib
 from dataclasses import dataclass
 from typing import Dict, Optional, Union
 
@@ -281,40 +280,20 @@ def trace_key(spec: RunSpec) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def arena_for_spec(spec: RunSpec, arena_dir=None):
+def arena_for_spec(spec: RunSpec):
     """The packed trace arena for *spec*, compiled at most once per key.
 
-    Resolution order on an in-process cache miss:
-
-    1. a spill file ``<arena_dir>/<trace_key>.jsonl`` (the engine writes
-       these for spawn-style worker pools; ``REPRO_ARENA_DIR`` points
-       user runs at a persistent cross-process arena directory) -- a
-       spill that fails to load is ignored and the trace is regenerated;
-    2. the workload's kernel model, generated under the spec's
-       snapshotted trace salt and packed.
-
-    ``trace:<path>`` workloads never spill (the trace file itself is the
-    on-disk form; :mod:`repro.workloads.tracefile` memoises its parse).
+    On an in-process cache miss the workload's kernel model is generated
+    under the spec's snapshotted trace salt and packed, so any process
+    (the submitting one, a forked worker, a spawned one that re-imported
+    every module) builds the same arena for the same spec.
+    ``trace:<path>`` workloads replay the file through
+    :mod:`repro.workloads.tracefile`, which memoises its parse.
     """
-    import os
-
     from repro.workloads.arena import PackedTraceArena, cached_arena
     from repro.workloads.kernels import KernelModel
 
-    key = trace_key(spec)
-    if arena_dir is None:
-        arena_dir = os.environ.get("REPRO_ARENA_DIR") or None
-    is_trace_workload = spec.workload.startswith(TRACE_PREFIX)
-
     def build() -> PackedTraceArena:
-        if arena_dir is not None and not is_trace_workload:
-            from repro.workloads.tracefile import load_spilled_arena
-
-            spilled = load_spilled_arena(
-                pathlib.Path(arena_dir) / f"{key}.jsonl", spec
-            )
-            if spilled is not None:
-                return spilled
         scale = scale_preset(spec.scale)
         # generate under the spec's snapshotted salt: a worker process
         # that re-imported the modules (spawn pools) must reproduce the
@@ -329,27 +308,19 @@ def arena_for_spec(spec: RunSpec, arena_dir=None):
                 scale=scale,
                 seed=spec.seed,
             )
-            arena = PackedTraceArena.from_model(model)
+            return PackedTraceArena.from_model(model)
         finally:
             KernelModel.TRACE_SALT = previous_salt
-        if arena_dir is not None and not is_trace_workload:
-            from repro.workloads.tracefile import spill_arena
 
-            spill_arena(arena, pathlib.Path(arena_dir) / f"{key}.jsonl",
-                        spec)
-        return arena
-
-    return cached_arena(key, build)
+    return cached_arena(trace_key(spec), build)
 
 
-def execute_spec(spec: RunSpec, arena_dir=None) -> SimulationResult:
+def execute_spec(spec: RunSpec) -> SimulationResult:
     """Run one simulation described by *spec* (the only execution path).
 
     Builds the machine, obtains the workload's packed trace arena
     (compiled on first use, replayed from cache after -- see
-    :func:`arena_for_spec`; *arena_dir* optionally names a spill
-    directory for cross-process reuse), simulates, and attaches the
-    energy report.
+    :func:`arena_for_spec`), simulates, and attaches the energy report.
     """
     if spec.workload.startswith(TRACE_PREFIX) and spec.trace_sha256:
         from repro.workloads.tracefile import trace_sha256
@@ -366,7 +337,7 @@ def execute_spec(spec: RunSpec, arena_dir=None) -> SimulationResult:
         num_sms=spec.num_sms
     )
     with span("arena", workload=spec.workload):
-        arena = arena_for_spec(spec, arena_dir=arena_dir)
+        arena = arena_for_spec(spec)
     # the arena is authoritative for the machine shape: generated
     # workloads echo the spec's values back, while trace replays carry
     # their header's shape (which the spec's preset-named scale cannot

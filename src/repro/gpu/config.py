@@ -29,8 +29,6 @@ class GPUConfig:
     num_sms: int = 15
     warps_per_sm: int = 48
     threads_per_warp: int = 32
-    ctas_per_sm: int = 8
-    issue_width: int = 1
     core_clock_ghz: float = 1.4
 
     # -- shared L2 ----------------------------------------------------------

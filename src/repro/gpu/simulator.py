@@ -34,7 +34,9 @@ Warps consume a **packed trace arena** (columnar op/transaction buffers,
 :mod:`repro.workloads.arena`): pass one via ``arena`` to replay a
 pre-compiled trace with zero per-run generation cost, or pass the
 classic ``warp_streams`` callable and the constructor packs it once.
-Either way the simulation loop touches only flat arrays.
+Either way each :class:`~repro.gpu.warp.Warp` is an index cursor over
+its slice of that one arena, and the simulation loop touches only flat
+arrays.
 
 Each SM owns a **private** L1D instance (built by the supplied factory),
 mirroring the per-SM L1D caches of the real machine; the memory subsystem
@@ -137,7 +139,7 @@ class GPUSimulator:
         self.sms: List[SM] = []
         for sm_id in range(config.num_sms):
             warps = [
-                Warp.from_arena(warp_id, arena, sm_id)
+                Warp(warp_id, arena, sm_id)
                 for warp_id in range(active_warps)
             ]
             self.sms.append(

@@ -1,10 +1,11 @@
 """Streaming multiprocessor model.
 
-Each SM owns a private L1D, up to 48 warps and one issue port
-(``issue_width`` = 1, matching the in-order shader cores of Section II-A).
-Per cycle the SM picks one ready warp greedy-then-oldest (GTO,
-GPGPU-Sim's default): it keeps issuing from the warp it holds while
-that warp stays ready, else takes the lowest-id ready warp.  The issue
+Each SM owns a private L1D, up to 48 warps and one issue port that
+issues at most one instruction per cycle (the in-order shader cores of
+Section II-A).  Per cycle the SM picks one ready warp
+greedy-then-oldest (GTO, GPGPU-Sim's default): it keeps issuing from
+the warp it holds while that warp stays ready, else takes the lowest-id
+ready warp.  The issue
 path reads the warp's **packed trace cursor** directly (columnar
 kind/pc/count buffers plus the shared transaction pool -- see
 :mod:`repro.workloads.arena`), so no ``WarpInstruction`` object exists

@@ -7,49 +7,33 @@ scoreboard-ish state the SM needs: when it may issue next
 (``outstanding``), and lifetime counters.  The SM's issue path reads
 the columnar op buffers directly through the cursor fields
 (``op_kind``/``op_pc``/``op_count``/``txn_off``/``txns``/``op_index``/
-``op_end``), so the hot loop allocates no ``WarpInstruction`` objects;
-the :meth:`next_instruction`/:meth:`peek` methods remain as the
-object-level compatibility API (tests, tooling) and unpack on demand.
+``op_end``), so no ``WarpInstruction`` object exists on the hot loop;
+:meth:`PackedTraceArena.instructions` is the object-level view of a
+warp's stream.
 
 GPU warps are never context-switched out (their registers stay resident,
 Section II-A), so a warp here lives from construction to stream
-exhaustion.  The ``done`` flag flips only when the exhausted cursor is
-*consulted* (by the SM's issue attempt or by this API) -- not eagerly at
-construction -- preserving the issue schedule of the lazy-iterator warp
-this replaced bit-for-bit, including for empty streams.
+exhaustion.  The ``done`` flag flips only when the SM's issue attempt
+*consults* the exhausted cursor -- not eagerly at construction -- so an
+empty stream costs its warp one issue attempt, as the lazy-iterator warp
+this replaced did (the schedule is pinned by golden parity).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
-
 from repro.workloads.arena import PackedTraceArena
-from repro.workloads.trace import WarpInstruction
 
 __all__ = [
     "Warp",
 ]
 
-#: shared zero-op arena the no-stream constructor binds, so building a
-#: warp that immediately re-binds (``from_arena``) allocates nothing
-_EMPTY_ARENA: Optional[PackedTraceArena] = None
-
-
-def _empty_arena() -> PackedTraceArena:
-    global _EMPTY_ARENA
-    if _EMPTY_ARENA is None:
-        _EMPTY_ARENA = PackedTraceArena.from_streams(
-            "<empty>", 1, 1, lambda sm, w: (), count_as_pack=False
-        )
-    return _EMPTY_ARENA
-
 
 class Warp:
-    """One warp's execution state within an SM."""
+    """One warp's execution state within an SM: warp *warp_id* of SM
+    *sm_id*, bound to its slice of the shared *arena*."""
 
     __slots__ = (
         "warp_id",
-        "arena",
         "op_kind",
         "op_pc",
         "op_count",
@@ -65,66 +49,20 @@ class Warp:
     )
 
     def __init__(
-        self,
-        warp_id: int,
-        stream: Optional[Iterable[WarpInstruction]] = None,
+        self, warp_id: int, arena: PackedTraceArena, sm_id: int
     ) -> None:
         self.warp_id = warp_id
-        self.ready_at = 0
-        self.outstanding = 0
-        self.done = False
-        self.instructions_issued = 0
-        self.memory_instructions = 0
-        # compatibility constructor: pack the given stream into a private
-        # single-warp arena (the simulator's warps re-bind to a shared
-        # arena via from_arena instead); packing an already-materialised
-        # stream is a re-encoding, not trace generation
-        if stream is None:
-            self._bind(_empty_arena(), sm_id=0, warp_index=0)
-        else:
-            self._bind(
-                PackedTraceArena.from_streams(
-                    "<warp>", 1, 1, lambda sm, w: stream,
-                    count_as_pack=False,
-                ),
-                sm_id=0, warp_index=0,
-            )
-
-    def _bind(self, arena: PackedTraceArena, sm_id: int,
-              warp_index: int) -> None:
-        self.arena = arena
         self.op_kind = arena.op_kind
         self.op_pc = arena.op_pc
         self.op_count = arena.op_count
         self.txn_off = arena.txn_off
         self.txns = arena.txns
-        self.op_index, self.op_end = arena.warp_span(sm_id, warp_index)
-
-    @classmethod
-    def from_arena(
-        cls, warp_id: int, arena: PackedTraceArena, sm_id: int
-    ) -> "Warp":
-        """A warp bound to its slice of a shared packed arena."""
-        warp = cls(warp_id)
-        warp._bind(arena, sm_id=sm_id, warp_index=warp_id)
-        return warp
-
-    # ------------------------------------------------------------------
-    def next_instruction(self) -> Optional[WarpInstruction]:
-        """Consume and return the next instruction; None when exhausted."""
-        index = self.op_index
-        if index >= self.op_end:
-            self.done = True
-            return None
-        self.op_index = index + 1
-        return self.arena.instruction_at(index)
-
-    def peek(self) -> Optional[WarpInstruction]:
-        """Look at the next instruction without consuming it."""
-        if self.op_index >= self.op_end:
-            self.done = True
-            return None
-        return self.arena.instruction_at(self.op_index)
+        self.op_index, self.op_end = arena.warp_span(sm_id, warp_id)
+        self.ready_at = 0
+        self.outstanding = 0
+        self.done = False
+        self.instructions_issued = 0
+        self.memory_instructions = 0
 
     # ------------------------------------------------------------------
     @property
@@ -142,26 +80,14 @@ class Warp:
         """Mark the warp blocked on *transactions* pending loads."""
         self.outstanding += transactions
 
-    def complete_transaction(self, cycle: int) -> bool:
-        """One pending load finished; True when the warp became ready."""
-        if self.outstanding <= 0:
-            raise RuntimeError("complete_transaction() without pending loads")
-        self.outstanding -= 1
-        if self.outstanding == 0:
-            self.ready_at = max(self.ready_at, cycle)
-            return True
-        return False
-
     def complete_transaction_at(self, ready_cycle: int) -> bool:
         """Retire one pending load whose data arrives at *ready_cycle*.
 
-        Unlike :meth:`complete_transaction` (which is driven by an event
-        firing at the completion cycle), this form lets the LSU retire
-        transactions *eagerly* at issue/fill-processing time: the warp
-        stays blocked until the count drains, and ``ready_at``
-        accumulates the maximum data-ready cycle so the warp becomes
-        issueable exactly when its last transaction's data lands --
-        bit-identical to the event-per-transaction formulation, without
+        The LSU retires transactions *eagerly* at issue/fill-processing
+        time: the warp stays blocked until the count drains, and
+        ``ready_at`` accumulates the maximum data-ready cycle so the warp
+        becomes issueable exactly when its last transaction's data lands
+        -- bit-identical to an event-per-transaction formulation, without
         the per-transaction event traffic.
 
         Returns True when the warp just became unblocked.

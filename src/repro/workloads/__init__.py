@@ -22,8 +22,9 @@ Beyond the paper's 21 workloads the package is an *open platform*:
   unmodified GPU/cache stack (``repro trace export/import``).
 * :mod:`repro.workloads.arena` -- the compile-once columnar trace form
   the simulator replays; one packed arena per trace identity is shared
-  across runs, worker pools and (via spills) processes
-  (ARCHITECTURE.md, "Trace lifecycle").
+  across the runs of a process and, by copy-on-write, its fork-pool
+  workers; spawn/forkserver workers regenerate it deterministically
+  from the spec (ARCHITECTURE.md, "Trace lifecycle").
 """
 
 from repro.workloads.analysis import (

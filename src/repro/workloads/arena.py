@@ -25,10 +25,12 @@ identity hash the engine derives from a
 :class:`~repro.engine.spec.RunSpec` (see ``trace_key`` there): a sweep
 of N cache configs over one workload packs the trace once and replays
 it N times, and a fork-style worker pool inherits the parent's packed
-arenas via copy-on-write page sharing.  :func:`arena_cache_stats`
-exposes hit/miss/pack accounting so "trace generation happened exactly
-once" is testable, and so ``repro profile`` / ``bench_throughput`` can
-report the trace-generation vs. simulation wall-time split.
+arenas via copy-on-write page sharing (spawn/forkserver workers share no
+memory and regenerate each trace they need, deterministically from the
+spec).  :func:`arena_cache_stats` exposes hit/miss/pack accounting so
+"trace generation happened exactly once" is testable, and so
+``repro profile`` / ``bench_throughput`` can report the
+trace-generation vs. simulation wall-time split.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ __all__ = [
     "PackedTraceArena",
     "arena_cache_stats",
     "cached_arena",
-    "note_spill_load",
     "reset_arena_cache",
 ]
 
@@ -101,14 +102,11 @@ class PackedTraceArena:
         num_sms: int,
         warps_per_sm: int,
         streams: Callable[[int, int], Iterable[WarpInstruction]],
-        count_as_pack: bool = True,
     ) -> "PackedTraceArena":
         """Pack ``streams(sm_id, warp_id)`` for the whole machine shape.
 
         Counts as one *pack* in :func:`arena_cache_stats` (this is where
-        trace generation -- the generators plus the coalescer -- runs),
-        unless *count_as_pack* is False (re-encoding already-materialised
-        ops, e.g. a spill-file load).
+        trace generation -- the generators plus the coalescer -- runs).
 
         Raises:
             RuntimeError: past :data:`MAX_ARENA_OPS` ops -- a
@@ -142,13 +140,12 @@ class PackedTraceArena:
                             "runaway or far beyond any simulatable scale"
                         )
                 warp_bounds.append(len(op_kind))
-        if count_as_pack:
-            _PACKS.inc()
-            _PACK_SECONDS.inc(time.perf_counter() - started)
-            record_span(
-                "trace_pack", started_ns, time.time_ns(), cat="run",
-                args={"workload": workload, "ops": len(op_kind)},
-            )
+        _PACKS.inc()
+        _PACK_SECONDS.inc(time.perf_counter() - started)
+        record_span(
+            "trace_pack", started_ns, time.time_ns(), cat="run",
+            args={"workload": workload, "ops": len(op_kind)},
+        )
         return cls(
             workload=workload, num_sms=num_sms, warps_per_sm=warps_per_sm,
             op_kind=op_kind, op_pc=op_pc, op_count=op_count,
@@ -178,22 +175,21 @@ class PackedTraceArena:
         flat = sm_id * self.warps_per_sm + warp_id
         return self.warp_bounds[flat], self.warp_bounds[flat + 1]
 
-    def instruction_at(self, index: int) -> WarpInstruction:
-        """Unpack one op back into the interchange dataclass."""
-        t0, t1 = self.txn_off[index], self.txn_off[index + 1]
-        return WarpInstruction(
-            kind=self.op_kind[index],
-            pc=self.op_pc[index],
-            count=self.op_count[index],
-            transactions=tuple(self.txns[t0:t1]),
-        )
-
     def instructions(
         self, sm_id: int, warp_id: int
     ) -> Tuple[WarpInstruction, ...]:
         """Losslessly unpack one warp's stream (interchange/tests)."""
         start, end = self.warp_span(sm_id, warp_id)
-        return tuple(self.instruction_at(i) for i in range(start, end))
+        txn_off, txns = self.txn_off, self.txns
+        return tuple(
+            WarpInstruction(
+                kind=self.op_kind[i],
+                pc=self.op_pc[i],
+                count=self.op_count[i],
+                transactions=tuple(txns[txn_off[i]:txn_off[i + 1]]),
+            )
+            for i in range(start, end)
+        )
 
     # ------------------------------------------------------------------
     @property
@@ -250,12 +246,8 @@ _MISSES = REGISTRY.counter(
     "repro_arena_misses", "Arena cache lookups that had to build")
 _PACKS = REGISTRY.counter(
     "repro_arena_packs", "Traces generated and packed (from_streams)")
-_SPILL_LOADS = REGISTRY.counter(
-    "repro_arena_spill_loads", "Arenas rebuilt from on-disk spill files")
 _PACK_SECONDS = REGISTRY.counter(
     "repro_arena_pack_seconds", "Wall-time spent generating + packing")
-_SPILL_LOAD_SECONDS = REGISTRY.counter(
-    "repro_arena_spill_load_seconds", "Wall-time spent loading spills")
 REGISTRY.gauge(
     "repro_arena_cached", "Packed arenas resident in the cache"
 ).set_function(lambda: len(_CACHE))
@@ -266,10 +258,8 @@ def cached_arena(
 ) -> PackedTraceArena:
     """Return the arena cached under *key*, building it on first use.
 
-    *build* runs only on a miss; it may pack from a kernel model or load
-    a spilled arena from disk -- the cache does not care, it only tracks
-    hit/miss counts (pack/spill-load accounting happens at the build
-    sites).
+    *build* runs only on a miss; the cache only tracks hit/miss counts
+    (pack accounting happens in :meth:`PackedTraceArena.from_streams`).
     """
     arena = _CACHE.get(key)
     if arena is not None:
@@ -284,12 +274,6 @@ def cached_arena(
     return arena
 
 
-def note_spill_load(seconds: float) -> None:
-    """Record one arena rebuilt from an on-disk spill file."""
-    _SPILL_LOADS.inc()
-    _SPILL_LOAD_SECONDS.inc(seconds)
-
-
 def arena_cache_stats() -> Dict[str, float]:
     """A snapshot of the arena cache counters (see module docstring).
 
@@ -300,9 +284,7 @@ def arena_cache_stats() -> Dict[str, float]:
         "hits": int(_HITS.value),
         "misses": int(_MISSES.value),
         "packs": int(_PACKS.value),
-        "spill_loads": int(_SPILL_LOADS.value),
         "pack_seconds": _PACK_SECONDS.value,
-        "spill_load_seconds": _SPILL_LOAD_SECONDS.value,
         "cached": len(_CACHE),
     }
 
@@ -310,6 +292,5 @@ def arena_cache_stats() -> Dict[str, float]:
 def reset_arena_cache() -> None:
     """Drop every cached arena and zero the counters (tests)."""
     _CACHE.clear()
-    for family in (_HITS, _MISSES, _PACKS, _SPILL_LOADS,
-                   _PACK_SECONDS, _SPILL_LOAD_SECONDS):
+    for family in (_HITS, _MISSES, _PACKS, _PACK_SECONDS):
         family.reset()

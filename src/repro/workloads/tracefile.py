@@ -41,7 +41,6 @@ import time
 from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Tuple, Union
 
-from repro.workloads.arena import PackedTraceArena, note_spill_load
 from repro.workloads.kernels import KernelModel
 from repro.workloads.trace import (
     COMPUTE,
@@ -60,12 +59,9 @@ __all__ = [
     "TraceReplayKernel",
     "WorkloadTrace",
     "export_trace",
-    "load_spilled_arena",
     "load_trace",
     "replay_kernel",
-    "spill_arena",
     "trace_sha256",
-    "trace_to_arena",
 ]
 
 #: current trace-file schema version; readers reject anything else
@@ -241,14 +237,6 @@ def export_trace(
         seed=model.seed,
         trace_salt=KernelModel.TRACE_SALT,
     )
-    return _write_trace_file(meta, model.warp_stream, path)
-
-
-def _write_trace_file(meta: TraceMeta, ops_for, path: PathLike
-                      ) -> ExportSummary:
-    """Write one trace file from ``ops_for(sm_id, warp_id) -> iterable``
-    of :class:`WarpInstruction` (shared by model export and arena
-    spill)."""
     path = pathlib.Path(path).expanduser()
     path.parent.mkdir(parents=True, exist_ok=True)
     digest = hashlib.sha256()
@@ -276,7 +264,7 @@ def _write_trace_file(meta: TraceMeta, ops_for, path: PathLike
             for sm_id in range(meta.num_sms):
                 for warp_id in range(meta.warps_per_sm):
                     ops = []
-                    for op in ops_for(sm_id, warp_id):
+                    for op in model.warp_stream(sm_id, warp_id):
                         ops.append(_encode_op(op))
                         instructions += (
                             op.count if op.kind == COMPUTE else 1
@@ -547,73 +535,6 @@ class TraceReplayKernel(KernelModel):
         self, sm_id: int, warp_id: int
     ) -> Iterator[WarpInstruction]:
         yield from self.trace.instructions(sm_id, warp_id)
-
-
-# ----------------------------------------------------------------------
-def trace_to_arena(trace: WorkloadTrace) -> PackedTraceArena:
-    """Pack a loaded trace's warp streams into a columnar arena.
-
-    Not counted as trace *generation* in the arena stats: the ops
-    already exist, this is a re-encoding (no RNG, no coalescer).
-    """
-    return PackedTraceArena.from_streams(
-        trace.meta.workload, trace.meta.num_sms, trace.meta.warps_per_sm,
-        trace.instructions, count_as_pack=False,
-    )
-
-
-def spill_arena(arena: PackedTraceArena, path: PathLike,
-                spec) -> ExportSummary:
-    """Persist a packed arena as a regular trace file (atomic write).
-
-    The spill is how the experiment engine hands pre-compiled traces to
-    spawn-style worker processes (which share no memory with the
-    parent), and how ``REPRO_ARENA_DIR`` users keep compiled traces warm
-    across CLI invocations.  *spec* (a :class:`~repro.engine.spec.
-    RunSpec`-shaped object) supplies the provenance header fields; the
-    file is bit-compatible with ``repro trace import`` and every other
-    trace consumer.
-    """
-    meta = TraceMeta(
-        workload=arena.workload,
-        num_sms=arena.num_sms,
-        warps_per_sm=arena.warps_per_sm,
-        scale=spec.scale,
-        gpu_profile=spec.gpu_profile,
-        seed=spec.seed,
-        trace_salt=spec.trace_salt,
-    )
-    return _write_trace_file(meta, arena.instructions, path)
-
-
-def load_spilled_arena(path: PathLike, spec) -> Optional[PackedTraceArena]:
-    """Rebuild a packed arena from a spill file, or ``None``.
-
-    A spill is a *cache*, never an authority: a missing, malformed or
-    mismatched file (wrong workload/seed/salt/shape for *spec*) returns
-    ``None`` and the caller regenerates the trace from the kernel model.
-    Successful loads are counted in
-    :func:`~repro.workloads.arena.arena_cache_stats` (``spill_loads``).
-    """
-    path = pathlib.Path(path).expanduser()
-    if not path.is_file():
-        return None
-    started = time.perf_counter()
-    try:
-        trace = load_trace(path)
-    except (ValueError, OSError):
-        # malformed (ValueError) or unreadable (OSError, e.g. a stale
-        # permission-mangled spill): regenerate rather than fail the run
-        return None
-    meta = trace.meta
-    if (meta.workload != spec.workload
-            or meta.seed != spec.seed
-            or meta.trace_salt != spec.trace_salt
-            or meta.num_sms != spec.num_sms):
-        return None
-    arena = trace_to_arena(trace)
-    note_spill_load(time.perf_counter() - started)
-    return arena
 
 
 def replay_kernel(

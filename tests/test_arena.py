@@ -1,12 +1,16 @@
 """Tests for the packed trace arena: lossless pack/unpack, compile-once
-cache accounting, on-disk spill round trips, batched store appends, and
-bit-identity of arena-replayed simulations (serial and parallel)."""
+cache accounting, the warp cursor, batched store appends, and
+bit-identity of arena-replayed simulations (serial, fork and spawn
+pools)."""
 
 import json
 import multiprocessing
+import subprocess
+import sys
 
 import pytest
 
+from repro.cache.sram_cache import make_sram_cache
 from repro.engine import (
     ExperimentEngine,
     ResultStore,
@@ -14,8 +18,9 @@ from repro.engine import (
     execute_spec,
     result_to_dict,
 )
-from repro.engine.spec import arena_for_spec, trace_key
-from repro.gpu.warp import Warp
+from repro.engine.spec import trace_key
+from repro.gpu.config import fermi_like
+from repro.gpu.simulator import GPUSimulator
 from repro.workloads.arena import (
     PackedTraceArena,
     arena_cache_stats,
@@ -29,6 +34,7 @@ from repro.workloads.trace import (
     load_instruction,
     store_instruction,
 )
+from tests.faultutil import subprocess_env
 
 SMOKE = dict(gpu_profile="fermi", scale="smoke", num_sms=2)
 
@@ -105,27 +111,26 @@ class TestPackUnpackRoundTrip:
 
 
 class TestWarpCursor:
-    def test_compat_constructor_matches_arena_binding(self):
-        model = benchmark("MVT", num_sms=1, warps_per_sm=2,
-                          scale=TraceScale.smoke())
-        arena = PackedTraceArena.from_model(model)
-        legacy = Warp(1, iter(model.warp_stream(0, 1)))
-        bound = Warp.from_arena(1, arena, 0)
-        while True:
-            a, b = legacy.next_instruction(), bound.next_instruction()
-            assert a == b
-            if a is None:
-                break
-        assert legacy.done and bound.done
-
     def test_empty_stream_done_only_when_consulted(self):
         # the lazy-iterator warp flipped done on the first failed fetch,
         # not at construction; the cursor must preserve that (it is
-        # scheduler-visible and pinned by golden parity)
-        warp = Warp(0, iter([]))
-        assert not warp.done
-        assert warp.peek() is None
-        assert warp.done
+        # scheduler-visible and pinned by golden parity): the empty
+        # warp costs its SM one issue attempt before the next warp runs
+        sim = GPUSimulator(
+            fermi_like().with_overrides(num_sms=1),
+            l1d_factory=make_sram_cache,
+            warp_streams=lambda sm_id, warp_id: (
+                [] if warp_id == 0 else [compute_block(1)]),
+            warps_per_sm=2,
+        )
+        sm = sim.sms[0]
+        empty, full = sm.warps
+        assert not empty.done
+        assert not sm.try_issue(0)
+        assert empty.done and not full.done
+        assert full.instructions_issued == 0
+        assert sm.try_issue(1)
+        assert full.instructions_issued == 1
 
 
 class TestArenaCache:
@@ -180,56 +185,6 @@ class TestArenaCache:
         assert result_to_dict(warm) == result_to_dict(cold)
 
 
-class TestArenaSpill:
-    def test_spill_and_load_round_trip(self, tmp_path):
-        from repro.workloads.tracefile import (
-            load_spilled_arena,
-            load_trace,
-            spill_arena,
-        )
-
-        spec = smoke_spec()
-        arena = arena_for_spec(spec)
-        path = tmp_path / f"{trace_key(spec)}.jsonl"
-        spill_arena(arena, path, spec)
-        # the spill is a *regular* trace file, loadable by every consumer
-        trace = load_trace(path)
-        assert trace.meta.workload == "2DCONV"
-        loaded = load_spilled_arena(path, spec)
-        assert loaded is not None
-        for sm_id in range(arena.num_sms):
-            for warp_id in range(arena.warps_per_sm):
-                assert loaded.instructions(sm_id, warp_id) == (
-                    arena.instructions(sm_id, warp_id)
-                )
-        stats = arena_cache_stats()
-        assert stats["spill_loads"] == 1
-        assert stats["packs"] == 1  # the load did not regenerate
-
-    def test_mismatched_spill_is_rejected(self, tmp_path):
-        from repro.workloads.tracefile import load_spilled_arena, spill_arena
-
-        spec = smoke_spec()
-        path = tmp_path / "spill.jsonl"
-        spill_arena(arena_for_spec(spec), path, spec)
-        other = smoke_spec(seed=7)
-        assert load_spilled_arena(path, other) is None
-        assert load_spilled_arena(tmp_path / "absent.jsonl", spec) is None
-
-    def test_execute_spec_uses_spill_dir(self, tmp_path):
-        from repro.workloads.tracefile import spill_arena
-
-        spec = smoke_spec()
-        baseline = execute_spec(spec)
-        path = tmp_path / f"{trace_key(spec)}.jsonl"
-        spill_arena(arena_for_spec(spec), path, spec)
-        reset_arena_cache()
-        spilled = execute_spec(spec, arena_dir=str(tmp_path))
-        stats = arena_cache_stats()
-        assert stats["spill_loads"] == 1 and stats["packs"] == 0
-        assert result_to_dict(spilled) == result_to_dict(baseline)
-
-
 class TestEngineArenaIntegration:
     def _matrix_specs(self):
         configs = ["L1-SRAM", "Dy-FUSE", "By-NVM"]
@@ -259,24 +214,49 @@ class TestEngineArenaIntegration:
         "spawn" not in multiprocessing.get_all_start_methods(),
         reason="spawn start method unavailable",
     )
-    def test_run_one_loads_arena_from_spill_dir(self, tmp_path):
-        # simulate the spawn-worker path in-process: a worker that finds
-        # the engine's spill file must replay it instead of regenerating
-        from repro.engine.engine import _run_one
-        from repro.workloads.tracefile import spill_arena
-
-        spec = smoke_spec()
-        baseline = execute_spec(spec)
-        spill_arena(
-            arena_for_spec(spec),
-            tmp_path / f"{trace_key(spec)}.jsonl", spec,
+    def test_spawn_pool_matches_serial(self):
+        # spawn workers share no memory with the parent: the parent packs
+        # nothing and each worker regenerates its traces from the spec,
+        # under the spec's snapshotted trace salt, not the re-imported
+        # module default
+        result = subprocess.run(
+            [sys.executable, "-c", _SPAWN_POOL_SCRIPT],
+            env=subprocess_env(REPRO_STORE="", REPRO_SPANS=""),
+            capture_output=True, text=True, timeout=300,
         )
-        reset_arena_cache()
-        index, result, error = _run_one((0, spec, str(tmp_path)))
-        assert error is None
-        assert result_to_dict(result) == result_to_dict(baseline)
-        assert arena_cache_stats()["spill_loads"] == 1
-        assert arena_cache_stats()["packs"] == 0
+        assert result.returncode == 0, result.stderr
+        report = json.loads(result.stdout)
+        assert report["errors"] == []
+        assert report["parent_packs"] == 0
+        assert report["runs"] == 4
+        assert report["pooled"] == report["serial"]
+
+
+_SPAWN_POOL_SCRIPT = """
+import json, multiprocessing
+multiprocessing.set_start_method("spawn")
+from repro.engine import (
+    ExperimentEngine, RunSpec, execute_spec, result_to_dict)
+from repro.workloads.arena import arena_cache_stats
+from repro.workloads.kernels import KernelModel
+# a non-default global salt, snapshotted into every spec: re-imported
+# spawn workers see the module default (0), the serial reference sees 3
+KernelModel.TRACE_SALT = 3
+specs = [
+    RunSpec.build(config, workload, gpu_profile="fermi", scale="smoke",
+                  num_sms=2)
+    for workload in ("2DCONV", "ATAX") for config in ("L1-SRAM", "Dy-FUSE")
+]
+outcomes = ExperimentEngine(workers=2).run_specs(specs)
+parent_packs = arena_cache_stats()["packs"]
+print(json.dumps({
+    "errors": [o.error for o in outcomes if not o.ok],
+    "parent_packs": parent_packs,
+    "runs": len(outcomes),
+    "pooled": [result_to_dict(o.result) for o in outcomes if o.ok],
+    "serial": [result_to_dict(execute_spec(spec)) for spec in specs],
+}))
+"""
 
 
 class TestBatchedStore:

@@ -10,6 +10,7 @@ from repro.gpu.coalescer import coalesce, coalesce_count, warp_addresses
 from repro.gpu.config import fermi_like
 from repro.gpu.simulator import GPUSimulator
 from repro.gpu.warp import Warp
+from repro.workloads.arena import PackedTraceArena
 from repro.workloads.trace import compute_block, load_instruction
 from tests.conftest import load, store
 
@@ -49,27 +50,26 @@ class TestCoalescer:
 
 
 class TestWarp:
-    def test_stream_consumption(self):
-        warp = Warp(0, iter([compute_block(3), compute_block(2)]))
-        assert warp.next_instruction().count == 3
-        assert warp.peek().count == 2
-        assert warp.next_instruction().count == 2
-        assert warp.next_instruction() is None
-        assert warp.done
+    def _warp(self):
+        arena = PackedTraceArena.from_streams("<empty>", 1, 1,
+                                              lambda sm_id, warp_id: ())
+        return Warp(0, arena, 0)
 
     def test_blocking_on_loads(self):
-        warp = Warp(0, iter([]))
+        warp = self._warp()
         warp.block_on(2)
         assert warp.blocked
-        assert not warp.complete_transaction(50)
-        assert warp.complete_transaction(80)
+        # eager retirement: the later data-ready cycle wins, whatever
+        # the order the two loads retire in
+        assert not warp.complete_transaction_at(80)
+        assert warp.complete_transaction_at(50)
         assert warp.ready_at == 80
         assert not warp.blocked
 
     def test_completion_without_pending_raises(self):
-        warp = Warp(0, iter([]))
+        warp = self._warp()
         with pytest.raises(RuntimeError):
-            warp.complete_transaction(10)
+            warp.complete_transaction_at(10)
 
 
 class TestSchedulers:
