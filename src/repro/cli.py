@@ -288,7 +288,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     worker.add_argument(
         "--poll", type=float, default=0.5, metavar="SECONDS",
-        help="idle sleep between empty lease attempts (default 0.5)",
+        help="longest the coordinator holds an empty lease before the "
+             "worker asks again (long poll, capped at 10; default 0.5)",
     )
     worker.add_argument(
         "--once", action="store_true",
@@ -927,6 +928,13 @@ def _cmd_worker(args: argparse.Namespace) -> int:
         return 2
     except KeyboardInterrupt:
         return 130
+    finally:
+        # already exiting: interpreter shutdown restores the default
+        # SIGTERM action, so a fleet manager's SIGTERM landing now
+        # (say, right after a draining grant) would turn exit 0 into
+        # 143; an ignored signal stays ignored through shutdown
+        with contextlib.suppress(ValueError):
+            signal.signal(signal.SIGTERM, signal.SIG_IGN)
 
 
 def _cmd_store(args: argparse.Namespace) -> int:

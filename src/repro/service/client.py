@@ -189,6 +189,7 @@ class ServiceClient:
         max_runs: Optional[int] = None,
         ttl: Optional[float] = None,
         heartbeat: Optional[Dict] = None,
+        wait: Optional[float] = None,
     ) -> Dict:
         """POST /v1/leases: pull a batch of pending runs (remote mode).
 
@@ -197,13 +198,19 @@ class ServiceClient:
         empty (and ``lease`` null) when nothing is pending.  An
         optional *heartbeat* object piggybacks worker telemetry on the
         request (see :meth:`heartbeat`); servers that predate the
-        worker registry ignore it.
+        worker registry ignore it.  With *wait* the request is a long
+        poll: the coordinator holds an empty grant up to *wait* seconds
+        (clamped to 10 s, below the default 30 s socket timeout) and
+        answers as soon as runs are pending or draining begins;
+        coordinators that predate the field answer at once.
         """
         payload: Dict = {"worker": worker}
         if max_runs is not None:
             payload["max_runs"] = max_runs
         if ttl is not None:
             payload["ttl"] = ttl
+        if wait is not None:
+            payload["wait"] = wait
         if heartbeat is not None:
             payload["heartbeat"] = heartbeat
         # not idempotent: a grant whose response is lost strands its

@@ -32,7 +32,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 __all__ = [
     "DEFAULT_LEASE_RUNS", "DEFAULT_LEASE_TTL_S", "Lease", "LeaseManager",
-    "MAX_ATTEMPTS", "MAX_LEASE_RUNS", "MAX_LEASE_TTL_S",
+    "MAX_ATTEMPTS", "MAX_LEASE_RUNS", "MAX_LEASE_TTL_S", "MAX_LEASE_WAIT_S",
 ]
 
 #: default/maximum runs granted per lease request
@@ -42,6 +42,10 @@ MAX_LEASE_RUNS = 64
 #: default/maximum lease TTL in seconds
 DEFAULT_LEASE_TTL_S = 60.0
 MAX_LEASE_TTL_S = 3600.0
+
+#: longest the coordinator holds an empty lease request open (the
+#: ``wait`` long poll) -- well below the client's 30 s socket timeout
+MAX_LEASE_WAIT_S = 10.0
 
 #: a key re-leased this many times without settling is abandoned
 #: (settled as an error) so its jobs never hang on a poison run

@@ -9,8 +9,9 @@ that view on the scheduler's event loop, fed two ways:
 * **piggybacked heartbeats** -- every ``POST /v1/leases`` and
   ``…/settle`` body may carry a ``heartbeat`` object (name, pid/host,
   cumulative runs/cycles/seconds, arena hit rate);
-* **idle heartbeats** -- ``POST /v1/workers/heartbeat`` for workers
-  with nothing leased, so a quiet fleet still reads as alive.
+* **standalone heartbeats** -- ``POST /v1/workers/heartbeat``, kept
+  for older workers that call it while idle (current workers stay
+  live through their held long-poll leases instead).
 
 Liveness is a two-stage TTL, mirroring the lease table's injectable
 clock so tests drive it deterministically: a worker silent past
@@ -30,7 +31,7 @@ from typing import Callable, Dict, List, Optional
 
 __all__ = ["WorkerRegistry", "WorkerState"]
 
-#: registry defaults -- generous next to the 0.5 s default worker poll
+#: registry defaults -- generous next to the longest lease hold (10 s)
 DEFAULT_STALE_AFTER_S = 30.0
 DEFAULT_EXPIRE_AFTER_S = 120.0
 

@@ -36,6 +36,11 @@ same per-key futures, counters and SSE events as a local engine
 outcome.  Coalescing layers 1--3 are unchanged (the run-key lease *is*
 layer 2, now fleet-wide), and a reaper task on the event loop expires
 dead workers' leases back into the queue so no job hangs on a crash.
+An idle worker's lease request is a long poll: the HTTP layer holds it
+in :meth:`JobScheduler.wait_for_work`, which one wake signal releases
+whenever keys become pending (a job's dispatch -- journal recovery
+included -- or the reaper re-queueing an expired lease) or draining
+begins, so a submitted job starts at once instead of after a poll.
 
 With a :class:`~repro.service.journal.JobJournal` attached, every
 lifecycle transition is journaled -- acceptance (write-ahead: before
@@ -49,6 +54,7 @@ from __future__ import annotations
 
 import asyncio
 import collections
+import contextlib
 import sys
 import threading
 import time
@@ -161,6 +167,9 @@ class JobScheduler:
         self.workers = WorkerRegistry()
         self._reap_interval = max(0.05, float(lease_reap_interval))
         self._reaper: Optional[asyncio.Task] = None
+        #: long-poll wake signal: fired (and replaced by a fresh event)
+        #: whenever keys become pending or draining begins
+        self._work_signal = asyncio.Event()
         # per-scheduler registry: concurrent services in one process
         # (tests run many) must never see each other's counters.  The
         # HTTP layer renders this together with the process-wide
@@ -624,6 +633,7 @@ class JobScheduler:
         self._ensure_reaper()
         for key, spec in zip(owned, dispatch):
             self.leases.add(key, (spec, job))
+        self._wake_lessees()
         # hold references now: settlement pops the futures from _inflight
         futures = [self._inflight[key] for key in owned]
         for future in futures:
@@ -659,6 +669,7 @@ class JobScheduler:
         requeued = sum(len(lease.runs) for lease in reaped) - len(abandoned)
         if requeued:
             self._lease_requeued.inc(requeued)
+            self._wake_lessees()
         for key, (spec, job) in abandoned:
             message = (
                 f"abandoned after {MAX_ATTEMPTS} lease attempts "
@@ -669,6 +680,22 @@ class JobScheduler:
             future = self._inflight.pop(key, None)
             if future is not None and not future.done():
                 future.set_result(("error", message))
+
+    def _wake_lessees(self) -> None:
+        """Release every lease request held in :meth:`wait_for_work`.
+        Edge-triggered: the fired event is swapped for a fresh one, so
+        a request that finds nothing left to grant holds again."""
+        fired, self._work_signal = self._work_signal, asyncio.Event()
+        fired.set()
+
+    async def wait_for_work(self, timeout: float) -> None:
+        """Hold until keys become pending, draining begins, or *timeout*
+        seconds pass -- the long-poll half of ``POST /v1/leases``.
+        Returns without granting anything: the caller grants through
+        :meth:`grant_lease` on the same event loop, so two held
+        requests can never receive the same key."""
+        with contextlib.suppress(asyncio.TimeoutError):
+            await asyncio.wait_for(self._work_signal.wait(), timeout)
 
     def grant_lease(
         self,
@@ -893,13 +920,19 @@ class JobScheduler:
             queue.put_nowait(event)
 
     # ------------------------------------------------------------------
+    def begin_drain(self) -> None:
+        """Refuse new submissions from now on and release every held
+        lease request, which answers ``draining: true`` at once."""
+        self.draining = True
+        self._wake_lessees()
+
     async def drain(self) -> None:
         """Stop accepting work and wait for queued + active jobs.
 
         Queued jobs still execute (they were accepted); new submissions
         raise :class:`Draining` the moment this is called.
         """
-        self.draining = True
+        self.begin_drain()
         while self._waiting or self._active:
             tasks = list(self._active.values())
             if tasks:

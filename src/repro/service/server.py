@@ -18,7 +18,8 @@ Endpoints (see ``docs/service-api.md`` for payload shapes):
 * ``POST /v1/leases``          -- (remote mode) a worker pulls a lease
   over a batch of pending runs; 200 with ``{"lease", "ttl", "runs"}``
   (``runs`` empty when nothing is pending), 400 when the service is
-  not in remote mode.
+  not in remote mode.  A ``wait`` field makes it a long poll: an
+  empty grant is held up to ``wait`` seconds for work to arrive.
 * ``POST /v1/leases/{id}/settle`` -- (remote mode) a worker settles
   leased outcomes; 200 with accept/duplicate counts, 410 when the
   lease expired and none of the keys were still claimable.
@@ -27,9 +28,9 @@ Endpoints (see ``docs/service-api.md`` for payload shapes):
 * ``GET /v1/workers``          -- (remote mode) the fleet registry:
   every known worker with liveness state, settled-run counts and
   reported throughput (``repro top`` renders this).
-* ``POST /v1/workers/heartbeat`` -- (remote mode) idle-worker
-  liveness; busy workers piggyback the same heartbeat object on their
-  lease/settle bodies instead.
+* ``POST /v1/workers/heartbeat`` -- (remote mode) worker liveness
+  for workers that predate heartbeats on lease bodies; current
+  workers piggyback the same object on every lease/settle instead.
 * ``GET /v1/jobs``             -- recent job snapshots, newest first
   (``?limit=`` caps the list).
 * ``GET /healthz``             -- liveness (``draining`` while
@@ -41,8 +42,9 @@ Endpoints (see ``docs/service-api.md`` for payload shapes):
 
 Operational behaviour: request bodies are bounded (413 past
 ``max_body``), non-sweep methods get 405, unknown paths 404; SIGTERM /
-SIGINT triggers a graceful drain -- the listener closes, queued and
-active jobs finish, then the process exits.  With
+SIGINT triggers a graceful drain -- submits are refused and held
+leases released, queued and active jobs finish (workers can still
+lease and settle), then the listener closes and the process exits.  With
 ``REPRO_SERVICE_ACCESS_LOG=<path>`` every request appends one JSONL
 line (ts, method, path, status, duration_ms, bytes_out, job id when a
 submission created/coalesced one).  With ``--journal PATH`` /
@@ -60,11 +62,12 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
+import math
 import os
 import signal
 import threading
 import time
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Set, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from repro.engine.engine import ExperimentEngine
@@ -73,7 +76,11 @@ from repro.engine.spec import spec_to_dict
 from repro.engine.store import ResultStore, default_store_path
 from repro.service.jobs import InvalidRequest, SweepRequest
 from repro.service.journal import JobJournal
-from repro.service.leases import DEFAULT_LEASE_RUNS, DEFAULT_LEASE_TTL_S
+from repro.service.leases import (
+    DEFAULT_LEASE_RUNS,
+    DEFAULT_LEASE_TTL_S,
+    MAX_LEASE_WAIT_S,
+)
 from repro.service.scheduler import (
     DEFAULT_MAX_ACTIVE,
     DEFAULT_MAX_QUEUE,
@@ -240,6 +247,8 @@ class SimulationService:
         self.started = time.monotonic()
         self._server: Optional[asyncio.AbstractServer] = None
         self._stop = asyncio.Event()
+        #: connection handlers still running (awaited on shutdown)
+        self._handlers: Set[asyncio.Task] = set()
         # request-level metrics live in the scheduler's registry so one
         # /metrics scrape covers the whole service instance
         registry = scheduler.registry
@@ -280,14 +289,22 @@ class SimulationService:
         self.port = self._server.sockets[0].getsockname()[1]
 
     def request_stop(self) -> None:
-        """Ask the serve loop to drain and exit (signal-handler safe)."""
-        self.scheduler.draining = True
+        """Ask the serve loop to drain and exit (signal-handler safe):
+        submits are refused from here on and held leases answer
+        ``draining: true`` at once."""
+        self.scheduler.begin_drain()
         self._stop.set()
 
     async def serve_until_stopped(self) -> None:
         """Serve until :meth:`request_stop` (or SIGTERM/SIGINT), then
-        drain gracefully: close the listener, let every accepted job
-        finish, and return."""
+        drain gracefully: let every accepted job finish, close the
+        listener, and return.
+
+        The listener stays open while jobs drain: in remote mode the
+        workers finishing those jobs still need to lease and settle.
+        Submits are already refused once ``draining`` is set, so local
+        and remote mode share this one shutdown order.
+        """
         if self._server is None:
             await self.start()
         loop = asyncio.get_running_loop()
@@ -303,9 +320,14 @@ class SimulationService:
         finally:
             for signum in installed:
                 loop.remove_signal_handler(signum)
+            await self.scheduler.drain()
             self._server.close()
             await self._server.wait_closed()
-            await self.scheduler.drain()
+            # Python < 3.12 does not wait for open handlers: let the
+            # ones answering the drain (released lease holds) finish
+            # instead of being cancelled mid-close
+            if self._handlers:
+                await asyncio.wait(set(self._handlers), timeout=IO_TIMEOUT_S)
 
     # ------------------------------------------------------------------
     async def _handle_connection(
@@ -315,11 +337,14 @@ class SimulationService:
         responder = _Responder(writer)
         method: Optional[str] = None
         target: Optional[str] = None
+        handler = asyncio.current_task()
+        self._handlers.add(handler)
+        handler.add_done_callback(self._handlers.discard)
         try:
             try:
                 method, target, headers = await self._read_head(reader)
                 body = await self._read_body(reader, headers)
-                await self._route(method, target, body, responder)
+                await self._route(method, target, body, responder, reader)
             except _HTTPError as error:
                 responder.write(_json_response(
                     error.status, {"error": error.message},
@@ -438,6 +463,7 @@ class SimulationService:
         target: str,
         body: bytes,
         writer: asyncio.StreamWriter,
+        reader: asyncio.StreamReader,
     ) -> None:
         url = urlsplit(target)
         path = url.path.rstrip("/") or "/"
@@ -473,7 +499,7 @@ class SimulationService:
                 return
             if method != "POST":
                 raise _HTTPError(405, "GET or POST only")
-            self._handle_lease(body, writer)
+            await self._handle_lease(body, reader, writer)
             return
         if path.startswith("/v1/leases/") and path.endswith("/settle"):
             if method != "POST":
@@ -596,12 +622,18 @@ class SimulationService:
                 "`repro serve --remote` to serve workers",
             )
 
-    def _handle_lease(self, body: bytes, writer) -> None:
+    async def _handle_lease(
+        self, body: bytes, reader: asyncio.StreamReader, writer
+    ) -> None:
         """POST /v1/leases: grant a worker a batch of pending runs.
 
-        Grants continue while draining (accepted jobs must finish);
-        the response's ``draining`` flag tells workers they may exit
-        once ``runs`` comes back empty.
+        With ``wait`` (seconds, clamped to :data:`MAX_LEASE_WAIT_S`) an
+        empty grant is a long poll: the request is held until keys
+        become pending, draining begins, or the wait runs out.  A
+        worker that hung up mid-hold is granted nothing, so no batch
+        sits unclaimed until its TTL.  Grants continue while draining
+        (accepted jobs must finish); the response's ``draining`` flag
+        tells workers they may exit once ``runs`` comes back empty.
         """
         self._require_remote()
         try:
@@ -614,13 +646,29 @@ class SimulationService:
         try:
             max_runs = int(payload.get("max_runs", DEFAULT_LEASE_RUNS))
             ttl = float(payload.get("ttl", DEFAULT_LEASE_TTL_S))
+            wait = float(payload.get("wait", 0.0))
         except (TypeError, ValueError):
-            raise _HTTPError(400, "max_runs/ttl must be numbers")
-        # the lease itself is the liveness signal; a piggybacked
+            raise _HTTPError(400, "max_runs/ttl/wait must be numbers")
+        if not (math.isfinite(wait) and wait >= 0.0):
+            raise _HTTPError(400, "wait must be a finite number >= 0")
+        scheduler = self.scheduler
+        # the lease itself is the liveness signal (registered before any
+        # hold, so GET /v1/workers sees a held worker); a piggybacked
         # heartbeat additionally updates the worker's telemetry
-        if self.scheduler.workers.heartbeat(payload.get("heartbeat")) is None:
-            self.scheduler.workers.touch(worker)
-        grant = self.scheduler.grant_lease(worker, max_runs=max_runs, ttl=ttl)
+        if scheduler.workers.heartbeat(payload.get("heartbeat")) is None:
+            scheduler.workers.touch(worker)
+        deadline = time.monotonic() + min(wait, MAX_LEASE_WAIT_S)
+        grant = scheduler.grant_lease(worker, max_runs=max_runs, ttl=ttl)
+        while grant is None and not scheduler.draining:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                break
+            await scheduler.wait_for_work(remaining)
+            if reader.at_eof() or reader.exception() is not None:
+                return  # the worker hung up mid-hold: grant it nothing
+            grant = scheduler.grant_lease(
+                worker, max_runs=max_runs, ttl=ttl
+            )
         if grant is None:
             writer.write(_json_response(200, {
                 "lease": None,
@@ -723,11 +771,12 @@ class SimulationService:
         }))
 
     def _handle_worker_heartbeat(self, body: bytes, writer) -> None:
-        """POST /v1/workers/heartbeat: idle-worker liveness.
+        """POST /v1/workers/heartbeat: standalone worker liveness.
 
-        Busy workers piggyback the same object on lease/settle bodies;
-        this endpoint keeps a worker with nothing leased visible in
-        ``GET /v1/workers`` between polls.
+        Current workers piggyback the same object on every lease and
+        settle body (an idle worker's held lease keeps it live); the
+        endpoint stays for older workers that still call it between
+        polls.
         """
         self._require_remote()
         try:

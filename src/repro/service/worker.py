@@ -25,14 +25,23 @@ Everything that can go wrong is the scheduler's problem by design:
   fresh listener in lockstep (``--poll`` stays the floor; the cap
   bounds the worst-case reconnect delay).
 
+An idle worker does not sleep between polls: its lease request carries
+``wait`` (``--poll``), and the coordinator holds the empty grant until
+runs are pending, draining begins or the wait runs out, so a submitted
+job starts at once.  A coordinator that predates the long poll answers
+at once; the worker then sleeps the rest of ``--poll`` so the loop
+never spins.
+
 The worker verifies each leased spec round-trips to the advertised run
 key before executing, so a corrupted payload is refused (settled as an
 error) rather than silently poisoning the store with a mis-keyed
 result.  When the scheduler reports ``draining`` and has no runs left,
 the worker exits cleanly -- ``repro worker`` fleets drain with their
-scheduler -- and the CLI entry point additionally exits 0 on SIGTERM
-(an in-flight lease is covered by its TTL), so fleet managers can stop
-workers the ordinary way.
+scheduler.  A coordinator closes its listener once its drain finishes,
+so a worker that was told ``draining`` and then finds the coordinator
+unreachable exits cleanly too.  The CLI entry point additionally exits
+0 on SIGTERM (an in-flight lease is covered by its TTL), so fleet
+managers can stop workers the ordinary way.
 """
 
 from __future__ import annotations
@@ -46,6 +55,7 @@ from typing import Callable, Dict, List, Optional
 from repro.engine.spec import RunKey, execute_spec, spec_from_dict
 from repro.engine.serialize import result_to_dict
 from repro.service.client import ServiceClient, ServiceError
+from repro.service.leases import MAX_LEASE_WAIT_S
 from repro.service.retry import RetryPolicy
 from repro.telemetry.tracectx import parse_traceparent, trace_scope
 from repro.workloads.arena import arena_cache_stats
@@ -56,6 +66,9 @@ __all__ = ["default_worker_name", "run_worker", "transport_delay_s"]
 #: batch and executing it (lets a harness SIGKILL the worker mid-lease
 #: deterministically, or force the lease past its TTL)
 HOLD_ENV = "REPRO_WORKER_HOLD_S"
+
+#: floor on the idle interval: a zero ``--poll`` must not spin
+MIN_POLL_S = 0.05
 
 
 def default_worker_name() -> str:
@@ -174,7 +187,10 @@ def run_worker(
         ttl: requested lease TTL in seconds (server clamps).  Must
             outlast the slowest single batch the worker will take
             between settles, or the scheduler will re-issue its runs.
-        poll_s: idle sleep when the queue is empty.
+        poll_s: the longest the coordinator holds an empty lease (the
+            long-poll ``wait``, capped at :data:`MAX_LEASE_WAIT_S`);
+            against a coordinator that answers at once, the pacing
+            between empty leases.
         once: exit after the first settled (or empty) lease -- used by
             tests and one-shot deployments.
         hold_s: fault-injection hook -- sleep this long between lease
@@ -197,40 +213,47 @@ def run_worker(
         hold_s = float(raw) if raw else 0.0
     say = log or (lambda line: None)
     say(f"worker {worker} pulling from {url}")
+    idle_s = min(max(poll_s, MIN_POLL_S), MAX_LEASE_WAIT_S)
     failures = 0
+    # the coordinator's latest word on whether it is draining
+    draining = False
     while True:
+        asked = time.monotonic()
         try:
             grant = client.lease(
                 worker=worker, max_runs=max_runs, ttl=ttl,
-                heartbeat=stats.heartbeat(),
+                heartbeat=stats.heartbeat(), wait=idle_s,
             )
         except ServiceError as error:
-            if error.status == 0:
-                # scheduler unreachable (restarting?): jittered backoff
-                # -- the fleet re-leases staggered, not in lockstep
-                failures += 1
-                delay = transport_delay_s(policy, failures, poll_s, worker)
-                say(
-                    f"worker {worker}: scheduler unreachable "
-                    f"({failures}x); retrying in {delay:.2f}s"
-                )
-                time.sleep(delay)
-                continue
-            raise
+            if error.status != 0:
+                raise
+            if draining:
+                # a draining coordinator closes its listener only once
+                # every accepted job finished: nothing is left to lease
+                say(f"worker {worker}: scheduler drained and closed, "
+                    "exiting")
+                return 0
+            # scheduler unreachable (restarting?): jittered backoff --
+            # the fleet re-leases staggered, not in lockstep
+            failures += 1
+            delay = transport_delay_s(policy, failures, poll_s, worker)
+            say(
+                f"worker {worker}: scheduler unreachable "
+                f"({failures}x); retrying in {delay:.2f}s"
+            )
+            time.sleep(delay)
+            continue
         failures = 0
+        draining = bool(grant.get("draining"))
         runs: List[Dict] = grant.get("runs") or []
         if not runs:
-            if grant.get("draining") or once:
+            if draining or once:
                 say(f"worker {worker}: queue drained, exiting")
                 return 0
-            # idle heartbeat: a worker with nothing leased still reads
-            # as alive in GET /v1/workers.  Best-effort -- an older
-            # coordinator without the endpoint must not kill the loop.
-            try:
-                client.heartbeat(stats.heartbeat())
-            except ServiceError:
-                pass
-            time.sleep(max(poll_s, 0.05))
+            # a coordinator that held the lease has used up the idle
+            # interval already; one that predates the long poll answered
+            # at once, so sleep the rest of it instead of spinning
+            time.sleep(max(0.0, idle_s - (time.monotonic() - asked)))
             continue
         if hold_s > 0:
             time.sleep(hold_s)
@@ -242,9 +265,10 @@ def run_worker(
             for run in runs:
                 outcome = _execute_one(run["key"], run)
                 stats.account(outcome)
-                client.settle(
+                reply = client.settle(
                     lease_id, [outcome], heartbeat=stats.heartbeat()
                 )
+                draining = bool(reply.get("draining"))
                 settled += 1
         except ServiceError as error:
             if error.status == 410:

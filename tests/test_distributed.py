@@ -13,6 +13,13 @@ Three layers of proof:
   from the store (warm), bit-identical to a serial
   :func:`~repro.engine.spec.execute_spec` pass, and re-issued when a
   worker is SIGKILLed mid-lease.
+
+The long-poll lease (``wait``) gets its own layer: held requests are
+answered by a submit, a reaper re-queue and a drain well before their
+wait runs out, concurrent holders split a job, a holder that hung up
+is granted nothing, the worker paces itself against a coordinator that
+answers at once, and a SIGTERMed coordinator drains a job through its
+fleet before closing the listener.
 """
 
 import json
@@ -20,6 +27,7 @@ import re
 import subprocess
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -246,19 +254,29 @@ class TestFleet:
         bit."""
         with remote_service(tmp_path) as svc:
             client = ServiceClient(svc.url)
-            workers = [
-                spawn_worker(svc.url, f"w{index}", max_runs=2)
-                for index in range(2)
-            ]
             submitters = [submit_proc(svc.url) for _ in range(2)]
+            workers = []
             try:
+                # both submissions attach to one job before any worker
+                # can run it: held leases start a job at once, so a
+                # late submitter would otherwise find it already done
+                wait_until(
+                    lambda: metric_value(
+                        client.metrics(), "repro_service_jobs_coalesced"
+                    ) == 1,
+                    what="the two submissions to coalesce",
+                )
+                workers = [
+                    spawn_worker(svc.url, f"w{index}", max_runs=2)
+                    for index in range(2)
+                ]
                 snapshots = []
                 for proc in submitters:
                     out, err = proc.communicate(timeout=120)
                     assert proc.returncode == 0, err
                     snapshots.append(json.loads(out))
             finally:
-                stop_workers(*workers)
+                stop_workers(*workers, *submitters)
 
             # both submissions coalesced onto one content-addressed job
             assert snapshots[0]["job"] == snapshots[1]["job"]
@@ -463,3 +481,285 @@ class TestFleet:
             time.sleep(1.0)  # let it reach the idle poll loop
             worker.send_signal(signal.SIGTERM)
             assert worker.wait(15) == 0
+
+
+# ----------------------------------------------------------------------
+# the long-poll lease: POST /v1/leases with "wait"
+HOLD_S = 8.0
+
+
+def close_out(client: ServiceClient, *grants) -> None:
+    """Settle every run of *grants* as an error so the job finishes and
+    the service can drain."""
+    for grant in grants:
+        if grant.get("runs"):
+            client.settle(grant["lease"], [
+                {"key": run["key"], "error": "injected failure"}
+                for run in grant["runs"]
+            ])
+
+
+def held_lease(pool, client: ServiceClient, worker: str, **kwargs):
+    """Start a long-poll lease on *pool*; returns (future, started)
+    once the coordinator has registered the worker (it does so before
+    holding the request)."""
+    started = time.monotonic()
+    future = pool.submit(client.lease, worker=worker, wait=HOLD_S, **kwargs)
+    wait_until(
+        lambda: worker in {w["name"] for w in client.workers()["workers"]},
+        what=f"{worker} to register before its hold",
+    )
+    return future, started
+
+
+class TestLongPollLease:
+    def test_lease_without_wait_answers_at_once(self, tmp_path):
+        with remote_service(tmp_path) as svc:
+            client = ServiceClient(svc.url)
+            started = time.monotonic()
+            grant = client.lease(worker="impatient")
+            assert time.monotonic() - started < 1.0
+            assert grant["runs"] == [] and grant["lease"] is None
+
+    def test_held_lease_times_out_empty(self, tmp_path):
+        with remote_service(tmp_path) as svc:
+            client = ServiceClient(svc.url)
+            started = time.monotonic()
+            grant = client.lease(worker="patient", wait=0.5)
+            assert 0.4 <= time.monotonic() - started < HOLD_S
+            assert grant["runs"] == [] and grant["draining"] is False
+
+    def test_invalid_wait_is_400(self, tmp_path):
+        with remote_service(tmp_path) as svc:
+            client = ServiceClient(svc.url)
+            for bad in ("soon", -1, float("inf"), float("nan"), [1]):
+                with pytest.raises(ServiceError) as refused:
+                    client.lease(worker="w", wait=bad)
+                assert refused.value.status == 400, bad
+                assert "wait" in str(refused.value)
+
+    def test_submit_answers_held_lease(self, tmp_path):
+        with remote_service(tmp_path) as svc, \
+                ThreadPoolExecutor(1) as pool:
+            client = ServiceClient(svc.url)
+            future, _ = held_lease(pool, client, "held", max_runs=64)
+            submitted = time.monotonic()
+            client.submit(**SWEEP)
+            grant = future.result(timeout=HOLD_S + 5)
+            assert time.monotonic() - submitted < HOLD_S / 4
+            assert len(grant["runs"]) == SWEEP_TOTAL
+            close_out(client, grant)
+
+    def test_reaper_requeue_answers_held_lease(self, tmp_path):
+        with remote_service(tmp_path) as svc, \
+                ThreadPoolExecutor(1) as pool:
+            client = ServiceClient(svc.url)
+            client.submit(**SWEEP)
+            wait_until(
+                lambda: client.leases()["pending_runs"] == SWEEP_TOTAL,
+                what="runs to queue",
+            )
+            zombie = client.lease(worker="zombie", max_runs=64, ttl=1)
+            assert len(zombie["runs"]) == SWEEP_TOTAL
+            future, started = held_lease(
+                pool, client, "rescuer", max_runs=64
+            )
+            grant = future.result(timeout=HOLD_S + 5)
+            # the 1 s TTL plus a reaper tick, not the 8 s hold
+            assert time.monotonic() - started < HOLD_S / 2
+            assert ({run["key"] for run in grant["runs"]}
+                    == {run["key"] for run in zombie["runs"]})
+            close_out(client, grant)
+
+    def test_drain_releases_held_lease(self, tmp_path):
+        with remote_service(tmp_path) as svc, \
+                ThreadPoolExecutor(1) as pool:
+            client = ServiceClient(svc.url)
+            future, started = held_lease(pool, client, "held")
+            svc._loop.call_soon_threadsafe(
+                svc.service.scheduler.begin_drain
+            )
+            grant = future.result(timeout=HOLD_S + 5)
+            assert time.monotonic() - started < HOLD_S / 2
+            assert grant["runs"] == [] and grant["draining"] is True
+
+    def test_concurrent_held_leases_split_the_job(self, tmp_path):
+        with remote_service(tmp_path) as svc, \
+                ThreadPoolExecutor(2) as pool:
+            client = ServiceClient(svc.url)
+            held = [
+                held_lease(pool, client, name, max_runs=SWEEP_TOTAL // 2)[0]
+                for name in ("held-a", "held-b")
+            ]
+            submitted = time.monotonic()
+            job = client.submit(**SWEEP)["job"]
+            grants = [future.result(timeout=HOLD_S + 5) for future in held]
+            assert time.monotonic() - submitted < HOLD_S / 4
+            keys = [{run["key"] for run in grant["runs"]}
+                    for grant in grants]
+            assert keys[0] and keys[1] and not keys[0] & keys[1]
+            assert keys[0] | keys[1] == {
+                run["key"] for run in client.job(job)["runs"]
+            }
+            close_out(client, *grants)
+
+    def test_disconnected_held_lease_grants_nothing(self, tmp_path):
+        import socket
+
+        with remote_service(tmp_path) as svc:
+            client = ServiceClient(svc.url)
+            body = json.dumps({"worker": "ghost", "wait": HOLD_S}).encode()
+            ghost = socket.create_connection(("127.0.0.1", svc.service.port))
+            ghost.sendall(
+                b"POST /v1/leases HTTP/1.1\r\nHost: test\r\n"
+                b"Content-Type: application/json\r\n"
+                b"Content-Length: " + str(len(body)).encode()
+                + b"\r\n\r\n" + body
+            )
+            wait_until(
+                lambda: "ghost" in {
+                    w["name"] for w in client.workers()["workers"]
+                },
+                what="the ghost to register before its hold",
+            )
+            ghost.close()  # SIGTERMed mid-hold
+            client.submit(**SWEEP)
+            wait_until(
+                lambda: client.leases()["pending_runs"] == SWEEP_TOTAL,
+                what="runs to queue",
+            )
+            time.sleep(0.3)  # the woken ghost handler has run by now
+            snapshot = client.leases()
+            assert snapshot["active"] == []
+            assert snapshot["pending_runs"] == SWEEP_TOTAL
+            close_out(client, client.lease(worker="closer", max_runs=64))
+
+
+class _StubClient:
+    """Stands in for ServiceClient inside run_worker: replays scripted
+    lease answers, advancing a fake clock by each answer's hold."""
+
+    def __init__(self, clock, answers):
+        self.clock = clock
+        self.answers = list(answers)
+        self.lease_kwargs = []
+
+    def lease(self, **kwargs):
+        self.lease_kwargs.append(kwargs)
+        held_s, answer = self.answers.pop(0)
+        self.clock[0] += held_s
+        if isinstance(answer, Exception):
+            raise answer
+        return answer
+
+    def settle(self, lease_id, runs, heartbeat=None):
+        return {"settled": len(runs), "draining": True}
+
+    def heartbeat(self, payload):
+        raise AssertionError("an idle worker sends no separate heartbeat")
+
+
+class TestWorkerPacing:
+    EMPTY = {"lease": None, "runs": [], "draining": False}
+    DRAINED = {"lease": None, "runs": [], "draining": True}
+
+    def run(self, monkeypatch, answers, poll_s=0.5):
+        import types
+
+        import repro.service.worker as worker_mod
+
+        clock, sleeps = [100.0], []
+
+        def sleep(seconds):
+            sleeps.append(seconds)
+            clock[0] += seconds
+
+        monkeypatch.setattr(worker_mod, "time", types.SimpleNamespace(
+            monotonic=lambda: clock[0], sleep=sleep,
+            perf_counter=time.perf_counter,
+        ))
+        stub = _StubClient(clock, answers)
+        monkeypatch.setattr(worker_mod, "ServiceClient", lambda *a, **k: stub)
+        lines = []
+        code = run_worker("http://stub", name="w", poll_s=poll_s,
+                          log=lines.append)
+        return code, sleeps, stub, lines
+
+    def test_early_answer_sleeps_the_rest_of_poll(self, monkeypatch):
+        # a coordinator without long-poll support answers at once
+        code, sleeps, stub, _ = self.run(monkeypatch, [
+            (0.0, self.EMPTY), (0.2, self.EMPTY), (0.0, self.DRAINED),
+        ])
+        assert code == 0
+        assert sleeps == [pytest.approx(0.5), pytest.approx(0.3)]
+        assert all(kw["wait"] == 0.5 for kw in stub.lease_kwargs)
+
+    def test_held_answer_re_leases_at_once(self, monkeypatch):
+        code, sleeps, _, _ = self.run(monkeypatch, [
+            (0.5, self.EMPTY), (0.5, self.EMPTY), (0.0, self.DRAINED),
+        ])
+        assert code == 0
+        assert sleeps == [0.0, 0.0]
+
+    def test_wait_is_floored_and_capped(self, monkeypatch):
+        from repro.service.leases import MAX_LEASE_WAIT_S
+        from repro.service.worker import MIN_POLL_S
+
+        for poll_s, wait in ((0.0, MIN_POLL_S), (600.0, MAX_LEASE_WAIT_S)):
+            _, _, stub, _ = self.run(
+                monkeypatch, [(0.0, self.DRAINED)], poll_s=poll_s
+            )
+            assert stub.lease_kwargs[0]["wait"] == wait
+
+    def test_unreachable_after_drain_exits_zero(self, monkeypatch):
+        import repro.service.worker as worker_mod
+
+        monkeypatch.setattr(
+            worker_mod, "_execute_one",
+            lambda key, run: {"key": key, "error": "stub"},
+        )
+        grant = {"lease": "l1", "runs": [{"key": "k" * 64}],
+                 "draining": False}
+        code, _, _, lines = self.run(monkeypatch, [
+            (0.0, grant),  # the settle reply says draining
+            (0.0, ServiceError(0, "connection refused")),
+        ])
+        assert code == 0
+        assert "drained and closed" in lines[-1]
+
+
+class TestRemoteDrain:
+    def test_sigterm_mid_job_drains_through_the_fleet(self, tmp_path):
+        """SIGTERM a --remote coordinator while its only worker is mid
+        job: the listener stays open until the job drains, so the
+        worker settles every run, then the coordinator exits 0."""
+        import signal
+
+        from faultutil import free_port, spawn_coordinator, wait_for_service
+
+        port = free_port()
+        url = f"http://127.0.0.1:{port}"
+        store = tmp_path / "store.jsonl"
+        coordinator = spawn_coordinator(port, store=store)
+        worker = None
+        try:
+            wait_for_service(url, coordinator)
+            worker = spawn_worker(url, "drainer", max_runs=1, hold_s=1)
+            client = ServiceClient(url)
+            wait_until(
+                lambda: client.workers()["workers"],
+                what="the worker to register",
+            )
+            client.submit(**SWEEP)
+            time.sleep(0.5)
+            coordinator.send_signal(signal.SIGTERM)
+            assert coordinator.wait(45) == 0
+            assert worker.wait(15) == 0
+            log = worker.stderr.read().decode()
+            assert "exiting" in log and "unreachable" not in log, log
+        finally:
+            for proc in (coordinator, worker):
+                if proc is not None and proc.poll() is None:
+                    proc.kill()
+                    proc.wait(10)
+        assert len(ResultStore(store)) == SWEEP_TOTAL

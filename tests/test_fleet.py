@@ -394,7 +394,7 @@ class TestTwoWorkerFleet:
                     for i, log in enumerate(worker_logs)
                 ]
                 try:
-                    # idle heartbeats register both before any work
+                    # each held first lease registers its worker
                     wait_until(
                         lambda: len(client.workers()["workers"]) == 2,
                         what="both workers to register",
