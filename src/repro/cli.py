@@ -799,12 +799,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         remote=True if args.remote else None,
         journal=args.journal,
     )
-    store = service.scheduler.engine.store
+    store = service.scheduler.store
 
     def announce(svc) -> None:
+        engine = svc.scheduler.engine
         mode = (
-            "remote (workers pull leases)" if svc.scheduler.remote
-            else f"workers {svc.scheduler.engine.workers}"
+            "remote (workers pull leases)" if engine is None
+            else f"workers {engine.workers}"
         )
         journal = svc.scheduler.journal
         print(

@@ -9,11 +9,13 @@ standard library (``asyncio`` server, ``urllib`` client):
   a content hash over the sorted :class:`~repro.engine.spec.RunKey`
   digests, so *what* is being asked for -- not *when* or *by whom* --
   names the job.
-* :mod:`repro.service.scheduler` -- a bounded async job queue bridging
-  to :class:`~repro.engine.engine.ExperimentEngine` workers off the
-  event loop, with **single-flight coalescing**: concurrent identical
-  jobs collapse to one execution, overlapping run keys attach to
-  in-flight work, and completed keys are served straight from the
+* :mod:`repro.service.scheduler` -- a bounded async job queue with one
+  dispatch path: pending run keys always queue on the lease table,
+  which a local service's in-process lessee drains into
+  :class:`~repro.engine.engine.ExperimentEngine` off the event loop.
+  **Single-flight coalescing**: concurrent identical jobs collapse to
+  one execution, overlapping run keys attach to in-flight work, and
+  completed keys are served straight from the
   :class:`~repro.engine.store.ResultStore` -- a warm store answers with
   zero simulations.
 * :mod:`repro.service.server` -- minimal HTTP/1.1 on
@@ -26,8 +28,8 @@ standard library (``asyncio`` server, ``urllib`` client):
   stream helpers (what ``repro submit`` uses).
 * :mod:`repro.service.leases` + :mod:`repro.service.worker` -- the
   distributed fabric.  In remote mode (``repro serve --remote``) the
-  scheduler queues run keys on a TTL-leased pull protocol instead of
-  executing them; ``repro worker --url`` processes lease batches,
+  lease table is served over a TTL-leased pull protocol instead of to
+  the lessee; ``repro worker --url`` processes lease batches,
   execute them through :func:`~repro.engine.spec.execute_spec` and
   settle outcomes back, with lease expiry re-queueing a crashed
   worker's runs.  Single-flight holds fleet-wide: the run-key lease is

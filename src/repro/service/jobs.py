@@ -298,8 +298,8 @@ class Job:
 
     Holds the distinct (run key -> spec) slice, the lifecycle state and
     the per-run settlement ledger the HTTP layer snapshots from.  All
-    mutation happens on the event loop thread (the scheduler marshals
-    engine-thread callbacks across), so no locking is needed.
+    mutation happens on the event loop thread (the scheduler's lessee
+    marshals engine-thread outcomes across), so no locking is needed.
     """
 
     def __init__(self, request: SweepRequest, specs: Sequence[RunSpec]):

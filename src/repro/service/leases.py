@@ -1,9 +1,11 @@
 """Run-key leases: fleet-wide single-flight for pulled work.
 
-In remote mode the scheduler does not execute runs itself -- worker
-processes pull batches of pending :class:`~repro.engine.spec.RunSpec`\\ s
-over HTTP (``POST /v1/leases``), execute them through the same
-``execute_spec`` path as a local sweep, and settle the outcomes back
+The scheduler never executes runs itself -- workers lease batches of
+pending :class:`~repro.engine.spec.RunSpec`\\ s and settle the outcomes
+back.  A local service's one worker is an in-process lessee that runs
+each batch through the engine; a ``--remote`` coordinator's workers are
+``repro worker`` processes that lease over HTTP (``POST /v1/leases``),
+execute through the same ``execute_spec`` path, and settle over HTTP
 (``POST /v1/leases/{id}/settle``).  The lease is the unit of exclusivity:
 
 * a run key sits in exactly one place at a time -- the **pending**
@@ -35,11 +37,11 @@ __all__ = [
     "MAX_ATTEMPTS", "MAX_LEASE_RUNS", "MAX_LEASE_TTL_S", "MAX_LEASE_WAIT_S",
 ]
 
-#: default/maximum runs granted per lease request
+#: default/maximum runs granted per HTTP lease request
 DEFAULT_LEASE_RUNS = 8
 MAX_LEASE_RUNS = 64
 
-#: default/maximum lease TTL in seconds
+#: default/maximum HTTP lease TTL in seconds
 DEFAULT_LEASE_TTL_S = 60.0
 MAX_LEASE_TTL_S = 3600.0
 
@@ -116,9 +118,10 @@ class LeaseManager:
         ttl: float = DEFAULT_LEASE_TTL_S,
     ) -> Optional[Lease]:
         """Grant a lease over up to ``max_runs`` pending keys (FIFO
-        order), or ``None`` when nothing is pending."""
-        max_runs = max(1, min(MAX_LEASE_RUNS, int(max_runs)))
-        ttl = max(1.0, min(MAX_LEASE_TTL_S, float(ttl)))
+        order), or ``None`` when nothing is pending.  Unclamped: the
+        HTTP boundary bounds what workers may ask for, and the
+        in-process lessee takes every pending key with an infinite
+        ``ttl``."""
         if not self._pending:
             return None
         batch: Dict[str, object] = {}

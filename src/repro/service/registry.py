@@ -26,6 +26,7 @@ authoritative run ledger never depends on a worker telling the truth.
 
 from __future__ import annotations
 
+import math
 import time
 from typing import Callable, Dict, List, Optional
 
@@ -93,15 +94,16 @@ class WorkerState:
 def _as_int(value, default: int = 0) -> int:
     try:
         return int(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         return default
 
 
 def _as_float(value, default: float = 0.0) -> float:
     try:
-        return float(value)
+        number = float(value)
     except (TypeError, ValueError):
         return default
+    return number if math.isfinite(number) else default
 
 
 class WorkerRegistry:

@@ -1,53 +1,38 @@
-"""Bounded async job queue bridging the event loop to the engine.
+"""Bounded async job queue over one lease queue.
 
 The scheduler owns the three layers of single-flight coalescing that
 let a busy service do dramatically less work than it is asked for:
 
 1. **job level** -- a submission whose content-addressed id matches a
-   queued/running job attaches to it instead of enqueueing a duplicate
-   (two clients asking for the same sweep share one execution);
+   queued/running job attaches to it instead of enqueueing a duplicate;
 2. **run-key level** -- when a job starts, any of its keys currently
    being simulated by *another* in-flight job are awaited instead of
-   re-dispatched (the settling job resolves a future the attached job
-   waits on);
-3. **completed-key level** -- keys already settled are served from
-   cache: the scheduler's in-memory record mirror first, then the
-   engine's :class:`~repro.engine.store.ResultStore` (the engine's own
-   store lookup).  A warm store answers a whole sweep with **zero**
-   simulations.
+   re-dispatched;
+3. **completed-key level** -- keys already settled are served from the
+   in-memory record mirror, then the
+   :class:`~repro.engine.store.ResultStore`.  A warm store answers a
+   whole sweep with **zero** simulations.
 
-Engine execution happens *off the event loop* in a thread-pool executor
-(the engine itself fans out across worker processes); a lock serialises
-engine entries because :class:`~repro.engine.store.ResultStore`'s
-batched append handle is not thread-safe.  Jobs beyond ``max_active``
-wait in a bounded FIFO queue; submissions past ``max_queue`` raise
-:class:`QueueFull`, which the HTTP layer turns into 429 backpressure.
+**One dispatch path.**  The remaining keys always queue on the
+:class:`~repro.service.leases.LeaseManager`, and every outcome comes
+back through :meth:`JobScheduler.settle` -- the store's only writer.
+Given an engine (``repro serve``), one in-process *lessee* task leases
+every pending key at once and runs the batch through
+:meth:`~repro.engine.engine.ExperimentEngine.run_specs` in a thread-pool
+executor, settling outcomes as they stream back via
+``call_soon_threadsafe``.  Without one (``repro serve --remote``),
+``repro worker`` processes lease over HTTP; an idle worker's request is
+a long poll held in :meth:`JobScheduler.wait_for_work` until keys
+become pending or draining begins.  A reaper re-queues the keys of
+expired leases, so no job hangs on a dead worker.
 
-All scheduler state is mutated on the event loop thread only -- the
-engine thread's streaming callbacks are marshalled across with
-``call_soon_threadsafe`` -- so there are no locks around job state.
-
-**Remote mode** (``remote=True``, ``repro serve --remote``) replaces
-the in-process engine dispatch with the worker-pull fabric: a job's
-non-coalesced keys are queued on a :class:`~repro.service.leases.
-LeaseManager` instead of entering the engine, ``repro worker``
-processes lease them over HTTP, and their settlements flow through the
-same per-key futures, counters and SSE events as a local engine
-outcome.  Coalescing layers 1--3 are unchanged (the run-key lease *is*
-layer 2, now fleet-wide), and a reaper task on the event loop expires
-dead workers' leases back into the queue so no job hangs on a crash.
-An idle worker's lease request is a long poll: the HTTP layer holds it
-in :meth:`JobScheduler.wait_for_work`, which one wake signal releases
-whenever keys become pending (a job's dispatch -- journal recovery
-included -- or the reaper re-queueing an expired lease) or draining
-begins, so a submitted job starts at once instead of after a poll.
-
-With a :class:`~repro.service.journal.JobJournal` attached, every
-lifecycle transition is journaled -- acceptance (write-ahead: before
-the 202), settles, terminal states, lease grants/expiries -- and
-:meth:`JobScheduler.recover` replays the log at startup so a restarted
-coordinator serves finished jobs from history and re-queues unfinished
-ones instead of forgetting them.
+Jobs beyond ``max_active`` wait in a bounded FIFO queue; submissions
+past ``max_queue`` raise :class:`QueueFull` (HTTP 429).  All scheduler
+state is mutated on the event loop thread only, so job state needs no
+locks.  With a :class:`~repro.service.journal.JobJournal` attached,
+every lifecycle transition is journaled and :meth:`JobScheduler.recover`
+replays the log at startup, so a restarted coordinator serves finished
+jobs from history and re-queues unfinished ones.
 """
 
 from __future__ import annotations
@@ -55,6 +40,8 @@ from __future__ import annotations
 import asyncio
 import collections
 import contextlib
+import functools
+import math
 import sys
 import threading
 import time
@@ -63,6 +50,7 @@ from typing import Deque, Dict, List, Optional, Tuple
 from repro.engine.engine import ExperimentEngine, RunOutcome
 from repro.engine.serialize import result_to_dict
 from repro.engine.spec import RunSpec, spec_to_dict
+from repro.engine.store import ResultStore
 from repro.service.jobs import Job, SweepRequest
 from repro.service.journal import (
     EV_JOB_ACCEPTED,
@@ -78,6 +66,7 @@ from repro.service.leases import (
     DEFAULT_LEASE_RUNS,
     DEFAULT_LEASE_TTL_S,
     MAX_ATTEMPTS,
+    Lease,
     LeaseManager,
 )
 from repro.service.registry import WorkerRegistry
@@ -102,6 +91,21 @@ DEFAULT_MAX_ACTIVE = 1
 DEFAULT_RESULT_CACHE = 4096
 #: default count of finished jobs kept for GET /v1/jobs/{id}
 DEFAULT_JOB_HISTORY = 256
+#: the in-process lessee's name in the lease table and fleet ledger
+LESSEE = "local"
+
+
+def _usable_timing(timing) -> Optional[dict]:
+    """A settle's ``timing`` when its numbers convert to finite values,
+    else ``None``: bad timing is ignored, never fatal."""
+    if not isinstance(timing, dict):
+        return None
+    try:
+        sim_s = float(timing.get("sim_s", 0.0))
+        int(timing.get("cycles", 0))
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return timing if math.isfinite(sim_s) else None
 
 
 class QueueFull(RuntimeError):
@@ -113,35 +117,35 @@ class Draining(RuntimeError):
 
 
 class JobScheduler:
-    """Single-flight job execution over an :class:`ExperimentEngine`.
+    """Single-flight job execution over one lease queue.
 
     Args:
-        engine: executes the non-coalesced remainder of every job; its
-            store (if any) is the durable cache layer.
+        engine: a store-less engine the in-process lessee runs every
+            leased batch through; ``None`` leaves the queue to workers
+            leasing over HTTP.
+        store: the durable cache layer, written only by :meth:`settle`.
         max_queue: waiting-job bound (:class:`QueueFull` past it).
         max_active: concurrently executing job bound.
         result_cache: in-memory completed-record bound (LRU).
         job_history: finished jobs retained for later GETs.
-        remote: dispatch runs to pulling workers (lease protocol)
-            instead of the in-process engine.
-        lease_reap_interval: reaper tick for expiring dead leases
-            (remote mode only).
+        lease_reap_interval: reaper tick for expiring dead leases.
         journal: write-ahead job journal for crash recovery (``None``
             keeps behaviour byte-identical to an unjournaled service).
     """
 
     def __init__(
         self,
-        engine: ExperimentEngine,
+        engine: Optional[ExperimentEngine] = None,
+        store: Optional[ResultStore] = None,
         max_queue: int = DEFAULT_MAX_QUEUE,
         max_active: int = DEFAULT_MAX_ACTIVE,
         result_cache: int = DEFAULT_RESULT_CACHE,
         job_history: int = DEFAULT_JOB_HISTORY,
-        remote: bool = False,
         lease_reap_interval: float = 0.25,
         journal: Optional[JobJournal] = None,
     ) -> None:
         self.engine = engine
+        self.store = store
         self.max_queue = max(0, max_queue)
         self.max_active = max(1, max_active)
         self.jobs: Dict[str, Job] = {}
@@ -159,14 +163,17 @@ class JobScheduler:
         self._record_limit = max(0, result_cache)
         self._job_history = max(0, job_history)
         self._subscribers: Dict[str, List[asyncio.Queue]] = {}
-        # engine entries are serialised: the store's batched handle (and
-        # the engine's settle bookkeeping) is single-threaded by design
-        self._engine_lock = threading.Lock()
-        self.remote = bool(remote)
+        # concurrent settles persist from executor threads, and the
+        # store's append handle is single-threaded by design
+        self._store_lock = threading.Lock()
         self.leases = LeaseManager()
         self.workers = WorkerRegistry()
         self._reap_interval = max(0.05, float(lease_reap_interval))
         self._reaper: Optional[asyncio.Task] = None
+        self._lessee: Optional[asyncio.Task] = None
+        #: job id -> the exception text of a batch that failed as a
+        #: whole under the lessee (the job ends ``failed`` with it)
+        self._failures: Dict[str, str] = {}
         #: long-poll wake signal: fired (and replaced by a fresh event)
         #: whenever keys become pending or draining begins
         self._work_signal = asyncio.Event()
@@ -190,9 +197,7 @@ class JobScheduler:
             )
         }
         self._register_gauges()
-        if self.remote:
-            self._register_lease_metrics()
-            self._register_fleet_metrics()
+        self._register_fabric_metrics()
         self.journal = journal
         #: recovery summary after :meth:`recover` (None until then)
         self.recovered: Optional[Dict[str, int]] = None
@@ -214,11 +219,11 @@ class JobScheduler:
             "repro_journal_requeued_runs",
             "Unsettled runs of recovered jobs re-queued at startup")
 
-    def _register_lease_metrics(self) -> None:
-        """Lease-fabric accounting, registered only in remote mode so a
-        local service's exposition is unchanged."""
+    def _register_fabric_metrics(self) -> None:
+        """Lease-queue accounting and its aggregation over the worker
+        registry (the in-process lessee counts as a worker)."""
         self._lease_granted = self.registry.counter(
-            "repro_lease_granted", "Leases granted to pulling workers")
+            "repro_lease_granted", "Leases granted to workers")
         self._lease_runs_leased = self.registry.counter(
             "repro_lease_runs_leased", "Run keys handed out under leases")
         self._lease_settled = self.registry.counter(
@@ -237,11 +242,6 @@ class JobScheduler:
         self.registry.gauge(
             "repro_lease_pending_runs", "Run keys awaiting a worker"
         ).set_function(lambda: self.leases.pending_runs)
-
-    def _register_fleet_metrics(self) -> None:
-        """Fleet-level aggregation over the worker registry, registered
-        only in remote mode so a local service's exposition is
-        unchanged (same gating as the lease families)."""
         fleet_workers = self.registry.gauge(
             "repro_fleet_workers",
             "Registered workers by liveness state",
@@ -307,13 +307,13 @@ class JobScheduler:
                     1 for job in self.jobs.values() if job.state == state
                 )
             )
-        if self.engine.store is not None:
+        if self.store is not None:
             self.registry.gauge(
                 "repro_service_store_records", "Live result-store records"
-            ).set_function(lambda: self.engine.store.info()["records"])
+            ).set_function(lambda: self.store.info()["records"])
             self.registry.gauge(
                 "repro_service_store_size_bytes", "Result-store file size"
-            ).set_function(lambda: self.engine.store.info()["size_bytes"])
+            ).set_function(lambda: self.store.info()["size_bytes"])
 
     def _store_hit_rate(self) -> float:
         served = (
@@ -351,9 +351,9 @@ class JobScheduler:
         immediately); jobs accepted but unfinished are re-queued
         through the normal execution path, where keys already settled
         into the :class:`~repro.engine.store.ResultStore` serve warm
-        and only the true remainder simulates again (or re-enters the
-        lease queue in remote mode).  Journaled *error* settles re-run
-        rather than replaying -- a restart retries runs that died with
+        and only the true remainder re-enters the lease queue.
+        Journaled *error* settles re-run rather than replaying -- a
+        restart retries runs that died with
         the previous incarnation.  Leases of the dead incarnation are
         expired by construction: the :class:`~repro.service.leases.
         LeaseManager` starts empty, so a surviving worker's late settle
@@ -421,15 +421,6 @@ class JobScheduler:
             name: int(counter.value)
             for name, counter in self._counters.items()
         }
-
-    # ------------------------------------------------------------------
-    @property
-    def queue_depth(self) -> int:
-        return len(self._waiting)
-
-    @property
-    def active_jobs(self) -> int:
-        return len(self._active)
 
     # ------------------------------------------------------------------
     def submit(
@@ -520,14 +511,13 @@ class JobScheduler:
 
     # ------------------------------------------------------------------
     async def _run_job(self, job: Job) -> None:
-        """Execute one job: cache, attach, dispatch, settle, finish."""
+        """Execute one job: cache, attach, queue, settle, finish."""
         self._counters["jobs_executed"].inc()
         job_started_ns = time.time_ns()
         job.mark_running()
         self._emit(job, {"event": "state", "state": "running"})
 
-        dispatch: List[RunSpec] = []
-        owned: List[str] = []
+        owned: List[asyncio.Future] = []
         attached: Dict[str, asyncio.Future] = {}
         for key, spec in job.specs.items():
             inflight = self._inflight.get(key)
@@ -535,51 +525,19 @@ class JobScheduler:
                 # single-flight: someone else is simulating this key
                 self._counters["keys_coalesced"].inc()
                 attached[key] = inflight
-            elif key in self._records:
-                self._records.move_to_end(key)
-                self._settle(job, key, "store")
-            elif self.remote and self._stored_record(key) is not None:
-                # locally the engine's own store lookup serves this; in
-                # remote mode nothing enters the engine, so the store
-                # check happens here before a key is queued for workers
+            elif self.result_record(key) is not None:
                 self._settle(job, key, "store")
             else:
-                dispatch.append(spec)
-                owned.append(key)
-                self._inflight[key] = self._loop.create_future()
+                # settling this key (see settle) resolves and pops it
+                future = self._inflight[key] = self._loop.create_future()
+                owned.append(future)
+                self.leases.add(key, (spec, job))
 
-        failure: Optional[str] = None
-        if dispatch and self.remote:
-            await self._run_remote(job, dispatch, owned)
-        elif dispatch:
-            loop = self._loop
-
-            def on_outcome(outcome: RunOutcome) -> None:
-                # engine thread -> event loop
-                loop.call_soon_threadsafe(
-                    self._settle_from_engine, job, outcome
-                )
-
-            def call() -> None:
-                with self._engine_lock:
-                    self.engine.run_specs(
-                        dispatch, progress=None, on_outcome=on_outcome
-                    )
-
-            try:
-                await loop.run_in_executor(None, call)
-            except Exception as error:  # wholesale engine failure
-                failure = f"{type(error).__name__}: {error}"
-            # resolve any still-open owned keys (normally none; on a
-            # wholesale failure the attached jobs must not hang)
-            for key in owned:
-                future = self._inflight.pop(key, None)
-                if future is None:
-                    continue
-                message = failure or "engine returned without settling"
-                self._settle(job, key, "error", message)
-                if not future.done():
-                    future.set_result(("error", message))
+        if owned:
+            self._ensure_tasks()
+            self._wake_lessees()
+            for future in owned:
+                await future
 
         for key, future in attached.items():
             source, error = await future
@@ -587,7 +545,7 @@ class JobScheduler:
                 job, key, "coalesced" if error is None else "error", error
             )
 
-        job.finish(failure)
+        job.finish(self._failures.pop(job.id, None))
         self._journal_event(
             EV_JOB_DONE, job=job.id, state=job.state, error=job.error
         )
@@ -597,52 +555,84 @@ class JobScheduler:
                 args={
                     "job": job.id[:12], "state": job.state,
                     "total": job.counters["total"],
-                    "dispatched": len(dispatch), "attached": len(attached),
+                    "dispatched": len(owned), "attached": len(attached),
                 },
             )
         self._emit(job, {"event": "done", "job": job.snapshot()})
 
-    # ------------------------------------------------------------------
-    # remote mode: lease-based worker-pull dispatch
-    def _stored_record(self, key: str) -> Optional[dict]:
-        """Store lookup for remote dispatch (mirrors the hit into the
-        in-memory record cache so later jobs skip the store)."""
-        if self.engine.store is None:
-            return None
-        stored = self.engine.store.record(key)
-        if stored is None:
-            return None
-        self._remember(key, {
-            "key": key,
-            "spec": stored.get("spec"),
-            "result": stored.get("result"),
-        })
-        return stored
-
-    async def _run_remote(
-        self, job: Job, dispatch: List[RunSpec], owned: List[str]
-    ) -> None:
-        """Queue this job's owned keys for workers and await settlement.
-
-        The settle path (:meth:`claim_settlements` /
-        :meth:`finish_settlements`, and the reaper's abandon branch)
-        does the actual settling and resolves each key's in-flight
-        future; this coroutine only waits for all of them, exactly as
-        the local branch waits for the engine call to return.
-        """
-        self._ensure_reaper()
-        for key, spec in zip(owned, dispatch):
-            self.leases.add(key, (spec, job))
-        self._wake_lessees()
-        # hold references now: settlement pops the futures from _inflight
-        futures = [self._inflight[key] for key in owned]
-        for future in futures:
-            await future
-
-    def _ensure_reaper(self) -> None:
+    def _ensure_tasks(self) -> None:
+        """Start the reaper and, given an engine, the in-process lessee."""
         if self._reaper is None or self._reaper.done():
             self._reaper = self._loop.create_task(self._reap_loop())
+        if self.engine is not None and (
+            self._lessee is None or self._lessee.done()
+        ):
+            self._lessee = self._loop.create_task(self._lessee_loop())
 
+    # ------------------------------------------------------------------
+    # the in-process lessee: a local service's one worker
+    async def _lessee_loop(self) -> None:
+        """Lease every pending key at once -- one ``run_specs`` call, so
+        one process pool per batch -- under a TTL that never expires
+        (the lessee dies only with the process), until :meth:`drain`."""
+        while True:
+            lease = self._lease(LESSEE, self.leases.pending_runs, math.inf)
+            if lease is None:
+                await self._work_signal.wait()
+            else:
+                await self._execute(lease)
+
+    async def _execute(self, lease: Lease) -> None:
+        """Run one lessee lease, settling each outcome as it streams in.
+
+        If ``run_specs`` raises as a whole, every key it left unsettled
+        settles as an error carrying the exception text, and each owning
+        job ends ``failed`` with it.
+        """
+        loop = asyncio.get_running_loop()
+        arrived: asyncio.Queue = asyncio.Queue()
+
+        def on_outcome(outcome: RunOutcome) -> None:
+            # engine thread: serialise here, off the event loop
+            run = {"key": outcome.key}
+            if outcome.ok:
+                run["result"] = result_to_dict(outcome.result)
+            else:
+                run["error"] = outcome.error
+            loop.call_soon_threadsafe(arrived.put_nowait, run)
+
+        specs = [spec for spec, _job in lease.runs.values()]
+        call = loop.run_in_executor(None, functools.partial(
+            self.engine.run_specs, specs, on_outcome=on_outcome,
+        ))
+        # lands behind every outcome the engine thread posted
+        call.add_done_callback(lambda _call: arrived.put_nowait(None))
+        finished = False
+        while not finished:
+            runs = [await arrived.get()]
+            while not arrived.empty():
+                runs.append(arrived.get_nowait())
+            finished = runs[-1] is None
+            if finished:
+                runs.pop()
+            if runs:
+                await self.settle(lease.lease_id, runs, attribute=False)
+
+        failure: Optional[str] = None
+        try:
+            call.result()
+        except Exception as error:  # wholesale engine failure
+            failure = f"{type(error).__name__}: {error}"
+            self._failures.update(
+                (job.id, failure) for _spec, job in lease.runs.values())
+        if lease.runs:
+            message = failure or "engine returned without settling"
+            await self.settle(lease.lease_id, [
+                {"key": key, "error": message} for key in list(lease.runs)
+            ], attribute=False)
+
+    # ------------------------------------------------------------------
+    # the lease queue: reaping, long polls and grants
     async def _reap_loop(self) -> None:
         while True:
             await asyncio.sleep(self._reap_interval)
@@ -655,7 +645,7 @@ class JobScheduler:
         silent past the registry's expiry window are dropped on the
         same tick."""
         dead_workers = self.workers.expire()
-        if dead_workers and self.remote:
+        if dead_workers:
             self._fleet_expired.inc(len(dead_workers))
         reaped, abandoned = self.leases.expire()
         if not reaped:
@@ -682,9 +672,10 @@ class JobScheduler:
                 future.set_result(("error", message))
 
     def _wake_lessees(self) -> None:
-        """Release every lease request held in :meth:`wait_for_work`.
-        Edge-triggered: the fired event is swapped for a fresh one, so
-        a request that finds nothing left to grant holds again."""
+        """Release the idle lessee and every lease request held in
+        :meth:`wait_for_work`.  Edge-triggered: the fired event is
+        swapped for a fresh one, so a waiter that finds nothing left
+        to grant holds again."""
         fired, self._work_signal = self._work_signal, asyncio.Event()
         fired.set()
 
@@ -697,25 +688,34 @@ class JobScheduler:
         with contextlib.suppress(asyncio.TimeoutError):
             await asyncio.wait_for(self._work_signal.wait(), timeout)
 
+    def _lease(
+        self, worker: str, max_runs: int, ttl: float
+    ) -> Optional[Lease]:
+        """Grant *worker* up to *max_runs* pending keys and count it."""
+        lease = self.leases.lease(worker, max_runs=max_runs, ttl=ttl)
+        if lease is not None:
+            self._lease_granted.inc()
+            self._lease_runs_leased.inc(len(lease.runs))
+            self.workers.record_lease(worker)
+        return lease
+
     def grant_lease(
         self,
         worker: str,
         max_runs: int = DEFAULT_LEASE_RUNS,
         ttl: float = DEFAULT_LEASE_TTL_S,
     ) -> Optional[dict]:
-        """Grant a worker a batch of pending runs (wire form), or
-        ``None`` when nothing is pending.
+        """Grant an HTTP worker a batch of pending runs (wire form), or
+        ``None`` when nothing is pending.  The caller clamps *max_runs*
+        and *ttl*; the grant is journaled as lease traffic.
 
         Leases are granted even while draining: accepted jobs must
         still finish, and workers observe ``draining`` in the grant to
         know they can exit once the queue runs dry.
         """
-        lease = self.leases.lease(worker, max_runs=max_runs, ttl=ttl)
+        lease = self._lease(worker, max_runs, ttl)
         if lease is None:
             return None
-        self._lease_granted.inc()
-        self._lease_runs_leased.inc(len(lease.runs))
-        self.workers.record_lease(lease.worker)
         self._journal_event(
             EV_LEASE_GRANTED, lease=lease.lease_id, worker=lease.worker,
             keys=list(lease.runs),
@@ -740,75 +740,91 @@ class JobScheduler:
             "draining": self.draining,
         }
 
-    def claim_settlements(
-        self, lease_id: str, runs: List[dict]
+    # ------------------------------------------------------------------
+    # settlement: the one path every run outcome takes
+    async def settle(
+        self,
+        lease_id: str,
+        runs: List[dict],
+        worker: Optional[str] = None,
+        attribute: bool = True,
     ) -> Dict[str, object]:
-        """Settle phase 1 (event loop): pop each reported key from its
-        lease -- or from the pending queue, where a reaped lease's keys
-        wait (the late result is real, so it still counts).
+        """Settle reported outcomes of one lease -- the path every run
+        takes, shared by ``POST /v1/leases/{id}/settle`` and the
+        in-process lessee, and the store's only writer in the service.
 
-        Keys found in neither place are duplicates of a settlement that
-        already happened (or runs now owned by another worker's lease)
-        and are discarded.  Returns the accepted ``(key, spec, job,
-        result_payload, error, timing)`` tuples plus bookkeeping for
-        the HTTP response; phase 2 persists off-loop and
-        :meth:`finish_settlements` completes the job bookkeeping.
+        Each run is ``{"key", "result"}`` (wire form) or ``{"key",
+        "error"}``, optionally with ``timing``.  Keys are claimed on the
+        loop from their lease -- or from the pending queue, where a
+        reaped lease's keys wait (the late result is real); keys found
+        in neither place are duplicates.  Claimed results are persisted
+        off the loop, then the owning jobs settle.  *worker* names the
+        ledger entry when the lease no longer does; *attribute* records
+        it on each job run (off for the lessee, so local job snapshots
+        keep their shape).  Returns ``accepted`` ``(run, spec, job)``
+        triples, ``duplicates``, ``lease_known`` and ``remaining``.
         """
         held = self.leases.get(lease_id)
-        lease_known = held is not None
-        # captured before settling: accepting the last key retires the
-        # lease, and the fleet ledger still needs the worker's name
-        lease_worker = held.worker if held is not None else None
+        # read before claiming: accepting the last key retires the lease
+        worker = (held.worker if held is not None else worker) or "unknown"
         accepted: List[tuple] = []
-        duplicates = 0
         for run in runs:
-            key = run["key"]
-            payload = self.leases.settle_key(lease_id, key)
-            if payload is None:
-                payload = self.leases.settle_pending(key)
-            if payload is None:
-                duplicates += 1
-                continue
-            spec, job = payload
-            timing = run.get("timing")
-            accepted.append((
-                key, spec, job, run.get("result"), run.get("error"),
-                timing if isinstance(timing, dict) else None,
-            ))
-        lease = self.leases.get(lease_id)
-        return {
-            "accepted": accepted,
-            "duplicates": duplicates,
-            "lease_known": lease_known,
-            "worker": lease_worker,
-            "remaining": len(lease.runs) if lease is not None else 0,
-        }
-
-    def finish_settlements(
-        self, accepted: List[tuple], worker: Optional[str] = None
-    ) -> None:
-        """Settle phase 3 (event loop): mirror results, settle owning
-        jobs and resolve in-flight futures -- the remote twin of
-        :meth:`_settle_from_engine`.  *worker* attributes the runs in
-        the fleet ledger (``repro_fleet_runs``, ``GET /v1/workers``)."""
-        worker = worker or "unknown"
-        for key, spec, job, result_payload, error, timing in accepted:
+            payload = (self.leases.settle_key(lease_id, run["key"])
+                       or self.leases.settle_pending(run["key"]))
+            if payload is not None:
+                accepted.append((run, *payload))
+        if self.store is not None and any(
+            run.get("error") is None for run, _spec, _job in accepted
+        ):
+            try:
+                await asyncio.get_running_loop().run_in_executor(
+                    None, self._persist, accepted
+                )
+            except OSError as error:
+                # the results are real: settle them unstored rather
+                # than strand their keys
+                print(
+                    f"repro serve: result store write failed ({error}); "
+                    "settling these runs without storing them",
+                    file=sys.stderr, flush=True,
+                )
+        for run, spec, job in accepted:
+            key, error = run["key"], run.get("error")
             if error is None:
                 self._remember(key, {
                     "key": key,
                     "spec": spec_to_dict(spec),
-                    "result": result_payload,
+                    "result": run["result"],
                 })
-                source = "fresh"
-            else:
-                source = "error"
+            source = "fresh" if error is None else "error"
+            timing = _usable_timing(run.get("timing"))
             self._lease_settled.labels(source).inc()
-            self._record_fleet_settle(worker, source, timing)
-            self._settle(job, key, source, error, worker=worker,
-                         timing=timing)
+            self._settle(job, key, source, error,
+                         worker=worker if attribute else None, timing=timing)
             future = self._inflight.pop(key, None)
             if future is not None and not future.done():
                 future.set_result((source, error))
+            self._record_fleet_settle(worker, source, timing)
+        lease = self.leases.get(lease_id)
+        return {
+            "accepted": accepted,
+            "duplicates": len(runs) - len(accepted),
+            "lease_known": held is not None,
+            "remaining": len(lease.runs) if lease is not None else 0,
+        }
+
+    def _persist(self, accepted: List[tuple]) -> None:
+        """Append accepted results to the store (executor thread)."""
+        store = self.store
+        with self._store_lock, store.batched(flush_every=len(accepted)):
+            for run, spec, _job in accepted:
+                if run.get("error") is None:
+                    store.put_record(run["key"], {
+                        "schema": store.schema_version,
+                        "key": run["key"],
+                        "spec": spec_to_dict(spec),
+                        "result": run["result"],
+                    })
 
     def _record_fleet_settle(
         self, worker: str, source: str, timing: Optional[dict]
@@ -818,31 +834,12 @@ class JobScheduler:
         self._fleet_runs.labels(worker, source).inc()
         if not timing:
             return
-        try:
-            sim_s = max(0.0, float(timing.get("sim_s", 0.0)))
-            cycles = max(0, int(timing.get("cycles", 0)))
-        except (TypeError, ValueError):
-            return
+        sim_s = max(0.0, float(timing.get("sim_s", 0.0)))
+        cycles = max(0, int(timing.get("cycles", 0)))
         self._fleet_sim_seconds.inc(sim_s)
         if cycles:
             self._fleet_sim_cycles.inc(cycles)
         self._fleet_settle_seconds.labels(worker).observe(sim_s)
-
-    # ------------------------------------------------------------------
-    def _settle_from_engine(self, job: Job, outcome: RunOutcome) -> None:
-        """Event-loop side of the engine's streaming outcome callback."""
-        key = outcome.key
-        if outcome.ok and outcome.result is not None:
-            self._remember(key, {
-                "key": key,
-                "spec": spec_to_dict(outcome.spec),
-                "result": result_to_dict(outcome.result),
-            })
-        source = outcome.source if outcome.ok else "error"
-        self._settle(job, key, source, outcome.error)
-        future = self._inflight.pop(key, None)
-        if future is not None and not future.done():
-            future.set_result((source, outcome.error))
 
     def _settle(
         self,
@@ -881,20 +878,22 @@ class JobScheduler:
     # ------------------------------------------------------------------
     def result_record(self, key: str) -> Optional[dict]:
         """Completed-run record for *key*: memory mirror first, then the
-        engine's result store; ``None`` when unknown."""
+        result store (a hit is mirrored, so later jobs skip the store);
+        ``None`` when unknown."""
         record = self._records.get(key)
         if record is not None:
             self._records.move_to_end(key)
             return record
-        if self.engine.store is not None:
-            stored = self.engine.store.record(key)
-            if stored is not None:
-                return {
-                    "key": key,
-                    "spec": stored.get("spec"),
-                    "result": stored.get("result"),
-                }
-        return None
+        stored = self.store.record(key) if self.store is not None else None
+        if stored is None:
+            return None
+        record = {
+            "key": key,
+            "spec": stored.get("spec"),
+            "result": stored.get("result"),
+        }
+        self._remember(key, record)
+        return record
 
     # ------------------------------------------------------------------
     def subscribe(self, job_id: str) -> asyncio.Queue:
@@ -939,12 +938,11 @@ class JobScheduler:
                 await asyncio.gather(*tasks, return_exceptions=True)
             else:  # queued but not yet pumped (no free slot this tick)
                 await asyncio.sleep(0.01)
-        if self._reaper is not None:
-            self._reaper.cancel()
-            try:
-                await self._reaper
-            except asyncio.CancelledError:
-                pass
-            self._reaper = None
+        for task in (self._reaper, self._lessee):
+            if task is not None:
+                task.cancel()
+                with contextlib.suppress(asyncio.CancelledError):
+                    await task
+        self._reaper = self._lessee = None
         if self.journal is not None:
             self.journal.close()  # releases the single-writer flock

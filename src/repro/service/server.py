@@ -18,11 +18,14 @@ Endpoints (see ``docs/service-api.md`` for payload shapes):
 * ``POST /v1/leases``          -- (remote mode) a worker pulls a lease
   over a batch of pending runs; 200 with ``{"lease", "ttl", "runs"}``
   (``runs`` empty when nothing is pending), 400 when the service is
-  not in remote mode.  A ``wait`` field makes it a long poll: an
+  not in remote mode (its in-process lessee is the only worker) or a
+  parameter is not a number.  ``max_runs`` is clamped to [1, 64] and
+  ``ttl`` to [1, 3600] s.  A ``wait`` field makes it a long poll: an
   empty grant is held up to ``wait`` seconds for work to arrive.
 * ``POST /v1/leases/{id}/settle`` -- (remote mode) a worker settles
-  leased outcomes; 200 with accept/duplicate counts, 410 when the
-  lease expired and none of the keys were still claimable.
+  leased outcomes through :meth:`JobScheduler.settle`, the same method
+  the in-process lessee uses; 200 with accept/duplicate counts, 410
+  when the lease expired and none of the keys were still claimable.
 * ``GET /v1/leases``           -- (remote mode) operator snapshot of
   active leases and the pending-run queue.
 * ``GET /v1/workers``          -- (remote mode) the fleet registry:
@@ -72,13 +75,14 @@ from urllib.parse import parse_qs, urlsplit
 
 from repro.engine.engine import ExperimentEngine
 from repro.engine.serialize import result_from_dict
-from repro.engine.spec import spec_to_dict
 from repro.engine.store import ResultStore, default_store_path
 from repro.service.jobs import InvalidRequest, SweepRequest
 from repro.service.journal import JobJournal
 from repro.service.leases import (
     DEFAULT_LEASE_RUNS,
     DEFAULT_LEASE_TTL_S,
+    MAX_LEASE_RUNS,
+    MAX_LEASE_TTL_S,
     MAX_LEASE_WAIT_S,
 )
 from repro.service.scheduler import (
@@ -222,7 +226,7 @@ class SimulationService:
     """The HTTP front of a :class:`JobScheduler`.
 
     Args:
-        scheduler: executes the jobs (owns the engine + store).
+        scheduler: executes the jobs (owns the lease queue + store).
         host/port: bind address; port 0 picks an ephemeral port
             (exposed as :attr:`port` after :meth:`start`).
         max_body: request-body bound in bytes (413 past it).
@@ -273,7 +277,7 @@ class SimulationService:
         never happen inside a request handler (it would stall every
         concurrent connection, health checks included).
         """
-        store = self.scheduler.engine.store
+        store = self.scheduler.store
         if store is not None:
             await asyncio.get_running_loop().run_in_executor(
                 None, len, store
@@ -615,7 +619,8 @@ class SimulationService:
     # ------------------------------------------------------------------
     # remote mode: the worker-pull lease endpoints
     def _require_remote(self) -> None:
-        if not self.scheduler.remote:
+        # a scheduler with an engine has its in-process lessee
+        if self.scheduler.engine is not None:
             raise _HTTPError(
                 400,
                 "this service executes locally; start it with "
@@ -627,7 +632,9 @@ class SimulationService:
     ) -> None:
         """POST /v1/leases: grant a worker a batch of pending runs.
 
-        With ``wait`` (seconds, clamped to :data:`MAX_LEASE_WAIT_S`) an
+        ``max_runs`` and ``ttl`` are clamped here, at the boundary (the
+        in-process lessee takes whole batches unclamped).  With
+        ``wait`` (seconds, clamped to :data:`MAX_LEASE_WAIT_S`) an
         empty grant is a long poll: the request is held until keys
         become pending, draining begins, or the wait runs out.  A
         worker that hung up mid-hold is granted nothing, so no batch
@@ -644,10 +651,12 @@ class SimulationService:
             raise _HTTPError(400, "lease request must be a JSON object")
         worker = str(payload.get("worker") or "anonymous")[:120]
         try:
-            max_runs = int(payload.get("max_runs", DEFAULT_LEASE_RUNS))
-            ttl = float(payload.get("ttl", DEFAULT_LEASE_TTL_S))
+            max_runs = max(1, min(MAX_LEASE_RUNS, int(
+                payload.get("max_runs", DEFAULT_LEASE_RUNS))))
+            ttl = max(1.0, min(MAX_LEASE_TTL_S, float(
+                payload.get("ttl", DEFAULT_LEASE_TTL_S))))
             wait = float(payload.get("wait", 0.0))
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise _HTTPError(400, "max_runs/ttl/wait must be numbers")
         if not (math.isfinite(wait) and wait >= 0.0):
             raise _HTTPError(400, "wait must be a finite number >= 0")
@@ -718,15 +727,15 @@ class SimulationService:
                 if run.get("result") is not None:
                     result_from_dict(run["result"])
 
-        loop = asyncio.get_running_loop()
         try:
-            await loop.run_in_executor(None, validate)
+            await asyncio.get_running_loop().run_in_executor(None, validate)
         except Exception as error:
             raise _HTTPError(400, f"malformed result payload: {error}")
 
-        heartbeat = payload.get("heartbeat")
-        self.scheduler.workers.heartbeat(heartbeat)
-        claim = self.scheduler.claim_settlements(lease_id, runs)
+        sender = self.scheduler.workers.heartbeat(payload.get("heartbeat"))
+        claim = await self.scheduler.settle(
+            lease_id, runs, worker=sender.name if sender else None
+        )
         accepted = claim["accepted"]
         if not claim["lease_known"] and not accepted:
             raise _HTTPError(
@@ -738,31 +747,6 @@ class SimulationService:
             # correlate this settle's access-log line with the job it
             # advanced (the first accepted run's owning job)
             writer.trace_id = accepted[0][2].trace_id
-        store = self.scheduler.engine.store
-        if store is not None and accepted:
-
-            def persist() -> None:
-                # same lock as engine entry: the store's append handles
-                # are single-threaded by design
-                with self.scheduler._engine_lock:
-                    with store.batched(flush_every=len(accepted)):
-                        for key, spec, _job, result_payload, error, _ in (
-                            accepted
-                        ):
-                            if error is not None:
-                                continue
-                            store.put_record(key, {
-                                "schema": store.schema_version,
-                                "key": key,
-                                "spec": spec_to_dict(spec),
-                                "result": result_payload,
-                            })
-
-            await loop.run_in_executor(None, persist)
-        worker = claim.get("worker")
-        if not worker and isinstance(heartbeat, dict):
-            worker = str(heartbeat.get("name") or "")[:120] or None
-        self.scheduler.finish_settlements(accepted, worker=worker)
         writer.write(_json_response(200, {
             "settled": len(accepted),
             "duplicates": claim["duplicates"],
@@ -885,17 +869,22 @@ def build_service(
     remote: Optional[bool] = None,
     journal: Optional[str] = None,
 ) -> SimulationService:
-    """Assemble engine -> scheduler -> service with env-var defaults.
+    """Assemble store + engine -> scheduler -> service with env-var
+    defaults.
 
     ``REPRO_SERVICE_QUEUE`` / ``REPRO_SERVICE_ACTIVE`` /
     ``REPRO_SERVICE_MAX_BODY`` fill unspecified bounds;
     ``REPRO_SERVICE_ALLOW_TRACES=1`` opts in to ``trace:<path>``
     workloads (server-side file access -- off by default);
     ``REPRO_SERVICE_ACCESS_LOG=<path>`` turns on the structured
-    per-request JSONL access log; ``REPRO_SERVICE_REMOTE=1`` (or
-    ``remote=True``) switches to worker-pull dispatch -- the lease
-    endpoints open and `repro worker` processes execute the runs.  The
-    store resolves like the CLI's (explicit path, else ``REPRO_STORE``,
+    per-request JSONL access log.  The scheduler's lease queue is the
+    only dispatch path: by default it gets a store-less engine
+    (``workers`` wide) that its in-process lessee drives;
+    ``REPRO_SERVICE_REMOTE=1`` (or ``remote=True``) gives it none, so
+    the lease endpoints open and `repro worker` processes execute the
+    runs.  Either way the store is written only by the scheduler's
+    settle path.  The store resolves like the CLI's (explicit path,
+    else ``REPRO_STORE``,
     else the user cache directory; ``no_store`` disables persistence --
     the scheduler's in-memory record mirror still dedupes within the
     process lifetime).
@@ -913,9 +902,12 @@ def build_service(
         journal if journal is not None
         else os.environ.get("REPRO_SERVICE_JOURNAL", "").strip() or None
     )
-    engine = ExperimentEngine(store=store, workers=workers)
+    if remote is None:
+        remote = os.environ.get("REPRO_SERVICE_REMOTE", "").strip() in (
+            "1", "true", "yes")
     scheduler = JobScheduler(
-        engine,
+        None if remote else ExperimentEngine(workers=workers),
+        store=store,
         max_queue=(
             max_queue if max_queue is not None
             else env_int("REPRO_SERVICE_QUEUE", DEFAULT_MAX_QUEUE)
@@ -923,11 +915,6 @@ def build_service(
         max_active=(
             max_active if max_active is not None
             else env_int("REPRO_SERVICE_ACTIVE", DEFAULT_MAX_ACTIVE)
-        ),
-        remote=(
-            remote if remote is not None
-            else os.environ.get("REPRO_SERVICE_REMOTE", "").strip()
-            in ("1", "true", "yes")
         ),
         journal=JobJournal(journal_path) if journal_path else None,
     )

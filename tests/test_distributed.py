@@ -3,8 +3,8 @@
 Three layers of proof:
 
 * :class:`~repro.service.leases.LeaseManager` unit tests with an
-  injectable clock (FIFO grants, clamps, TTL expiry/requeue, the
-  MAX_ATTEMPTS poison-run abandonment);
+  injectable clock (FIFO grants, TTL expiry/requeue, the MAX_ATTEMPTS
+  poison-run abandonment);
 * the spec wire format (``spec_from_dict``) and the worker's refusal to
   execute mis-keyed payloads;
 * end-to-end fleets: a remote-mode service with real ``repro worker``
@@ -101,17 +101,6 @@ class TestLeaseManager:
         assert manager.pending_runs == 1
         assert manager.lease("w2", max_runs=8).runs == {"b": "spec-b"}
         assert manager.lease("w3") is None  # nothing pending
-
-    def test_clamps(self):
-        _, manager = self.make()
-        for index in range(MAX_LEASE_RUNS + 10):
-            manager.add(f"k{index:03d}", index)
-        lease = manager.lease("w", max_runs=10_000, ttl=0.001)
-        assert lease.granted == MAX_LEASE_RUNS
-        assert lease.ttl == 1.0  # floor
-        lease2 = manager.lease("w", max_runs=0, ttl=10 ** 9)
-        assert lease2.granted == 1
-        assert lease2.ttl == 3600.0  # ceiling
 
     def test_settle_refreshes_then_retires(self):
         now, manager = self.make()
@@ -446,6 +435,69 @@ class TestFleet:
             snap = client.wait(accepted["job"], timeout=30)
             assert snap["state"] == "failed"  # every run errored
             assert snap["errors"] == SWEEP_TOTAL
+
+    def test_lease_request_clamps(self, tmp_path):
+        """POST /v1/leases bounds what a worker may ask for: at most
+        MAX_LEASE_RUNS runs, a TTL within [1, 3600] s."""
+        wide = dict(SWEEP, configs="L1-SRAM,By-NVM,Dy-FUSE",
+                    workloads="2DCONV,2MM,3MM,ATAX,BICG,cfd,FDTD,gaussian,"
+                              "GEMM,GESUMMV,II,MVT,PVC,PVR,pathf,SS,srad_v1,"
+                              "SM,SYR2K,mri-g,histo,conv2d,gemm-tile,"
+                              "attention")
+        with remote_service(tmp_path) as svc:
+            client = ServiceClient(svc.url)
+            accepted = client.submit(**wide)
+            total = accepted["total"]
+            assert total > MAX_LEASE_RUNS + 1
+            wait_until(
+                lambda: client.leases()["pending_runs"] == total,
+                what="runs to queue",
+            )
+            grant = client.lease(worker="w", max_runs=10_000, ttl=0.001)
+            assert len(grant["runs"]) == MAX_LEASE_RUNS
+            assert grant["ttl"] == 1.0  # floor
+            grant2 = client.lease(worker="w", max_runs=0, ttl=10 ** 9)
+            assert len(grant2["runs"]) == 1
+            assert grant2["ttl"] == 3600.0  # ceiling
+            close_out(client, grant, grant2)
+            close_out(client, client.lease(worker="w", max_runs=64))
+            snap = client.wait(accepted["job"], timeout=30)
+            assert snap["errors"] == total
+
+    def test_unconvertible_lease_parameter_is_400(self, tmp_path):
+        with remote_service(tmp_path) as svc:
+            client = ServiceClient(svc.url)
+            for bad in (float("inf"), float("nan"), "many"):
+                with pytest.raises(ServiceError) as refused:
+                    client.lease(worker="w", max_runs=bad)
+                assert refused.value.status == 400, bad
+
+    def test_settle_with_infinite_timing_still_settles(self, tmp_path):
+        """Timing numbers that do not convert are ignored: the claimed
+        key still settles and its job finishes."""
+        with remote_service(tmp_path) as svc:
+            client = ServiceClient(svc.url)
+            accepted = client.submit(
+                configs="L1-SRAM", workloads="ATAX", scale="smoke",
+                num_sms=2,
+            )
+            wait_until(
+                lambda: client.leases()["pending_runs"] == 1,
+                what="the run to queue",
+            )
+            grant = client.lease(worker="w", max_runs=1)
+            (run,) = grant["runs"]
+            response = client.settle(grant["lease"], [{
+                "key": run["key"], "error": "x",
+                "timing": {"sim_s": 1, "cycles": float("inf")},
+            }])
+            assert response["settled"] == 1
+            snap = client.wait(accepted["job"], timeout=30)
+            assert snap["state"] == "failed"
+            assert snap["completed"] == 1
+            assert "timing" not in snap["runs"][0]
+            (worker,) = client.workers()["workers"]
+            assert worker["runs_settled"] == 1
 
     def test_lease_endpoints_require_remote_mode(self, tmp_path):
         with BackgroundService(

@@ -337,6 +337,18 @@ class TestFleetEndpoints:
                 client.heartbeat({"pid": 1})
             assert excinfo.value.status == 400
 
+    def test_heartbeat_overflowing_numbers_are_ignored(self):
+        with BackgroundService(no_store=True, remote=True) as svc:
+            client = ServiceClient(svc.url)
+            response = client.heartbeat({
+                "name": "w", "runs": float("inf"),
+                "sim_cycles": float("inf"), "sim_seconds": float("inf"),
+            })
+            assert response == {"workers": 1}
+            (worker,) = client.workers()["workers"]
+            assert worker["sim_cycles"] == 0
+            assert worker["sim_seconds"] == 0.0
+
     def test_fleet_endpoints_require_remote_mode(self):
         with BackgroundService(no_store=True) as svc:
             client = ServiceClient(svc.url)

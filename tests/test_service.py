@@ -4,6 +4,7 @@ HTTP server end-to-end (bit-identity, dedup, backpressure, SSE)."""
 from __future__ import annotations
 
 import asyncio
+import re
 import threading
 import time
 
@@ -11,11 +12,13 @@ import pytest
 
 from repro.cache.stats import CacheStats
 from repro.engine.engine import RunOutcome
+from repro.engine.store import ResultStore
 from repro.engine.serialize import result_to_dict
 from repro.engine.spec import RunSpec, execute_spec
 from repro.gpu.stats import MemorySystemStats, SimulationResult
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.jobs import InvalidRequest, Job, SweepRequest, job_id_for
+from repro.service.leases import DEFAULT_LEASE_TTL_S, LeaseManager
 from repro.service.scheduler import Draining, JobScheduler, QueueFull
 from repro.service.server import BackgroundService, SimulationService
 
@@ -77,6 +80,12 @@ class StubEngine:
                 on_outcome(outcome)
             outcomes.append(outcome)
         return outcomes
+
+
+def metric(exposition: str, name: str) -> float:
+    match = re.search(rf"^{name} (\S+)$", exposition, re.MULTILINE)
+    assert match, f"{name} not in /metrics"
+    return float(match.group(1))
 
 
 async def wait_job(job: Job, timeout: float = 15.0) -> None:
@@ -263,6 +272,70 @@ class TestSchedulerSingleFlight:
 
         asyncio.run(scenario())
 
+    def test_wide_local_job_is_one_dispatch(self):
+        """The in-process lessee takes every pending key in one lease,
+        however many: one run_specs call, one process pool."""
+        async def scenario():
+            engine = StubEngine()
+            scheduler = JobScheduler(engine)
+            wide = request(
+                configs=["L1-SRAM", "By-NVM", "Dy-FUSE"],
+                workloads=["2DCONV", "2MM", "3MM", "ATAX", "BICG", "cfd",
+                           "FDTD", "gaussian", "GEMM", "GESUMMV", "II",
+                           "MVT", "PVC", "PVR", "pathf", "SS", "srad_v1",
+                           "SM", "SYR2K", "mri-g", "histo", "conv2d"],
+            )
+            job, _ = scheduler.submit(wide)
+            await wait_job(job)
+            assert job.counters["total"] == 66
+            assert job.counters["fresh"] == 66
+            assert len(engine.dispatches) == 1
+            assert sorted(engine.dispatches[0]) == sorted(job.specs)
+
+        asyncio.run(scenario())
+
+    def test_in_process_lease_is_never_reaped(self):
+        async def scenario():
+            engine = StubEngine()
+            engine.release.clear()
+            scheduler = JobScheduler(engine)
+            now = [100.0]
+            scheduler.leases = LeaseManager(clock=lambda: now[0])
+            job, _ = scheduler.submit(request(workloads=["ATAX", "BICG"]))
+            await engine_started(engine)
+            now[0] += 10 * DEFAULT_LEASE_TTL_S
+            scheduler.reap_expired()
+            # still held, nothing re-queued for a second dispatch
+            (held,) = scheduler.leases.snapshot()["active"]
+            assert held["unsettled"] == 2
+            assert scheduler.leases.pending_runs == 0
+            engine.release.set()
+            await wait_job(job)
+            assert len(engine.dispatches) == 1
+            assert job.counters["fresh"] == 2
+
+        asyncio.run(scenario())
+
+    def test_store_write_failure_still_settles(self, tmp_path, capsys):
+        async def scenario():
+            store = ResultStore(tmp_path / "store.jsonl")
+
+            def full_disk(key, record):
+                raise OSError(28, "No space left on device")
+
+            store.put_record = full_disk
+            scheduler = JobScheduler(StubEngine(), store=store)
+            job, _ = scheduler.submit(request(workloads=["ATAX", "BICG"]))
+            await wait_job(job)
+            assert job.state == "done"
+            assert job.counters["fresh"] == 2
+            for key in job.specs:  # served from memory, not the store
+                assert scheduler.result_record(key) is not None
+            assert len(store) == 0
+
+        asyncio.run(scenario())
+        assert "result store write failed" in capsys.readouterr().err
+
     def test_engine_failure_fails_job_and_releases_attached(self):
         async def scenario():
             engine = StubEngine(fail=True)
@@ -370,6 +443,23 @@ class TestServiceEndToEnd:
             with pytest.raises(ServiceError) as err:
                 client._request("GET", "/v1/nope")
             assert err.value.status == 404
+
+    def test_local_runs_go_through_the_lease_queue(self, tmp_path):
+        with BackgroundService(
+            store_path=tmp_path / "s.jsonl", workers=1
+        ) as svc:
+            client = ServiceClient(svc.url)
+            cold = client.run_to_completion(
+                self.CONFIGS, ["ATAX"], scale="smoke", num_sms=2,
+            )
+            leased = metric(client.metrics(), "repro_lease_runs_leased")
+            assert leased == cold["fresh"] == 2
+            warm = client.run_to_completion(
+                self.CONFIGS, ["ATAX"], scale="smoke", num_sms=2,
+            )
+            assert warm["store_hits"] == 2
+            assert metric(
+                client.metrics(), "repro_lease_runs_leased") == leased
 
     def test_metrics_exposed(self, tmp_path):
         with BackgroundService(
