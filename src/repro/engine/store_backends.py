@@ -4,11 +4,13 @@ A store is one JSON-lines file of schema-versioned records, held by a
 :class:`JsonlSegment`: an in-memory newest-record-wins index, batched
 append handles and a lock-holding :meth:`~JsonlSegment.compact`.
 
-One process writes a store in normal operation (a sweep, or the service
-persisting settled runs under its engine lock).  The file tolerates
-more: appends take a *shared* ``flock`` -- only ``compact`` takes it
-exclusive -- so a second appender never waits, and append-mode writes
-of whole records do not interleave.  ``tests/test_store_faults.py``
+One process writes a store in normal operation: a sweep, or a service,
+whose one store writer is :meth:`JobScheduler.settle
+<repro.service.scheduler.JobScheduler.settle>` persisting each settled
+run off the event loop.  The file tolerates more: appends take a
+*shared* ``flock`` -- only ``compact`` takes it exclusive -- so a
+second appender never waits, and append-mode writes of whole records
+do not interleave.  ``tests/test_store_faults.py``
 pins the crash contract (at most the torn final record lost, stale
 schemas invisible) under writer kills, truncation, corruption and
 concurrent appenders.

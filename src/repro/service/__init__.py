@@ -44,8 +44,7 @@ standard library (``asyncio`` server, ``urllib`` client):
   retries so fleets bridge a restart instead of dying on it.
 * :mod:`repro.service.registry` + :mod:`repro.service.console` --
   fleet observability.  Workers heartbeat their identity and
-  throughput (piggybacked on lease/settle, or ``POST
-  /v1/workers/heartbeat`` while idle) into a TTL'd
+  throughput (piggybacked on every lease and settle) into a TTL'd
   :class:`~repro.service.registry.WorkerRegistry` served at ``GET
   /v1/workers`` and aggregated into ``repro_fleet_*`` metrics; lease
   grants carry a per-job trace context every worker span adopts; and

@@ -197,12 +197,12 @@ class ServiceClient:
         [{"key", "spec", "trace"}, ...], "draining"}``; ``runs`` is
         empty (and ``lease`` null) when nothing is pending.  An
         optional *heartbeat* object piggybacks worker telemetry on the
-        request (see :meth:`heartbeat`); servers that predate the
-        worker registry ignore it.  With *wait* the request is a long
-        poll: the coordinator holds an empty grant up to *wait* seconds
-        (clamped to 10 s, below the default 30 s socket timeout) and
-        answers as soon as runs are pending or draining begins;
-        coordinators that predate the field answer at once.
+        request: ``name`` plus pid/host, cumulative simulated
+        cycles/seconds and the arena hit rate.  With *wait* the
+        request is a long poll: the coordinator holds an empty grant up
+        to *wait* seconds (clamped to 10 s, below the default 30 s
+        socket timeout) and answers as soon as runs are pending or
+        draining begins.
         """
         payload: Dict = {"worker": worker}
         if max_runs is not None:
@@ -246,13 +246,6 @@ class ServiceClient:
     def leases(self) -> Dict:
         """GET /v1/leases: active leases + pending-queue snapshot."""
         return self._request("GET", "/v1/leases")
-
-    def heartbeat(self, payload: Dict) -> Dict:
-        """POST /v1/workers/heartbeat: report liveness while idle
-        (remote mode).  *payload* carries ``name`` plus optional
-        telemetry (pid/host, cumulative runs/cycles/seconds, arena hit
-        rate)."""
-        return self._request("POST", "/v1/workers/heartbeat", payload)
 
     def workers(self) -> Dict:
         """GET /v1/workers: the fleet registry snapshot (remote mode)."""

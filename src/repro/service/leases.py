@@ -191,16 +191,6 @@ class LeaseManager:
                     self._pending[digest] = spec
         return reaped, abandoned
 
-    def drop_key(self, digest: str) -> None:
-        """Forget a key wherever it is (job torn down / error path)."""
-        self._pending.pop(digest, None)
-        self._attempts.pop(digest, None)
-        lease = self._leased_digest(digest)
-        if lease is not None:
-            lease.runs.pop(digest, None)
-            if not lease.runs:
-                self._leases.pop(lease.lease_id, None)
-
     # ------------------------------------------------------------------
     @property
     def pending_runs(self) -> int:

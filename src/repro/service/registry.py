@@ -4,14 +4,10 @@ The lease protocol (:mod:`repro.service.leases`) deliberately knows
 nothing about *workers* -- a lease is anonymous capacity.  Operating a
 fleet needs the opposite view: which workers exist, which are alive,
 and how fast each one is simulating.  :class:`WorkerRegistry` keeps
-that view on the scheduler's event loop, fed two ways:
-
-* **piggybacked heartbeats** -- every ``POST /v1/leases`` and
-  ``…/settle`` body may carry a ``heartbeat`` object (name, pid/host,
-  cumulative runs/cycles/seconds, arena hit rate);
-* **standalone heartbeats** -- ``POST /v1/workers/heartbeat``, kept
-  for older workers that call it while idle (current workers stay
-  live through their held long-poll leases instead).
+that view on the scheduler's event loop, fed by the ``heartbeat``
+object every ``POST /v1/leases`` and ``…/settle`` body carries (name,
+pid/host, cumulative simulated cycles/seconds, arena hit rate).  An
+idle worker stays live through its held long-poll lease.
 
 Liveness is a two-stage TTL, mirroring the lease table's injectable
 clock so tests drive it deterministically: a worker silent past
@@ -39,6 +35,10 @@ DEFAULT_EXPIRE_AFTER_S = 120.0
 #: worker-name length cap, matching the lease handler's clamp
 MAX_NAME_LEN = 120
 
+#: largest integer a heartbeat may report (int64; larger ones would
+#: overflow the float throughput division)
+MAX_REPORTED_INT = 2 ** 63 - 1
+
 
 class WorkerState:
     """One worker's registry entry (mutated in place on contact)."""
@@ -46,7 +46,6 @@ class WorkerState:
     __slots__ = (
         "name", "pid", "host", "first_seen", "last_seen",
         "runs_settled", "errors", "leases",
-        "reported_runs", "reported_errors",
         "sim_cycles", "sim_seconds", "arena_hit_rate",
     )
 
@@ -61,8 +60,6 @@ class WorkerState:
         self.errors = 0
         self.leases = 0
         # worker-reported cumulative stats (throughput attribution)
-        self.reported_runs = 0
-        self.reported_errors = 0
         self.sim_cycles = 0
         self.sim_seconds = 0.0
         self.arena_hit_rate: Optional[float] = None
@@ -91,19 +88,22 @@ class WorkerState:
         }
 
 
-def _as_int(value, default: int = 0) -> int:
+def _as_int(value, default: Optional[int] = 0) -> Optional[int]:
+    """*value* as an int in [0, MAX_REPORTED_INT], else *default*."""
     try:
-        return int(value)
+        number = int(value)
     except (TypeError, ValueError, OverflowError):
         return default
+    return number if 0 <= number <= MAX_REPORTED_INT else default
 
 
 def _as_float(value, default: float = 0.0) -> float:
+    """*value* as a finite non-negative float, else *default*."""
     try:
         number = float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         return default
-    return number if math.isfinite(number) else default
+    return number if math.isfinite(number) and number >= 0.0 else default
 
 
 class WorkerRegistry:
@@ -140,21 +140,17 @@ class WorkerRegistry:
         return state
 
     def heartbeat(self, payload) -> Optional[WorkerState]:
-        """Fold one heartbeat object in (lenient: unknown/garbled fields
-        are ignored so mixed-version fleets never 400 on telemetry)."""
+        """Fold one heartbeat object in (lenient: unknown, garbled or
+        negative fields are ignored, so telemetry never fails a lease
+        or a settle)."""
         if not isinstance(payload, dict):
             return None
         state = self.touch(payload.get("name"))
         if state is None:
             return None
-        if payload.get("pid") is not None:
-            state.pid = _as_int(payload.get("pid"), state.pid or 0)
+        state.pid = _as_int(payload.get("pid"), state.pid)
         if payload.get("host"):
             state.host = str(payload["host"])[:MAX_NAME_LEN]
-        state.reported_runs = _as_int(
-            payload.get("runs"), state.reported_runs)
-        state.reported_errors = _as_int(
-            payload.get("errors"), state.reported_errors)
         state.sim_cycles = _as_int(payload.get("sim_cycles"),
                                    state.sim_cycles)
         state.sim_seconds = _as_float(payload.get("sim_seconds"),
@@ -223,6 +219,3 @@ class WorkerRegistry:
             "stale_after_s": self.stale_after,
             "expire_after_s": self.expire_after,
         }
-
-    def __len__(self) -> int:
-        return len(self._workers)

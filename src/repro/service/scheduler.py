@@ -414,14 +414,6 @@ class JobScheduler:
         self.recovered = summary
         return summary
 
-    @property
-    def metrics(self) -> Dict[str, int]:
-        """The historical counter-dict view (read-only snapshot)."""
-        return {
-            name: int(counter.value)
-            for name, counter in self._counters.items()
-        }
-
     # ------------------------------------------------------------------
     def submit(
         self,

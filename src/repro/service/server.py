@@ -31,9 +31,6 @@ Endpoints (see ``docs/service-api.md`` for payload shapes):
 * ``GET /v1/workers``          -- (remote mode) the fleet registry:
   every known worker with liveness state, settled-run counts and
   reported throughput (``repro top`` renders this).
-* ``POST /v1/workers/heartbeat`` -- (remote mode) worker liveness
-  for workers that predate heartbeats on lease bodies; current
-  workers piggyback the same object on every lease/settle instead.
 * ``GET /v1/jobs``             -- recent job snapshots, newest first
   (``?limit=`` caps the list).
 * ``GET /healthz``             -- liveness (``draining`` while
@@ -204,11 +201,16 @@ class _Responder:
         return getattr(self._writer, name)
 
 
+#: routes without a path parameter (their own metrics label)
+_FIXED_ROUTES = (
+    "/healthz", "/metrics", "/v1/sweeps", "/v1/results", "/v1/leases",
+    "/v1/workers", "/v1/jobs",
+)
+
+
 def _route_label(path: str) -> str:
     """Collapse a request path into a bounded metrics label."""
-    if path in ("/healthz", "/metrics", "/v1/sweeps", "/v1/results",
-                "/v1/leases", "/v1/workers", "/v1/workers/heartbeat",
-                "/v1/jobs"):
+    if path in _FIXED_ROUTES:
         return path
     if path.startswith("/v1/leases/"):
         return "/v1/leases/{id}/settle"
@@ -519,11 +521,6 @@ class SimulationService:
                 200, self.scheduler.workers.snapshot()
             ))
             return
-        if path == "/v1/workers/heartbeat":
-            if method != "POST":
-                raise _HTTPError(405, "POST only")
-            self._handle_worker_heartbeat(body, writer)
-            return
         if path == "/v1/jobs" and method == "GET":
             self._handle_jobs_list(url.query, writer)
             return
@@ -752,27 +749,6 @@ class SimulationService:
             "duplicates": claim["duplicates"],
             "remaining": claim["remaining"],
             "draining": self.scheduler.draining,
-        }))
-
-    def _handle_worker_heartbeat(self, body: bytes, writer) -> None:
-        """POST /v1/workers/heartbeat: standalone worker liveness.
-
-        Current workers piggyback the same object on every lease and
-        settle body (an idle worker's held lease keeps it live); the
-        endpoint stays for older workers that still call it between
-        polls.
-        """
-        self._require_remote()
-        try:
-            payload = json.loads(body.decode("utf-8") or "null")
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            raise _HTTPError(400, "request body is not valid JSON")
-        if self.scheduler.workers.heartbeat(payload) is None:
-            raise _HTTPError(
-                400, 'heartbeat must be an object with a "name"'
-            )
-        writer.write(_json_response(200, {
-            "workers": len(self.scheduler.workers),
         }))
 
     async def _handle_events(

@@ -28,9 +28,7 @@ Everything that can go wrong is the scheduler's problem by design:
 An idle worker does not sleep between polls: its lease request carries
 ``wait`` (``--poll``), and the coordinator holds the empty grant until
 runs are pending, draining begins or the wait runs out, so a submitted
-job starts at once.  A coordinator that predates the long poll answers
-at once; the worker then sleeps the rest of ``--poll`` so the loop
-never spins.
+job starts at once.
 
 The worker verifies each leased spec round-trips to the advertised run
 key before executing, so a corrupted payload is refused (settled as an
@@ -132,16 +130,11 @@ class _WorkerStats:
 
     def __init__(self, worker: str):
         self.worker = worker
-        self.runs = 0
-        self.errors = 0
         self.sim_cycles = 0
         self.sim_seconds = 0.0
 
     def account(self, outcome: Dict) -> None:
         timing = outcome.get("timing") or {}
-        self.runs += 1
-        if "error" in outcome:
-            self.errors += 1
         self.sim_cycles += int(timing.get("cycles", 0))
         self.sim_seconds += float(timing.get("sim_s", 0.0))
 
@@ -152,14 +145,8 @@ class _WorkerStats:
             "name": self.worker,
             "pid": os.getpid(),
             "host": socket.gethostname(),
-            "runs": self.runs,
-            "errors": self.errors,
             "sim_cycles": self.sim_cycles,
             "sim_seconds": self.sim_seconds,
-            "cycles_per_s": (
-                self.sim_cycles / self.sim_seconds
-                if self.sim_seconds > 0 else 0.0
-            ),
             "arena_hit_rate": (
                 arena["hits"] / probes if probes else None
             ),
@@ -188,9 +175,8 @@ def run_worker(
             outlast the slowest single batch the worker will take
             between settles, or the scheduler will re-issue its runs.
         poll_s: the longest the coordinator holds an empty lease (the
-            long-poll ``wait``, capped at :data:`MAX_LEASE_WAIT_S`);
-            against a coordinator that answers at once, the pacing
-            between empty leases.
+            long-poll ``wait``, floored at :data:`MIN_POLL_S` and capped
+            at :data:`MAX_LEASE_WAIT_S`).
         once: exit after the first settled (or empty) lease -- used by
             tests and one-shot deployments.
         hold_s: fault-injection hook -- sleep this long between lease
@@ -218,7 +204,6 @@ def run_worker(
     # the coordinator's latest word on whether it is draining
     draining = False
     while True:
-        asked = time.monotonic()
         try:
             grant = client.lease(
                 worker=worker, max_runs=max_runs, ttl=ttl,
@@ -250,10 +235,8 @@ def run_worker(
             if draining or once:
                 say(f"worker {worker}: queue drained, exiting")
                 return 0
-            # a coordinator that held the lease has used up the idle
-            # interval already; one that predates the long poll answered
-            # at once, so sleep the rest of it instead of spinning
-            time.sleep(max(0.0, idle_s - (time.monotonic() - asked)))
+            # the coordinator held the empty grant for the whole wait:
+            # lease again at once
             continue
         if hold_s > 0:
             time.sleep(hold_s)

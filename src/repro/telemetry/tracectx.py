@@ -76,8 +76,8 @@ def format_traceparent(trace_id: str, span_id: str) -> str:
 def parse_traceparent(header: Optional[str]) -> Optional[Tuple[str, str]]:
     """``(trace_id, span_id)`` from a traceparent string, or ``None``.
 
-    Strict on shape, lenient on presence: a missing/garbled field from
-    an older coordinator just means the worker runs untraced.
+    Strict on shape, lenient on presence: a missing or garbled field
+    just means the worker runs untraced.
     """
     if not isinstance(header, str):
         return None

@@ -164,16 +164,6 @@ class TestLeaseManager:
         assert manager.pending_runs == 0
         assert manager.settle_pending("a") is None
 
-    def test_drop_key_everywhere(self):
-        _, manager = self.make()
-        manager.add("a", "sa")
-        manager.add("b", "sb")
-        manager.drop_key("a")
-        assert manager.pending_runs == 1
-        lease = manager.lease("w")
-        manager.drop_key("b")
-        assert manager.get(lease.lease_id) is None  # emptied lease retired
-
     def test_snapshot_shape(self):
         now, manager = self.make()
         manager.add("a", "sa")
@@ -707,9 +697,6 @@ class _StubClient:
     def settle(self, lease_id, runs, heartbeat=None):
         return {"settled": len(runs), "draining": True}
 
-    def heartbeat(self, payload):
-        raise AssertionError("an idle worker sends no separate heartbeat")
-
 
 class TestWorkerPacing:
     EMPTY = {"lease": None, "runs": [], "draining": False}
@@ -737,21 +724,13 @@ class TestWorkerPacing:
                           log=lines.append)
         return code, sleeps, stub, lines
 
-    def test_early_answer_sleeps_the_rest_of_poll(self, monkeypatch):
-        # a coordinator without long-poll support answers at once
-        code, sleeps, stub, _ = self.run(monkeypatch, [
-            (0.0, self.EMPTY), (0.2, self.EMPTY), (0.0, self.DRAINED),
-        ])
-        assert code == 0
-        assert sleeps == [pytest.approx(0.5), pytest.approx(0.3)]
-        assert all(kw["wait"] == 0.5 for kw in stub.lease_kwargs)
-
     def test_held_answer_re_leases_at_once(self, monkeypatch):
-        code, sleeps, _, _ = self.run(monkeypatch, [
+        code, sleeps, stub, _ = self.run(monkeypatch, [
             (0.5, self.EMPTY), (0.5, self.EMPTY), (0.0, self.DRAINED),
         ])
         assert code == 0
-        assert sleeps == [0.0, 0.0]
+        assert sleeps == []
+        assert all(kw["wait"] == 0.5 for kw in stub.lease_kwargs)
 
     def test_wait_is_floored_and_capped(self, monkeypatch):
         from repro.service.leases import MAX_LEASE_WAIT_S

@@ -9,7 +9,7 @@ Four layers of proof:
   the trace id preserved in event args;
 * :class:`repro.service.registry.WorkerRegistry` units with an
   injectable clock (heartbeat folding, stale flagging, expiry) plus
-  the HTTP surface (`POST /v1/workers/heartbeat`, `GET /v1/workers`,
+  the HTTP surface (heartbeats on `POST /v1/leases`, `GET /v1/workers`,
   `GET /v1/jobs`, the 202/snapshot ``trace_id`` field);
 * an end-to-end 2-worker fleet: both workers visible with non-zero
   settled counts, ``repro_fleet_*`` metrics consistent with the job
@@ -219,8 +219,7 @@ class TestWorkerRegistry:
         _, registry = self.make()
         state = registry.heartbeat({
             "name": "w1", "pid": 777, "host": "nodeA",
-            "runs": 3, "errors": 1, "sim_cycles": 9000,
-            "sim_seconds": 4.5, "arena_hit_rate": 0.75,
+            "sim_cycles": 9000, "sim_seconds": 4.5, "arena_hit_rate": 0.75,
         })
         assert state is not None
         snap = registry.snapshot()["workers"][0]
@@ -250,16 +249,15 @@ class TestWorkerRegistry:
         snap = registry.snapshot()["workers"][0]
         assert snap["runs_settled"] == 0
         assert snap["arena_hit_rate"] == 1.0
-        assert len(registry) == 1
-        # an older worker still reporting its per-backend run split is
-        # accepted; the field is ignored
+        assert len(registry.snapshot()["workers"]) == 1
+        # unknown fields (a per-backend run split, say) are ignored
         state = registry.heartbeat({
             "name": "w", "runs": 3, "backends": {"interp": 2, "fast": 1},
         })
         assert state is not None
         snap = registry.snapshot()["workers"][0]
         assert "backends" not in snap
-        assert len(registry) == 1
+        assert len(registry.snapshot()["workers"]) == 1
 
     def test_name_clamped(self):
         _, registry = self.make()
@@ -294,7 +292,7 @@ class TestWorkerRegistry:
 
         now[0] = 230.0  # w1 silent 130s > expire_after=120
         assert registry.expire() == ["w1"]
-        assert len(registry) == 1
+        assert len(registry.snapshot()["workers"]) == 1
         assert registry.expired_total == 1
         assert registry.snapshot()["expired_total"] == 1
         # contact resurrects an expired worker as a fresh entry
@@ -314,46 +312,94 @@ class TestWorkerRegistry:
 
 
 # ----------------------------------------------------------------------
+def heartbeat_lease(client, heartbeat, worker="w"):
+    """Deliver *heartbeat* the way workers do: on an empty lease."""
+    grant = client.lease(worker=worker, heartbeat=heartbeat, wait=0)
+    assert grant["runs"] == []
+    return grant
+
+
 class TestFleetEndpoints:
     def test_heartbeat_round_trip(self):
         with BackgroundService(no_store=True, remote=True) as svc:
             client = ServiceClient(svc.url)
-            # "backends" is sent by older workers: ignored, not a 400
-            response = client.heartbeat({
+            # an unknown field is ignored, not a 400
+            heartbeat_lease(client, {
                 "name": "idle-1", "pid": 4321, "host": "laptop",
-                "runs": 0, "sim_cycles": 0, "sim_seconds": 0.0,
+                "sim_cycles": 0, "sim_seconds": 0.0,
                 "backends": {"interp": 0},
-            })
-            assert response == {"workers": 1}
+            }, worker="idle-1")
             fleet = client.workers()
             (worker,) = fleet["workers"]
             assert worker["name"] == "idle-1"
             assert worker["pid"] == 4321
+            assert worker["host"] == "laptop"
             assert worker["state"] == "live"
             assert "backends" not in worker
             assert fleet["expired_total"] == 0
-            # malformed heartbeats are a client error, not a crash
-            with pytest.raises(ServiceError) as excinfo:
-                client.heartbeat({"pid": 1})
-            assert excinfo.value.status == 400
+            # a malformed heartbeat never fails the lease: the lease's
+            # own worker name is registered instead
+            heartbeat_lease(client, {"pid": 1}, worker="bare")
+            names = [w["name"] for w in client.workers()["workers"]]
+            assert names == ["bare", "idle-1"]
 
     def test_heartbeat_overflowing_numbers_are_ignored(self):
         with BackgroundService(no_store=True, remote=True) as svc:
             client = ServiceClient(svc.url)
-            response = client.heartbeat({
-                "name": "w", "runs": float("inf"),
-                "sim_cycles": float("inf"), "sim_seconds": float("inf"),
+            heartbeat_lease(client, {
+                "name": "w", "pid": 10 ** 400,
+                "sim_cycles": float("inf"), "sim_seconds": 10 ** 400,
+                "arena_hit_rate": 10 ** 400,
             })
-            assert response == {"workers": 1}
-            (worker,) = client.workers()["workers"]
+            heartbeat_lease(client, {
+                "name": "v", "sim_cycles": 10 ** 400, "sim_seconds": 1.0,
+            }, worker="v")
+            workers = {w["name"]: w for w in client.workers()["workers"]}
+            assert workers["v"]["sim_cycles"] == 0
+            assert workers["v"]["cycles_per_s"] == 0.0
+            worker = workers["w"]
+            assert worker["pid"] is None
             assert worker["sim_cycles"] == 0
             assert worker["sim_seconds"] == 0.0
+            assert worker["arena_hit_rate"] == 0.0
+
+    def test_negative_heartbeat_numbers_are_ignored(self):
+        with BackgroundService(no_store=True, remote=True) as svc:
+            client = ServiceClient(svc.url)
+            heartbeat_lease(client, {
+                "name": "w", "pid": -7,
+                "sim_cycles": -1000000, "sim_seconds": 1.0,
+            })
+            heartbeat_lease(client, {
+                "name": "v", "sim_cycles": 500, "sim_seconds": -2.0,
+            }, worker="v")
+            workers = {w["name"]: w for w in client.workers()["workers"]}
+            assert workers["w"]["pid"] is None
+            assert workers["w"]["sim_cycles"] == 0
+            assert workers["w"]["cycles_per_s"] == 0.0
+            assert workers["v"]["sim_seconds"] == 0.0
+            assert workers["v"]["cycles_per_s"] == 0.0
+            assert metric_value(
+                client.metrics(), "repro_fleet_cycles_per_second"
+            ) == 0.0
+
+    def test_worker_heartbeat_keys_all_reach_the_registry(self):
+        from repro.service.worker import _WorkerStats
+
+        with BackgroundService(no_store=True, remote=True) as svc:
+            client = ServiceClient(svc.url)
+            sent = _WorkerStats("w").heartbeat()
+            heartbeat_lease(client, sent)
+            (worker,) = client.workers()["workers"]
+            assert set(sent) <= set(worker)
+            assert worker["pid"] == sent["pid"]
+            assert worker["host"] == sent["host"]
 
     def test_fleet_endpoints_require_remote_mode(self):
         with BackgroundService(no_store=True) as svc:
             client = ServiceClient(svc.url)
             for call in (client.workers,
-                         lambda: client.heartbeat({"name": "w"})):
+                         lambda: heartbeat_lease(client, {"name": "w"})):
                 with pytest.raises(ServiceError) as excinfo:
                     call()
                 assert excinfo.value.status == 400
@@ -554,7 +600,7 @@ class TestTopConsole:
     def test_top_once_against_live_service(self, capsys):
         with BackgroundService(no_store=True, remote=True) as svc:
             client = ServiceClient(svc.url)
-            client.heartbeat({"name": "console-w", "runs": 0})
+            heartbeat_lease(client, {"name": "console-w"})
             assert main(["top", "--url", svc.url, "--once"]) == 0
             out = capsys.readouterr().out
             assert f"repro top -- {svc.url}" in out

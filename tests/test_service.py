@@ -4,6 +4,7 @@ HTTP server end-to-end (bit-identity, dedup, backpressure, SSE)."""
 from __future__ import annotations
 
 import asyncio
+import pathlib
 import re
 import threading
 import time
@@ -20,7 +21,12 @@ from repro.service.client import ServiceClient, ServiceError
 from repro.service.jobs import InvalidRequest, Job, SweepRequest, job_id_for
 from repro.service.leases import DEFAULT_LEASE_TTL_S, LeaseManager
 from repro.service.scheduler import Draining, JobScheduler, QueueFull
-from repro.service.server import BackgroundService, SimulationService
+from repro.service.server import (
+    _FIXED_ROUTES,
+    BackgroundService,
+    SimulationService,
+    _route_label,
+)
 
 
 # ----------------------------------------------------------------------
@@ -86,6 +92,12 @@ def metric(exposition: str, name: str) -> float:
     match = re.search(rf"^{name} (\S+)$", exposition, re.MULTILINE)
     assert match, f"{name} not in /metrics"
     return float(match.group(1))
+
+
+def counter(scheduler: JobScheduler, name: str) -> int:
+    """A scheduler's ``repro_service_<name>`` counter, read from its
+    metrics registry."""
+    return int(scheduler.registry.counter(f"repro_service_{name}", "").value)
 
 
 async def wait_job(job: Job, timeout: float = 15.0) -> None:
@@ -197,7 +209,7 @@ class TestSchedulerSingleFlight:
             engine.release.set()
             await wait_job(job1)
             assert len(engine.dispatches) == 1
-            assert scheduler.metrics["jobs_coalesced"] == 1
+            assert counter(scheduler, "jobs_coalesced") == 1
             assert job1.counters["fresh"] == 1
 
         asyncio.run(scenario())
@@ -224,7 +236,7 @@ class TestSchedulerSingleFlight:
             assert job_b.runs[shared].source == "coalesced"
             assert job_b.counters["coalesced"] == 1
             assert job_b.counters["fresh"] == 1  # GEMM only
-            assert scheduler.metrics["keys_coalesced"] == 1
+            assert counter(scheduler, "keys_coalesced") == 1
 
         asyncio.run(scenario())
 
@@ -572,3 +584,37 @@ class TestStorelessService:
             )
             assert warm["store_hits"] == 1
             assert warm["fresh"] == 0
+
+
+# ----------------------------------------------------------------------
+# the documented wire API and the route table agree
+# ----------------------------------------------------------------------
+class TestDocumentedRoutes:
+    DOC = pathlib.Path(__file__).resolve().parent.parent / "docs" / (
+        "service-api.md")
+
+    def documented(self):
+        """``(method, path)`` of every ``### `METHOD /path` `` heading."""
+        headings = re.findall(
+            r"^### `([A-Z]+) (/[^`?\s]*)[^`]*`", self.DOC.read_text(),
+            re.MULTILINE,
+        )
+        assert headings, f"no endpoint headings in {self.DOC}"
+        return headings
+
+    def test_every_heading_is_a_route(self):
+        for method, path in self.documented():
+            assert _route_label(path) != "other", f"{method} {path}"
+
+    def test_every_fixed_route_has_a_heading(self):
+        paths = {path for _method, path in self.documented()}
+        assert set(_FIXED_ROUTES) <= paths
+
+    def test_standalone_heartbeat_is_gone(self):
+        with BackgroundService(no_store=True, remote=True) as svc:
+            client = ServiceClient(svc.url)
+            with pytest.raises(ServiceError) as excinfo:
+                client._request(
+                    "POST", "/v1/workers/heartbeat", {"name": "w"}
+                )
+            assert excinfo.value.status == 404
