@@ -32,6 +32,7 @@ from repro.cache.interface import (
 )
 from repro.cache.mshr import MSHR
 from repro.cache.request import MemoryRequest
+from repro.cache.stats import CacheStats
 from repro.cache.tag_array import CacheLine, TagArray
 
 __all__ = [
@@ -59,8 +60,10 @@ class BaseCache(L1DCacheModel):
         technology: ``"sram"`` or ``"stt"``; routes energy event counters.
     """
 
-    #: predictor-accuracy scoring hook for a departed line (By-NVM)
-    _score_eviction: Optional[Callable[[CacheLine], None]] = None
+    #: predictor-accuracy scoring hook for a departed line (By-NVM): a
+    #: static ``(stats, line)`` function, so the sink holds no reference
+    #: back to the cache
+    _score_eviction: Optional[Callable[[CacheStats, CacheLine], None]] = None
 
     #: bypass predicate on the request PC (By-NVM's dead-write
     #: prediction): when it holds, a clean miss -- block neither resident

@@ -27,7 +27,11 @@ class WritebackSink:
         leaves_cache: when True the eviction is also counted in
             ``evictions_to_l2`` (the FUSE engines distinguish lines that
             leave the L1D entirely from bank-to-bank migrations).
-        scorer: optional per-eviction predictor-scoring hook.
+        scorer: optional per-eviction predictor-scoring hook, called
+            as ``scorer(stats, line)``.  It is a plain function, never a
+            bound method of the owning cache: the cache holds this sink,
+            so a bound method would close a reference cycle and leave
+            every finished cache to the cyclic garbage collector.
     """
 
     __slots__ = ("stats", "leaves_cache", "scorer")
@@ -36,7 +40,7 @@ class WritebackSink:
         self,
         stats: CacheStats,
         leaves_cache: bool = False,
-        scorer: Optional[Callable[[CacheLine], None]] = None,
+        scorer: Optional[Callable[[CacheStats, CacheLine], None]] = None,
     ) -> None:
         self.stats = stats
         self.leaves_cache = leaves_cache
@@ -50,7 +54,7 @@ class WritebackSink:
         if self.leaves_cache:
             stats.evictions_to_l2 += 1
         if self.scorer is not None:
-            self.scorer(evicted)
+            self.scorer(stats, evicted)
         if evicted.dirty:
             stats.dirty_writebacks += 1
             return (evicted.block_addr,)

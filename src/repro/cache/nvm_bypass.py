@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from repro.cache.basecache import BaseCache
 from repro.cache.request import BLOCK_SIZE, MemoryRequest
+from repro.cache.stats import CacheStats
 from repro.cache.tag_array import CacheLine
 from repro.core.sampler import SamplerTable, SaturatingCounterTable, pc_signature
 
@@ -113,9 +114,10 @@ class ByNVMCache(BaseCache):
         # consults the predicate exactly there
         self._bypass_pc = self.predictor.is_dead
 
-    def _score_eviction(self, evicted: CacheLine) -> None:
+    @staticmethod
+    def _score_eviction(stats: CacheStats, evicted: CacheLine) -> None:
         """Track how many resident blocks really were dead (diagnostics)."""
         if evicted.reads_observed == 0 and evicted.writes_observed == 0:
-            self.stats.pred_false += 1  # kept a block that was never reused
+            stats.pred_false += 1  # kept a block that was never reused
         else:
-            self.stats.pred_true += 1
+            stats.pred_true += 1

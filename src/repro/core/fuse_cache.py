@@ -65,6 +65,7 @@ from repro.cache.interface import (
 )
 from repro.cache.mshr import MSHR
 from repro.cache.request import BLOCK_SIZE, MemoryRequest
+from repro.cache.stats import CacheStats
 from repro.cache.tag_array import CacheLine, TagArray
 from repro.core.approx_assoc import ApproximateAssociativeArray
 from repro.core.arbitration import Arbiter, ArbiterDecision, Destination
@@ -265,18 +266,20 @@ class FuseCache(L1DCacheModel):
 
     # ==================================================================
     # predictor scoring
-    def _score_departure(self, line: CacheLine) -> None:
+    @staticmethod
+    def _score_departure(stats: CacheStats, line: CacheLine) -> None:
         """Figure 16 accounting when a line leaves the L1D for L2 (or is
-        still resident at the end of the run)."""
+        still resident at the end of the run).  Static, so the L2 sink
+        holds no reference back to the cache."""
         verdict = ReadLevelPredictor.score_eviction(
             line.predicted_level, line.writes_observed
         )
         if verdict == "true":
-            self.stats.pred_true += 1
+            stats.pred_true += 1
         elif verdict == "false":
-            self.stats.pred_false += 1
+            stats.pred_false += 1
         else:
-            self.stats.pred_neutral += 1
+            stats.pred_neutral += 1
 
     # ==================================================================
     # structural-hazard pre-check (check-then-commit)
@@ -655,10 +658,11 @@ class FuseCache(L1DCacheModel):
         of the run (they never got an eviction to be scored on)."""
         if self.predictor is None:
             return
+        stats = self.stats
         for line in self.sram.iter_valid_lines():
-            self._score_departure(line)
+            self._score_departure(stats, line)
         for line in self.stt.iter_valid_lines():
-            self._score_departure(line)
+            self._score_departure(stats, line)
 
     # convenience for tests -------------------------------------------------
     def resident_in_sram(self, block_addr: int) -> bool:

@@ -183,7 +183,7 @@ class GPUSimulator:
                 if kind == EV_FILL:
                     target._handle_fill(a, cycle)
                 elif kind == EV_RETRY:
-                    target._present(a, b, cycle, c)
+                    target._present(a, b, cycle, c, cycle)
                 else:  # EV_WAKE: an SM regained a ready warp
                     wakeups.add(target)
                     active.add(target)

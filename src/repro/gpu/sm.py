@@ -91,7 +91,15 @@ _MISS_BYPASS = AccessOutcome.MISS_BYPASS
 
 
 class SM:
-    """One streaming multiprocessor plus its private L1D."""
+    """One streaming multiprocessor plus its private L1D.
+
+    The SM takes the simulator's memory subsystem, event heap and event
+    sequence counter at construction but holds no reference to the
+    simulator itself, which lists the SM in ``sms``: the current cycle
+    reaches it as an argument.  A finished machine is then an acyclic
+    graph that reference counting frees at once, leaving nothing for
+    the cyclic garbage collector (``tests/test_lifetime.py``).
+    """
 
     def __init__(
         self,
@@ -105,7 +113,6 @@ class SM:
         self.warps = warps
         #: the warp GTO keeps issuing from while it stays ready
         self._held: Optional[Warp] = None
-        self.sim = simulator
         self.memory = simulator.memory
         self._events = simulator.events
         self._next_seq = simulator.next_event_seq
@@ -264,7 +271,7 @@ class SM:
                     warp_id=warp_id,
                     issue_cycle=arrival,
                 )
-            present(request, waiting_warp, arrival, 0)
+            present(request, waiting_warp, arrival, 0, cycle)
             arrival += 1
 
     # ------------------------------------------------------------------
@@ -274,8 +281,13 @@ class SM:
         waiting_warp: Optional[Warp],
         cycle: int,
         attempts: int,
+        now: int,
     ) -> None:
         """Present one transaction to the L1D, retrying on hazards.
+
+        *cycle* is the transaction's arrival at the L1D; *now* is the
+        simulator's current cycle (the LSU presents a coalesced batch
+        one transaction per cycle, so *cycle* runs ahead of *now*).
 
         Requests the cache is finished with (hits and bypasses) return
         to the SM's pool here; miss-path requests stay referenced by the
@@ -296,7 +308,7 @@ class SM:
                 if waiting_warp is not None and (
                     waiting_warp.complete_transaction_at(result.ready_cycle)
                 ):
-                    self._post_wake(waiting_warp.ready_at)
+                    self._post_wake(waiting_warp.ready_at, now)
                 self._request_pool.append(request)
                 return
             if outcome is _HIT_PENDING:
@@ -322,7 +334,7 @@ class SM:
                     if waiting_warp is not None and (
                         waiting_warp.complete_transaction_at(completion)
                     ):
-                        self._post_wake(waiting_warp.ready_at)
+                        self._post_wake(waiting_warp.ready_at, now)
                 self._request_pool.append(request)
                 return
         # RESERVATION_FAIL -- the shared REJECTED, tested first because
@@ -345,14 +357,14 @@ class SM:
             waiting_warp, attempts + 1,
         ))
 
-    def _post_wake(self, when: int) -> None:
-        """A warp's last outstanding load lands at *when*: post the wake.
+    def _post_wake(self, when: int, now: int) -> None:
+        """A warp's last outstanding load lands at *when*: post the wake,
+        clamped to the simulator's current cycle *now*.
 
         One wake per warp-unblock (not one event per transaction) fires
         the simulator's ready-set update exactly when the data is usable,
         keeping the clock's advance pattern bit-identical.
         """
-        now = self.sim.cycle
         heappush(self._events, (
             when if when > now else now, self._next_seq(), EV_WAKE,
             self.sm_id, None, None, 0,
@@ -371,7 +383,7 @@ class SM:
             if not request.is_write:
                 warp = warps[request.warp_id]
                 if warp.complete_transaction_at(ready):
-                    self._post_wake(warp.ready_at)
+                    self._post_wake(warp.ready_at, cycle)
         # the MSHR entry is released; its requests (loads and stores
         # alike) are dead and return to the pool
         self._request_pool.extend(completed)
