@@ -6,6 +6,13 @@ The modules in this package know nothing about STT-MRAM heterogeneity; they
 provide the building blocks (``TagArray``, ``MSHR``, ``BaseCache``) that both
 the baseline caches (``L1-SRAM``, ``FA-SRAM``, ``L1-NVM``, ``By-NVM``,
 ``Oracle``) and the FUSE engine in :mod:`repro.core` are assembled from.
+
+A bank's timing follows from its technology alone
+(:data:`repro.cache.engine.bank.TIMING`), and the engines take only
+geometry, technology and mechanism.  Which values each Table I
+organisation uses is the business of :mod:`repro.core.factory`:
+:func:`~repro.core.factory.make_l1d` is the only path from a
+configuration to an engine.
 """
 
 from repro.cache.interface import (
@@ -19,7 +26,6 @@ from repro.cache.basecache import BaseCache
 from repro.cache.nvm_bypass import ByNVMCache, DeadWritePredictor
 from repro.cache.oracle import OracleCache
 from repro.cache.request import AccessType, MemoryRequest, block_address
-from repro.cache.sram_cache import make_fa_sram_cache, make_sram_cache
 from repro.cache.stats import CacheStats
 from repro.cache.tag_array import CacheLine, TagArray
 
@@ -40,6 +46,4 @@ __all__ = [
     "OracleCache",
     "TagArray",
     "block_address",
-    "make_fa_sram_cache",
-    "make_sram_cache",
 ]

@@ -3,13 +3,16 @@
 ``BaseCache`` implements the write-back, write-allocate, MSHR-backed cache
 the paper's baselines are built from.  The same engine models
 
-* ``L1-SRAM``  -- 32 KB, 64 sets x 4 ways, 1-cycle reads and writes,
-* ``FA-SRAM`` -- 32 KB, 1 set x 256 ways, LRU (idealised full associativity),
-* ``L1-NVM``  -- 128 KB pure STT-MRAM, 256 sets x 4 ways, 5-cycle writes
-  (Figure 3's "STT-MRAM GPU"),
+* ``L1-SRAM``  -- 32 KB, 64 sets x 4 ways, SRAM,
+* ``FA-SRAM`` -- 32 KB, 1 set x 256 ways, LRU (idealised full
+  associativity: single-cycle tag search regardless of associativity),
+* ``L1-NVM``  -- 128 KB pure STT-MRAM, 256 sets x 4 ways (Figure 3's
+  "STT-MRAM GPU"),
 
-differing only in geometry and bank timing.  ``By-NVM`` (dead-write bypass)
-derives from it in :mod:`repro.cache.nvm_bypass`.
+differing only in geometry and technology; the bank timing follows from
+the technology (:data:`~repro.cache.engine.bank.TIMING`).  ``By-NVM``
+(dead-write bypass) derives from it in :mod:`repro.cache.nvm_bypass`.
+:func:`repro.core.factory.make_l1d` builds each from its Table I config.
 
 The engine is a thin composition of the shared primitives in
 :mod:`repro.cache.engine`: one :class:`~repro.cache.engine.BankPort`
@@ -50,14 +53,9 @@ class BaseCache(L1DCacheModel):
     Args:
         num_sets: sets in the tag array (power of two).
         assoc: ways per set.
-        read_latency: cycles from bank start to data available.
-        write_latency: cycles a write needs; for STT-MRAM this is 5
-            (Table I: "1/5-cycle (W)").
-        read_occupancy: bank busy time per read (1 = fully pipelined).
-        write_occupancy: bank busy time per write; STT-MRAM writes block
-            the bank for the whole write (defaults to ``write_latency``).
         mshr_entries / mshr_max_merge: MSHR geometry.
-        technology: ``"sram"`` or ``"stt"``; routes energy event counters.
+        technology: ``"sram"`` or ``"stt"``; sets the bank timing and
+            routes energy event counters.
     """
 
     #: predictor-accuracy scoring hook for a departed line (By-NVM): a
@@ -80,10 +78,6 @@ class BaseCache(L1DCacheModel):
         self,
         num_sets: int,
         assoc: int,
-        read_latency: int = 1,
-        write_latency: int = 1,
-        read_occupancy: int = 1,
-        write_occupancy: Optional[int] = None,
         mshr_entries: int = 32,
         mshr_max_merge: int = 8,
         technology: str = "sram",
@@ -93,17 +87,10 @@ class BaseCache(L1DCacheModel):
         self.name = name
         self.tags = TagArray(num_sets, assoc, "lru")
         self.mshr = MSHR(mshr_entries, mshr_max_merge)
-        self.read_latency = read_latency
-        self.write_latency = write_latency
         self.technology = technology
-        self.bank = BankPort(
-            self.stats,
-            technology,
-            read_latency=read_latency,
-            write_latency=write_latency,
-            read_occupancy=read_occupancy,
-            write_occupancy=write_occupancy,
-        )
+        self.bank = BankPort(self.stats, technology)
+        self.read_latency = self.bank.read_latency
+        self.write_latency = self.bank.write_latency
         self.miss_path = MissPath(self.mshr, self.stats)
         self.writeback = WritebackSink(self.stats, scorer=self._score_eviction)
 

@@ -14,7 +14,9 @@ This package extracts them as three primitives the cache models compose:
 * :class:`~repro.cache.engine.bank.BankPort` -- one served bank
   resource: acquire-at-``max(cycle, busy_until)``, charge wait cycles to
   ``bank_wait_cycles`` (and ``stt_write_stall_cycles`` for STT-MRAM
-  banks), count read/write events for the energy model.
+  banks), count read/write events for the energy model.  Its timing
+  comes from :data:`~repro.cache.engine.bank.TIMING`, Table I's bank
+  timing keyed by technology.
 * :class:`~repro.cache.engine.misspath.MissPath` -- the accounting of
   the check-then-commit MSHR discipline: merge a secondary miss into
   the outstanding entry the engine probed (or reject it when the entry
@@ -29,8 +31,8 @@ cache, so composing them is bit-identical to the engines they replaced
 (pinned by ``tests/test_golden_parity.py``).
 """
 
-from repro.cache.engine.bank import BankPort
+from repro.cache.engine.bank import TIMING, BankPort, BankTiming
 from repro.cache.engine.misspath import MissPath
 from repro.cache.engine.writeback import WritebackSink
 
-__all__ = ["BankPort", "MissPath", "WritebackSink"]
+__all__ = ["BankPort", "BankTiming", "MissPath", "TIMING", "WritebackSink"]

@@ -7,17 +7,43 @@ approximated tag search in front of an STT-MRAM operation).  Waiting is
 charged to ``stats.bank_wait_cycles`` and, for STT-MRAM banks, also to
 ``stats.stt_write_stall_cycles`` -- waiting behind long MTJ writes is
 exactly the Figure 15 stall the paper attributes pure-NVM slowdowns to.
+
+A bank's timing follows from its technology alone: :data:`TIMING` is
+Table I's bank timing, and every L1D engine reads it from there.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, NamedTuple
 
 from repro.cache.stats import CacheStats
 
 __all__ = [
-    "BankPort",
+    "BankPort", "BankTiming", "TIMING",
 ]
+
+
+class BankTiming(NamedTuple):
+    """One technology's bank timing, in cycles.
+
+    ``*_latency`` runs from bank start to done; ``*_occupancy`` is how
+    long the operation holds the bank (1 = fully pipelined).
+    """
+
+    read_latency: int
+    write_latency: int
+    read_occupancy: int
+    write_occupancy: int
+
+
+#: Table I bank timing per technology: SRAM is 1/1 cycles and fully
+#: pipelined; an STT-MRAM read takes 1 cycle, and a write takes 5 and
+#: holds the bank for all of them (rotating the MTJ free layer,
+#: Section II-B)
+TIMING: Dict[str, BankTiming] = {
+    "sram": BankTiming(1, 1, 1, 1),
+    "stt": BankTiming(1, 5, 1, 5),
+}
 
 
 class BankPort:
@@ -25,12 +51,9 @@ class BankPort:
 
     Args:
         stats: the owning cache's flat counter object.
-        technology: ``"sram"`` or ``"stt"``; selects the wait-stall rule
-            and which energy event counters read/write operations bump.
-        read_latency / write_latency: cycles from bank start to done.
-        read_occupancy: bank busy time per read (1 = fully pipelined).
-        write_occupancy: bank busy time per write; STT-MRAM writes hold
-            the bank for the whole write (defaults to ``write_latency``).
+        technology: ``"sram"`` or ``"stt"``; selects the bank's
+            :data:`TIMING`, the wait-stall rule and which energy event
+            counters read/write operations bump.
         count_events: when False the port only does timing; the caller
             owns the ``sram_*``/``stt_*`` event counters (the FUSE STT
             paths count per routing decision, not per bank operation).
@@ -52,22 +75,14 @@ class BankPort:
         self,
         stats: CacheStats,
         technology: str,
-        read_latency: int = 1,
-        write_latency: int = 1,
-        read_occupancy: int = 1,
-        write_occupancy: Optional[int] = None,
         count_events: bool = True,
     ) -> None:
-        if technology not in ("sram", "stt"):
+        if technology not in TIMING:
             raise ValueError("technology must be 'sram' or 'stt'")
         self.stats = stats
         self.technology = technology
-        self.read_latency = read_latency
-        self.write_latency = write_latency
-        self.read_occupancy = read_occupancy
-        self.write_occupancy = (
-            write_latency if write_occupancy is None else write_occupancy
-        )
+        (self.read_latency, self.write_latency,
+         self.read_occupancy, self.write_occupancy) = TIMING[technology]
         self.count_events = count_events
         self.busy_until = 0
         self._is_stt = technology == "stt"

@@ -18,7 +18,7 @@ emergent output of this predictor and are reproduced by
 from __future__ import annotations
 
 from repro.cache.basecache import BaseCache
-from repro.cache.request import BLOCK_SIZE, MemoryRequest
+from repro.cache.request import MemoryRequest
 from repro.cache.stats import CacheStats
 from repro.cache.tag_array import CacheLine
 from repro.core.sampler import SamplerTable, SaturatingCounterTable, pc_signature
@@ -77,37 +77,32 @@ class DeadWritePredictor:
 
 
 class ByNVMCache(BaseCache):
-    """128 KB pure STT-MRAM L1D with dead-write bypass (``By-NVM``)."""
+    """Pure STT-MRAM L1D with dead-write bypass (``By-NVM``).
+
+    Args:
+        num_sets / assoc / mshr_entries / mshr_max_merge / name: as for
+            :class:`BaseCache`; the bank is STT-MRAM.
+        dead_threshold: the predictor's dead-PC threshold.
+    """
 
     def __init__(
         self,
-        size_kb: int = 128,
-        assoc: int = 4,
-        read_latency: int = 1,
-        write_latency: int = 5,
+        num_sets: int,
+        assoc: int,
         mshr_entries: int = 32,
         mshr_max_merge: int = 8,
         dead_threshold: int = 10,
-        sampled_warps=(0, 12, 24, 36),
         name: str = "By-NVM",
     ) -> None:
-        num_lines = size_kb * 1024 // BLOCK_SIZE
-        if num_lines % assoc:
-            raise ValueError(f"{size_kb}KB not divisible into {assoc}-way sets")
         super().__init__(
-            num_sets=num_lines // assoc,
+            num_sets=num_sets,
             assoc=assoc,
-            read_latency=read_latency,
-            write_latency=write_latency,
-            write_occupancy=write_latency,
             mshr_entries=mshr_entries,
             mshr_max_merge=mshr_max_merge,
             technology="stt",
             name=name,
         )
-        self.predictor = DeadWritePredictor(
-            dead_threshold=dead_threshold, sampled_warps=sampled_warps
-        )
+        self.predictor = DeadWritePredictor(dead_threshold=dead_threshold)
         self._observe = self.predictor.observe
         # a bypass is only legal when the block is neither resident nor
         # pending (otherwise it would create a stale copy); BaseCache

@@ -4,15 +4,17 @@ Figure 3 motivates FUSE by comparing the Vanilla GTX480-like L1D against an
 "ideal L1D cache that has enough capacity to avoid cache thrashing".  The
 oracle still pays cold (compulsory) misses and MSHR constraints -- only
 capacity and conflict misses disappear.  Its banks are likewise idealised
-(no ``busy_until`` serialisation), so the only shared machinery it needs
-is the :class:`~repro.cache.engine.MissPath` MSHR discipline.
+(no ``busy_until`` serialisation): it takes the SRAM latencies of
+:data:`~repro.cache.engine.bank.TIMING` and no bank occupancy, so the
+only shared machinery it needs is the
+:class:`~repro.cache.engine.MissPath` MSHR discipline.
 """
 
 from __future__ import annotations
 
 from typing import Set
 
-from repro.cache.engine import MissPath
+from repro.cache.engine import TIMING, MissPath
 from repro.cache.interface import (
     AccessOutcome,
     AccessResult,
@@ -31,7 +33,6 @@ class OracleCache(L1DCacheModel):
     """Infinite-capacity L1D (cold misses only).
 
     Args:
-        read_latency / write_latency: SRAM-like single-cycle timing.
         mshr_entries / mshr_max_merge: the MSHR stays finite so the oracle
             still models realistic miss-level parallelism.
     """
@@ -42,16 +43,15 @@ class OracleCache(L1DCacheModel):
 
     def __init__(
         self,
-        read_latency: int = 1,
-        write_latency: int = 1,
         mshr_entries: int = 32,
         mshr_max_merge: int = 8,
         name: str = "Oracle",
     ) -> None:
         super().__init__()
         self.name = name
-        self.read_latency = read_latency
-        self.write_latency = write_latency
+        sram = TIMING["sram"]
+        self.read_latency = sram.read_latency
+        self.write_latency = sram.write_latency
         self.mshr = MSHR(mshr_entries, mshr_max_merge)
         self.miss_path = MissPath(self.mshr, self.stats)
         self._resident: Set[int] = set()

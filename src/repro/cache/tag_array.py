@@ -28,9 +28,24 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from typing import Iterator, List, Optional, Tuple
 
+from repro.cache.request import BLOCK_SIZE
+
 __all__ = [
-    "CacheLine", "TagArray", "UNALLOCATED",
+    "CacheLine", "TagArray", "UNALLOCATED", "sets_for",
 ]
+
+
+def sets_for(size_kb: int, assoc: int) -> int:
+    """Sets in a *size_kb* array of *assoc*-way sets of ``BLOCK_SIZE``
+    lines (``assoc=1`` gives the line count).
+
+    Raises:
+        ValueError: when the lines do not divide into *assoc*-way sets.
+    """
+    num_lines = size_kb * 1024 // BLOCK_SIZE
+    if num_lines % assoc:
+        raise ValueError(f"{size_kb}KB is not divisible into {assoc}-way sets")
+    return num_lines // assoc
 
 
 @dataclass(slots=True)

@@ -5,7 +5,7 @@ prohibitive at 512 ways (the paper cites 30.6x area and 28.3x power versus
 4-way for even a 16 KB array).  FUSE instead:
 
 1. partitions the 512-way tag array into groups sized to the number of
-   parallel comparators (4), and
+   parallel comparators (:data:`TAG_COMPARATORS`), and
 2. places one counting Bloom filter in front of each group.  A lookup first
    tests every CBF in parallel (one STT-MRAM read, sub-cycle), then polls
    only the *positive* groups, one group per cycle, 4 tags compared per
@@ -44,8 +44,12 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.bloom import NVMCBFTimingModel, _mix64
 
 __all__ = [
-    "ApproximateAssociativeArray", "SearchResult",
+    "ApproximateAssociativeArray", "SearchResult", "TAG_COMPARATORS",
 ]
+
+#: tags compared in parallel per polling iteration (Section III-B): one
+#: CBF fronts a group of at most this many ways
+TAG_COMPARATORS = 4
 
 #: stride separating the hash streams of adjacent groups
 _GROUP_SALT = 0x9E3779B97F4A7C15
@@ -110,7 +114,6 @@ class ApproximateAssociativeArray:
         num_hashes: hash functions per CBF (Table I: 3).
         cbf_counters: counter-array length per CBF (Table I: 16; at
             most 64).
-        num_comparators: tags compared per polling iteration (4).
         exact: when True, model an ideal fully-associative search (single
             cycle, no CBFs) -- the comparison baseline of Figure 7b.
     """
@@ -123,7 +126,6 @@ class ApproximateAssociativeArray:
         num_cbfs: int = 128,
         num_hashes: int = 3,
         cbf_counters: int = 16,
-        num_comparators: int = 4,
         exact: bool = False,
     ) -> None:
         if num_ways < 1:
@@ -138,7 +140,6 @@ class ApproximateAssociativeArray:
         self.num_cbfs = num_cbfs
         self.num_hashes = num_hashes
         self.cbf_counters = cbf_counters
-        self.num_comparators = num_comparators
         self.exact = exact
         self.timing = NVMCBFTimingModel()
         self._group_size = (num_ways + num_cbfs - 1) // num_cbfs

@@ -1,5 +1,11 @@
 """Named L1D configurations (Table I) and their factory.
 
+This module is the only code that knows Table I: :func:`l1d_config`
+holds each organisation's geometry, technology and mechanism, and
+:func:`make_l1d` is the only path from a configuration to an engine.
+Bank timing follows from the technology
+(:data:`repro.cache.engine.bank.TIMING`).
+
 Every experiment in the paper selects one of seven L1D organisations, all
 built within the same on-chip area budget as a 32 KB SRAM cache
 (STT-MRAM's 36F^2 cell vs SRAM's 140F^2 gives ~4x density):
@@ -24,14 +30,12 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Dict, Optional
 
+from repro.cache.basecache import BaseCache
 from repro.cache.interface import L1DCacheModel
 from repro.cache.nvm_bypass import ByNVMCache
 from repro.cache.oracle import OracleCache
-from repro.cache.sram_cache import (
-    make_fa_sram_cache,
-    make_pure_nvm_cache,
-    make_sram_cache,
-)
+from repro.cache.tag_array import sets_for
+from repro.core.approx_assoc import TAG_COMPARATORS
 from repro.core.fuse_cache import FuseCache, FuseFeatures
 
 __all__ = [
@@ -176,7 +180,7 @@ def ratio_config(
     template = l1d_config(base)
     # pick the smallest associativity (>= 2 when possible) that leaves a
     # power-of-two set count, e.g. 24 KB -> 192 lines -> 64 sets x 3 ways
-    lines = sram_kb * 1024 // 128
+    lines = sets_for(sram_kb, 1)
     sram_assoc = max(1, lines // _largest_pow2_divisor(lines))
     if sram_assoc == 1 and lines >= 2:
         sram_assoc = 2
@@ -200,7 +204,7 @@ def config_for_budget(name: str, area_budget_kb: int) -> L1DConfig:
     every Table I organisation scales with the budget (By-NVM's pure STT
     becomes 512 KB, the FUSE split becomes 64 KB + 256 KB, ...).  CBF
     count scales with the approximated way count so each CBF still covers
-    a 4-way group.
+    a group of :data:`~repro.core.approx_assoc.TAG_COMPARATORS` ways.
     """
     if area_budget_kb < 4 or area_budget_kb % 4:
         raise ValueError("area_budget_kb must be a positive multiple of 4")
@@ -210,60 +214,46 @@ def config_for_budget(name: str, area_budget_kb: int) -> L1DConfig:
         return template
     scaled_sram = int(template.sram_kb * factor)
     scaled_stt = int(template.stt_kb * factor)
-    stt_ways = scaled_stt * 1024 // 128
+    stt_ways = sets_for(scaled_stt, 1)
     return template.with_overrides(
         name=template.name,
         sram_kb=scaled_sram,
         stt_kb=scaled_stt,
-        num_cbfs=max(1, stt_ways // 4) if template.kind == "fuse" else template.num_cbfs,
+        num_cbfs=(max(1, stt_ways // TAG_COMPARATORS)
+                  if template.kind == "fuse" else template.num_cbfs),
         description=f"{template.description} (budget {area_budget_kb}KB)",
     )
 
 
 def make_l1d(config: L1DConfig) -> L1DCacheModel:
-    """Instantiate the cache model described by *config*.
+    """Instantiate the cache model described by *config*: the only path
+    from a configuration to an engine.
 
     Raises:
-        ValueError: for an unknown ``kind``.
+        ValueError: for an unknown ``kind``, or a size that does not
+            divide into the configured ways.
     """
+    common = dict(
+        mshr_entries=config.mshr_entries,
+        mshr_max_merge=config.mshr_max_merge,
+        name=config.name,
+    )
     if config.kind == "sram":
-        return make_sram_cache(
-            size_kb=config.sram_kb,
-            assoc=config.sram_assoc,
-            mshr_entries=config.mshr_entries,
-            mshr_max_merge=config.mshr_max_merge,
-            name=config.name,
-        )
+        return BaseCache(sets_for(config.sram_kb, config.sram_assoc),
+                         config.sram_assoc, technology="sram", **common)
     if config.kind == "fa_sram":
-        return make_fa_sram_cache(
-            size_kb=config.sram_kb,
-            mshr_entries=config.mshr_entries,
-            mshr_max_merge=config.mshr_max_merge,
-            name=config.name,
-        )
+        # idealised: single-cycle tag search at any associativity
+        return BaseCache(1, sets_for(config.sram_kb, 1), technology="sram",
+                         **common)
     if config.kind == "nvm":
-        return make_pure_nvm_cache(
-            size_kb=config.stt_kb,
-            assoc=config.stt_assoc,
-            mshr_entries=config.mshr_entries,
-            mshr_max_merge=config.mshr_max_merge,
-            name=config.name,
-        )
+        return BaseCache(sets_for(config.stt_kb, config.stt_assoc),
+                         config.stt_assoc, technology="stt", **common)
     if config.kind == "by_nvm":
-        return ByNVMCache(
-            size_kb=config.stt_kb,
-            assoc=config.stt_assoc,
-            mshr_entries=config.mshr_entries,
-            mshr_max_merge=config.mshr_max_merge,
-            dead_threshold=config.dead_threshold,
-            name=config.name,
-        )
+        return ByNVMCache(sets_for(config.stt_kb, config.stt_assoc),
+                          config.stt_assoc,
+                          dead_threshold=config.dead_threshold, **common)
     if config.kind == "oracle":
-        return OracleCache(
-            mshr_entries=config.mshr_entries,
-            mshr_max_merge=config.mshr_max_merge,
-            name=config.name,
-        )
+        return OracleCache(**common)
     if config.kind == "fuse":
         if config.features is None:
             raise ValueError("fuse configs need a FuseFeatures value")
@@ -286,9 +276,7 @@ def make_l1d(config: L1DConfig) -> L1DCacheModel:
             cbf_counters=config.cbf_counters,
             cbf_hashes=config.cbf_hashes,
             exact_fa=config.exact_fa,
-            mshr_entries=config.mshr_entries,
-            mshr_max_merge=config.mshr_max_merge,
             predictor=predictor,
-            name=config.name,
+            **common,
         )
     raise ValueError(f"unknown L1D kind {config.kind!r}")

@@ -64,10 +64,10 @@ from repro.cache.interface import (
     RejectionDelta,
 )
 from repro.cache.mshr import MSHR
-from repro.cache.request import BLOCK_SIZE, MemoryRequest
+from repro.cache.request import MemoryRequest
 from repro.cache.stats import CacheStats
-from repro.cache.tag_array import CacheLine, TagArray
-from repro.core.approx_assoc import ApproximateAssociativeArray
+from repro.cache.tag_array import CacheLine, TagArray, sets_for
+from repro.core.approx_assoc import TAG_COMPARATORS, ApproximateAssociativeArray
 from repro.core.arbitration import Arbiter, ArbiterDecision, Destination
 from repro.core.read_level_predictor import ReadLevel, ReadLevelPredictor
 from repro.core.swap_buffer import SwapBuffer
@@ -112,39 +112,36 @@ class FuseCache(L1DCacheModel):
     """Heterogeneous SRAM + STT-MRAM L1D cache.
 
     Args:
-        sram_kb / sram_assoc: SRAM bank geometry (Table I: 16 KB, 2-way).
-        stt_kb: STT-MRAM bank capacity (Table I: 64 KB).
-        stt_assoc: ways per set when *not* approximated (Table I: 2).
+        sram_kb / sram_assoc: SRAM bank geometry.
+        stt_kb: STT-MRAM bank capacity.
+        stt_assoc: ways per set when *not* approximated.
         features: which FUSE mechanisms are enabled.
-        sram_read/write_latency: 1/1 cycles (Table I).
-        stt_read/write_latency: 1/5 cycles (Table I).
-        swap_entries: swap-buffer registers (3).
-        tag_queue_capacity: pending STT operations (16).
-        num_cbfs / cbf_counters / cbf_hashes: approximation parameters
-            (128 CBFs x 16 2-bit counters, 3 hash functions).
+        swap_entries: swap-buffer registers.
+        tag_queue_capacity: pending STT operations.
+        num_cbfs / cbf_counters / cbf_hashes: approximation parameters.
         exact_fa: price STT tag search as an ideal fully-associative
             lookup (Figure 7b's comparison baseline).
         predictor: inject a pre-built predictor (otherwise one is created
-            from Table I defaults when the feature is on).
+            with its defaults when the feature is on).
+        mshr_entries / mshr_max_merge / name: as for every L1D model.
+
+    The paper's values for each live in
+    :func:`repro.core.factory.l1d_config`; bank timing follows from the
+    technology (:data:`~repro.cache.engine.bank.TIMING`).
     """
 
     def __init__(
         self,
-        sram_kb: int = 16,
-        sram_assoc: int = 2,
-        stt_kb: int = 64,
-        stt_assoc: int = 2,
-        features: FuseFeatures = FuseFeatures.dy_fuse(),
-        sram_read_latency: int = 1,
-        sram_write_latency: int = 1,
-        stt_read_latency: int = 1,
-        stt_write_latency: int = 5,
+        sram_kb: int,
+        sram_assoc: int,
+        stt_kb: int,
+        stt_assoc: int,
+        features: FuseFeatures,
         swap_entries: int = 3,
         tag_queue_capacity: int = 16,
         num_cbfs: int = 128,
         cbf_counters: int = 16,
         cbf_hashes: int = 3,
-        num_comparators: int = 4,
         exact_fa: bool = False,
         mshr_entries: int = 32,
         mshr_max_merge: int = 8,
@@ -155,61 +152,36 @@ class FuseCache(L1DCacheModel):
         self.name = name
         self.features = features
 
-        sram_lines = sram_kb * 1024 // BLOCK_SIZE
-        if sram_lines % sram_assoc:
-            raise ValueError(f"{sram_kb}KB SRAM not divisible by {sram_assoc} ways")
-        self.sram = TagArray(sram_lines // sram_assoc, sram_assoc, "lru")
+        self.sram = TagArray(sets_for(sram_kb, sram_assoc), sram_assoc, "lru")
 
-        stt_lines = stt_kb * 1024 // BLOCK_SIZE
         if features.approx_assoc:
+            stt_lines = sets_for(stt_kb, 1)
             self.stt = TagArray(1, stt_lines, "fifo")
             self.approx: Optional[ApproximateAssociativeArray] = (
                 ApproximateAssociativeArray(
                     num_ways=stt_lines,
-                    num_cbfs=min(num_cbfs, max(1, stt_lines // num_comparators)),
+                    num_cbfs=min(num_cbfs,
+                                 max(1, stt_lines // TAG_COMPARATORS)),
                     num_hashes=cbf_hashes,
                     cbf_counters=cbf_counters,
-                    num_comparators=num_comparators,
                     exact=exact_fa,
                 )
             )
         else:
-            if stt_lines % stt_assoc:
-                raise ValueError(
-                    f"{stt_kb}KB STT not divisible by {stt_assoc} ways"
-                )
-            self.stt = TagArray(stt_lines // stt_assoc, stt_assoc, "fifo")
+            self.stt = TagArray(sets_for(stt_kb, stt_assoc), stt_assoc, "fifo")
             self.approx = None
 
         self.mshr = MSHR(mshr_entries, mshr_max_merge)
         self.miss_path = MissPath(self.mshr, self.stats)
-        self.sram_read_latency = sram_read_latency
-        self.sram_write_latency = sram_write_latency
-        self.stt_read_latency = stt_read_latency
-        self.stt_write_latency = stt_write_latency
 
-        #: the SRAM bank is fully pipelined: 1-cycle occupancy for both
-        #: reads and writes (Table I timing)
-        self.sram_port = BankPort(
-            self.stats,
-            "sram",
-            read_latency=sram_read_latency,
-            write_latency=sram_write_latency,
-            read_occupancy=1,
-            write_occupancy=1,
-        )
+        #: the SRAM bank is fully pipelined
+        self.sram_port = BankPort(self.stats, "sram")
         #: blocking-mode (Hybrid) STT bank: writes occupy it end to end.
         #: Event counting stays with the routing paths -- FUSE charges
         #: ``stt_reads``/``stt_writes`` per decision, not per bank op.
-        self.stt_port = BankPort(
-            self.stats,
-            "stt",
-            read_latency=stt_read_latency,
-            write_latency=stt_write_latency,
-            read_occupancy=1,
-            write_occupancy=stt_write_latency,
-            count_events=False,
-        )
+        self.stt_port = BankPort(self.stats, "stt", count_events=False)
+        self.stt_read_latency = self.stt_port.read_latency
+        self.stt_write_latency = self.stt_port.write_latency
 
         if features.use_predictor:
             self.predictor = predictor or ReadLevelPredictor()
@@ -226,18 +198,10 @@ class FuseCache(L1DCacheModel):
 
         if features.non_blocking:
             self.swap = SwapBuffer(swap_entries)
-            self.tag_queue = TagQueue(
-                capacity=tag_queue_capacity,
-                read_latency=stt_read_latency,
-                write_latency=stt_write_latency,
-            )
+            self.tag_queue = TagQueue(capacity=tag_queue_capacity)
         else:
             self.swap = SwapBuffer(0)
-            self.tag_queue = TagQueue(
-                capacity=1,
-                read_latency=stt_read_latency,
-                write_latency=stt_write_latency,
-            )
+            self.tag_queue = TagQueue(capacity=1)
 
         self._cache_busy_until = 0    # blocking mode: whole-cache gate
         #: fill-time predicted levels keyed by block, applied at fill

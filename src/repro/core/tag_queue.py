@@ -26,6 +26,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Optional, Tuple
 
+from repro.cache.engine import TIMING
+
 __all__ = [
     "TagQueue", "TagQueueStats",
 ]
@@ -48,22 +50,21 @@ class TagQueue:
 
     Args:
         capacity: maximum simultaneously pending operations (Table I: 16).
-        read_latency: STT-MRAM read service time (1 cycle).
-        write_latency: STT-MRAM write service time (5 cycles); applies to
-            fills and "F" migrations.
+
+    Service times are the STT-MRAM bank's
+    (:data:`~repro.cache.engine.bank.TIMING`): reads take
+    ``read_latency``; fills and "F" migrations are writes and take
+    ``write_latency``.
     """
 
-    def __init__(
-        self,
-        capacity: int = 16,
-        read_latency: int = 1,
-        write_latency: int = 5,
-    ) -> None:
+    def __init__(self, capacity: int = 16) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self.read_latency = read_latency
-        self.write_latency = write_latency
+        stt = TIMING["stt"]
+        self.read_latency = stt.read_latency
+        self.write_latency = stt.write_latency
+        self.read_occupancy = stt.read_occupancy
         self.stats = TagQueueStats()
         #: completion cycles of pending operations, oldest first
         self._pending: Deque[int] = deque()
@@ -128,11 +129,12 @@ class TagQueue:
             raise RuntimeError("tag queue enqueue() on a full queue")
         start = self._free_at if self._free_at > cycle else cycle
         # Reads are pipelined (tag polling overlaps the next operation's
-        # data access), so they occupy the bank for a single cycle; MTJ
-        # writes (fills, migrations) hold it for the full write latency.
+        # data access), so they occupy the bank for the read occupancy;
+        # MTJ writes (fills, migrations) hold it for the full write
+        # latency.
         if op == "read":
             completion = start + self.read_latency + extra_search_cycles
-            self._free_at = start + 1
+            self._free_at = start + self.read_occupancy
             self.stats.enqueued_reads += 1
         elif op == "fill" or op == "migrate":
             completion = start + self.write_latency + extra_search_cycles

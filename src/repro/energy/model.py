@@ -85,14 +85,12 @@ _L1D_PARAMS = {
 def l1d_energy_params(config_name: str) -> L1DEnergyParams:
     """Table I energy parameters for a named config (FUSE-family default
     for ratio/ablation variants derived from them)."""
-    base_name = config_name.split("-", 1)
     if config_name in _L1D_PARAMS:
         return _L1D_PARAMS[config_name]
     # ratio configs are named "<base>-<fraction>"
     for known, params in _L1D_PARAMS.items():
         if config_name.startswith(known):
             return params
-    del base_name
     return L1DEnergyParams()
 
 

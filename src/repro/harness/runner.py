@@ -26,7 +26,6 @@ pytest bench session uses.
 
 from __future__ import annotations
 
-import contextlib
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.core.factory import L1DConfig
@@ -183,41 +182,6 @@ class Runner:
             if outcome.result is not None:
                 self._cache[outcome.key] = outcome.result
         return outcomes
-
-    # ------------------------------------------------------------------
-    def run_matrix(
-        self,
-        config_names,
-        workload_names,
-        workers: Optional[int] = None,
-    ):
-        """Run a configs x workloads grid; returns nested dict
-        ``{workload: {config: result}}``.  With ``workers`` > 1 the grid
-        is prefetched through the parallel engine first; the default
-        (``None``) keeps the method's historical serial behaviour."""
-        config_names = list(config_names)
-        workload_names = list(workload_names)
-        if workers is not None and workers > 1:
-            self.prefetch(
-                [(config, workload) for workload in workload_names
-                 for config in config_names],
-                workers=workers,
-            )
-        # workload-major iteration keeps one packed arena hot per row;
-        # the batched store turns the row of fresh puts into appends on
-        # one held handle instead of an open/close per run
-        batch = (
-            self.store.batched() if self.store is not None
-            else contextlib.nullcontext()
-        )
-        with batch:
-            return {
-                workload: {
-                    config: self.run(config, workload)
-                    for config in config_names
-                }
-                for workload in workload_names
-            }
 
     def cache_size(self) -> int:
         return len(self._cache)

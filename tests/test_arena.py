@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from repro.cache.sram_cache import make_sram_cache
+from repro.core.factory import l1d_config, make_l1d
 from repro.engine import (
     ExperimentEngine,
     ResultStore,
@@ -118,7 +118,7 @@ class TestWarpCursor:
         # warp costs its SM one issue attempt before the next warp runs
         sim = GPUSimulator(
             fermi_like().with_overrides(num_sms=1),
-            l1d_factory=make_sram_cache,
+            l1d_factory=lambda: make_l1d(l1d_config("L1-SRAM")),
             warp_streams=lambda sm_id, warp_id: (
                 [] if warp_id == 0 else [compute_block(1)]),
             warps_per_sm=2,
@@ -235,6 +235,7 @@ class TestEngineArenaIntegration:
 _SPAWN_POOL_SCRIPT = """
 import json, multiprocessing
 multiprocessing.set_start_method("spawn")
+from repro.core.factory import l1d_config, make_l1d
 from repro.engine import (
     ExperimentEngine, RunSpec, execute_spec, result_to_dict)
 from repro.workloads.arena import arena_cache_stats

@@ -5,11 +5,7 @@ import pytest
 from repro.cache.basecache import BaseCache
 from repro.cache.interface import AccessOutcome
 from repro.cache.oracle import OracleCache
-from repro.cache.sram_cache import (
-    make_fa_sram_cache,
-    make_pure_nvm_cache,
-    make_sram_cache,
-)
+from repro.core.factory import l1d_config, make_l1d
 from tests.conftest import load, store
 
 
@@ -75,7 +71,7 @@ class TestBasicPaths:
 
 class TestTiming:
     def test_write_occupancy_blocks_bank(self):
-        cache = BaseCache(4, 2, write_latency=5, technology="stt")
+        cache = BaseCache(4, 2, technology="stt")
         cache.access(store(byte_addr(4)), 0)
         cache.fill(4, 10)  # fill is a 5-cycle STT write: bank busy 10..15
         result = cache.access(load(byte_addr(4)), 11)
@@ -107,25 +103,26 @@ class TestTiming:
 
 class TestFactories:
     def test_l1_sram_geometry(self):
-        cache = make_sram_cache()
+        cache = make_l1d(l1d_config("L1-SRAM"))
         assert cache.tags.num_sets == 64
         assert cache.tags.assoc == 4
         assert cache.tags.num_lines * 128 == 32 * 1024
 
     def test_fa_sram_geometry(self):
-        cache = make_fa_sram_cache()
+        cache = make_l1d(l1d_config("FA-SRAM"))
         assert cache.tags.num_sets == 1
         assert cache.tags.assoc == 256
 
     def test_pure_nvm_geometry_and_timing(self):
-        cache = make_pure_nvm_cache()
+        cache = make_l1d(l1d_config("L1-NVM"))
         assert cache.tags.num_lines * 128 == 128 * 1024
         assert cache.write_latency == 5
         assert cache.technology == "stt"
 
     def test_indivisible_size_rejected(self):
         with pytest.raises(ValueError):
-            make_sram_cache(size_kb=3, assoc=7)
+            make_l1d(l1d_config("L1-SRAM").with_overrides(
+                sram_kb=3, sram_assoc=7))
 
     def test_invalid_technology_rejected(self):
         with pytest.raises(ValueError, match="technology"):

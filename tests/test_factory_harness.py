@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from repro.cache.engine import TIMING, BankPort
 from repro.core.factory import (
     config_for_budget,
     known_configs,
@@ -12,6 +13,7 @@ from repro.core.factory import (
     ratio_config,
 )
 from repro.core.fuse_cache import FuseCache
+from repro.core.tag_queue import TagQueue
 from repro.harness.report import format_table, gmean, normalise
 from repro.harness.runner import Runner, default_runner
 
@@ -44,6 +46,64 @@ class TestConfigs:
         variant = base.with_overrides(swap_entries=8)
         assert base.swap_entries == 3
         assert variant.swap_entries == 8
+
+
+def _reachable(root, kind):
+    """Instances of *kind* reachable from *root* through the attributes
+    of repro objects and the containers those attributes hold."""
+    def is_repro(obj):
+        return type(obj).__module__.startswith("repro.")
+
+    found, seen, stack = [], set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, kind):
+            found.append(obj)
+        values = list(getattr(obj, "__dict__", {}).values())
+        values += [getattr(obj, slot) for cls in type(obj).__mro__
+                   for slot in cls.__dict__.get("__slots__", ())
+                   if hasattr(obj, slot)]
+        for value in values:
+            if isinstance(value, dict):
+                value = list(value.values())
+            if isinstance(value, (list, tuple)):
+                stack.extend(item for item in value if is_repro(item))
+            elif is_repro(value):
+                stack.append(value)
+    return found
+
+
+#: the bank technologies each engine kind builds
+_KIND_TECHNOLOGIES = {
+    "sram": {"sram"}, "fa_sram": {"sram"}, "nvm": {"stt"},
+    "by_nvm": {"stt"}, "oracle": set(), "fuse": {"sram", "stt"},
+}
+
+
+@pytest.mark.parametrize("name", known_configs())
+def test_every_bank_carries_its_technology_timing(name):
+    config = l1d_config(name)
+    cache = make_l1d(config)
+    ports = _reachable(cache, BankPort)
+    assert {port.technology for port in ports} == \
+        _KIND_TECHNOLOGIES[config.kind]
+    for port in ports:
+        assert (port.read_latency, port.write_latency, port.read_occupancy,
+                port.write_occupancy) == TIMING[port.technology]
+    stt = TIMING["stt"]
+    queues = _reachable(cache, TagQueue)
+    assert len(queues) == (config.kind == "fuse")
+    for queue in queues:
+        assert (queue.read_latency, queue.write_latency,
+                queue.read_occupancy) == stt[:3]
+    if config.kind == "fuse":
+        assert (cache.stt_read_latency, cache.stt_write_latency) == stt[:2]
+    if config.kind == "oracle":
+        assert (cache.read_latency, cache.write_latency) == \
+            TIMING["sram"][:2]
 
 
 class TestRatioConfigs:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cache.interface import AccessOutcome
+from repro.core.factory import l1d_config, make_l1d
 from repro.core.fuse_cache import FuseCache, FuseFeatures
 from repro.core.read_level_predictor import ReadLevelPredictor
 from tests.conftest import load, store
@@ -54,14 +55,15 @@ class TestConfigurationLadder:
         assert cache.predictor is not None
 
     def test_geometry_from_table1(self):
-        cache = FuseCache()  # Table I defaults
+        cache = make_l1d(l1d_config("Dy-FUSE"))
         assert cache.sram.num_lines * 128 == 16 * 1024
         assert cache.stt.num_lines * 128 == 64 * 1024
         assert cache.stt.assoc == 512
 
     def test_invalid_geometry(self):
         with pytest.raises(ValueError):
-            FuseCache(sram_kb=3, sram_assoc=7)
+            make_l1d(l1d_config("Dy-FUSE").with_overrides(
+                sram_kb=3, sram_assoc=7))
 
 
 class TestBasicPaths:

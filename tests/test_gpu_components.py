@@ -3,8 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cache.sram_cache import make_sram_cache
 from repro.core.arbitration import Arbiter, Destination
+from repro.core.factory import l1d_config, make_l1d
 from repro.core.read_level_predictor import ReadLevel, ReadLevelPredictor
 from repro.gpu.coalescer import coalesce, coalesce_count, warp_addresses
 from repro.gpu.config import fermi_like
@@ -78,7 +78,7 @@ class TestSchedulers:
     def _sm(self, num_warps):
         sim = GPUSimulator(
             fermi_like().with_overrides(num_sms=1),
-            l1d_factory=make_sram_cache,
+            l1d_factory=lambda: make_l1d(l1d_config("L1-SRAM")),
             warp_streams=lambda sm_id, warp_id: [compute_block(1)] * 8,
             warps_per_sm=num_warps,
         )

@@ -34,9 +34,8 @@ from repro.cache.interface import (
     FillResult,
     L1DCacheModel,
 )
-from repro.cache.nvm_bypass import ByNVMCache
 from repro.cache.oracle import OracleCache
-from repro.core.factory import known_configs, make_l1d
+from repro.core.factory import known_configs, l1d_config, make_l1d
 from repro.core.fuse_cache import FuseCache, FuseFeatures
 from repro.engine.serialize import result_to_dict
 from repro.engine.spec import (
@@ -161,7 +160,8 @@ MODELS = {
     "dy-fuse": _small_fuse(FuseFeatures.dy_fuse()),
     "dy-fuse-short-queue": _small_fuse(FuseFeatures.dy_fuse(), 2, 1),
     "sram": lambda: BaseCache(4, 2, mshr_entries=2, mshr_max_merge=2),
-    "by-nvm": lambda: ByNVMCache(size_kb=2, assoc=2, mshr_entries=2),
+    "by-nvm": lambda: make_l1d(l1d_config("By-NVM").with_overrides(
+        stt_kb=2, stt_assoc=2, mshr_entries=2)),
     "oracle": lambda: OracleCache(mshr_entries=2, mshr_max_merge=2),
 }
 
