@@ -7,73 +7,43 @@ that is written once (filled) but never re-referenced before eviction.
 Filling such blocks into STT-MRAM wastes a 5-cycle, high-energy write, so
 predicted-dead requests bypass the L1D entirely and are served from L2.
 
-The predictor reuses the PC-signature sampler substrate of
-:mod:`repro.core.sampler`: blocks from PCs whose sampled lines keep getting
-evicted with their ``U`` (used) bit clear accumulate high counter values
-and are classified dead.  Table II's per-workload bypass ratios are the
-emergent output of this predictor and are reproduced by
-``benchmarks/bench_table2_apki.py``.
+The predictor is the read-level predictor's sampler and history table
+(:class:`repro.core.sampler.SamplingPredictor`) with a hit step of 1:
+blocks from PCs whose sampled lines keep getting evicted with their ``U``
+(used) bit clear accumulate high counter values and are classified dead.
+Table II's per-workload bypass ratios are the emergent output of this
+predictor and are reproduced by ``benchmarks/bench_table2_apki.py``.
 """
 
 from __future__ import annotations
 
 from repro.cache.basecache import BaseCache
-from repro.cache.request import MemoryRequest
 from repro.cache.stats import CacheStats
 from repro.cache.tag_array import CacheLine
-from repro.core.sampler import SamplerTable, SaturatingCounterTable, pc_signature
+from repro.core.sampler import SamplingPredictor, pc_signature
 
 __all__ = [
     "ByNVMCache", "DeadWritePredictor",
 ]
 
 
-class DeadWritePredictor:
+class DeadWritePredictor(SamplingPredictor):
     """PC-indexed dead-write predictor (DASCA-style, simplified).
 
     Args:
         dead_threshold: counter value at or above which a PC's blocks are
-            predicted dead.  Counters start at ``init_value`` (8) and move
-            up on unused evictions, down on sampler re-references.
-        sampled_warps: warps observed by the sampler.
+            predicted dead.  Counters start at
+            :data:`~repro.core.sampler.COUNTER_INIT` and move up on unused
+            evictions, down by one on sampler re-references.
     """
 
-    def __init__(
-        self,
-        table_entries: int = 1024,
-        dead_threshold: int = 10,
-        counter_bits: int = 4,
-        init_value: int = 8,
-        sampled_warps=(0, 12, 24, 36),
-    ) -> None:
+    def __init__(self, dead_threshold: int = 10) -> None:
+        super().__init__(1)
         self.dead_threshold = dead_threshold
-        self.sampler = SamplerTable(sampled_warps=sampled_warps)
-        self.table = SaturatingCounterTable(
-            entries=table_entries,
-            counter_bits=counter_bits,
-            init_value=init_value,
-        )
-
-    def observe(self, request: MemoryRequest) -> None:
-        """Train on one request (no-op for non-sampled warps)."""
-        if not self.sampler.samples_warp(request.warp_id):
-            return
-        observation = self.sampler.observe(
-            request.warp_id, request.block_addr, request.pc,
-            request.is_write,
-        )
-        if observation is None:
-            return
-        if observation.hit:
-            # Re-reference: blocks from this PC are alive.
-            self.table.decrement(observation.hit_signature)
-        elif observation.evicted_signature is not None and not observation.evicted_used:
-            # Evicted without reuse: blocks from that PC look dead.
-            self.table.increment(observation.evicted_signature)
 
     def is_dead(self, pc: int) -> bool:
         """True when a block fetched by *pc* should bypass the cache."""
-        return self.table.counter(pc_signature(pc)) >= self.dead_threshold
+        return self.counters[pc_signature(pc)] >= self.dead_threshold
 
 
 class ByNVMCache(BaseCache):

@@ -7,8 +7,9 @@ structure):
   model (Section IV-C).
 * :mod:`repro.core.approx_assoc` -- CBF-guided associativity approximation
   for the STT-MRAM bank (Section III-B).
-* :mod:`repro.core.sampler` -- the PC-signature memory-request sampler that
-  both predictors are built on.
+* :mod:`repro.core.sampler` -- the PC-signature sampler and prediction
+  history table that both predictors train through (Table I's predictor
+  sizes are its module constants).
 * :mod:`repro.core.read_level_predictor` -- WM / neutral / WORM / WORO
   classification (Section IV-B).
 * :mod:`repro.core.tag_queue` -- non-blocking STT-MRAM service queue.
@@ -19,7 +20,7 @@ structure):
   instantiate.
 * :mod:`repro.core.factory` -- named Table I configurations.
 
-Exports resolve lazily (PEP 562): ``repro.cache`` modules import the
+Exports resolve lazily (PEP 562): ``repro.cache.nvm_bypass`` imports the
 sampler from here while ``repro.core.factory`` imports cache models from
 ``repro.cache``, and lazy resolution keeps that dependency cycle inert.
 """
@@ -41,8 +42,7 @@ _EXPORTS = {
     "FuseFeatures": "repro.core.fuse_cache",
     "ReadLevel": "repro.core.read_level_predictor",
     "ReadLevelPredictor": "repro.core.read_level_predictor",
-    "SamplerObservation": "repro.core.sampler",
-    "SamplerTable": "repro.core.sampler",
+    "SamplingPredictor": "repro.core.sampler",
     "SwapBuffer": "repro.core.swap_buffer",
     "TagQueue": "repro.core.tag_queue",
 }

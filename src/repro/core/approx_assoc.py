@@ -169,13 +169,6 @@ class ApproximateAssociativeArray:
         self._block_way: Dict[int, int] = {}
         self._fifo_cursor = 0
 
-        # lifetime statistics (aggregated into CacheStats by the owner)
-        self.tests = 0
-        self.updates = 0
-        self.false_positive_groups = 0
-        self.total_iterations = 0
-        self.total_searches = 0
-
     # ------------------------------------------------------------------
     def _key_hashes(self, key: int) -> Tuple[int, int]:
         h1 = _mix64(key)
@@ -229,15 +222,12 @@ class ApproximateAssociativeArray:
     # ------------------------------------------------------------------
     def search(self, block_addr: int) -> SearchResult:
         """Perform (and price) one tag search for *block_addr*."""
-        self.total_searches += 1
         actual_way = self._block_way.get(block_addr)
 
         if self.exact:
             # Ideal fully-associative search: all comparators in parallel.
-            self.total_iterations += 1
             return SearchResult(actual_way, 1, 1, 0)
 
-        self.tests += 1
         key_masks = self._key_mask_of(block_addr)
         if key_masks is None:
             key_masks = self._build_patterns(block_addr)[1]
@@ -261,8 +251,6 @@ class ApproximateAssociativeArray:
             iterations = position + 1
             false_positives = position
 
-        self.total_iterations += iterations
-        self.false_positive_groups += false_positives
         cycles = self._test_cycles + max(1, iterations)
         return SearchResult(actual_way, cycles, iterations, false_positives)
 
@@ -275,7 +263,6 @@ class ApproximateAssociativeArray:
                 row[slot] = value + 1
                 if value == 0:
                     self._nonzero |= 1 << (group * self._lane + slot)
-        self.updates += 1
 
     def _cbf_remove(self, block_addr: int, group: int) -> None:
         row = self._counters[group]
@@ -287,7 +274,6 @@ class ApproximateAssociativeArray:
                 row[slot] = value - 1
                 if value == 1:
                     self._nonzero &= ~(1 << (group * self._lane + slot))
-        self.updates += 1
 
     # ------------------------------------------------------------------
     def install(self, block_addr: int) -> Optional[int]:
@@ -347,13 +333,3 @@ class ApproximateAssociativeArray:
     def note_evict(self, block_addr: int) -> None:
         """Mirror an eviction performed by the owning tag array."""
         self.remove(block_addr)
-
-    # ------------------------------------------------------------------
-    @property
-    def false_positive_rate(self) -> float:
-        """False-positive groups per CBF test opportunity (Figure 20)."""
-        if self.tests == 0:
-            return 0.0
-        # Each search tests every CBF; a clean search polls at most one
-        # group.  Rate = wasted positives / total group tests.
-        return self.false_positive_groups / (self.tests * self.num_cbfs)

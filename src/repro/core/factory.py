@@ -257,13 +257,6 @@ def make_l1d(config: L1DConfig) -> L1DCacheModel:
     if config.kind == "fuse":
         if config.features is None:
             raise ValueError("fuse configs need a FuseFeatures value")
-        predictor = None
-        if config.features.use_predictor:
-            from repro.core.read_level_predictor import ReadLevelPredictor
-
-            predictor = ReadLevelPredictor(
-                unused_threshold=config.unused_threshold
-            )
         return FuseCache(
             sram_kb=config.sram_kb,
             sram_assoc=config.sram_assoc,
@@ -276,7 +269,7 @@ def make_l1d(config: L1DConfig) -> L1DCacheModel:
             cbf_counters=config.cbf_counters,
             cbf_hashes=config.cbf_hashes,
             exact_fa=config.exact_fa,
-            predictor=predictor,
+            unused_threshold=config.unused_threshold,
             **common,
         )
     raise ValueError(f"unknown L1D kind {config.kind!r}")

@@ -121,8 +121,8 @@ class FuseCache(L1DCacheModel):
         num_cbfs / cbf_counters / cbf_hashes: approximation parameters.
         exact_fa: price STT tag search as an ideal fully-associative
             lookup (Figure 7b's comparison baseline).
-        predictor: inject a pre-built predictor (otherwise one is created
-            with its defaults when the feature is on).
+        unused_threshold: the read-level predictor's WORO threshold
+            (used when the predictor feature is on).
         mshr_entries / mshr_max_merge / name: as for every L1D model.
 
     The paper's values for each live in
@@ -145,7 +145,7 @@ class FuseCache(L1DCacheModel):
         exact_fa: bool = False,
         mshr_entries: int = 32,
         mshr_max_merge: int = 8,
-        predictor: Optional[ReadLevelPredictor] = None,
+        unused_threshold: int = 14,
         name: str = "Dy-FUSE",
     ) -> None:
         super().__init__()
@@ -184,7 +184,7 @@ class FuseCache(L1DCacheModel):
         self.stt_write_latency = self.stt_port.write_latency
 
         if features.use_predictor:
-            self.predictor = predictor or ReadLevelPredictor()
+            self.predictor = ReadLevelPredictor(unused_threshold)
             self._observe = self.predictor.observe
         else:
             self.predictor = None
@@ -447,28 +447,21 @@ class FuseCache(L1DCacheModel):
     def _replay_rejection(self) -> Tuple[int, RejectionDelta]:
         """Retry replay: describe the rejection :meth:`_access_impl` just
         returned -- the cycle its clock-bounded hazard lifts (the site's
-        note, :data:`NEVER` otherwise) and every counter it bumped,
-        the CBF array's own search counters included."""
+        note, :data:`NEVER` otherwise) and every counter it bumped."""
         until, delta = self._fail_until, self._fail_delta
         self._fail_until, self._fail_delta = NEVER, self._lookup_rejection
         search = self._search
         if search is not None and delta is not self._gate_rejection:
-            stats, approx = self.stats, self.approx
-            iterations = search.iterations
+            stats = self.stats
             delta += (
                 (stats, "tag_searches", 1),
                 (stats, "cbf_tests", 1),
-                (stats, "tag_search_iterations", iterations),
-                (approx, "total_searches", 1),
-                (approx, "total_iterations", iterations),
+                (stats, "tag_search_iterations", search.iterations),
             )
-            if not approx.exact:
-                delta += ((approx, "tests", 1),)
             false_positives = search.false_positives
             if false_positives:
                 delta += (
                     (stats, "cbf_false_positives", false_positives),
-                    (approx, "false_positive_groups", false_positives),
                 )
             if search.cycles > 1:
                 delta += (

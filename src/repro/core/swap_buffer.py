@@ -21,18 +21,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 __all__ = [
-    "SwapBuffer", "SwapBufferStats",
+    "SwapBuffer",
 ]
-
-
-@dataclass(slots=True)
-class SwapBufferStats:
-    """Lifetime counters for one swap buffer."""
-
-    staged: int = 0
-    hits: int = 0
-    write_hits: int = 0
-    full_rejections: int = 0
 
 
 @dataclass(slots=True)
@@ -55,7 +45,6 @@ class SwapBuffer:
         if num_entries < 0:
             raise ValueError("num_entries must be >= 0")
         self.num_entries = num_entries
-        self.stats = SwapBufferStats()
         self._entries: Dict[int, _SwapEntry] = {}
 
     # ------------------------------------------------------------------
@@ -114,7 +103,6 @@ class SwapBuffer:
             RuntimeError: when the buffer is full (check-then-commit).
         """
         if self.is_full(cycle):
-            self.stats.full_rejections += 1
             raise RuntimeError("swap buffer stage() on a full buffer")
         self._entries[block_addr] = _SwapEntry(
             block_addr=block_addr,
@@ -123,7 +111,6 @@ class SwapBuffer:
             predicted_level=predicted_level,
             release_cycle=release_cycle,
         )
-        self.stats.staged += 1
 
     def touch(self, block_addr: int, cycle: int, is_write: bool) -> bool:
         """Serve a request from the buffer; True when it hit.
@@ -137,10 +124,8 @@ class SwapBuffer:
         entry = self._entries.get(block_addr)
         if entry is None:
             return False
-        self.stats.hits += 1
         if is_write:
             entry.dirty = True
-            self.stats.write_hits += 1
         return True
 
     def entry_metadata(

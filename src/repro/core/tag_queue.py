@@ -23,26 +23,13 @@ latency``; queue occupancy is the set of operations not yet completed.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Deque, Optional, Tuple
 
 from repro.cache.engine import TIMING
 
 __all__ = [
-    "TagQueue", "TagQueueStats",
+    "TagQueue",
 ]
-
-
-@dataclass(slots=True)
-class TagQueueStats:
-    """Lifetime counters for one tag queue."""
-
-    enqueued_reads: int = 0
-    enqueued_fills: int = 0
-    enqueued_migrations: int = 0
-    flushes: int = 0
-    flush_drain_cycles: int = 0
-    full_rejections: int = 0
 
 
 class TagQueue:
@@ -65,7 +52,6 @@ class TagQueue:
         self.read_latency = stt.read_latency
         self.write_latency = stt.write_latency
         self.read_occupancy = stt.read_occupancy
-        self.stats = TagQueueStats()
         #: completion cycles of pending operations, oldest first
         self._pending: Deque[int] = deque()
         self._free_at = 0
@@ -125,7 +111,6 @@ class TagQueue:
         while pending and pending[0] <= cycle:  # _prune, inline
             pending.popleft()
         if len(pending) >= self.capacity and not force:
-            self.stats.full_rejections += 1
             raise RuntimeError("tag queue enqueue() on a full queue")
         start = self._free_at if self._free_at > cycle else cycle
         # Reads are pipelined (tag polling overlaps the next operation's
@@ -135,14 +120,9 @@ class TagQueue:
         if op == "read":
             completion = start + self.read_latency + extra_search_cycles
             self._free_at = start + self.read_occupancy
-            self.stats.enqueued_reads += 1
         elif op == "fill" or op == "migrate":
             completion = start + self.write_latency + extra_search_cycles
             self._free_at = completion
-            if op == "fill":
-                self.stats.enqueued_fills += 1
-            else:
-                self.stats.enqueued_migrations += 1
         else:
             raise ValueError(f"unknown tag-queue op {op!r}")
         pending.append(completion)
@@ -166,8 +146,6 @@ class TagQueue:
         self._prune(cycle)
         drained = len(self._pending)
         drain_done = max(cycle, self._free_at)
-        self.stats.flushes += 1
-        self.stats.flush_drain_cycles += drain_done - cycle
         self._pending.clear()
         # The bank is busy until the drain finishes.
         self._free_at = drain_done

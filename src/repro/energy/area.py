@@ -18,6 +18,10 @@ Device-count rules (all from Section V-C):
   comparator instance (calibrated to Table III's 976 for 4x19-bit).
 * Decoder: predecode stage (2-4 and 3-8 decoders) + one NOR per wordline
   + tri-state wordline drivers.
+
+The organisations themselves (sizes, associativity, CBF geometry, swap
+and queue entries) are read from :func:`repro.core.factory.l1d_config`,
+so Table III prices exactly the Table I machines the simulator runs.
 """
 
 from __future__ import annotations
@@ -25,12 +29,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict
 
+from repro.cache.request import BLOCK_SIZE
+from repro.cache.tag_array import sets_for
+from repro.core.approx_assoc import TAG_COMPARATORS
+from repro.core.factory import l1d_config
+
 __all__ = [
     "AreaReport", "COMPARATOR_OVERHEAD", "COMPARATOR_PER_BIT",
-    "DECODER_PER_WORDLINE", "DECODER_PREDECODE", "SENSE_AMP_PER_BIT",
-    "SRAM_PER_BIT", "STT_PER_BIT", "WRITE_DRIVER_PER_BIT", "comparators",
-    "decoder", "dy_fuse_area", "l1_sram_area", "sense_amplifiers",
-    "sram_array", "stt_array", "write_drivers",
+    "DECODER_PER_WORDLINE", "DECODER_PREDECODE", "FA_TAG_ENTRY_BITS",
+    "SENSE_AMP_PER_BIT", "SRAM_PER_BIT", "STT_PER_BIT", "TAG_BITS",
+    "WRITE_DRIVER_PER_BIT", "comparators", "decoder", "dy_fuse_area",
+    "l1_sram_area", "sense_amplifiers", "sram_array", "stt_array",
+    "write_drivers",
 ]
 
 #: devices per bit
@@ -45,6 +55,15 @@ COMPARATOR_OVERHEAD = 168
 DECODER_PREDECODE = 484
 #: NOR gate + tri-state driver per wordline
 DECODER_PER_WORDLINE = 10
+
+#: address tag bits of a set-associative line
+TAG_BITS = 19
+#: a fully-associative STT-MRAM tag entry: the full block address plus
+#: status bits
+FA_TAG_ENTRY_BITS = 36
+
+#: data bits in one line
+_LINE_BITS = BLOCK_SIZE * 8
 
 
 @dataclass
@@ -94,24 +113,24 @@ def decoder(wordlines: int) -> int:
 
 
 # ----------------------------------------------------------------------
-def l1_sram_area(size_kb: int = 32, assoc: int = 4, tag_bits: int = 19) -> AreaReport:
-    """Table III's L1-SRAM column (32 KB, 64 sets x 4 ways)."""
-    data_bits = size_kb * 1024 * 8
-    lines = size_kb * 1024 // 128
-    sets = lines // assoc
+def l1_sram_area() -> AreaReport:
+    """Table III's L1-SRAM column (Table I: 32 KB, 64 sets x 4 ways)."""
+    config = l1d_config("L1-SRAM")
+    assoc = config.sram_assoc
+    lines = sets_for(config.sram_kb, 1)
     # each tag entry: tag bits + valid + dirty
-    tag_entry_bits = tag_bits + 2
-    # the row sensed at once: one way of data (1024 bits) + its tag entry
-    row_bits = 1024 + tag_entry_bits
+    tag_entry_bits = TAG_BITS + 2
+    # the row sensed at once: one way of data + its tag entry
+    row_bits = _LINE_BITS + tag_entry_bits
 
     report = AreaReport(name="L1-SRAM")
     report.components = {
-        "data array": sram_array(data_bits),
+        "data array": sram_array(lines * _LINE_BITS),
         "tag array": sram_array(lines * tag_entry_bits),
         "sense amplifier": sense_amplifiers(assoc, row_bits),
         "write driver": write_drivers(assoc, row_bits),
-        "comparator": comparators(assoc, tag_bits),
-        "decoder": decoder(sets),
+        "comparator": comparators(assoc, TAG_BITS),
+        "decoder": decoder(lines // assoc),
     }
     report.paper_reference = {
         "data array": 1_572_864,
@@ -124,39 +143,31 @@ def l1_sram_area(size_kb: int = 32, assoc: int = 4, tag_bits: int = 19) -> AreaR
     return report
 
 
-def dy_fuse_area(
-    sram_kb: int = 16,
-    stt_kb: int = 64,
-    sram_assoc: int = 2,
-    stt_ways: int = 512,
-    tag_bits: int = 19,
-    fa_tag_entry_bits: int = 36,
-    num_cbfs: int = 128,
-    cbf_counters: int = 16,
-    swap_entries: int = 3,
-    queue_entries: int = 16,
-) -> AreaReport:
-    """Table III's Dy-FUSE column.
+def dy_fuse_area() -> AreaReport:
+    """Table III's Dy-FUSE column (Table I's Dy-FUSE organisation).
 
     The serialized STT tag path lets FUSE shrink sense amplifiers and
     write drivers versus L1-SRAM (Table I: 2 SRAM amps + 1 STT amp) and
     spends the recovered area on the four FUSE components (NVM-CBF, swap
     buffer, request/tag queue, read-level predictor).
     """
-    sram_bits = sram_kb * 1024 * 8
-    stt_bits = stt_kb * 1024 * 8
-    sram_lines = sram_kb * 1024 // 128
-    sram_sets = sram_lines // sram_assoc
-    tag_entry_bits = tag_bits + 2
-    sram_row_bits = 1024 + tag_entry_bits
-    stt_row_bits = 1024 + fa_tag_entry_bits
+    config = l1d_config("Dy-FUSE")
+    sram_assoc = config.sram_assoc
+    num_cbfs = config.num_cbfs
+    sram_lines = sets_for(config.sram_kb, 1)
+    # the approximated STT bank is one fully-associative set
+    stt_ways = sets_for(config.stt_kb, 1)
+    tag_entry_bits = TAG_BITS + 2
+    sram_row_bits = _LINE_BITS + tag_entry_bits
+    stt_row_bits = _LINE_BITS + FA_TAG_ENTRY_BITS
 
     report = AreaReport(name="Dy-FUSE")
     report.components = {
-        "data array": sram_array(sram_bits) + stt_array(stt_bits),
+        "data array": (sram_array(sram_lines * _LINE_BITS)
+                       + stt_array(stt_ways * _LINE_BITS)),
         "tag array": (
             sram_array(sram_lines * tag_entry_bits)
-            + stt_array(stt_ways * fa_tag_entry_bits)
+            + stt_array(stt_ways * FA_TAG_ENTRY_BITS)
         ),
         # 2 SRAM amps + 1 STT amp (serialized tag/data access)
         "sense amplifier": (
@@ -167,18 +178,19 @@ def dy_fuse_area(
             write_drivers(sram_assoc, sram_row_bits)
             + write_drivers(1, stt_row_bits)
         ),
-        # 2 SRAM comparators + 4 STT polling comparators
-        "comparator": comparators(sram_assoc, tag_bits)
-        + comparators(4, tag_bits),
+        # the SRAM bank's comparators + the STT bank's polling comparators
+        "comparator": comparators(sram_assoc, TAG_BITS)
+        + comparators(TAG_COMPARATORS, TAG_BITS),
         # the SRAM bank keeps a full set decoder; the STT side's polling
         # logic only drives one comparator-group row per iteration, so its
         # decoder addresses row groups (num_cbfs / 16 wordline drivers)
-        "decoder": decoder(sram_sets) + decoder(max(1, num_cbfs // 16)),
+        "decoder": decoder(sram_lines // sram_assoc)
+        + decoder(max(1, num_cbfs // 16)),
         # each 2-bit counter: 4 transistors + 2 MTJs (half a device each)
         # plus shared X/Y decoder and sense-amp periphery
-        "NVM-CBF": num_cbfs * cbf_counters * 5 + 704,
-        "swap buffer": swap_entries * 1_024,
-        "request queue": queue_entries * 960,
+        "NVM-CBF": num_cbfs * config.cbf_counters * 5 + 704,
+        "swap buffer": config.swap_entries * 1_024,
+        "request queue": config.tag_queue_capacity * 960,
         "read-level predictor": 648 + 1_672,
     }
     report.paper_reference = {

@@ -118,7 +118,6 @@ class SM:
         self._next_seq = simulator.next_event_seq
         self.port_busy_until = 0
         self.issue_busy_cycles = 0
-        self.lsu_stall_cycles = 0
         self.instructions = 0
         self.load_transactions = 0
         self.store_transactions = 0
@@ -351,7 +350,6 @@ class SM:
         retry_at = cycle + RETRY_INTERVAL
         if retry_at > self.port_busy_until:
             self.port_busy_until = retry_at
-        self.lsu_stall_cycles += RETRY_INTERVAL
         heappush(self._events, (
             retry_at, self._next_seq(), EV_RETRY, self, request,
             waiting_warp, attempts + 1,

@@ -55,12 +55,9 @@ class DRAMChannel:
         self._bus_busy_until = 0
         self.row_hits = 0
         self.row_misses = 0
-        self.reads = 0
-        self.writes = 0
-        self.wait_cycles = 0
 
     # ------------------------------------------------------------------
-    def access(self, block_addr: int, cycle: int, is_write: bool) -> int:
+    def access(self, block_addr: int, cycle: int) -> int:
         """Service one 128-byte access; returns the completion cycle.
 
         *block_addr* has the channel-interleave bits stripped; it maps to
@@ -74,7 +71,6 @@ class DRAMChannel:
         # memory-controller request-queue processing precedes the bank
         cycle = cycle + self._controller_cycles
         start = max(cycle, bank.busy_until)
-        self.wait_cycles += start - cycle
 
         if bank.open_row == row:
             self.row_hits += 1
@@ -92,16 +88,11 @@ class DRAMChannel:
 
         data_ready = start + command_latency
         bus_start = max(data_ready, self._bus_busy_until)
-        self.wait_cycles += bus_start - data_ready
         completion = bus_start + self.burst
         self._bus_busy_until = completion
 
         bank.open_row = row
         bank.busy_until = data_ready
-        if is_write:
-            self.writes += 1
-        else:
-            self.reads += 1
         return completion
 
     # ------------------------------------------------------------------

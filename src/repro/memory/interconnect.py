@@ -41,7 +41,6 @@ class Interconnect:
         # lifetime counters
         self.request_flits_sent = 0
         self.response_flits_sent = 0
-        self.total_wait_cycles = 0
 
     # ------------------------------------------------------------------
     def _traverse(
@@ -53,7 +52,6 @@ class Interconnect:
         includes queueing, serialisation and traversal.
         """
         start = max(cycle, ports[port_id])
-        self.total_wait_cycles += start - cycle
         ports[port_id] = start + flits
         arrival = start + flits + self.base_latency
         return arrival, arrival - cycle

@@ -37,16 +37,11 @@ class L2Bank:
         #: cycle the bank is free for the next access (the memory
         #: subsystem's hot path applies :meth:`start_service` inline)
         self.busy_until = 0
-        self.hits = 0
-        self.misses = 0
-        self.write_accesses = 0
-        self.wait_cycles = 0
 
     # ------------------------------------------------------------------
     def start_service(self, cycle: int) -> int:
         """Acquire the bank; returns the service start cycle."""
         start = max(cycle, self.busy_until)
-        self.wait_cycles += start - cycle
         self.busy_until = start + self.config.l2_occupancy_cycles
         return start
 
@@ -69,16 +64,12 @@ class L2Bank:
         tags = self.tags
         hit = tags.find(local)
         service_done = cycle + self._service_cycles
-        if is_write:
-            self.write_accesses += 1
         if hit is not None:
-            self.hits += 1
             tags.touch(hit[0], hit[1], is_write)
             return service_done, True, -1
 
         # installs complete at once, so no way is ever reserved and the
         # install always finds a victim
-        self.misses += 1
         _, _, evicted = tags.install(local, cycle, dirty=is_write)
         if evicted is not None and evicted.dirty:
             # restore the interleave bits for the DRAM address

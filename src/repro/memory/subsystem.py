@@ -55,7 +55,7 @@ class MemorySubsystem:
     # ------------------------------------------------------------------
     # The two operations below do the per-hop arithmetic inline: a port
     # or bank is a ``busy_until`` server -- start at max(arrival, free),
-    # charge the wait, hold it for the occupancy -- exactly what
+    # hold it for the occupancy -- exactly what
     # Interconnect.send_request/send_response/send_writeback and
     # L2Bank.start_service do one hop at a time.  Blocks interleave over
     # L2 banks and DRAM channels by ``block % count``; a DRAM channel
@@ -80,7 +80,6 @@ class MemorySubsystem:
         start = ports[sm_id]
         if start < cycle:
             start = cycle
-        network.total_wait_cycles += start - cycle
         ports[sm_id] = start + flits
         arrive_l2 = start + flits + network.base_latency
 
@@ -89,7 +88,6 @@ class MemorySubsystem:
         service_start = bank.busy_until
         if service_start < arrive_l2:
             service_start = arrive_l2
-        bank.wait_cycles += service_start - arrive_l2
         bank.busy_until = service_start + config.l2_occupancy_cycles
         service_done, hit, victim = bank.access(
             block_addr, False, service_start
@@ -103,14 +101,12 @@ class MemorySubsystem:
             channels = self.channels
             count = config.dram_channels
             data_at = channels[block_addr % count].access(
-                block_addr // count, service_done, False
+                block_addr // count, service_done
             )
             stats.dram_reads += 1
             if victim != -1:
                 # L2 victim writeback rides the same channel afterwards
-                channels[victim % count].access(
-                    victim // count, data_at, True
-                )
+                channels[victim % count].access(victim // count, data_at)
                 stats.dram_writes += 1
             self._lat_dram += data_at - service_done
 
@@ -122,7 +118,6 @@ class MemorySubsystem:
         start = ports[bank_id]
         if start < data_at:
             start = data_at
-        network.total_wait_cycles += start - data_at
         ports[bank_id] = start + flits
         completion = start + flits + network.base_latency
 
@@ -160,7 +155,6 @@ class MemorySubsystem:
         start = ports[sm_id]
         if start < cycle:
             start = cycle
-        network.total_wait_cycles += start - cycle
         ports[sm_id] = start + flits
         arrive_l2 = start + flits + network.base_latency
         stats.writeback_flits += flits
@@ -169,7 +163,6 @@ class MemorySubsystem:
         service_start = bank.busy_until
         if service_start < arrive_l2:
             service_start = arrive_l2
-        bank.wait_cycles += service_start - arrive_l2
         bank.busy_until = service_start + config.l2_occupancy_cycles
         _, hit, victim = bank.access(block_addr, True, service_start)
         if hit:
@@ -179,7 +172,7 @@ class MemorySubsystem:
         if victim != -1:
             count = config.dram_channels
             self.channels[victim % count].access(
-                victim // count, service_start, True
+                victim // count, service_start
             )
             stats.dram_writes += 1
 

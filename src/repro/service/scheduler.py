@@ -87,10 +87,12 @@ __all__ = [
 DEFAULT_MAX_QUEUE = 32
 #: default bound on jobs executing concurrently
 DEFAULT_MAX_ACTIVE = 1
-#: default bound on in-memory completed-run records (LRU evicted)
-DEFAULT_RESULT_CACHE = 4096
-#: default count of finished jobs kept for GET /v1/jobs/{id}
-DEFAULT_JOB_HISTORY = 256
+#: bound on in-memory completed-run records (LRU evicted)
+RESULT_CACHE = 4096
+#: finished jobs kept for GET /v1/jobs/{id}
+JOB_HISTORY = 256
+#: reaper tick for expiring dead leases, seconds
+LEASE_REAP_INTERVAL = 0.25
 #: the in-process lessee's name in the lease table and fleet ledger
 LESSEE = "local"
 
@@ -126,9 +128,6 @@ class JobScheduler:
         store: the durable cache layer, written only by :meth:`settle`.
         max_queue: waiting-job bound (:class:`QueueFull` past it).
         max_active: concurrently executing job bound.
-        result_cache: in-memory completed-record bound (LRU).
-        job_history: finished jobs retained for later GETs.
-        lease_reap_interval: reaper tick for expiring dead leases.
         journal: write-ahead job journal for crash recovery (``None``
             keeps behaviour byte-identical to an unjournaled service).
     """
@@ -139,9 +138,6 @@ class JobScheduler:
         store: Optional[ResultStore] = None,
         max_queue: int = DEFAULT_MAX_QUEUE,
         max_active: int = DEFAULT_MAX_ACTIVE,
-        result_cache: int = DEFAULT_RESULT_CACHE,
-        job_history: int = DEFAULT_JOB_HISTORY,
-        lease_reap_interval: float = 0.25,
         journal: Optional[JobJournal] = None,
     ) -> None:
         self.engine = engine
@@ -160,15 +156,12 @@ class JobScheduler:
         self._records: "collections.OrderedDict[str, dict]" = (
             collections.OrderedDict()
         )
-        self._record_limit = max(0, result_cache)
-        self._job_history = max(0, job_history)
         self._subscribers: Dict[str, List[asyncio.Queue]] = {}
         # concurrent settles persist from executor threads, and the
         # store's append handle is single-threaded by design
         self._store_lock = threading.Lock()
         self.leases = LeaseManager()
         self.workers = WorkerRegistry()
-        self._reap_interval = max(0.05, float(lease_reap_interval))
         self._reaper: Optional[asyncio.Task] = None
         self._lessee: Optional[asyncio.Task] = None
         #: job id -> the exception text of a batch that failed as a
@@ -479,7 +472,7 @@ class JobScheduler:
     def _prune_history(self) -> None:
         """Drop the oldest finished jobs beyond the history bound."""
         finished = [j for j in self.jobs.values() if j.done]
-        excess = len(finished) - self._job_history
+        excess = len(finished) - JOB_HISTORY
         if excess <= 0:
             return
         finished.sort(key=lambda j: j.finished or 0.0)
@@ -627,7 +620,7 @@ class JobScheduler:
     # the lease queue: reaping, long polls and grants
     async def _reap_loop(self) -> None:
         while True:
-            await asyncio.sleep(self._reap_interval)
+            await asyncio.sleep(LEASE_REAP_INTERVAL)
             self.reap_expired()
 
     def reap_expired(self) -> None:
@@ -860,11 +853,9 @@ class JobScheduler:
         })
 
     def _remember(self, key: str, record: dict) -> None:
-        if self._record_limit <= 0:
-            return
         self._records[key] = record
         self._records.move_to_end(key)
-        while len(self._records) > self._record_limit:
+        while len(self._records) > RESULT_CACHE:
             self._records.popitem(last=False)
 
     # ------------------------------------------------------------------

@@ -93,8 +93,8 @@ class TestSearchPricing:
         for i in range(32):
             arr.install(0x1000 + i * 7)
         for probe in range(40):
-            arr.search(0x9000 + probe)
-        assert 0.0 <= arr.false_positive_rate <= 1.0
+            result = arr.search(0x9000 + probe)
+            assert 0.0 <= result.false_positives / arr.num_cbfs <= 1.0
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -41,6 +41,12 @@ class TestConfigs:
         assert cache.sram.num_lines * 128 == 16 * 1024
         assert cache.stt.num_lines * 128 == 64 * 1024
 
+    def test_predictor_thresholds_reach_the_engine(self):
+        dy_fuse = l1d_config("Dy-FUSE").with_overrides(unused_threshold=12)
+        assert make_l1d(dy_fuse).predictor.unused_threshold == 12
+        by_nvm = l1d_config("By-NVM").with_overrides(dead_threshold=9)
+        assert make_l1d(by_nvm).predictor.dead_threshold == 9
+
     def test_with_overrides_is_pure(self):
         base = l1d_config("Dy-FUSE")
         variant = base.with_overrides(swap_entries=8)

@@ -5,8 +5,7 @@ import pytest
 from repro.cache.interface import AccessOutcome
 from repro.core.factory import l1d_config, make_l1d
 from repro.core.fuse_cache import FuseCache, FuseFeatures
-from repro.core.read_level_predictor import ReadLevelPredictor
-from tests.conftest import load, store
+from tests.conftest import load, sampled_blocks, store
 
 
 def byte_addr(block: int) -> int:
@@ -104,10 +103,11 @@ class TestBasicPaths:
         for block in (0, 16, 32):
             cache.access(load(byte_addr(block)), block)
             cache.fill(block, block + 50)
-        queued_before = cache.tag_queue.stats.enqueued_reads
+        hits_before = cache.stats.stt_hits
+        assert cache.tag_queue.occupancy(10_000) == 0
         cache.access(load(byte_addr(0)), 10_000)
-        assert cache.tag_queue.stats.enqueued_reads == queued_before + 1
-        assert cache.stats.stt_hits >= 1
+        assert cache.stats.stt_hits == hits_before + 1
+        assert cache.tag_queue.occupancy(10_000) == 1
 
 
 class TestWriteHitOnSTT:
@@ -124,11 +124,10 @@ class TestWriteHitOnSTT:
     def test_write_in_place_flushes_queue(self):
         cache = make_cache(FuseFeatures.fa_fuse())
         self._fill_into_stt(cache, 0)
-        flushes_before = cache.tag_queue.stats.flushes
+        flushes_before = cache.stats.tag_queue_flushes
         result = cache.access(store(byte_addr(0)), 50_000)
         assert result.outcome is AccessOutcome.HIT
-        assert cache.tag_queue.stats.flushes == flushes_before + 1
-        assert cache.stats.tag_queue_flushes >= 1
+        assert cache.stats.tag_queue_flushes == flushes_before + 1
 
     def test_dy_fuse_migrates_back_to_sram(self):
         cache = make_cache(FuseFeatures.dy_fuse())
@@ -188,23 +187,21 @@ class TestStructuralHazards:
 
 class TestPredictorIntegration:
     def test_wm_fills_route_to_sram(self):
-        predictor = ReadLevelPredictor(sampled_warps=(0,))
-        predictor.sampler.block_sample_ratio = 1
+        cache = make_cache(FuseFeatures.dy_fuse())
+        hot = sampled_blocks(4)
         # train pc 0x50 to WM: hot re-stored blocks
         for round_ in range(100):
-            predictor.observe(store((round_ % 4) << 7, pc=0x50))
-        cache = make_cache(FuseFeatures.dy_fuse(), predictor=predictor)
+            cache.predictor.observe(store(hot[round_ % 4] << 7, pc=0x50))
         cache.access(store(byte_addr(100), pc=0x50), 0)
         cache.fill(100, 10)
         assert cache.resident_in_sram(100)
         assert not cache.resident_in_stt(100)
 
     def test_worm_fills_route_to_stt(self):
-        predictor = ReadLevelPredictor(sampled_warps=(0,))
-        predictor.sampler.block_sample_ratio = 1
+        cache = make_cache(FuseFeatures.dy_fuse())
+        hot = sampled_blocks(4)
         for round_ in range(100):
-            predictor.observe(load((round_ % 4) << 7, pc=0x48))
-        cache = make_cache(FuseFeatures.dy_fuse(), predictor=predictor)
+            cache.predictor.observe(load(hot[round_ % 4] << 7, pc=0x48))
         cache.access(load(byte_addr(100), pc=0x48), 0)
         cache.fill(100, 10)
         assert cache.resident_in_stt(100)

@@ -12,7 +12,7 @@ from repro.gpu.simulator import GPUSimulator
 from repro.gpu.warp import Warp
 from repro.workloads.arena import PackedTraceArena
 from repro.workloads.trace import compute_block, load_instruction
-from tests.conftest import load, store
+from tests.conftest import load, sampled_blocks, store
 
 
 class TestCoalescer:
@@ -114,15 +114,15 @@ class TestSchedulers:
 
 class TestArbitration:
     def _trained_predictor(self):
-        predictor = ReadLevelPredictor(sampled_warps=(0,))
-        predictor.sampler.block_sample_ratio = 1
+        predictor = ReadLevelPredictor()
+        wm, worm = sampled_blocks(4), sampled_blocks(4, start=64)
         # sequential phases so the tiny sampler is not over-subscribed
         for round_ in range(100):
-            predictor.observe(store((round_ % 4) << 7, pc=0x50))  # WM
+            predictor.observe(store(wm[round_ % 4] << 7, pc=0x50))  # WM
         for round_ in range(100):
-            predictor.observe(load((8 + round_ % 4) << 7, pc=0x48))  # WORM
-        for round_ in range(100):
-            predictor.observe(load((0x90000 + round_) << 7, pc=0x58))  # WORO
+            predictor.observe(load(worm[round_ % 4] << 7, pc=0x48))  # WORM
+        for block in sampled_blocks(100, start=0x90000):
+            predictor.observe(load(block << 7, pc=0x58))  # WORO
         return predictor
 
     def test_no_predictor_defaults(self):

@@ -209,11 +209,10 @@ def _reference_read(memory: MemorySubsystem, block: int, sm_id: int,
     else:
         stats.l2_misses += 1
         channels, count = memory.channels, config.dram_channels
-        data_at = channels[block % count].access(
-            block // count, service_done, False)
+        data_at = channels[block % count].access(block // count, service_done)
         stats.dram_reads += 1
         if victim != -1:
-            channels[victim % count].access(victim // count, data_at, True)
+            channels[victim % count].access(victim // count, data_at)
             stats.dram_writes += 1
         memory._lat_dram += data_at - service_done
     completion, net_back = network.send_response(bank.bank_id, data_at)
@@ -238,8 +237,7 @@ def _reference_writeback(memory: MemorySubsystem, block: int, sm_id: int,
         stats.l2_misses += 1
     if victim != -1:
         count = config.dram_channels
-        memory.channels[victim % count].access(
-            victim // count, service_start, True)
+        memory.channels[victim % count].access(victim // count, service_start)
         stats.dram_writes += 1
 
 
@@ -248,12 +246,9 @@ def _state(memory: MemorySubsystem) -> dict:
     return {
         "stats": dataclasses.asdict(memory.finalize_stats()),
         "network": (list(network.sm_inject), list(network.bank_inject),
-                    network.request_flits_sent, network.response_flits_sent,
-                    network.total_wait_cycles),
-        "banks": [(b.busy_until, b.hits, b.misses, b.write_accesses,
-                   b.wait_cycles) for b in memory.l2_banks],
-        "channels": [(c.row_hits, c.row_misses, c.reads, c.writes,
-                      c.wait_cycles) for c in memory.channels],
+                    network.request_flits_sent, network.response_flits_sent),
+        "banks": [b.busy_until for b in memory.l2_banks],
+        "channels": [(c.row_hits, c.row_misses) for c in memory.channels],
     }
 
 

@@ -66,38 +66,37 @@ class TestL2Bank:
         first = bank.start_service(100)
         second = bank.start_service(100)
         assert second == first + config.l2_occupancy_cycles
-        assert bank.wait_cycles > 0
 
 
 class TestDRAM:
     def test_row_hit_faster_than_conflict(self, config):
         channel = DRAMChannel(0, config)
-        cold = channel.access(0, 0, False)
+        cold = channel.access(0, 0)
         # same row again: row hit
-        hit = channel.access(1, cold, False) - cold
+        hit = channel.access(1, cold) - cold
         # far row in the same bank: conflict
         far = config.blocks_per_dram_row * config.dram_banks_per_channel * 3
-        conflict = channel.access(far * 16, 10_000, False) - 10_000
+        conflict = channel.access(far * 16, 10_000) - 10_000
         assert hit < conflict
         assert channel.row_hits >= 1
         assert channel.row_misses >= 2
 
     def test_controller_latency_applied(self, config):
         channel = DRAMChannel(0, config)
-        completion = channel.access(0, 0, False)
+        completion = channel.access(0, 0)
         assert completion >= config.dram_controller_cycles
 
     def test_bus_serialises_bursts(self, config):
         channel = DRAMChannel(0, config)
-        first = channel.access(0, 0, False)
-        second = channel.access(1, 0, False)
+        first = channel.access(0, 0)
+        second = channel.access(1, 0)
         assert second >= first + channel.burst
 
     def test_row_hit_rate_property(self, config):
         channel = DRAMChannel(0, config)
         assert channel.row_hit_rate == 0.0
-        channel.access(0, 0, False)
-        channel.access(1, 500, False)
+        channel.access(0, 0)
+        channel.access(1, 500)
         assert 0.0 < channel.row_hit_rate <= 1.0
 
 

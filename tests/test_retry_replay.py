@@ -20,7 +20,6 @@ the cache's epoch (``accesses + fills``) and the rejection's
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -56,9 +55,9 @@ _RESERVATION_FAIL = AccessOutcome.RESERVATION_FAIL
 #: L1-SRAM configs, GEMM fills every MSHR, SS exercises Dy-FUSE
 RETRY_WORKLOADS = ["ATAX", "GEMM", "SS"]
 
-#: the CBF array's own lifetime counters
-CBF_COUNTERS = ("tests", "total_searches", "total_iterations",
-                "false_positive_groups")
+#: each SM's approximated-search counters
+CBF_COUNTERS = ("cbf_tests", "tag_searches", "tag_search_iterations",
+                "cbf_false_positives")
 
 
 def _declaring_classes():
@@ -109,7 +108,7 @@ def _simulate(config: str, workload: str, seed: int, num_sms: int):
     )
     result = sim.run(workload_name=workload, config_name=config)
     cbf = [
-        tuple(getattr(sm.l1d.approx, name) for name in CBF_COUNTERS)
+        tuple(getattr(sm.l1d.stats, name) for name in CBF_COUNTERS)
         for sm in sim.sms if getattr(sm.l1d, "approx", None) is not None
     ]
     return result_to_dict(result), cbf
@@ -199,14 +198,7 @@ def _drive(make, attempts):
             cycle += gap
         if result.outcome is AccessOutcome.MISS:
             inflight.append((cycle + latency, block))
-    state = [outcomes, cache.stats.as_dict()]
-    for part in ("swap", "tag_queue"):
-        if hasattr(cache, part):
-            state.append(dataclasses.asdict(getattr(cache, part).stats))
-    approx = getattr(cache, "approx", None)
-    if approx is not None:
-        state.append({name: getattr(approx, name) for name in CBF_COUNTERS})
-    return state
+    return [outcomes, cache.stats.as_dict()]
 
 
 @pytest.mark.parametrize("model", sorted(MODELS))

@@ -130,5 +130,4 @@ class TestLivelockGuard:
         with pytest.raises(RuntimeError, match="livelock"):
             sim.run()
         sm = sim.sms[0]
-        assert sm.lsu_stall_cycles >= sm.retries
         assert sm.l1d.stats.reservation_fails == sm.retries

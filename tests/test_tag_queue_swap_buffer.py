@@ -40,7 +40,7 @@ class TestTagQueueService:
         assert queue.is_full(0)
         with pytest.raises(RuntimeError, match="full"):
             queue.enqueue("read", 0)
-        assert queue.stats.full_rejections == 1
+        assert queue.occupancy(0) == 2  # the refused read left no entry
 
     def test_force_overrides_capacity(self):
         queue = TagQueue(capacity=1)
@@ -85,7 +85,6 @@ class TestTagQueueFlush:
         assert drained == 2
         assert drain_done == 10
         assert queue.occupancy(drain_done) == 0
-        assert queue.stats.flushes == 1
 
     def test_flush_empty_queue_is_free(self):
         queue = TagQueue()
@@ -105,7 +104,7 @@ class TestSwapBuffer:
         buffer.stage(0x10, cycle=0, release_cycle=20)
         assert buffer.contains(0x10, 5)
         assert buffer.touch(0x10, 5, is_write=False)
-        assert buffer.stats.hits == 1
+        assert not buffer.entry_metadata(0x10, 5).dirty
 
     def test_release_after_completion(self):
         buffer = SwapBuffer(3)
@@ -132,7 +131,6 @@ class TestSwapBuffer:
         buffer.stage(0x10, 0, release_cycle=50, dirty=False)
         buffer.touch(0x10, 5, is_write=True)
         assert buffer.entry_metadata(0x10, 5).dirty
-        assert buffer.stats.write_hits == 1
 
     def test_entry_metadata_ends_when_the_line_drains(self):
         buffer = SwapBuffer(1)
