@@ -62,7 +62,9 @@ from repro.workloads.arena import arena_cache_stats, reset_arena_cache
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
-#: measured (config, workload) pairs; the first is the headline hot path
+#: measured (config, workload) pairs; the first is the headline hot
+#: path.  A third element runs that pair on its own SM count instead of
+#: the report's.
 FULL_PAIRS = [
     ("Dy-FUSE", "SS"),
     ("Dy-FUSE", "2DCONV"),
@@ -75,6 +77,8 @@ SMOKE_PAIRS = [
     ("Dy-FUSE", "SS"),
     ("L1-SRAM", "2DCONV"),
     ("Base-FUSE", "ATAX"),
+    # the paper's 15-SM machine, where retry storms cost the most
+    ("Base-FUSE", "ATAX", 15),
 ]
 
 
@@ -169,11 +173,13 @@ def measure_pair(
 
 def run_benchmark(scale: str, num_sms: int, repeats: int, pairs) -> dict:
     rows: List[dict] = []
-    for config, workload in pairs:
-        row = measure_pair(config, workload, scale, num_sms, repeats)
+    for config, workload, *pair_sms in pairs:
+        sms = pair_sms[0] if pair_sms else num_sms
+        row = measure_pair(config, workload, scale, sms, repeats)
         rows.append(row)
         print(
-            f"{config:>9} x {workload:<8} {row['simulated_cycles']:>9,} cyc "
+            f"{config:>9} x {workload:<8} {sms:>2} SMs "
+            f"{row['simulated_cycles']:>9,} cyc "
             f"in {row['wall_seconds']:6.2f}s  -> "
             f"{row['cycles_per_sec']:>10,.0f} cyc/s  "
             f"{row['transactions_per_sec']:>9,.0f} txn/s  "
@@ -192,6 +198,17 @@ def run_benchmark(scale: str, num_sms: int, repeats: int, pairs) -> dict:
     }
 
 
+def _pair_key(row: dict, num_sms: Optional[int]) -> tuple:
+    """A row's pair: config, workload and SM count (the report's when
+    the row predates per-row SM counts)."""
+    return row["config"], row["workload"], row.get("num_sms", num_sms)
+
+
+def _pair_name(key: tuple) -> str:
+    config, workload, sms = key
+    return f"{config:>9} x {workload:<8} {sms:>2} SMs"
+
+
 def check_against_baseline(
     report: dict, baseline_path: pathlib.Path, tolerance: float
 ) -> int:
@@ -202,8 +219,9 @@ def check_against_baseline(
     with a tolerance for host noise), or when its
     ``py_calls_per_access`` exceeds the baseline's by any amount (a
     deterministic count, gated exactly; skipped when the baseline
-    predates it).  Pairs absent from the baseline, and baseline pairs
-    not measured now, are reported but never fail the check.
+    predates it).  A pair is a config, a workload and an SM count.
+    Pairs absent from the baseline, and baseline pairs not measured
+    now, are reported but never fail the check.
     Improvements always pass.  When anything regresses, both host
     stamps are printed so interpreter/machine/env drift is the first
     hypothesis on the table, not the last.
@@ -219,15 +237,15 @@ def check_against_baseline(
             file=sys.stderr,
         )
     old_rows = {
-        (row["config"], row["workload"]): row
+        _pair_key(row, baseline.get("num_sms")): row
         for row in baseline.get("rows", [])
     }
     regressed = 0
     for row in report["rows"]:
-        key = (row["config"], row["workload"])
+        key = _pair_key(row, report["num_sms"])
         old = old_rows.pop(key, None)
         if old is None:
-            print(f"note: {key[0]} x {key[1]} has no baseline entry")
+            print(f"note: {_pair_name(key)} has no baseline entry")
             continue
         floor = old["cycles_per_sec"] * (1.0 - tolerance)
         ratio = (
@@ -236,7 +254,7 @@ def check_against_baseline(
         )
         status = "ok" if row["cycles_per_sec"] >= floor else "REGRESSED"
         print(
-            f"baseline check: {key[0]:>9} x {key[1]:<8} "
+            f"baseline check: {_pair_name(key)} "
             f"{old['cycles_per_sec']:>10,.0f} -> "
             f"{row['cycles_per_sec']:>10,.0f} cyc/s "
             f"({ratio:5.2f}x)  {status}"
@@ -248,7 +266,7 @@ def check_against_baseline(
                 else "REGRESSED"
             )
             print(
-                f"baseline check: {key[0]:>9} x {key[1]:<8} "
+                f"baseline check: {_pair_name(key)} "
                 f"{old_calls:>10.3f} -> {row['py_calls_per_access']:>10.3f} "
                 f"calls/access (exact)  {calls_status}"
             )
@@ -257,7 +275,7 @@ def check_against_baseline(
         if status == "REGRESSED":
             regressed += 1
     for key in old_rows:
-        print(f"note: baseline pair {key[0]} x {key[1]} not measured")
+        print(f"note: baseline pair {_pair_name(key)} not measured")
     if regressed:
         print(
             "host now:      " + describe_host(report.get("host", {})),
@@ -286,7 +304,8 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--smoke", action="store_true",
-        help="CI preset: smoke scale, 2 SMs, reduced pair list",
+        help="CI preset: smoke scale, 2 SMs (one pair on 15), reduced "
+             "pair list",
     )
     parser.add_argument(
         "--json", metavar="PATH", default=None,

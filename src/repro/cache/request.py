@@ -80,6 +80,9 @@ class MemoryRequest:
             rejection -- the cache, its epoch, the cycle the rejection
             may lift and its counter delta.  A recycled request's stale
             values never match: an accepted access moves the epoch.
+        retry_at / retry_rank: the SM's retry state -- the cycle of the
+            request's next attempt and its lockstep rank in the event
+            order (:mod:`repro.gpu.sm`), both set at a rejection.
 
     ``block_addr`` and ``is_write`` are plain slots derived once at
     construction, because every cache model reads them on every access.
@@ -102,6 +105,9 @@ class MemoryRequest:
     fail_until: int = field(default=0, init=False, repr=False, compare=False)
     fail_delta: tuple = field(default=(), init=False, repr=False,
                               compare=False)
+    retry_at: int = field(default=0, init=False, repr=False, compare=False)
+    retry_rank: int = field(default=0, init=False, repr=False,
+                            compare=False)
 
     def __post_init__(self) -> None:
         self.block_addr = self.address >> BLOCK_SHIFT

@@ -304,14 +304,7 @@ class FuseCache(L1DCacheModel):
         block_addr = evicted.block_addr
         if self._non_blocking:
             completion = self.tag_queue.enqueue("migrate", cycle)
-            self.swap.stage(
-                block_addr,
-                cycle,
-                release_cycle=completion,
-                dirty=evicted.dirty,
-                fill_pc=evicted.fill_pc,
-                predicted_level=evicted.predicted_level,
-            )
+            self.swap.stage(block_addr, cycle, release_cycle=completion)
         else:
             # Hybrid: the STT write blocks the whole cache.
             start = max(cycle, self.stt_port.busy_until)
@@ -375,7 +368,7 @@ class FuseCache(L1DCacheModel):
             return AccessResult(_HIT, ready, (), block)
 
         # ---- 2. swap buffer ----------------------------------------------
-        if self._non_blocking and self.swap.touch(block, cycle, is_write):
+        if self._non_blocking and self.swap.contains(block, cycle):
             stats.hits += 1
             stats.swap_buffer_hits += 1
             if is_write:
@@ -510,7 +503,7 @@ class FuseCache(L1DCacheModel):
         # Write in place: the queue holds no payloads, so flush it first
         # (Section IV-A), then pay the 5-cycle write.
         if self._non_blocking:
-            drain_done, _ = self.tag_queue.flush(cycle)
+            drain_done = self.tag_queue.flush(cycle)
             stats.tag_queue_flushes += 1
             stats.stt_write_stall_cycles += drain_done - cycle
             ready = drain_done + search_cycles - 1 + self.stt_write_latency
@@ -540,7 +533,7 @@ class FuseCache(L1DCacheModel):
         if plan is _HAZARD:
             return self.miss_path.reject()
 
-        drain_done, _ = self.tag_queue.flush(cycle)
+        drain_done = self.tag_queue.flush(cycle)
         stats.tag_queue_flushes += 1
         stats.stt_write_stall_cycles += drain_done - cycle
 

@@ -17,25 +17,19 @@ Figure 15).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 __all__ = [
     "SwapBuffer",
 ]
 
 
-@dataclass(slots=True)
-class _SwapEntry:
-    block_addr: int
-    dirty: bool
-    fill_pc: int
-    predicted_level: Optional[object]
-    release_cycle: int
-
-
 class SwapBuffer:
     """A tiny fully-associative buffer of in-flight SRAM->STT migrations.
+
+    The buffer holds only each parked block's release cycle: the line's
+    metadata is already installed in the STT tag array, which also
+    takes a write that hits the parked copy.
 
     Args:
         num_entries: 128-byte data registers (Table I: 3).
@@ -45,21 +39,17 @@ class SwapBuffer:
         if num_entries < 0:
             raise ValueError("num_entries must be >= 0")
         self.num_entries = num_entries
-        self._entries: Dict[int, _SwapEntry] = {}
+        #: parked block -> the cycle its "F" command completes
+        self._entries: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
     def _prune(self, cycle: int) -> None:
         entries = self._entries
         if not entries:
             return
-        for addr, entry in list(entries.items()):
-            if entry.release_cycle <= cycle:
+        for addr, release_cycle in list(entries.items()):
+            if release_cycle <= cycle:
                 del entries[addr]
-
-    def occupancy(self, cycle: int) -> int:
-        """Entries still in flight at *cycle*."""
-        self._prune(cycle)
-        return len(self._entries)
 
     def is_full(self, cycle: int) -> bool:
         """True when no eviction can be staged at *cycle*."""
@@ -69,7 +59,10 @@ class SwapBuffer:
         return len(self._entries) >= self.num_entries
 
     def contains(self, block_addr: int, cycle: int) -> bool:
-        """True when *block_addr* is parked in the buffer at *cycle*."""
+        """True when *block_addr* is parked in the buffer at *cycle* (a
+        request for it is served from the buffer)."""
+        if not self._entries:
+            return False  # the common case: nothing parked
         self._prune(cycle)
         return block_addr in self._entries
 
@@ -81,18 +74,10 @@ class SwapBuffer:
         entries = self._entries
         if not entries:
             return None
-        return min([entry.release_cycle for entry in entries.values()])
+        return min(entries.values())
 
     # ------------------------------------------------------------------
-    def stage(
-        self,
-        block_addr: int,
-        cycle: int,
-        release_cycle: int,
-        dirty: bool = False,
-        fill_pc: int = 0,
-        predicted_level: Optional[object] = None,
-    ) -> None:
+    def stage(self, block_addr: int, cycle: int, release_cycle: int) -> None:
         """Park an evicted line until its STT-MRAM write completes.
 
         Args:
@@ -104,39 +89,4 @@ class SwapBuffer:
         """
         if self.is_full(cycle):
             raise RuntimeError("swap buffer stage() on a full buffer")
-        self._entries[block_addr] = _SwapEntry(
-            block_addr=block_addr,
-            dirty=dirty,
-            fill_pc=fill_pc,
-            predicted_level=predicted_level,
-            release_cycle=release_cycle,
-        )
-
-    def touch(self, block_addr: int, cycle: int, is_write: bool) -> bool:
-        """Serve a request from the buffer; True when it hit.
-
-        A write marks the parked copy dirty (the updated data will land in
-        STT-MRAM when the "F" command drains).
-        """
-        if not self._entries:
-            return False  # the common case: nothing parked
-        self._prune(cycle)
-        entry = self._entries.get(block_addr)
-        if entry is None:
-            return False
-        if is_write:
-            entry.dirty = True
-        return True
-
-    def entry_metadata(
-        self, block_addr: int, cycle: int
-    ) -> Optional[_SwapEntry]:
-        """Metadata of the line parked for *block_addr* at *cycle*, or
-        None once its "F" command has drained (diagnostics and tests)."""
-        self._prune(cycle)
-        return self._entries.get(block_addr)
-
-    def pending_blocks(self, cycle: int) -> List[int]:
-        """Blocks currently parked (diagnostics and tests)."""
-        self._prune(cycle)
-        return list(self._entries)
+        self._entries[block_addr] = release_cycle

@@ -23,7 +23,7 @@ latency``; queue occupancy is the set of operations not yet completed.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Optional, Tuple
+from typing import Deque, Optional
 
 from repro.cache.engine import TIMING
 
@@ -61,11 +61,6 @@ class TagQueue:
         pending = self._pending
         while pending and pending[0] <= cycle:
             pending.popleft()
-
-    def occupancy(self, cycle: int) -> int:
-        """Operations still pending at *cycle*."""
-        self._prune(cycle)
-        return len(self._pending)
 
     def is_full(self, cycle: int) -> bool:
         """True when no operation can be accepted at *cycle*."""
@@ -137,16 +132,14 @@ class TagQueue:
         self._free_at = max(self._free_at, cycle)
 
     # ------------------------------------------------------------------
-    def flush(self, cycle: int) -> Tuple[int, int]:
+    def flush(self, cycle: int) -> int:
         """Drain every pending operation (write-update misprediction).
 
-        Returns ``(drain_complete_cycle, drained_count)``.  The caller then
-        performs its write starting from the drain-complete cycle.
+        Returns the drain-complete cycle; the caller then performs its
+        write starting from it.
         """
-        self._prune(cycle)
-        drained = len(self._pending)
         drain_done = max(cycle, self._free_at)
         self._pending.clear()
         # The bank is busy until the drain finishes.
         self._free_at = drain_done
-        return drain_done, drained
+        return drain_done

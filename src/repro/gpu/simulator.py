@@ -29,6 +29,12 @@ SMs post them straight onto :attr:`GPUSimulator.events` and the run
 loop dispatches due entries inline to the owning SM -- no per-event
 callback indirection (see :data:`repro.gpu.sm.EV_FILL`).  Per-transaction
 load *completions* are not events at all; the LSU retires hits eagerly.
+Same-cycle entries dispatch in the order the step-by-step retry loop
+posted them, even though a sleeping retry (:mod:`repro.gpu.sm`, "Retry
+sleep" in docs/performance.md) never posts its intermediate steps: a
+retry successor's order key is computable without them.  That needs
+every fill to be posted more than ``RETRY_INTERVAL`` cycles before it
+lands, which the constructor checks.
 
 Warps consume a **packed trace arena** (columnar op/transaction buffers,
 :mod:`repro.workloads.arena`): pass one via ``arena`` to replay a
@@ -49,7 +55,7 @@ import itertools
 from heapq import heappop, heappush
 from typing import Callable, Iterable, List, Optional
 
-from repro.cache.interface import L1DCacheModel
+from repro.cache.interface import RETRY_INTERVAL, L1DCacheModel
 from repro.gpu.config import GPUConfig
 from repro.gpu.sm import EV_FILL, EV_RETRY, SM
 from repro.gpu.stats import (
@@ -107,11 +113,19 @@ class GPUSimulator:
     ) -> None:
         self.config = config
         self.memory = MemorySubsystem(config)
+        if self.memory.min_read_latency <= RETRY_INTERVAL:
+            # a fill could then tie a retry successor on both its cycle
+            # and its post cycle, which the order key cannot break
+            raise ValueError(
+                f"minimum read latency {self.memory.min_read_latency} "
+                f"must exceed RETRY_INTERVAL={RETRY_INTERVAL}"
+            )
         self.max_cycles = max_cycles
         self.sampler = sampler
-        #: the event wheel: a heap of ``(cycle, seq, tag, ...)`` entries
-        #: the SMs post (layout in :mod:`repro.gpu.sm`); *seq* breaks
-        #: same-cycle ties in posting order
+        #: the event wheel: a heap of ``(cycle, post, order, tag, ...)``
+        #: entries the SMs post (layout in :mod:`repro.gpu.sm`);
+        #: ``(post, order)`` breaks same-cycle ties in the order the
+        #: step-by-step retry loop would have posted them
         self.events: List = []
         self.next_event_seq = itertools.count(1).__next__
         self.cycle = 0
@@ -173,13 +187,15 @@ class GPUSimulator:
         # integer compare (the disabled path allocates nothing)
         sampler = self.sampler
         sample_at = sampler.interval if sampler is not None else SAMPLER_STOP
+        for sm in sms:
+            sm.next_sample = sample_at
 
         while True:
             cycle = self.cycle
             # dispatch due events (entries posted meanwhile for this very
             # cycle -- a wake-up at the current cycle -- run in this pass)
             while events and events[0][0] <= cycle:
-                _, _, kind, target, a, b, c = heappop(events)
+                _, _, _, kind, target, a, b, c = heappop(events)
                 if kind == EV_FILL:
                     target._handle_fill(a, cycle)
                 elif kind == EV_RETRY:
@@ -230,6 +246,8 @@ class GPUSimulator:
 
             if self.cycle >= sample_at:
                 sample_at = sampler.sample(self.cycle, sms, self.memory)
+                for sm in sms:
+                    sm.next_sample = sample_at
 
             if self.cycle > max_cycles:
                 raise RuntimeError(

@@ -36,16 +36,37 @@ depth, so steady state creates no request objects at all.
 
 ``RESERVATION_FAIL`` results retry after ``RETRY_INTERVAL`` cycles, which
 is how structural hazards (MSHR full, tag-queue full, swap-buffer full,
-all-ways-reserved) convert into the stall cycles of Figure 15.  Every
-retry re-enters :meth:`SM._present` and calls the L1D's ``access``; a
-retry the cache can answer without walking its arrays is replayed
-there (:class:`~repro.cache.interface.L1DCacheModel`), so the SM counts
+all-ways-reserved) convert into the stall cycles of Figure 15.  A retry
+re-enters :meth:`SM._present` and calls the L1D's ``access``; a retry
+the cache can answer without walking its arrays is replayed there
+(:class:`~repro.cache.interface.L1DCacheModel`), so the SM counts
 ``retries`` and the cache ``reservation_fails``, one each per attempt.
+
+A retry whose answer is a known replay **sleeps**
+(docs/performance.md, "Retry sleep").  While a retry holds the issue
+port, only the SM's own fills and retries can move its private L1D's
+epoch, so :meth:`SM._sleep_bound` finds the first cycle anything could;
+the replays due before it are accounted in closed form (``k`` times the
+rejection's counter delta, ``retries``, the attempt number and the
+issue port) and one ``EV_RETRY`` is posted at the first retry step at
+or after it.  The event order key makes the skipped steps invisible:
+
+* fills, wake-ups and a transaction's *first* retry order by post
+  cycle, then by a global posting sequence -- the order they were
+  posted in;
+* a retry *successor*, due at ``T`` and posted (or, asleep, due to be
+  posted) by the attempt at ``T - RETRY_INTERVAL``, orders among the
+  events posted at that cycle before them (the dispatch phase precedes
+  the issue phase) and among its fellow successors by a *lockstep
+  rank* fixed at its first rejection: same-phase retries keep their
+  order step after step, and a transaction joins the front of them
+  when its first retry was posted earlier than the step before it (a
+  later transaction of a batch), else the back.
 """
 
 from __future__ import annotations
 
-from heapq import heappush
+from heapq import heappop, heappush
 from typing import TYPE_CHECKING, List, Optional
 
 from repro.cache.interface import (
@@ -56,6 +77,7 @@ from repro.cache.interface import (
 )
 from repro.cache.request import AccessType, MemoryRequest
 from repro.gpu.warp import Warp
+from repro.telemetry.timeline import SAMPLER_STOP
 from repro.workloads.trace import COMPUTE, LOAD
 
 __all__ = [
@@ -69,8 +91,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
 MAX_RETRIES = 100_000
 
 #: Event-wheel entry tags.  The SM posts fixed-shape entries
-#: ``(cycle, seq, tag, target, a, b, c)`` straight onto the simulator's
-#: heap (:attr:`GPUSimulator.events`), which dispatches them by tag:
+#: ``(cycle, post, order, tag, target, a, b, c)`` straight onto the
+#: simulator's heap (:attr:`GPUSimulator.events`), which dispatches them
+#: by tag:
 #:
 #: * ``EV_FILL``  -- target SM, ``a`` the block whose off-chip response
 #:   arrives;
@@ -78,16 +101,25 @@ MAX_RETRIES = 100_000
 #:   ``b`` its waiting warp, ``c`` the attempt number;
 #: * ``EV_WAKE``  -- target SM id: a warp's last outstanding load lands.
 #:
-#: An entry's cycle is never before the simulator's current cycle (fills
+#: ``(post, order)`` breaks same-cycle ties (the module docstring): a
+#: retry successor due at ``T`` carries ``post = 2 * (T -
+#: RETRY_INTERVAL)`` and its request's ``retry_rank``; every other entry
+#: ``post = 2 * now + 1`` and the next posting sequence number.  An
+#: entry's cycle is never before the simulator's current cycle (fills
 #: and retries lie in the future by construction; wake-ups are clamped).
 EV_FILL = 0
 EV_RETRY = 1
 EV_WAKE = 2
 
+#: a lockstep rank is ``(+-first retry cycle << RANK_SHIFT) + sequence``
+#: (the sign says back or front), so posting sequences stay below this
+RANK_SHIFT = 40
+
 _HIT = AccessOutcome.HIT
 _HIT_PENDING = AccessOutcome.HIT_PENDING
 _MISS = AccessOutcome.MISS
 _MISS_BYPASS = AccessOutcome.MISS_BYPASS
+_RESERVATION_FAIL = AccessOutcome.RESERVATION_FAIL
 
 
 class SM:
@@ -96,9 +128,11 @@ class SM:
     The SM takes the simulator's memory subsystem, event heap and event
     sequence counter at construction but holds no reference to the
     simulator itself, which lists the SM in ``sms``: the current cycle
-    reaches it as an argument.  A finished machine is then an acyclic
-    graph that reference counting frees at once, leaving nothing for
-    the cyclic garbage collector (``tests/test_lifetime.py``).
+    reaches it as an argument, and the simulator writes the next
+    timeline sample cycle into :attr:`next_sample`.  A finished machine
+    is then an acyclic graph that reference counting frees at once,
+    leaving nothing for the cyclic garbage collector
+    (``tests/test_lifetime.py``).
     """
 
     def __init__(
@@ -126,6 +160,17 @@ class SM:
         #: recycled MemoryRequest objects (hit-path allocation freedom);
         #: per-SM so ``sm_id`` never needs rewriting on reuse
         self._request_pool: List[MemoryRequest] = []
+        #: the cycle of the simulator's next timeline sample (a retry
+        #: never sleeps past it: the sample reads the skipped counters)
+        self.next_sample = SAMPLER_STOP
+        #: completion cycles of this SM's pending ``EV_FILL``s (a heap)
+        self._fills: List[int] = []
+        #: requests with a retry pending; at most one batch's worth,
+        #: since a retry holds the issue port
+        self._retrying: List[MemoryRequest] = []
+        #: the current batch's first rejections, ``(request, warp,
+        #: sequence)``, posted once the whole batch has been presented
+        self._rejected: List = []
 
     # ------------------------------------------------------------------
     @property
@@ -272,6 +317,16 @@ class SM:
                 )
             present(request, waiting_warp, arrival, 0, cycle)
             arrival += 1
+        rejected = self._rejected
+        if rejected:
+            # a later transaction of the batch may have moved the
+            # epoch, so first rejections decide their sleep only now
+            for request, waiting_warp, seq in rejected:
+                self._retry_later(
+                    request, waiting_warp,
+                    request.retry_at - RETRY_INTERVAL, 0, cycle, seq,
+                )
+            rejected.clear()
 
     # ------------------------------------------------------------------
     def _present(
@@ -298,11 +353,14 @@ class SM:
                 f"{self.sm_id} exceeded {MAX_RETRIES} retries"
             )
         result = self.l1d.access(request, cycle)
-        if result is not REJECTED:
+        if result is not REJECTED and (
+            (outcome := result.outcome) is not _RESERVATION_FAIL
+        ):
+            if attempts:
+                self._retrying.remove(request)
             for dirty_block in result.writebacks:
                 self.memory.issue_writeback(dirty_block, self.sm_id, cycle)
 
-            outcome = result.outcome
             if outcome is _HIT:
                 if waiting_warp is not None and (
                     waiting_warp.complete_transaction_at(result.ready_cycle)
@@ -315,9 +373,11 @@ class SM:
                 return
             if outcome is _MISS:
                 block = request.block_addr
+                completion = self.memory.issue_read(block, self.sm_id, cycle)
+                heappush(self._fills, completion)
                 heappush(self._events, (
-                    self.memory.issue_read(block, self.sm_id, cycle),
-                    self._next_seq(), EV_FILL, self, block, None, 0,
+                    completion, 2 * now + 1, self._next_seq(), EV_FILL,
+                    self, block, None, 0,
                 ))
                 return
             if outcome is _MISS_BYPASS:
@@ -338,22 +398,111 @@ class SM:
                 return
         # RESERVATION_FAIL -- the shared REJECTED, tested first because
         # retries outnumber accepted accesses in a storm, or a custom
-        # model's own rejection, which falls through the chain above.
-        # The LSU cannot hand the transaction over, so the in-order
-        # memory pipeline backs up and the SM's issue port stalls until
-        # the retry -- this is how cache thrashing (MSHR and way
-        # exhaustion) throttles the whole SM, the paper's motivating
-        # pathology for the small L1-SRAM.  The request rides the retry
-        # event and re-enters here, so it is not recycled yet (nor
-        # changed: the L1D may replay its last rejection).
+        # model's own rejection.  The LSU cannot hand the transaction
+        # over, so the in-order memory pipeline backs up and the SM's
+        # issue port stalls until the retry -- this is how cache
+        # thrashing (MSHR and way exhaustion) throttles the whole SM,
+        # the paper's motivating pathology for the small L1-SRAM.  The
+        # request rides the retry event and re-enters here, so it is not
+        # recycled yet (nor changed: the L1D may replay its last
+        # rejection).
         self.retries += 1
+        if attempts:
+            self._retry_later(request, waiting_warp, cycle, attempts, now, 0)
+            return
+        # a first rejection (always inside an issued batch): fix its
+        # lockstep rank -- the back of its phase when its first retry
+        # follows the presentation by one step, else the front -- and
+        # leave the sleep decision to the end of the batch
         retry_at = cycle + RETRY_INTERVAL
+        seq = self._next_seq()
+        request.retry_at = retry_at
+        request.retry_rank = (
+            (retry_at if cycle == now else -retry_at) << RANK_SHIFT
+        ) + seq
         if retry_at > self.port_busy_until:
             self.port_busy_until = retry_at
-        heappush(self._events, (
-            retry_at, self._next_seq(), EV_RETRY, self, request,
-            waiting_warp, attempts + 1,
-        ))
+        self._retrying.append(request)
+        self._rejected.append((request, waiting_warp, seq))
+
+    def _retry_later(
+        self,
+        request: MemoryRequest,
+        waiting_warp: Optional[Warp],
+        cycle: int,
+        attempts: int,
+        now: int,
+        seq: int,
+    ) -> None:
+        """Post the next attempt of *request*, rejected at *cycle* on
+        attempt *attempts*; *seq* is a first rejection's posting
+        sequence number (0 for a retry successor).
+
+        The replays due before :meth:`_sleep_bound` are accounted here
+        in closed form -- each one a ``retries`` count, the rejection's
+        counter delta and a later issue-port release -- and the one
+        event lands on the first retry step at or after the bound.
+        """
+        retry_at = cycle + RETRY_INTERVAL
+        bound = self._sleep_bound(request, cycle, attempts)
+        if bound > retry_at:
+            skipped = (bound - retry_at + RETRY_INTERVAL - 1) // RETRY_INTERVAL
+            retry_at += skipped * RETRY_INTERVAL
+            attempts += skipped
+            self.retries += skipped
+            for counters, name, amount in request.fail_delta:
+                setattr(counters, name,
+                        getattr(counters, name) + amount * skipped)
+            seq = 0
+        request.retry_at = retry_at
+        if retry_at > self.port_busy_until:
+            self.port_busy_until = retry_at
+        if seq:
+            entry = (retry_at, 2 * now + 1, seq, EV_RETRY, self, request,
+                     waiting_warp, attempts + 1)
+        else:
+            entry = (retry_at, 2 * (retry_at - RETRY_INTERVAL),
+                     request.retry_rank, EV_RETRY, self, request,
+                     waiting_warp, attempts + 1)
+        heappush(self._events, entry)
+
+    def _sleep_bound(
+        self, request: MemoryRequest, cycle: int, attempts: int
+    ) -> int:
+        """The first cycle at which a retry of *request*, rejected at
+        *cycle* on attempt *attempts*, might not be a replay.
+
+        *cycle* itself (no sleep) unless the rejection is a known replay
+        of this SM's L1D at its current epoch.  Then the epoch can move
+        only through a fill (only this SM's accepted accesses post its
+        fills) or an accepted retry (the port bars new issue), so the
+        bound is the earliest of the rejection's ``fail_until``, the
+        next fill, every other pending retry's next attempt (or its own
+        ``fail_until`` when that attempt is a known replay too), the
+        next timeline sample, and the step whose attempt trips
+        :data:`MAX_RETRIES`.
+        """
+        l1d = self.l1d
+        stats = l1d.stats
+        epoch = stats.accesses + stats.fills
+        if request.fail_owner is not l1d or request.fail_epoch != epoch:
+            return cycle
+        bound = request.fail_until
+        fills = self._fills
+        if fills and fills[0] < bound:
+            bound = fills[0]
+        for other in self._retrying:
+            if other is not request:
+                at = other.retry_at
+                if (other.fail_owner is l1d and other.fail_epoch == epoch
+                        and other.fail_until > at):
+                    at = other.fail_until
+                if at < bound:
+                    bound = at
+        if self.next_sample < bound:
+            bound = self.next_sample
+        livelock = cycle + RETRY_INTERVAL * (MAX_RETRIES + 1 - attempts)
+        return livelock if livelock < bound else bound
 
     def _post_wake(self, when: int, now: int) -> None:
         """A warp's last outstanding load lands at *when*: post the wake,
@@ -364,13 +513,14 @@ class SM:
         keeping the clock's advance pattern bit-identical.
         """
         heappush(self._events, (
-            when if when > now else now, self._next_seq(), EV_WAKE,
-            self.sm_id, None, None, 0,
+            when if when > now else now, 2 * now + 1, self._next_seq(),
+            EV_WAKE, self.sm_id, None, None, 0,
         ))
 
     # ------------------------------------------------------------------
     def _handle_fill(self, block_addr: int, cycle: int) -> None:
         """Off-chip response arrived: fill the L1D, retire merged loads."""
+        heappop(self._fills)
         fill = self.l1d.fill(block_addr, cycle)
         for dirty_block in fill.writebacks:
             self.memory.issue_writeback(dirty_block, self.sm_id, cycle)

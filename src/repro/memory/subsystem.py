@@ -52,6 +52,15 @@ class MemorySubsystem:
         self._lat_l2 = 0
         self._lat_dram = 0
 
+    @property
+    def min_read_latency(self) -> int:
+        """Cycles from issuing a read to its completion with every port,
+        bank and channel idle and the block in L2: the request flit, the
+        L2 service and the response flits, plus the network both ways."""
+        network = self.network
+        return (network.request_flits + network.response_flits
+                + 2 * network.base_latency + self.config.l2_service_cycles)
+
     # ------------------------------------------------------------------
     # The two operations below do the per-hop arithmetic inline: a port
     # or bank is a ``busy_until`` server -- start at max(arrival, free),

@@ -104,10 +104,13 @@ class TestBasicPaths:
             cache.access(load(byte_addr(block)), block)
             cache.fill(block, block + 50)
         hits_before = cache.stats.stt_hits
-        assert cache.tag_queue.occupancy(10_000) == 0
+        assert cache.tag_queue.head_completion(10_000) is None
         cache.access(load(byte_addr(0)), 10_000)
         assert cache.stats.stt_hits == hits_before + 1
-        assert cache.tag_queue.occupancy(10_000) == 1
+        # the read is the queue's one pending operation
+        done = cache.tag_queue.head_completion(10_000)
+        assert done is not None and done > 10_000
+        assert cache.tag_queue.head_completion(done) is None
 
 
 class TestWriteHitOnSTT:

@@ -14,7 +14,11 @@ the cache's epoch (``accesses + fills``) and the rejection's
   guard still fires for a declared one;
 * the SM/cache accounting identity ``retries == reservation_fails``
   holds for every configuration;
-* the run loop never polls an SM whose issue port is busy.
+* the run loop never polls an SM whose issue port is busy;
+* retry sleep is invisible too: sleep on and sleep off (the SM's sleep
+  bound patched to "never sleep") give identical payloads, timelines
+  included, and same-cycle events dispatch in the order the
+  step-by-step loop posts them.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from repro.cache.interface import (
     REJECTED,
     RETRY_INTERVAL,
     AccessOutcome,
+    AccessResult,
     FillResult,
     L1DCacheModel,
 )
@@ -46,7 +51,8 @@ from repro.engine.spec import (
 from repro.gpu.config import fermi_like
 from repro.gpu.simulator import GPUSimulator
 from repro.gpu.sm import SM
-from repro.workloads.trace import load_instruction
+from repro.memory.subsystem import MemorySubsystem
+from repro.workloads.trace import compute_block, load_instruction
 from tests.conftest import load, store
 
 _RESERVATION_FAIL = AccessOutcome.RESERVATION_FAIL
@@ -330,3 +336,235 @@ def test_run_loop_never_polls_a_busy_port(monkeypatch):
     assert result.retries > 10 * result.l1d.accesses
     assert polls
     assert busy_polls == []
+
+
+# ----------------------------------------------------------------------
+# retry sleep
+def _never_sleep(self, request, cycle, attempts):
+    return cycle
+
+
+@pytest.mark.parametrize("config", known_configs())
+@settings(max_examples=3, deadline=None)
+@given(
+    workload=st.sampled_from(RETRY_WORKLOADS),
+    seed=st.integers(min_value=0, max_value=2**16),
+    num_sms=st.sampled_from([1, 2, 4, 15]),
+    timeline_interval=st.sampled_from([0, 7, 50]),
+)
+def test_sleep_on_equals_sleep_off(config, workload, seed, num_sms,
+                                   timeline_interval):
+    spec = RunSpec.build(config, workload, scale="smoke", seed=seed,
+                         num_sms=num_sms,
+                         timeline_interval=timeline_interval)
+    asleep = result_to_dict(execute_spec(spec))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(SM, "_sleep_bound", _never_sleep)
+        awake = result_to_dict(execute_spec(spec))
+    assert asleep == awake
+
+
+def _count_dispatched_retries(monkeypatch):
+    """Count the ``EV_RETRY`` events the run loop dispatches (every
+    retry presentation; first presentations come from the issue path
+    with attempt 0)."""
+    dispatched = []
+    present = SM._present
+
+    def counting_present(self, request, warp, cycle, attempts, now):
+        if attempts:
+            dispatched.append(cycle)
+        return present(self, request, warp, cycle, attempts, now)
+
+    monkeypatch.setattr(SM, "_present", counting_present)
+    return dispatched
+
+
+def test_a_storm_sleeps_through_its_replays(monkeypatch):
+    spec = RunSpec.build("Base-FUSE", "ATAX", scale="smoke", num_sms=2)
+    dispatched = _count_dispatched_retries(monkeypatch)
+    asleep = execute_spec(spec)
+    asleep_dispatched = len(dispatched)
+    dispatched.clear()
+    monkeypatch.setattr(SM, "_sleep_bound", _never_sleep)
+    awake = execute_spec(spec)
+    # step by step, every rejection posts one retry event
+    assert len(dispatched) == awake.retries
+    assert asleep.retries == awake.retries
+    assert asleep.retries == asleep.l1d.reservation_fails
+    assert asleep_dispatched < asleep.retries / 2
+
+
+class ScriptedCache(L1DCacheModel):
+    """Rejects each scripted block a set number of times, misses the
+    blocks in *misses* and hits the rest; logs every walk and fill into
+    the *log* its SM shares with the others.  Undeclared, so its retries
+    step one ``RETRY_INTERVAL`` at a time."""
+
+    name = "scripted"
+
+    def __init__(self, log, rejections=None, misses=()):
+        super().__init__()
+        self.log = log
+        self.rejections = dict(rejections or {})
+        self.misses = set(misses)
+        self.pending = {}
+
+    def _access_impl(self, request, cycle):
+        block = request.block_addr
+        self.log.append((cycle, "access", block))
+        if self.rejections.get(block, 0):
+            self.rejections[block] -= 1
+            self.stats.reservation_fails += 1
+            return REJECTED
+        if block in self.misses:
+            self.misses.discard(block)
+            self.pending[block] = [request]
+            return AccessResult(AccessOutcome.MISS, block_addr=block)
+        return AccessResult(AccessOutcome.HIT, cycle + 1, (), block)
+
+    def fill(self, block_addr, cycle):
+        self.log.append((cycle, "fill", block_addr))
+        self.stats.fills += 1
+        return FillResult(cycle, self.pending.pop(block_addr), ())
+
+
+def _two_sm_log(caches, streams):
+    """Run two single-warp SMs with the given caches and instruction
+    lists; returns the shared walk/fill log."""
+    log = []
+    built = iter([ScriptedCache(log, **cache) for cache in caches])
+    GPUSimulator(
+        fermi_like().with_overrides(num_sms=2),
+        l1d_factory=lambda: next(built),
+        warp_streams=lambda sm_id, warp_id: streams[sm_id],
+        warps_per_sm=1,
+    ).run()
+    return log
+
+
+def _at(log, cycle):
+    return [(kind, block) for when, kind, block in log if when == cycle]
+
+
+#: SM 0's retry chain: block 1 rejected at 0, 4 and 8, accepted at 12
+OLDER_CHAIN = dict(rejections={1: 3})
+OLDER_LOAD = [load_instruction(0x40, [1 << 7])]
+
+
+class TestOrderKey:
+    def test_a_later_batch_transaction_joins_ahead(self):
+        # SM 1 issues at cycle 3; its second transaction arrives at 4 and
+        # first retries at 8, posted before SM 0's successor at 8
+        log = _two_sm_log(
+            [OLDER_CHAIN, dict(rejections={3: 2})],
+            [OLDER_LOAD,
+             [compute_block(3), load_instruction(0x48, [2 << 7, 3 << 7])]],
+        )
+        assert _at(log, 8) == [("access", 3), ("access", 1)]
+        assert _at(log, 12) == [("access", 3), ("access", 1)]
+
+    def test_a_first_slot_rejection_joins_behind(self):
+        # SM 1's single transaction arrives at 4, the cycle SM 0's
+        # retry posts its successor, and first retries at 8 behind it
+        log = _two_sm_log(
+            [OLDER_CHAIN, dict(rejections={3: 2})],
+            [OLDER_LOAD, [compute_block(4), load_instruction(0x48, [3 << 7])]],
+        )
+        assert _at(log, 8) == [("access", 1), ("access", 3)]
+        assert _at(log, 12) == [("access", 1), ("access", 3)]
+
+    def test_a_fill_posted_earlier_dispatches_first(self):
+        config = fermi_like().with_overrides(num_sms=2)
+        # SM 0 misses block 5 at cycle 0; its fill lands at `lands`
+        lands = MemorySubsystem(config).issue_read(5, 0, 0)
+        assert MemorySubsystem(config).min_read_latency > RETRY_INTERVAL
+        # SM 1's chain steps through the same cycle and past it
+        phase = lands % RETRY_INTERVAL or RETRY_INTERVAL
+        steps = (lands - phase) // RETRY_INTERVAL + 2
+        log = _two_sm_log(
+            [dict(misses={5}), dict(rejections={3: steps})],
+            [[load_instruction(0x40, [5 << 7])],
+             [compute_block(phase), load_instruction(0x48, [3 << 7])]],
+        )
+        assert _at(log, lands) == [("fill", 5), ("access", 3)]
+
+
+class GatedCache(L1DCacheModel):
+    """A declared model that rejects a block until its gate opens --
+    another block's acceptance (*after*) or a cycle (*until*) -- and
+    hits everything else; logs every walk as ``(cycle, block)``."""
+
+    name = "gated"
+
+    def __init__(self, log, after=None, until=None):
+        super().__init__()
+        self.log = log
+        self.after = dict(after or {})
+        self.until = dict(until or {})
+        self.accepted = set()
+        self._fail_until = NEVER
+
+    def _access_impl(self, request, cycle):
+        block = request.block_addr
+        self.log.append((cycle, block))
+        self._fail_until = NEVER
+        blocker = self.after.get(block)
+        lift = self.until.get(block, 0)
+        if (blocker is not None and blocker not in self.accepted) or (
+            cycle < lift
+        ):
+            if cycle < lift:
+                self._fail_until = lift
+            self.stats.tag_lookups += 1
+            self.stats.reservation_fails += 1
+            return REJECTED
+        self.accepted.add(block)
+        return AccessResult(AccessOutcome.HIT, cycle + 1, (), block)
+
+    def fill(self, block_addr, cycle):  # pragma: no cover - never missed
+        return FillResult(cycle, [], ())
+
+    def _replay_rejection(self):
+        return self._fail_until, self._lookup_rejection
+
+
+def _gated_log(**gates):
+    """One SM, one warp loading blocks 1 and 2 as one batch at cycle 0."""
+    log = []
+    sim = GPUSimulator(
+        fermi_like().with_overrides(num_sms=1),
+        l1d_factory=lambda: GatedCache(log, **gates),
+        warp_streams=lambda sm_id, warp_id: [
+            load_instruction(0x40, [1 << 7, 2 << 7])
+        ],
+        warps_per_sm=1,
+    )
+    result = sim.run()
+    return log, result
+
+
+class TestSleepBound:
+    def test_a_pending_retry_bounds_its_batch_mates_sleep(self):
+        # block 1's hazard lifts by time at 4; block 2 waits for block 1,
+        # so its replays end where block 1's retry may be accepted
+        log, result = _gated_log(until={1: 4}, after={2: 1})
+        assert log == [(0, 1), (1, 2), (4, 1), (5, 2)]
+        assert result.retries == 2
+
+    def test_a_later_accepted_transaction_keeps_a_rejection_awake(self):
+        # block 1 waits for block 2, which the same batch accepts one
+        # cycle later: block 1's first retry must walk
+        log, result = _gated_log(after={1: 2})
+        assert log == [(0, 1), (1, 2), (4, 1)]
+        assert result.retries == 1
+
+    def test_a_known_replay_sleeps_until_its_hazard_lifts(self, monkeypatch):
+        # block 2 waits for block 1, whose hazard lifts at 41: ten
+        # replays of each are accounted without an event or a walk
+        dispatched = _count_dispatched_retries(monkeypatch)
+        log, result = _gated_log(until={1: 41}, after={2: 1})
+        assert dispatched == [44, 45]
+        assert log == [(0, 1), (1, 2), (44, 1), (45, 2)]
+        assert result.retries == 22
+        assert result.l1d.reservation_fails == 22

@@ -3,8 +3,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.cache.interface import AccessOutcome
+from repro.core.fuse_cache import FuseCache, FuseFeatures
 from repro.core.swap_buffer import SwapBuffer
 from repro.core.tag_queue import TagQueue
+from tests.conftest import load, store
 
 
 class TestTagQueueService:
@@ -40,7 +43,9 @@ class TestTagQueueService:
         assert queue.is_full(0)
         with pytest.raises(RuntimeError, match="full"):
             queue.enqueue("read", 0)
-        assert queue.occupancy(0) == 2  # the refused read left no entry
+        # the refused read left no entry: the queue empties with the fills
+        assert queue.head_completion(5) == 10
+        assert queue.head_completion(10) is None
 
     def test_force_overrides_capacity(self):
         queue = TagQueue(capacity=1)
@@ -49,12 +54,13 @@ class TestTagQueueService:
         assert completion == 10
 
     def test_occupancy_drains_over_time(self):
-        queue = TagQueue(capacity=4)
+        queue = TagQueue(capacity=2)
         queue.enqueue("fill", 0)       # completes at 5
         queue.enqueue("fill", 0)       # completes at 10
-        assert queue.occupancy(0) == 2
-        assert queue.occupancy(6) == 1
-        assert queue.occupancy(10) == 0
+        assert queue.is_full(0)
+        assert not queue.is_full(6)
+        assert queue.head_completion(6) == 10
+        assert queue.head_completion(10) is None
 
     def test_head_completion_bounds_a_full_queue(self):
         queue = TagQueue(capacity=2)
@@ -81,16 +87,12 @@ class TestTagQueueFlush:
         queue = TagQueue()
         queue.enqueue("fill", 0)
         queue.enqueue("fill", 0)
-        drain_done, drained = queue.flush(1)
-        assert drained == 2
-        assert drain_done == 10
-        assert queue.occupancy(drain_done) == 0
+        assert queue.flush(1) == 10
+        assert queue.head_completion(1) is None
 
     def test_flush_empty_queue_is_free(self):
         queue = TagQueue()
-        drain_done, drained = queue.flush(100)
-        assert drained == 0
-        assert drain_done == 100
+        assert queue.flush(100) == 100
 
     def test_occupy_until_blocks_later_ops(self):
         queue = TagQueue()
@@ -103,14 +105,13 @@ class TestSwapBuffer:
         buffer = SwapBuffer(3)
         buffer.stage(0x10, cycle=0, release_cycle=20)
         assert buffer.contains(0x10, 5)
-        assert buffer.touch(0x10, 5, is_write=False)
-        assert not buffer.entry_metadata(0x10, 5).dirty
+        assert not buffer.contains(0x20, 5)
 
     def test_release_after_completion(self):
         buffer = SwapBuffer(3)
         buffer.stage(0x10, cycle=0, release_cycle=20)
         assert not buffer.contains(0x10, 20)
-        assert not buffer.touch(0x10, 25, is_write=False)
+        assert not buffer.contains(0x10, 25)
 
     def test_capacity(self):
         buffer = SwapBuffer(2)
@@ -127,16 +128,26 @@ class TestSwapBuffer:
         assert buffer.is_full(0)
 
     def test_write_hit_marks_dirty(self):
-        buffer = SwapBuffer(1)
-        buffer.stage(0x10, 0, release_cycle=50, dirty=False)
-        buffer.touch(0x10, 5, is_write=True)
-        assert buffer.entry_metadata(0x10, 5).dirty
+        # the parked line's tags are already in the STT bank, so a store
+        # that hits the buffer dirties that copy
+        cache = FuseCache(sram_kb=2, sram_assoc=2, stt_kb=8, stt_assoc=2,
+                          features=FuseFeatures.base_fuse())
+        for block in (0, 16, 32):  # the third miss evicts block 0
+            cache.access(load(block << 7), block)
+            cache.fill(block, block + 50)
+        assert cache.swap.contains(0, 33)
+        set_idx, way = cache.stt.find(0)
+        assert not cache.stt.line(set_idx, way).dirty
+        result = cache.access(store(0), 33)
+        assert result.outcome is AccessOutcome.HIT
+        assert cache.stats.swap_buffer_hits == 1
+        assert cache.stt.line(set_idx, way).dirty
 
-    def test_entry_metadata_ends_when_the_line_drains(self):
+    def test_entry_ends_when_the_line_drains(self):
         buffer = SwapBuffer(1)
         buffer.stage(0x10, 0, release_cycle=50)
-        assert buffer.entry_metadata(0x10, 49) is not None
-        assert buffer.entry_metadata(0x10, 50) is None
+        assert buffer.contains(0x10, 49)
+        assert not buffer.contains(0x10, 50)
 
     def test_next_release_bounds_a_full_buffer(self):
         buffer = SwapBuffer(2)
@@ -148,12 +159,13 @@ class TestSwapBuffer:
         assert not buffer.is_full(buffer.next_release(39))
         assert buffer.next_release(45) == 60
 
-    def test_pending_blocks_listing(self):
+    def test_entries_drain_one_by_one(self):
         buffer = SwapBuffer(3)
         buffer.stage(0x10, 0, release_cycle=50)
         buffer.stage(0x20, 0, release_cycle=60)
-        assert sorted(buffer.pending_blocks(10)) == [0x10, 0x20]
-        assert buffer.pending_blocks(55) == [0x20]
+        assert buffer.contains(0x10, 10) and buffer.contains(0x20, 10)
+        assert not buffer.contains(0x10, 55)
+        assert buffer.contains(0x20, 55)
 
 
 @settings(max_examples=40)
