@@ -13,8 +13,8 @@ The package builds the paper's full stack from scratch in Python:
 * :mod:`repro.energy` -- GPUWattch-style energy model + Table III area
   estimation.
 * :mod:`repro.workloads` -- the workload platform: synthetic models of
-  the 21 Table II benchmarks, a DNN-layer suite, an open registry for
-  custom kernels, and portable JSONL trace export/import.
+  the 21 Table II benchmarks, a DNN-layer suite, and an open registry
+  for custom kernels.
 * :mod:`repro.engine` -- parallel experiment engine: content-hashed run
   identities, a multiprocessing sweep executor, and a persistent
   on-disk result store.
@@ -63,7 +63,6 @@ from repro.workloads.registry import (
     register_workload,
 )
 from repro.workloads.trace import TraceScale
-from repro.workloads.tracefile import export_trace, load_trace
 
 __version__ = "1.0.0"
 
@@ -90,11 +89,9 @@ __all__ = [
     "benchmark_names",
     "config_for_budget",
     "default_runner",
-    "export_trace",
     "fermi_like",
     "known_configs",
     "l1d_config",
-    "load_trace",
     "make_l1d",
     "ratio_config",
     "register_workload",

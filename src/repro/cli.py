@@ -1,6 +1,6 @@
 """Command-line interface: ``python -m repro <command>`` (or ``repro``).
 
-Fourteen commands cover the workflows a downstream user reaches for
+Thirteen commands cover the workflows a downstream user reaches for
 first:
 
 * ``list``    -- show the available L1D configurations and every
@@ -13,13 +13,9 @@ first:
   experiment engine, backed by the persistent result store: the first
   invocation fans out across worker processes, repeats complete from
   disk with zero fresh simulations.  ``--workloads`` accepts workload
-  names, suite names (e.g. ``DNN``), ``trace:<path>`` entries and
-  ``all``.  ``--profile`` pipes the sweep through :mod:`cProfile`
-  (serial, store bypassed) so hot-path regressions are diagnosable from
-  the CLI.
-* ``trace``   -- ``export`` a workload's warp streams to a portable
-  JSONL trace file, ``import`` (replay) one through any configuration,
-  or print ``info`` about a file (see ``docs/trace-format.md``).
+  names, suite names (e.g. ``DNN``) and ``all``.  ``--profile`` pipes
+  the sweep through :mod:`cProfile` (serial, store bypassed) so hot-path
+  regressions are diagnosable from the CLI.
 * ``profile`` -- simulate one pair under :mod:`cProfile` and print the
   top entries plus simulated-cycles/sec (the simulator's own speed, not
   the model's), Python calls per L1D access and the run's self time by
@@ -73,12 +69,7 @@ from repro.engine import (
 )
 from repro.harness.report import format_table
 from repro.harness.runner import Runner
-from repro.workloads.benchmarks import (
-    TRACE_PREFIX,
-    benchmark,
-    benchmark_class,
-    workload_names,
-)
+from repro.workloads.benchmarks import benchmark_class, workload_names
 from repro.workloads.suites import resolve_workloads, suite_of
 
 __all__ = [
@@ -125,8 +116,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--workloads", default="all",
         help="comma-separated workload names, suite names (e.g. DNN), "
-             "trace:<path> entries, or 'all' (default: every registered "
-             "workload)",
+             "or 'all' (default: every registered workload)",
     )
     sweep.add_argument(
         "--workers", type=int, default=None,
@@ -164,44 +154,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _add_profile_args(sweep)
     _add_machine_args(sweep)
-
-    trace = sub.add_parser(
-        "trace",
-        help="export, replay (import) or inspect portable trace files",
-    )
-    trace_sub = trace.add_subparsers(dest="trace_command", required=True)
-
-    export = trace_sub.add_parser(
-        "export",
-        help="materialise a workload's warp streams into a JSONL trace",
-    )
-    export.add_argument("workload", help="workload name (see 'list')")
-    export.add_argument("path", help="output trace file (JSONL)")
-    export.add_argument(
-        "--seed", type=int, default=0, help="trace seed (default 0)",
-    )
-    _add_machine_args(export)
-
-    imp = trace_sub.add_parser(
-        "import",
-        help="replay an exported trace through one L1D configuration",
-    )
-    imp.add_argument("path", help="trace file written by 'trace export'")
-    imp.add_argument(
-        "--config", default="Dy-FUSE",
-        help="L1D configuration to replay under (default Dy-FUSE)",
-    )
-    imp.add_argument(
-        "--gpu", default=None, choices=("fermi", "volta"),
-        help="machine profile (default: the trace header's, falling "
-             "back to fermi); the machine *shape* always comes from "
-             "the header",
-    )
-
-    info = trace_sub.add_parser(
-        "info", help="print a trace file's header and stream totals"
-    )
-    info.add_argument("path", help="trace file")
 
     profile = sub.add_parser(
         "profile",
@@ -315,8 +267,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     submit.add_argument(
         "--workloads", default="all",
-        help="comma-separated workload names, suite names, trace:<path> "
-             "entries, or 'all'",
+        help="comma-separated workload names, suite names, or 'all'",
     )
     submit.add_argument(
         "--seed", type=int, default=0, help="simulation seed (default 0)",
@@ -526,80 +477,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         rows,
         title=f"Configuration comparison on {args.workload}",
     ))
-    return 0
-
-
-def _cmd_trace(args: argparse.Namespace) -> int:
-    from repro.engine.spec import RunSpec, execute_spec, scale_preset
-    from repro.workloads.tracefile import (
-        export_trace,
-        load_trace,
-        trace_sha256,
-    )
-
-    if args.trace_command == "export":
-        scale = scale_preset(args.scale)
-        model = benchmark(
-            args.workload, num_sms=args.sms,
-            warps_per_sm=scale.warps_per_sm, scale=scale, seed=args.seed,
-        )
-        summary = export_trace(
-            model, args.path, scale=args.scale, gpu_profile=args.gpu
-        )
-        meta = summary.meta
-        print(
-            f"exported {meta.workload} -> {args.path}: "
-            f"{meta.num_sms} SMs x {meta.warps_per_sm} warps, "
-            f"{summary.instructions:,} warp instructions, "
-            f"{summary.transactions:,} transactions, "
-            f"sha256 {summary.sha256[:16]}"
-        )
-        return 0
-
-    if args.trace_command == "info":
-        trace = load_trace(args.path)
-        meta = trace.meta
-        rows = [
-            ["workload", meta.workload],
-            ["machine shape", f"{meta.num_sms} SMs x "
-                              f"{meta.warps_per_sm} warps"],
-            ["scale preset", meta.scale or "(custom)"],
-            ["gpu profile", meta.gpu_profile or "(unrecorded)"],
-            ["seed", meta.seed],
-            ["trace salt", meta.trace_salt],
-            ["warp streams", len(trace.streams)],
-            ["warp instructions", trace.total_instructions],
-            ["memory transactions", trace.total_transactions],
-            ["content sha256", trace_sha256(args.path)],
-        ]
-        print(format_table(["field", "value"], rows, title=args.path))
-        return 0
-
-    # import: replay the trace under one configuration.  RunSpec.build
-    # pins the machine shape and scale label from the header itself; a
-    # gpu profile a converter invented ("pascal") falls back to fermi
-    # instead of failing name resolution.
-    from repro.engine.spec import GPU_PROFILES
-
-    trace = load_trace(args.path)
-    meta = trace.meta
-    gpu_name = args.gpu or meta.gpu_profile
-    if gpu_name not in GPU_PROFILES:
-        gpu_name = "fermi"
-    spec = RunSpec.build(
-        args.config,
-        f"{TRACE_PREFIX}{args.path}",
-        gpu_profile=gpu_name,
-        seed=meta.seed,
-        trace_salt=meta.trace_salt,
-    )
-    result = execute_spec(spec)
-    _print_result(
-        result,
-        f"{args.config} replaying {meta.workload} trace "
-        f"({meta.num_sms} SMs x {meta.warps_per_sm} warps, {gpu_name})",
-    )
-    print(f"run key: {spec.key().digest}")
     return 0
 
 
@@ -1211,8 +1088,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             return _cmd_compare(args)
         if args.command == "sweep":
             return _cmd_sweep(args)
-        if args.command == "trace":
-            return _cmd_trace(args)
         if args.command == "profile":
             return _cmd_profile(args)
         if args.command == "serve":

@@ -40,7 +40,7 @@ from repro.gpu.simulator import GPUSimulator
 from repro.gpu.stats import SimulationResult
 from repro.telemetry.spans import span
 from repro.telemetry.timeline import TimelineSampler
-from repro.workloads.benchmarks import TRACE_PREFIX, benchmark
+from repro.workloads.benchmarks import benchmark
 from repro.workloads.trace import TraceScale
 
 __all__ = [
@@ -97,13 +97,6 @@ class RunSpec:
     execution time) keeps worker processes faithful to the submitting
     process even under spawn-style pools that re-import the modules.
 
-    ``trace_sha256`` is the content hash of the trace file for
-    ``trace:<path>`` workloads (``None`` for generated workloads).  It
-    is part of the run identity: the same path holding different trace
-    bytes must never satisfy each other from the result store, and
-    :func:`execute_spec` refuses to run against a file that changed
-    after the spec was built.
-
     ``timeline_interval`` opts the run into timeline sampling (a
     sample every that many cycles; 0 -- the default -- disables it).
     It is part of the run identity *only when set*: sampling never
@@ -119,7 +112,6 @@ class RunSpec:
     seed: int = 0
     num_sms: int = 15
     trace_salt: int = 0
-    trace_sha256: Optional[str] = None
     timeline_interval: int = 0
 
     @classmethod
@@ -137,37 +129,25 @@ class RunSpec:
         """Resolve a named or custom L1D config into a spec.
 
         ``num_sms=None`` takes the GPU profile's own SM count;
-        ``trace_salt=None`` snapshots the current global salt.  For
-        ``trace:<path>`` workloads the trace file is hashed here, so
-        the spec (and its :class:`RunKey`) pins the file's content --
-        and because replay consults only the file (never the seed,
-        salt or shape flags), ``num_sms``/``scale``/``seed``/
-        ``trace_salt`` are all normalised from the header: two replays
-        of the same trace share one store key no matter what flags
-        their callers passed.
+        ``trace_salt=None`` snapshots the current global salt.
+
+        Raises:
+            ValueError: for an unknown GPU profile or scale preset, an
+                SM count below 1 or a negative timeline interval.
         """
         from repro.workloads.kernels import KernelModel
 
         if gpu_profile not in GPU_PROFILES:
             raise ValueError(f"unknown gpu profile {gpu_profile!r}")
+        if scale not in SCALE_PRESETS:
+            raise ValueError(f"unknown scale {scale!r}")
         cfg = config if isinstance(config, L1DConfig) else l1d_config(config)
         if num_sms is None:
             num_sms = GPU_PROFILES[gpu_profile]().num_sms
+        if num_sms < 1:
+            raise ValueError(f"num_sms must be >= 1: {num_sms}")
         if trace_salt is None:
             trace_salt = KernelModel.TRACE_SALT
-        trace_hash = None
-        if workload.startswith(TRACE_PREFIX):
-            from repro.workloads.tracefile import load_trace, trace_sha256
-
-            path = workload[len(TRACE_PREFIX):]
-            trace_hash = trace_sha256(path)
-            meta = load_trace(path).meta
-            num_sms = meta.num_sms
-            scale = (
-                meta.scale if meta.scale in SCALE_PRESETS else "test"
-            )
-            seed = meta.seed
-            trace_salt = meta.trace_salt
         if timeline_interval < 0:
             raise ValueError(
                 f"timeline_interval must be >= 0: {timeline_interval}"
@@ -175,7 +155,7 @@ class RunSpec:
         return cls(
             l1d=cfg, workload=workload, gpu_profile=gpu_profile,
             scale=scale, seed=seed, num_sms=num_sms, trace_salt=trace_salt,
-            trace_sha256=trace_hash, timeline_interval=timeline_interval,
+            timeline_interval=timeline_interval,
         )
 
     def key(self) -> "RunKey":
@@ -210,9 +190,7 @@ def spec_to_dict(spec: RunSpec) -> Dict:
 
     The trace salt is part of run identity: it changes every generated
     trace, so results computed under different salts must never satisfy
-    each other from the store.  The trace-file content hash is included
-    only when present, so the identities (and store keys) of all
-    generated-workload runs are unchanged from before trace support.
+    each other from the store.
     """
     l1d = config_to_dict(spec.l1d)
     l1d.pop("description", None)  # cosmetic, not part of run identity
@@ -225,8 +203,6 @@ def spec_to_dict(spec: RunSpec) -> Dict:
         "num_sms": spec.num_sms,
         "trace_salt": spec.trace_salt,
     }
-    if spec.trace_sha256 is not None:
-        payload["trace_sha256"] = spec.trace_sha256
     if spec.timeline_interval:
         # included only when sampling is on, so the identities (and
         # store keys) of every non-timeline run are unchanged
@@ -256,7 +232,6 @@ def spec_from_dict(payload: Dict) -> RunSpec:
             seed=int(payload["seed"]),
             num_sms=int(payload["num_sms"]),
             trace_salt=int(payload["trace_salt"]),
-            trace_sha256=payload.get("trace_sha256"),
             timeline_interval=int(payload.get("timeline_interval", 0)),
         )
     except (KeyError, TypeError, ValueError) as error:
@@ -287,8 +262,6 @@ def arena_for_spec(spec: RunSpec):
     under the spec's snapshotted trace salt and packed, so any process
     (the submitting one, a forked worker, a spawned one that re-imported
     every module) builds the same arena for the same spec.
-    ``trace:<path>`` workloads replay the file through
-    :mod:`repro.workloads.tracefile`, which memoises its parse.
     """
     from repro.workloads.arena import PackedTraceArena, cached_arena
     from repro.workloads.kernels import KernelModel
@@ -322,28 +295,11 @@ def execute_spec(spec: RunSpec) -> SimulationResult:
     (compiled on first use, replayed from cache after -- see
     :func:`arena_for_spec`), simulates, and attaches the energy report.
     """
-    if spec.workload.startswith(TRACE_PREFIX) and spec.trace_sha256:
-        from repro.workloads.tracefile import trace_sha256
-
-        current = trace_sha256(spec.workload[len(TRACE_PREFIX):])
-        if current != spec.trace_sha256:
-            raise ValueError(
-                f"trace file {spec.workload[len(TRACE_PREFIX):]} changed "
-                "since this spec was built (content hash "
-                f"{current[:12]} != spec's {spec.trace_sha256[:12]}); "
-                "rebuild the spec to run against the new trace"
-            )
     machine = gpu_profile(spec.gpu_profile).with_overrides(
         num_sms=spec.num_sms
     )
     with span("arena", workload=spec.workload):
         arena = arena_for_spec(spec)
-    # the arena is authoritative for the machine shape: generated
-    # workloads echo the spec's values back, while trace replays carry
-    # their header's shape (which the spec's preset-named scale cannot
-    # express for external traces)
-    if arena.num_sms != machine.num_sms:
-        machine = machine.with_overrides(num_sms=arena.num_sms)
     sampler = (
         TimelineSampler(spec.timeline_interval)
         if spec.timeline_interval else None

@@ -151,10 +151,10 @@ class ServiceClient:
         ``created``, ``total``, ``location``).
 
         *configs* / *workloads* may be lists or comma strings; workload
-        tokens follow the sweep grammar (names, suites, ``trace:``,
-        ``all``).  A non-zero *timeline* asks the service to sample the
-        in-simulation timeline every that many cycles (fetch the series
-        with :meth:`timeline` once the job settles).
+        tokens follow the sweep grammar (names, suites, ``all``).  A
+        non-zero *timeline* asks the service to sample the in-simulation
+        timeline every that many cycles (fetch the series with
+        :meth:`timeline` once the job settles).
         """
         payload: Dict = {
             "configs": configs, "workloads": workloads,

@@ -36,7 +36,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.core.factory import l1d_config
 from repro.engine.spec import GPU_PROFILES, SCALE_PRESETS, RunSpec
 from repro.telemetry.tracectx import trace_id_for_job
-from repro.workloads.benchmarks import TRACE_PREFIX
 from repro.workloads.registry import REGISTRY, ensure_builtin_workloads
 from repro.workloads.suites import resolve_workloads
 
@@ -124,20 +123,12 @@ class SweepRequest:
     )
 
     @classmethod
-    def from_payload(
-        cls, payload: object, allow_traces: bool = False
-    ) -> "SweepRequest":
+    def from_payload(cls, payload: object) -> "SweepRequest":
         """Validate a decoded JSON body into a request.
-
-        ``trace:<path>`` workloads name **server-side** files; a remote
-        client must not be able to make the service open and hash
-        arbitrary paths, so they are rejected unless the operator opted
-        in (*allow_traces*, wired to ``REPRO_SERVICE_ALLOW_TRACES``).
 
         Raises:
             InvalidRequest: malformed shape, unknown field/config/
-                workload/profile/scale, bad integer knobs, or a
-                ``trace:`` entry without the opt-in.
+                workload/profile/scale, or bad integer knobs.
         """
         if not isinstance(payload, dict):
             raise InvalidRequest("request body must be a JSON object")
@@ -162,15 +153,7 @@ class SweepRequest:
         )
         ensure_builtin_workloads()
         for name in workloads:
-            if name.startswith(TRACE_PREFIX):
-                if not allow_traces:
-                    raise InvalidRequest(
-                        "trace:<path> workloads are disabled on this "
-                        "service (they name server-side files; start the "
-                        "server with REPRO_SERVICE_ALLOW_TRACES=1 to "
-                        "enable them)"
-                    )
-            elif name not in REGISTRY:
+            if name not in REGISTRY:
                 raise InvalidRequest(
                     f"unknown workload {name!r} (and no suite by that name)"
                 )
@@ -206,8 +189,7 @@ class SweepRequest:
         the job model dedupes by run key).
 
         Raises:
-            InvalidRequest: a ``trace:<path>`` workload whose file is
-                missing or unreadable (hashed at canonicalisation time).
+            InvalidRequest: a field :meth:`RunSpec.build` rejects.
         """
         try:
             return [
@@ -219,7 +201,7 @@ class SweepRequest:
                 for workload in self.workloads
                 for config in self.configs
             ]
-        except (OSError, ValueError) as error:
+        except ValueError as error:
             raise InvalidRequest(str(error)) from error
 
     def as_dict(self) -> Dict:
@@ -238,10 +220,9 @@ class SweepRequest:
         """Rebuild a request from its :meth:`as_dict` form.
 
         Trusted path for journal replay: the request was fully
-        validated when it was first accepted, so this only reshapes --
-        re-validation would wrongly reject a journaled job whose
-        ``trace:`` file has since moved (its canonical specs are
-        journaled alongside and carry the hashed trace content).
+        validated when it was first accepted, so this only reshapes
+        (its canonical specs are journaled alongside, and replay checks
+        each against its run key).
         Keys this version no longer writes (``backend``, from journals
         of older coordinators) are ignored.
 

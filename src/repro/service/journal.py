@@ -10,8 +10,7 @@ skipped on read, never fatal.  Every line is one lifecycle event:
 * ``job_accepted``  -- the full canonical request plus every
   ``(run key, spec)`` pair, written *before* the 202 goes out.  This is
   the write-ahead part: an accepted job is re-runnable from its journal
-  entry alone (specs are the wire form, so ``trace:`` workloads replay
-  without re-hashing the file).
+  entry alone (specs are the wire form).
 * ``run_settled``   -- one per distinct run (key, source, error).
 * ``job_done``      -- terminal state (``done``/``failed``).
 * ``lease_granted`` / ``lease_expired`` -- remote-mode lease traffic,

@@ -49,7 +49,7 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.engine.engine import ExperimentEngine, RunOutcome
 from repro.engine.serialize import result_to_dict
-from repro.engine.spec import RunSpec, spec_to_dict
+from repro.engine.spec import spec_to_dict
 from repro.engine.store import ResultStore
 from repro.service.jobs import Job, SweepRequest
 from repro.service.journal import (
@@ -408,18 +408,11 @@ class JobScheduler:
         return summary
 
     # ------------------------------------------------------------------
-    def submit(
-        self,
-        request: SweepRequest,
-        specs: Optional[List[RunSpec]] = None,
-    ) -> Tuple[Job, bool]:
+    def submit(self, request: SweepRequest) -> Tuple[Job, bool]:
         """Submit a sweep; returns ``(job, created)``.
 
         ``created`` is ``False`` when the submission coalesced onto an
-        already queued/running identical job.  *specs* lets the caller
-        pre-build the run specs off the event loop (``trace:<path>``
-        workloads hash their file during spec building); when omitted
-        they are built here.
+        already queued/running identical job.
 
         Raises:
             Draining: the service is shutting down.
@@ -429,7 +422,7 @@ class JobScheduler:
         if self.draining:
             raise Draining("service is draining; not accepting jobs")
         self._loop = asyncio.get_running_loop()
-        job = Job(request, specs if specs is not None else request.to_specs())
+        job = Job(request, request.to_specs())
         existing = self.jobs.get(job.id)
         if existing is not None and not existing.done:
             self._counters["jobs_coalesced"].inc()

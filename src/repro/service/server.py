@@ -240,14 +240,12 @@ class SimulationService:
         host: str = DEFAULT_HOST,
         port: int = DEFAULT_PORT,
         max_body: int = DEFAULT_MAX_BODY,
-        allow_traces: bool = False,
         access_log: Optional[str] = None,
     ) -> None:
         self.scheduler = scheduler
         self.host = host
         self.port = port
         self.max_body = max_body
-        self.allow_traces = allow_traces
         self.access_log = access_log or None
         self._access_handle = None
         self.started = time.monotonic()
@@ -494,7 +492,7 @@ class SimulationService:
         if path == "/v1/sweeps":
             if method != "POST":
                 raise _HTTPError(405, "POST only")
-            await self._handle_submit(body, writer)
+            self._handle_submit(body, writer)
             return
         if path == "/v1/leases":
             if method == "GET":
@@ -552,7 +550,7 @@ class SimulationService:
                 return
         raise _HTTPError(404, f"no route for {method} {path}")
 
-    async def _handle_submit(
+    def _handle_submit(
         self, body: bytes, writer: asyncio.StreamWriter
     ) -> None:
         try:
@@ -560,15 +558,8 @@ class SimulationService:
         except (UnicodeDecodeError, json.JSONDecodeError):
             raise _HTTPError(400, "request body is not valid JSON")
         try:
-            request = SweepRequest.from_payload(
-                payload, allow_traces=self.allow_traces
-            )
-            # spec building reads + hashes trace files for trace:<path>
-            # workloads -- blocking I/O that must stay off the loop
-            specs = await asyncio.get_running_loop().run_in_executor(
-                None, request.to_specs
-            )
-            job, created = self.scheduler.submit(request, specs)
+            request = SweepRequest.from_payload(payload)
+            job, created = self.scheduler.submit(request)
         except InvalidRequest as error:
             raise _HTTPError(400, str(error))
         except QueueFull as error:
@@ -840,7 +831,6 @@ def build_service(
     max_queue: Optional[int] = None,
     max_active: Optional[int] = None,
     max_body: Optional[int] = None,
-    allow_traces: Optional[bool] = None,
     access_log: Optional[str] = None,
     remote: Optional[bool] = None,
     journal: Optional[str] = None,
@@ -850,8 +840,6 @@ def build_service(
 
     ``REPRO_SERVICE_QUEUE`` / ``REPRO_SERVICE_ACTIVE`` /
     ``REPRO_SERVICE_MAX_BODY`` fill unspecified bounds;
-    ``REPRO_SERVICE_ALLOW_TRACES=1`` opts in to ``trace:<path>``
-    workloads (server-side file access -- off by default);
     ``REPRO_SERVICE_ACCESS_LOG=<path>`` turns on the structured
     per-request JSONL access log.  The scheduler's lease queue is the
     only dispatch path: by default it gets a store-less engine
@@ -901,11 +889,6 @@ def build_service(
         max_body=(
             max_body if max_body is not None
             else env_int("REPRO_SERVICE_MAX_BODY", DEFAULT_MAX_BODY)
-        ),
-        allow_traces=(
-            allow_traces if allow_traces is not None
-            else os.environ.get("REPRO_SERVICE_ALLOW_TRACES", "").strip()
-            in ("1", "true", "yes")
         ),
         access_log=(
             access_log if access_log is not None

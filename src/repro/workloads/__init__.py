@@ -1,4 +1,4 @@
-"""Workload platform: kernel models, the registry, and portable traces.
+"""Workload platform: kernel models, the registry, and packed traces.
 
 The original evaluation runs CUDA binaries from PolyBench, Rodinia,
 Parboil and Mars under GPGPU-Sim.  Those binaries (and a GPU) are not
@@ -17,9 +17,6 @@ Beyond the paper's 21 workloads the package is an *open platform*:
 * :mod:`repro.workloads.dnn` -- a fifth suite of DNN-layer kernels
   (im2col conv, GEMM tiles, attention gathers) with configurable
   tensor shapes.
-* :mod:`repro.workloads.tracefile` -- schema-versioned JSONL trace
-  export/import; an imported trace replays bit-identically through the
-  unmodified GPU/cache stack (``repro trace export/import``).
 * :mod:`repro.workloads.arena` -- the compile-once columnar trace form
   the simulator replays; one packed arena per trace identity is shared
   across the runs of a process and, by copy-on-write, its fork-pool
@@ -33,7 +30,6 @@ from repro.workloads.analysis import (
     read_level_analysis,
 )
 from repro.workloads.benchmarks import (
-    TRACE_PREFIX,
     all_benchmarks,
     benchmark,
     benchmark_names,
@@ -61,14 +57,6 @@ from repro.workloads.trace import (
     load_instruction,
     store_instruction,
 )
-from repro.workloads.tracefile import (
-    TraceReplayKernel,
-    WorkloadTrace,
-    export_trace,
-    load_trace,
-    replay_kernel,
-    trace_sha256,
-)
 
 __all__ = [
     "COMPUTE",
@@ -79,12 +67,9 @@ __all__ = [
     "ReadLevelBreakdown",
     "STORE",
     "SUITES",
-    "TRACE_PREFIX",
-    "TraceReplayKernel",
     "TraceScale",
     "WarpInstruction",
     "WorkloadRegistry",
-    "WorkloadTrace",
     "all_benchmarks",
     "all_suites",
     "arena_cache_stats",
@@ -92,15 +77,11 @@ __all__ = [
     "benchmark_names",
     "classify_block",
     "compute_block",
-    "export_trace",
     "load_instruction",
-    "load_trace",
     "read_level_analysis",
     "register_workload",
-    "replay_kernel",
     "reset_arena_cache",
     "store_instruction",
     "suite_of",
-    "trace_sha256",
     "workload_names",
 ]

@@ -3,9 +3,7 @@
 The 21 Table II workloads register themselves into the default
 :data:`~repro.workloads.registry.REGISTRY` when this module is imported;
 the factory functions below resolve *any* registered workload (built-in,
-DNN-suite, or user-registered -- see ``docs/workload-authoring.md``),
-plus exported trace files via the ``trace:<path>`` pseudo-name
-(see ``docs/trace-format.md``).
+DNN-suite, or user-registered -- see ``docs/workload-authoring.md``).
 
 ``benchmark_names()`` intentionally keeps its historical meaning -- the
 21 Table II names in the paper's figure order -- because it is the
@@ -44,16 +42,12 @@ from repro.workloads.trace import TraceScale
 
 __all__ = [
     "TABLE2_MODELS",
-    "TRACE_PREFIX",
     "all_benchmarks",
     "benchmark",
     "benchmark_class",
     "benchmark_names",
     "workload_names",
 ]
-
-#: pseudo-name prefix that resolves to a trace-file replay kernel
-TRACE_PREFIX = "trace:"
 
 #: the Table II models in the order Figures 13/14/16/17 plot their x-axes
 TABLE2_MODELS = (
@@ -88,21 +82,9 @@ def benchmark(
 ) -> KernelModel:
     """Instantiate one workload's kernel model by name.
 
-    ``trace:<path>`` names resolve to a
-    :class:`~repro.workloads.tracefile.TraceReplayKernel` replaying the
-    exported trace file at *path* (the machine shape must match the
-    trace header).
-
     Raises:
-        ValueError: for unknown names or a trace shape mismatch.
+        ValueError: for unknown names.
     """
-    if name.startswith(TRACE_PREFIX):
-        from repro.workloads.tracefile import replay_kernel
-
-        return replay_kernel(
-            name[len(TRACE_PREFIX):], num_sms=num_sms,
-            warps_per_sm=warps_per_sm, scale=scale, seed=seed,
-        )
     ensure_builtin_workloads()
     return REGISTRY.create(
         name, num_sms=num_sms, warps_per_sm=warps_per_sm, scale=scale,

@@ -54,8 +54,7 @@ def resolve_workloads(raw: Union[str, Sequence[str]]) -> List[str]:
     *raw* is a comma-separated string or a sequence of tokens.  ``all``
     means every registered workload; a token naming a suite (``DNN``,
     ``PolyBench``, ...) expands to the suite's members; an exact
-    workload name wins over a same-named suite; ``trace:<path>`` entries
-    pass through for trace replay.  Unknown tokens pass through
+    workload name wins over a same-named suite.  Unknown tokens pass through
     unchanged and surface later as per-run errors (or are rejected by
     callers that validate eagerly, like the service layer).
 
@@ -63,7 +62,7 @@ def resolve_workloads(raw: Union[str, Sequence[str]]) -> List[str]:
     and the service's sweep-request canonicalisation, so one grammar
     covers every entry point.
     """
-    from repro.workloads.benchmarks import TRACE_PREFIX, workload_names
+    from repro.workloads.benchmarks import workload_names
     from repro.workloads.registry import REGISTRY, ensure_builtin_workloads
 
     tokens = raw.split(",") if isinstance(raw, str) else list(raw)
@@ -76,7 +75,7 @@ def resolve_workloads(raw: Union[str, Sequence[str]]) -> List[str]:
         token = token.strip()
         if not token:
             continue
-        if token.startswith(TRACE_PREFIX) or token in REGISTRY:
+        if token in REGISTRY:
             out.append(token)
         elif token in suites:
             out.extend(suites[token])

@@ -18,8 +18,8 @@ instructions per workload, which a pure-Python model cannot; all reported
 quantities are ratios that survive scaling (ARCHITECTURE.md, "Model
 notes").
 
-``WarpInstruction`` is the *authoring and interchange* representation:
-kernel models emit it, trace files encode it, and tests assert on it.
+``WarpInstruction`` is the *authoring* representation: kernel models
+emit it and tests assert on it.
 The simulator itself replays the columnar packed form
 (:class:`~repro.workloads.arena.PackedTraceArena`); the two convert
 losslessly in both directions.

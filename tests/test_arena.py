@@ -80,16 +80,6 @@ class TestPackUnpackRoundTrip:
                       scale=TraceScale.smoke())
         )
 
-    def test_trace_file_workload(self, tmp_path):
-        from repro.workloads.tracefile import export_trace
-
-        model = benchmark("BICG", num_sms=2, warps_per_sm=3,
-                          scale=TraceScale.smoke())
-        path = tmp_path / "bicg.jsonl"
-        export_trace(model, path, scale="smoke", gpu_profile="fermi")
-        replay = benchmark(f"trace:{path}", num_sms=2, warps_per_sm=3)
-        self._assert_round_trip(replay)
-
     def test_hand_authored_ops(self):
         ops = [
             compute_block(7),

@@ -34,6 +34,12 @@ class TestRun:
                      "--scale", "smoke"])
         assert code == 2
 
+    def test_negative_sm_count_fails_cleanly(self, capsys):
+        code = main(["run", "L1-SRAM", "ATAX", "--sms", "-2",
+                     "--scale", "smoke"])
+        assert code == 2
+        assert "num_sms must be >= 1" in capsys.readouterr().err
+
 
 class TestCompare:
     def test_compare_two_configs(self, capsys):
@@ -88,6 +94,17 @@ class TestSweep:
         assert "1 failed" in captured.out
         assert "unknown benchmark" in captured.err
 
+    def test_zero_sm_count_fails_and_stores_nothing(self, tmp_path, capsys):
+        store = tmp_path / "store.jsonl"
+        code = main([
+            "sweep", "--configs", "L1-SRAM", "--workloads", "ATAX",
+            "--store", str(store), "--sms", "0", "--scale", "smoke",
+            "--quiet",
+        ])
+        assert code == 2
+        assert "num_sms must be >= 1" in capsys.readouterr().err
+        assert not store.exists() or store.read_text() == ""
+
     def test_unknown_config_fails_cleanly(self, capsys):
         code = main([
             "sweep", "--configs", "L1-MAGIC", "--workloads", "2DCONV",
@@ -122,20 +139,6 @@ class TestSweep:
         assert "3 runs:" in out
         assert out.count("attention") == 1
 
-    def test_trace_entry_sweeps(self, tmp_path, capsys):
-        trace = tmp_path / "t.jsonl"
-        assert main([
-            "trace", "export", "2DCONV", str(trace), "--sms", "2",
-            "--scale", "smoke",
-        ]) == 0
-        capsys.readouterr()
-        assert main([
-            "sweep", "--configs", "L1-SRAM",
-            "--workloads", f"trace:{trace}", "--no-store", "--sms", "2",
-            "--scale", "smoke", "--quiet",
-        ]) == 0
-        assert "1 fresh" in capsys.readouterr().out
-
     def test_empty_store_path_disables_persistence(self, capsys):
         # --store "" mirrors REPRO_STORE="": no store, nothing written
         code = main([
@@ -146,63 +149,6 @@ class TestSweep:
         out = capsys.readouterr().out
         assert "(store:" not in out
         assert "1 fresh" in out
-
-
-class TestTrace:
-    def test_export_info_import_round_trip(self, tmp_path, capsys):
-        path = tmp_path / "atax.trace.jsonl"
-        assert main([
-            "trace", "export", "ATAX", str(path), "--sms", "2",
-            "--scale", "smoke",
-        ]) == 0
-        assert "exported ATAX" in capsys.readouterr().out
-
-        assert main(["trace", "info", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "ATAX" in out and "sha256" in out
-
-        assert main([
-            "trace", "import", str(path), "--config", "L1-SRAM",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "replaying ATAX trace" in out
-        assert "IPC" in out and "run key: " in out
-
-    def test_import_falls_back_on_foreign_header_labels(
-        self, tmp_path, capsys
-    ):
-        """Converter-invented scale/gpu names must not break replay; the
-        header's machine shape is authoritative anyway."""
-        import json
-
-        path = tmp_path / "t.jsonl"
-        assert main([
-            "trace", "export", "2DCONV", str(path), "--sms", "2",
-            "--scale", "smoke",
-        ]) == 0
-        lines = path.read_text().splitlines()
-        header = json.loads(lines[0])
-        header["scale"] = "accelsim"
-        header["gpu_profile"] = "pascal"
-        path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
-        capsys.readouterr()
-        assert main([
-            "trace", "import", str(path), "--config", "L1-SRAM",
-        ]) == 0
-        assert "run key" in capsys.readouterr().out
-
-    def test_import_missing_file_fails_cleanly(self, tmp_path, capsys):
-        code = main(["trace", "import", str(tmp_path / "nope.jsonl")])
-        assert code == 2
-        assert "not found" in capsys.readouterr().err
-
-    def test_export_unknown_workload_fails_cleanly(self, tmp_path, capsys):
-        code = main([
-            "trace", "export", "LINPACK", str(tmp_path / "t.jsonl"),
-            "--sms", "2", "--scale", "smoke",
-        ])
-        assert code == 2
-        assert "unknown benchmark" in capsys.readouterr().err
 
 
 class TestStoreCommand:

@@ -22,6 +22,7 @@ from repro.engine import (
     spec_to_dict,
 )
 from repro.harness.runner import Runner
+from repro.workloads.dnn import DNN_SUITE
 
 SMOKE = dict(gpu_profile="fermi", scale="smoke", num_sms=2)
 
@@ -53,6 +54,38 @@ class TestRunKey:
         bigger = RunSpec.build("L1-SRAM", "2DCONV", gpu_profile="fermi",
                                scale="smoke", num_sms=4)
         assert base.key() != bigger.key()
+
+    @pytest.mark.parametrize("config, interval, digest", [
+        (
+            "L1-SRAM", 0,
+            "d9c207a7d5c8268e2edded48de760af075c1a5bb45abc4834cbf97ffb3150f47",
+        ),
+        (
+            "L1-SRAM", 50,
+            "eca4c3ebd99d500b9bd06b8065f23713afeaeb9e34a2c4ff3a5b33bb16259c8d",
+        ),
+        (
+            ratio_config(Fraction(1, 2)), 0,
+            "39a0509e08096ee37c69549a56b9931c3c7898d6ac9ba2549cc25e619029f158",
+        ),
+    ], ids=["L1-SRAM", "L1-SRAM-timeline50", "Dy-FUSE-1/2"])
+    def test_store_keys_pinned(self, config, interval, digest):
+        # literal digests of stored runs: a change to spec_to_dict's
+        # layout would orphan every result already in a store
+        spec = RunSpec.build(
+            config, "ATAX", trace_salt=0, timeline_interval=interval,
+            **SMOKE,
+        )
+        assert spec.key().digest == digest
+
+    @pytest.mark.parametrize("bad", [
+        dict(num_sms=0), dict(num_sms=-2), dict(scale="huge"),
+        dict(gpu_profile="pascal"), dict(timeline_interval=-1),
+    ])
+    def test_build_rejects_out_of_range_fields(self, bad):
+        fields = dict(SMOKE, **bad)
+        with pytest.raises(ValueError):
+            RunSpec.build("L1-SRAM", "ATAX", **fields)
 
     def test_num_sms_resolved_from_profile(self):
         spec = RunSpec.build("L1-SRAM", "ATAX", gpu_profile="fermi",
@@ -363,6 +396,27 @@ class TestEngine:
         assert set(table) == {"ATAX"}
         assert set(table["ATAX"]) == {"L1-SRAM", "Dy-FUSE"}
         assert len(outcomes) == 2
+
+    def test_dnn_suite_sweep_with_store_round_trip(self, tmp_path):
+        """The acceptance bar: a DNN-suite sweep runs end-to-end through
+        the parallel engine, and a repeat completes from the store."""
+        store_path = tmp_path / "store.jsonl"
+        engine = ExperimentEngine(
+            store=ResultStore(store_path), workers=2
+        )
+        table, first = engine.run_matrix(
+            ["L1-SRAM", "Dy-FUSE"], DNN_SUITE, scale="smoke", num_sms=2,
+        )
+        assert all(o.ok for o in first)
+        assert {o.source for o in first} == {"fresh"}
+        assert set(table) == set(DNN_SUITE)
+        engine2 = ExperimentEngine(
+            store=ResultStore(store_path), workers=2
+        )
+        _, second = engine2.run_matrix(
+            ["L1-SRAM", "Dy-FUSE"], DNN_SUITE, scale="smoke", num_sms=2,
+        )
+        assert {o.source for o in second} == {"store"}
 
 
 class TestCrossProcessReproducibility:

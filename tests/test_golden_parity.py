@@ -15,6 +15,14 @@ model-behaviour change, never to paper over a refactor diff)::
 
     PYTHONPATH=src python tests/test_golden_parity.py --record
 
+A model change must also invalidate every stored result, which the
+store does by its ``SCHEMA_VERSION`` tag.  So the file records one
+model digest per schema version (a hash over every run's payload
+digest), the test checks the current version's against the current
+payloads, and ``--record`` refuses to overwrite a different digest
+already recorded under the current version: re-recorded goldens force
+a ``SCHEMA_VERSION`` bump.
+
 The energy report is derived arithmetically from these counters and is
 excluded from the payload (float formatting would add noise without
 adding coverage).
@@ -22,6 +30,7 @@ adding coverage).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import pathlib
@@ -29,7 +38,7 @@ import sys
 
 import pytest
 
-from repro.engine.serialize import result_to_dict
+from repro.engine.serialize import SCHEMA_VERSION, result_to_dict
 from repro.engine.spec import RunSpec, execute_spec
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "golden_parity.json"
@@ -81,6 +90,36 @@ def payload_digest(payload: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
+@functools.lru_cache(maxsize=None)
+def current_digest(config: str, workload: str, scale: str) -> str:
+    """Payload digest of one golden run, simulated once per process."""
+    return payload_digest(simulate_payload(config, workload, scale))
+
+
+def model_digest(run_digests: dict) -> str:
+    """SHA-256 over the run payload digests, in run-id order."""
+    joined = "\n".join(run_digests[rid] for rid in sorted(run_digests))
+    return hashlib.sha256(joined.encode()).hexdigest()
+
+
+def merge_model_digest(model_digests: dict, version: int, digest: str) -> dict:
+    """*model_digests* with *digest* recorded under *version*.
+
+    Raises:
+        ValueError: a different digest is already recorded under
+            *version*; the model changed, so ``SCHEMA_VERSION`` must be
+            bumped before the goldens are recorded again.
+    """
+    previous = model_digests.get(str(version))
+    if previous is not None and previous != digest:
+        raise ValueError(
+            f"the golden payloads changed under schema version {version}: "
+            "bump SCHEMA_VERSION in repro/engine/serialize.py so stored "
+            "results are invalidated, then record again"
+        )
+    return {**model_digests, str(version): digest}
+
+
 def _load_goldens() -> dict:
     with GOLDEN_PATH.open() as handle:
         return json.load(handle)
@@ -110,14 +149,40 @@ def test_golden_file_covers_declared_runs(goldens):
 )
 def test_golden_parity(goldens, config, workload, scale):
     recorded = goldens["runs"][run_id(config, workload, scale)]
-    payload = simulate_payload(config, workload, scale)
     # digest first for a crisp one-line failure, full dict for the diff
-    if payload_digest(payload) != recorded["digest"]:
+    if current_digest(config, workload, scale) != recorded["digest"]:
+        payload = simulate_payload(config, workload, scale)
         assert payload == recorded["payload"], (
             f"simulation diverged from golden recording for "
             f"{config} on {workload} ({scale} scale)"
         )
         pytest.fail("digest mismatch but payloads equal: golden file corrupt")
+
+
+def test_model_digest_pins_schema_version(goldens):
+    recorded = goldens["model_digests"].get(str(SCHEMA_VERSION))
+    assert recorded is not None, (
+        f"no model digest recorded for schema version {SCHEMA_VERSION}; "
+        "record the goldens"
+    )
+    current = model_digest(
+        {run_id(*run): current_digest(*run) for run in GOLDEN_RUNS}
+    )
+    assert current == recorded, (
+        f"simulation payloads differ from those recorded under schema "
+        f"version {SCHEMA_VERSION}: a model change must bump "
+        "SCHEMA_VERSION so stored results are invalidated"
+    )
+
+
+def test_record_refuses_to_overwrite_a_different_model_digest():
+    recorded = {"2": "a" * 64}
+    assert merge_model_digest(recorded, 2, "a" * 64) == recorded
+    assert merge_model_digest(recorded, 3, "b" * 64) == {
+        "2": "a" * 64, "3": "b" * 64,
+    }
+    with pytest.raises(ValueError, match="bump SCHEMA_VERSION"):
+        merge_model_digest(recorded, 2, "b" * 64)
 
 
 def record() -> None:  # pragma: no cover - maintenance entry point
@@ -129,10 +194,16 @@ def record() -> None:  # pragma: no cover - maintenance entry point
             "payload": payload,
         }
         print(f"recorded {run_id(config, workload, scale)}")
+    previous = _load_goldens() if GOLDEN_PATH.exists() else {}
+    model_digests = merge_model_digest(
+        previous.get("model_digests", {}), SCHEMA_VERSION,
+        model_digest({rid: entry["digest"] for rid, entry in runs.items()}),
+    )
     GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
     GOLDEN_PATH.write_text(json.dumps(
         {"comment": "golden SimulationResult payloads; see "
                     "tests/test_golden_parity.py",
+         "model_digests": model_digests,
          "runs": runs},
         indent=1, sort_keys=True,
     ) + "\n")
@@ -141,6 +212,9 @@ def record() -> None:  # pragma: no cover - maintenance entry point
 
 if __name__ == "__main__":  # pragma: no cover
     if "--record" in sys.argv:
-        record()
+        try:
+            record()
+        except ValueError as error:
+            sys.exit(f"refusing to record: {error}")
     else:
         print(__doc__)

@@ -68,6 +68,38 @@ SWEEP_TOTAL = 4
 SMALL = dict(configs="L1-SRAM", workloads="2DCONV", scale="smoke", num_sms=2)
 
 
+#: a ``job_accepted`` entry for a ``trace:<path>`` workload, exactly as
+#: coordinators that replayed trace files journaled it
+OLD_TRACE_JOB = {
+    "job": "5dc765164421351c6904e8a8fafc681f06c68323d1c21fddebc8bfcd9b678739",
+    "request": {
+        "configs": ["L1-SRAM"], "workloads": ["trace:/x"],
+        "gpu_profile": "fermi", "scale": "smoke", "seed": 0,
+        "num_sms": None, "timeline": 0,
+    },
+    "specs": [{
+        "key": (
+            "72596986d88c3074a8c5f19bf53bafc9"
+            "59a80df67585144ae286935482af3da8"
+        ),
+        "spec": {
+            "l1d": {
+                "name": "L1-SRAM", "kind": "sram", "sram_kb": 32,
+                "sram_assoc": 4, "stt_kb": 0, "stt_assoc": 4,
+                "features": None, "exact_fa": False, "swap_entries": 3,
+                "tag_queue_capacity": 16, "num_cbfs": 128,
+                "cbf_counters": 16, "cbf_hashes": 3, "mshr_entries": 32,
+                "mshr_max_merge": 8, "dead_threshold": 10,
+                "unused_threshold": 14,
+            },
+            "workload": "trace:/x", "gpu_profile": "fermi",
+            "scale": "smoke", "seed": 0, "num_sms": 2, "trace_salt": 0,
+            "trace_sha256": "5" * 64,
+        },
+    }],
+}
+
+
 def wait_until(predicate, timeout_s=15.0, poll_s=0.05, what="condition"):
     deadline = time.monotonic() + timeout_s
     while time.monotonic() < deadline:
@@ -553,6 +585,32 @@ class TestRecoveryInProcess:
             client = ServiceClient(svc.url)
             with pytest.raises(ServiceError) as excinfo:
                 client.job(job.id)
+            assert excinfo.value.status == 404
+
+    def test_trace_file_job_from_an_old_journal_is_unrecoverable(
+        self, tmp_path
+    ):
+        """Coordinators that still replayed trace files journaled specs
+        naming a file and its content hash.  Such a job no longer hashes
+        to its key, so replay skips it and recovers the rest."""
+        journal = tmp_path / "journal.jsonl"
+        job = make_job()
+        writer = JobJournal(journal)
+        writer.append(EV_JOB_ACCEPTED, **OLD_TRACE_JOB)
+        writer.append(EV_JOB_ACCEPTED, **accepted_fields(job))
+        writer.close()
+        with BackgroundService(
+            workers=1, no_store=True, journal=str(journal),
+        ) as svc:
+            recovered = svc.service.scheduler.recovered
+            assert recovered["unrecoverable_jobs"] == 1
+            assert recovered["requeued_jobs"] == 1
+            client = ServiceClient(svc.url)
+            snap = client.wait(job.id, timeout=120)
+            assert snap["state"] == "done"
+            assert snap["errors"] == 0
+            with pytest.raises(ServiceError) as excinfo:
+                client.job(OLD_TRACE_JOB["job"])
             assert excinfo.value.status == 404
 
     def test_remote_requeue_and_late_settle(self, tmp_path):

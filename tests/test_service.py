@@ -154,16 +154,11 @@ class TestSweepRequest:
         with pytest.raises(InvalidRequest):
             request(**bad)
 
-    def test_trace_workloads_gated_behind_operator_opt_in(self):
-        """trace:<path> names server-side files; remote clients must not
-        reach the filesystem unless the operator opted in."""
-        with pytest.raises(InvalidRequest, match="disabled"):
+    def test_file_path_workload_is_an_unknown_workload(self):
+        """A workload token naming a server-side file is refused by
+        name, before anything could open the file."""
+        with pytest.raises(InvalidRequest, match="unknown workload"):
             request(workloads=["trace:/etc/hosts"])
-        allowed = SweepRequest.from_payload(
-            payload(workloads=["trace:/tmp/some-trace.jsonl"]),
-            allow_traces=True,
-        )
-        assert allowed.workloads == ("trace:/tmp/some-trace.jsonl",)
 
     def test_non_object_body_rejected(self):
         with pytest.raises(InvalidRequest):
