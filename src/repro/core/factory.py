@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Union
 
 from repro.cache.basecache import BaseCache
 from repro.cache.interface import L1DCacheModel
@@ -155,7 +155,7 @@ def l1d_config(name: str) -> L1DConfig:
 
 
 def ratio_config(
-    sram_fraction: Fraction,
+    sram_fraction: Union[Fraction, float],
     base: str = "Dy-FUSE",
     area_budget_kb: int = AREA_BUDGET_SRAM_KB,
 ) -> L1DConfig:
@@ -163,7 +163,10 @@ def ratio_config(
 
     Args:
         sram_fraction: fraction of the L1D area spent on SRAM (the paper
-            sweeps 1/16, 1/8, 1/4, 1/2 and 3/4).
+            sweeps 1/16, 1/8, 1/4, 1/2 and 3/4).  A float is read as the
+            decimal it prints as, so ``0.5`` and ``Fraction(1, 2)``
+            build one config under one name (``Dy-FUSE-1/2``) and so
+            one run key.
         base: named configuration providing the feature set.
         area_budget_kb: SRAM-equivalent area budget (32 KB).
 
@@ -171,9 +174,10 @@ def ratio_config(
         A config whose SRAM bank holds ``fraction x budget`` KB and whose
         STT bank holds the remaining area at 4x density.
     """
-    if not 0 < sram_fraction < 1:
+    fraction = Fraction(str(sram_fraction))
+    if not 0 < fraction < 1:
         raise ValueError("sram_fraction must be in (0, 1)")
-    sram_kb = int(area_budget_kb * sram_fraction)
+    sram_kb = int(area_budget_kb * fraction)
     if sram_kb < 1:
         raise ValueError("sram_fraction too small for the area budget")
     stt_kb = (area_budget_kb - sram_kb) * STT_DENSITY_FACTOR
@@ -185,11 +189,11 @@ def ratio_config(
     if sram_assoc == 1 and lines >= 2:
         sram_assoc = 2
     return template.with_overrides(
-        name=f"{base}-{sram_fraction}",
+        name=f"{base}-{fraction}",
         sram_kb=sram_kb,
         sram_assoc=sram_assoc,
         stt_kb=stt_kb,
-        description=f"{base} with {sram_fraction} of area as SRAM",
+        description=f"{base} with {fraction} of area as SRAM",
     )
 
 

@@ -1,10 +1,11 @@
 """Packed trace arena: compile-once columnar warp streams.
 
-A kernel model's trace used to be consumed as a lazy stream of frozen
-:class:`~repro.workloads.trace.WarpInstruction` objects -- one Python
-object (plus a ``coalesce()`` set + sort) per instruction, regenerated
-from scratch for every run.  A :class:`PackedTraceArena` compiles the
-whole workload **once** into flat columnar buffers:
+A kernel model authors its trace as a stream of
+:class:`~repro.workloads.trace.WarpInstruction` records per warp.
+Replaying those records run after run would cost one Python object per
+instruction in the simulator's hot loop and regenerate the trace for
+every run, so a :class:`PackedTraceArena` compiles the whole workload
+**once** into flat columnar buffers:
 
 * ``op_kind``   -- ``array('b')``, one kind code per op;
 * ``op_pc``     -- ``array('q')``, the op's program counter;
@@ -107,6 +108,8 @@ class PackedTraceArena:
 
         Counts as one *pack* in :func:`arena_cache_stats` (this is where
         trace generation -- the generators plus the coalescer -- runs).
+        Each record is unpacked into its four fields and appended
+        through bound methods; the op budget is checked on every op.
 
         Raises:
             RuntimeError: past :data:`MAX_ARENA_OPS` ops -- a
@@ -121,25 +124,31 @@ class PackedTraceArena:
         txn_off = array("q", [0])
         txns = array("q")
         warp_bounds = array("q", [0])
-        transactions = 0
+        add_kind, add_pc, add_count = (
+            op_kind.append, op_pc.append, op_count.append
+        )
+        add_off, add_txns = txn_off.append, txns.extend
+        limit = MAX_ARENA_OPS
+        ops = transactions = 0
         for sm_id in range(num_sms):
             for warp_id in range(warps_per_sm):
-                for op in streams(sm_id, warp_id):
-                    op_kind.append(op.kind)
-                    op_pc.append(op.pc)
-                    op_count.append(op.count)
-                    if op.transactions:
-                        txns.extend(op.transactions)
-                        transactions += len(op.transactions)
-                    txn_off.append(transactions)
-                    if len(op_kind) > MAX_ARENA_OPS:
+                for kind, pc, count, blocks in streams(sm_id, warp_id):
+                    ops += 1
+                    if ops > limit:
                         raise RuntimeError(
                             f"trace for {workload!r} exceeds "
-                            f"{MAX_ARENA_OPS:,} ops while packing warp "
+                            f"{limit:,} ops while packing warp "
                             f"({sm_id}, {warp_id}); the stream is "
                             "runaway or far beyond any simulatable scale"
                         )
-                warp_bounds.append(len(op_kind))
+                    add_kind(kind)
+                    add_pc(pc)
+                    add_count(count)
+                    if blocks:
+                        add_txns(blocks)
+                        transactions += len(blocks)
+                    add_off(transactions)
+                warp_bounds.append(ops)
         _PACKS.inc()
         _PACK_SECONDS.inc(time.perf_counter() - started)
         record_span(

@@ -12,6 +12,13 @@ patterns unit-testable in isolation:
 * :func:`gather_load` / :func:`scatter_store` -- per-lane random indices
   within a region (cfd's indirect neighbours, histogram bins, MapReduce
   hash buckets).
+
+The unit-stride and strided helpers coalesce in closed form
+(:func:`unit_stride_blocks`, :func:`strided_blocks`): their blocks follow
+from the first lane's address and the stride, so no lane list, set or
+sort is built.  Gathers, scatters, wrapping strides and hand-built lane
+lists go through :func:`repro.gpu.coalescer.coalesce`, the one general
+path.
 * :func:`interleave` -- pads a memory-instruction stream with compute
   blocks so the measured APKI tracks a target (Table II calibration).
 """
@@ -20,10 +27,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Sequence
+from typing import Iterable, Iterator, List, Tuple
 
+from repro.cache.request import BLOCK_SHIFT
+from repro.gpu.coalescer import coalesce
 from repro.workloads.trace import (
+    LOAD,
+    STORE,
     WarpInstruction,
+    _new,
     compute_block,
     load_instruction,
     store_instruction,
@@ -31,9 +43,9 @@ from repro.workloads.trace import (
 
 __all__ = [
     "ELEMENT", "Region", "WARP_BYTES", "WARP_LANES", "coalesced_load",
-    "coalesced_store", "gather_load", "interleave", "lane_addresses",
-    "region", "rmw", "scatter_store", "strided_load", "strided_store",
-    "take_instructions", "zipf_indices",
+    "coalesced_store", "gather_load", "interleave", "region", "rmw",
+    "scatter_store", "strided_blocks", "strided_load", "strided_store",
+    "take_instructions", "unit_stride_blocks", "zipf_indices",
 ]
 
 #: lane element size; each thread reads/writes a 4-byte word
@@ -44,6 +56,9 @@ WARP_LANES = 32
 
 #: bytes one fully-coalesced warp access covers
 WARP_BYTES = WARP_LANES * ELEMENT  # == 128, one block
+
+#: byte distance from lane 0's word to the last lane's word
+_UNIT_SPAN = WARP_BYTES - ELEMENT
 
 
 @dataclass(frozen=True)
@@ -74,19 +89,58 @@ def region(index: int, size: int) -> Region:
 
 
 # ----------------------------------------------------------------------
-def lane_addresses(base: int, stride: int) -> List[int]:
-    """Per-lane byte addresses for a warp access at *base* with *stride*."""
-    return [base + lane * stride for lane in range(WARP_LANES)]
+def unit_stride_blocks(addr: int) -> Tuple[int, ...]:
+    """The blocks a unit-stride warp access at byte *addr* touches.
+
+    Its lanes cover ``[addr, addr + 124]``: one 128-byte block when
+    *addr* is block-aligned, else two consecutive ones.  Equal to
+    ``coalesce(warp_addresses(addr, ELEMENT))`` without building lanes.
+    """
+    first = addr >> BLOCK_SHIFT
+    last = (addr + _UNIT_SPAN) >> BLOCK_SHIFT
+    return (first,) if first == last else (first, last)
+
+
+def strided_blocks(
+    reg: Region, offset: int, stride: int, lanes: int
+) -> Tuple[int, ...]:
+    """The blocks lanes ``reg.addr(offset + lane * stride)`` touch.
+
+    When the lanes stay inside the region (no wrap) the answer is
+    closed-form: for ``stride <= 128`` no block between the first and
+    the last lane's is skipped, so it is that contiguous range; for a
+    larger stride every lane has a block of its own, already in lane
+    (ascending) order.  Anything else -- a wrapping walk, a non-positive
+    stride, no lanes -- goes through the general :func:`coalesce`.
+    """
+    first = offset % reg.size
+    span = (lanes - 1) * stride
+    if lanes > 0 and stride > 0 and first + span < reg.size:
+        addr = reg.base + first
+        if stride <= WARP_BYTES:
+            return tuple(range(
+                addr >> BLOCK_SHIFT, ((addr + span) >> BLOCK_SHIFT) + 1
+            ))
+        return tuple(
+            (addr + lane * stride) >> BLOCK_SHIFT for lane in range(lanes)
+        )
+    return tuple(coalesce(
+        [reg.addr(offset + lane * stride) for lane in range(lanes)]
+    ))
 
 
 def coalesced_load(pc: int, reg: Region, offset: int) -> WarpInstruction:
     """Unit-stride warp load of 128 consecutive bytes."""
-    return load_instruction(pc, lane_addresses(reg.addr(offset), ELEMENT))
+    return _new(WarpInstruction, (
+        LOAD, pc, 1, unit_stride_blocks(reg.addr(offset))
+    ))
 
 
 def coalesced_store(pc: int, reg: Region, offset: int) -> WarpInstruction:
     """Unit-stride warp store of 128 consecutive bytes."""
-    return store_instruction(pc, lane_addresses(reg.addr(offset), ELEMENT))
+    return _new(WarpInstruction, (
+        STORE, pc, 1, unit_stride_blocks(reg.addr(offset))
+    ))
 
 
 def strided_load(
@@ -96,18 +150,18 @@ def strided_load(
 
     ``lanes < 32`` models partially-diverged warps (some lanes disabled
     or coalescing into fewer distinct blocks)."""
-    return load_instruction(
-        pc, [reg.addr(offset + lane * stride) for lane in range(lanes)]
-    )
+    return _new(WarpInstruction, (
+        LOAD, pc, 1, strided_blocks(reg, offset, stride, lanes)
+    ))
 
 
 def strided_store(
     pc: int, reg: Region, offset: int, stride: int, lanes: int = WARP_LANES
 ) -> WarpInstruction:
     """Column-walk store."""
-    return store_instruction(
-        pc, [reg.addr(offset + lane * stride) for lane in range(lanes)]
-    )
+    return _new(WarpInstruction, (
+        STORE, pc, 1, strided_blocks(reg, offset, stride, lanes)
+    ))
 
 
 def gather_load(

@@ -9,9 +9,12 @@ kinds exist:
   instructions, so IPC accounting is identical to issuing them one by one
   while the simulator does O(1) work.
 * **loads / stores** -- one static memory instruction with its coalesced
-  block-address transactions attached (the coalescer runs at trace
-  generation time; the hardware algorithm lives in
-  :mod:`repro.gpu.coalescer` and is applied to the per-thread addresses).
+  block-address transactions attached.  Coalescing happens at trace
+  generation time: :func:`load_instruction` / :func:`store_instruction`
+  apply the hardware algorithm (:func:`repro.gpu.coalescer.coalesce`)
+  to the per-thread addresses, and the unit-stride and non-wrapping
+  strided helpers of :mod:`repro.workloads.patterns` compute the same
+  blocks in closed form.
 
 ``TraceScale`` carries the scale-down knobs: the paper simulates >1e9
 instructions per workload, which a pure-Python model cannot; all reported
@@ -19,7 +22,8 @@ quantities are ratios that survive scaling (ARCHITECTURE.md, "Model
 notes").
 
 ``WarpInstruction`` is the *authoring* representation: kernel models
-emit it and tests assert on it.
+emit it and tests assert on it.  It is a named tuple of its four fields,
+so the packer unpacks each record in one step.
 The simulator itself replays the columnar packed form
 (:class:`~repro.workloads.arena.PackedTraceArena`); the two convert
 losslessly in both directions.
@@ -28,7 +32,7 @@ losslessly in both directions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, NamedTuple, Tuple
 
 from repro.gpu.coalescer import coalesce
 
@@ -45,9 +49,14 @@ STORE = 2
 _KIND_NAMES = {COMPUTE: "compute", LOAD: "load", STORE: "store"}
 
 
-@dataclass(slots=True, frozen=True)
-class WarpInstruction:
-    """One warp-level instruction (or collapsed compute block)."""
+class WarpInstruction(NamedTuple):
+    """One warp-level instruction (or collapsed compute block).
+
+    A named tuple: immutable, compared and hashed by value, and built by
+    the pattern helpers through :data:`_new` without an ``__init__``
+    call, which keeps trace compilation cheap (a frozen dataclass paid
+    about a microsecond per record for its guarded attribute writes).
+    """
 
     kind: int
     pc: int = 0
@@ -67,6 +76,11 @@ class WarpInstruction:
         )
 
 
+#: ``_new(WarpInstruction, (kind, pc, count, transactions))`` builds a
+#: record from its four fields in field order, with no argument parsing
+_new = tuple.__new__
+
+
 def compute_block(count: int) -> WarpInstruction:
     """A run of *count* arithmetic instructions.
 
@@ -75,21 +89,17 @@ def compute_block(count: int) -> WarpInstruction:
     """
     if count < 1:
         raise ValueError("compute blocks need count >= 1")
-    return WarpInstruction(kind=COMPUTE, count=count)
+    return _new(WarpInstruction, (COMPUTE, 0, count, ()))
 
 
 def load_instruction(pc: int, addresses: Iterable[int]) -> WarpInstruction:
     """A warp load; *addresses* are the per-thread byte addresses."""
-    return WarpInstruction(
-        kind=LOAD, pc=pc, transactions=tuple(coalesce(addresses))
-    )
+    return _new(WarpInstruction, (LOAD, pc, 1, tuple(coalesce(addresses))))
 
 
 def store_instruction(pc: int, addresses: Iterable[int]) -> WarpInstruction:
     """A warp store; *addresses* are the per-thread byte addresses."""
-    return WarpInstruction(
-        kind=STORE, pc=pc, transactions=tuple(coalesce(addresses))
-    )
+    return _new(WarpInstruction, (STORE, pc, 1, tuple(coalesce(addresses))))
 
 
 @dataclass(frozen=True)

@@ -40,6 +40,16 @@ class TestRunKey:
         assert a.key() == b.key()
         assert RunKey.for_spec(a).digest == RunKey.for_spec(b).digest
 
+    def test_float_and_fraction_ratios_share_one_key(self):
+        # a ratio is named from its normalised Fraction, so the float
+        # spelling of a Figure 18 point is the same machine and run
+        as_float = ratio_config(0.5)
+        as_fraction = ratio_config(Fraction(1, 2))
+        assert as_float == as_fraction
+        assert as_float.name == "Dy-FUSE-1/2"
+        assert (RunSpec.build(as_float, "ATAX", **SMOKE).key()
+                == RunSpec.build(as_fraction, "ATAX", **SMOKE).key())
+
     def test_description_is_cosmetic(self):
         cfg = l1d_config("Dy-FUSE")
         relabelled = cfg.with_overrides(description="something else")

@@ -1,5 +1,6 @@
 """Pins for trace compilation: the packed arena of every registered
-workload, and the packer's runaway guard.
+workload, the closed-form coalescing of the pattern helpers, and the
+packer's runaway guard.
 
 ``PINNED_ARENAS`` holds a literal SHA-256 digest over all six arena
 buffers (``op_kind``, ``op_pc``, ``op_count``, ``txn_off``, ``txns``,
@@ -16,12 +17,32 @@ import hashlib
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.engine.spec import RunSpec, arena_for_spec
+from repro.gpu.coalescer import coalesce, warp_addresses
 from repro.workloads import arena as arena_module
+from repro.workloads import patterns
 from repro.workloads.arena import PackedTraceArena, reset_arena_cache
 from repro.workloads.benchmarks import workload_names
-from repro.workloads.trace import compute_block, load_instruction
+from repro.workloads.patterns import (
+    ELEMENT,
+    Region,
+    coalesced_load,
+    coalesced_store,
+    strided_blocks,
+    strided_load,
+    strided_store,
+    unit_stride_blocks,
+)
+from repro.workloads.trace import (
+    LOAD,
+    STORE,
+    WarpInstruction,
+    compute_block,
+    load_instruction,
+    store_instruction,
+)
 
 BUFFERS = ("op_kind", "op_pc", "op_count", "txn_off", "txns", "warp_bounds")
 
@@ -177,3 +198,72 @@ def test_runaway_stream_fails_loudly(monkeypatch):
     message = str(raised.value)
     assert "'endless'" in message
     assert "warp (1, 2)" in message
+
+
+# ----------------------------------------------------------------------
+# closed-form coalescing equals the general coalescer over the same lanes
+
+#: small regions make most strided walks wrap (the general path),
+#: large ones make most stay inside (the closed forms)
+regions = st.builds(
+    Region,
+    base=st.integers(0, 1 << 40),
+    size=st.one_of(st.integers(1, 1 << 12), st.integers(1 << 17, 1 << 21)),
+)
+offsets = st.integers(-(1 << 20), 1 << 20)
+
+
+def lane_blocks(reg, offset, stride, lanes):
+    return tuple(coalesce(
+        [reg.addr(offset + lane * stride) for lane in range(lanes)]
+    ))
+
+
+@settings(max_examples=400, deadline=None)
+@given(addr=st.integers(0, 1 << 48))
+def test_unit_stride_blocks_match_coalesce(addr):
+    assert unit_stride_blocks(addr) == tuple(
+        coalesce(warp_addresses(addr, ELEMENT))
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(reg=regions, offset=offsets, pc=st.integers(0, 1 << 16))
+def test_coalesced_access_matches_coalesce(reg, offset, pc):
+    lanes = warp_addresses(reg.addr(offset), ELEMENT)
+    assert coalesced_load(pc, reg, offset) == load_instruction(pc, lanes)
+    assert coalesced_store(pc, reg, offset) == store_instruction(pc, lanes)
+
+
+@settings(max_examples=600, deadline=None)
+@given(
+    reg=regions,
+    offset=offsets,
+    stride=st.integers(1, 4096),
+    lanes=st.integers(0, 32),
+)
+def test_strided_blocks_match_coalesce(reg, offset, stride, lanes):
+    """Random bases, strides 1-4096, and regions small enough that many
+    walks wrap (those take the general path)."""
+    expected = lane_blocks(reg, offset, stride, lanes)
+    assert strided_blocks(reg, offset, stride, lanes) == expected
+    assert strided_load(0x40, reg, offset, stride, lanes) == (
+        WarpInstruction(LOAD, 0x40, 1, expected)
+    )
+    assert strided_store(0x48, reg, offset, stride, lanes) == (
+        WarpInstruction(STORE, 0x48, 1, expected)
+    )
+
+
+@pytest.mark.parametrize("stride", [4, 100, 128, 129, 4096])
+def test_non_wrapping_accesses_build_no_lane_list(monkeypatch, stride):
+    def refuse(addresses):
+        raise AssertionError("closed-form access fell back to coalesce")
+
+    monkeypatch.setattr(patterns, "coalesce", refuse)
+    reg = Region(base=1 << 28, size=1 << 20)
+    assert len(coalesced_load(0, reg, 64).transactions) == 2
+    blocks = strided_blocks(reg, 96, stride, 32)
+    assert list(blocks) == sorted(set(blocks))
+    with pytest.raises(AssertionError):  # a wrapping walk is general
+        strided_blocks(reg, reg.size - 8, stride, 32)
