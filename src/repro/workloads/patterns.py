@@ -121,9 +121,9 @@ def strided_blocks(
             return tuple(range(
                 addr >> BLOCK_SHIFT, ((addr + span) >> BLOCK_SHIFT) + 1
             ))
-        return tuple(
+        return tuple([
             (addr + lane * stride) >> BLOCK_SHIFT for lane in range(lanes)
-        )
+        ])
     return tuple(coalesce(
         [reg.addr(offset + lane * stride) for lane in range(lanes)]
     ))
