@@ -12,6 +12,8 @@ patterns unit-testable in isolation:
 * :func:`gather_load` / :func:`scatter_store` -- per-lane random indices
   within a region (cfd's indirect neighbours, histogram bins, MapReduce
   hash buckets).
+* :func:`interleave` -- pads a memory-instruction stream with compute
+  blocks so the measured APKI tracks a target (Table II calibration).
 
 The unit-stride and strided helpers coalesce in closed form
 (:func:`unit_stride_blocks`, :func:`strided_blocks`): their blocks follow
@@ -19,8 +21,6 @@ from the first lane's address and the stride, so no lane list, set or
 sort is built.  Gathers, scatters, wrapping strides and hand-built lane
 lists go through :func:`repro.gpu.coalescer.coalesce`, the one general
 path.
-* :func:`interleave` -- pads a memory-instruction stream with compute
-  blocks so the measured APKI tracks a target (Table II calibration).
 """
 
 from __future__ import annotations
