@@ -235,8 +235,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     worker.add_argument(
         "--ttl", type=float, default=None,
-        help="requested lease TTL in seconds (default 60; must outlast "
-             "the slowest gap between settles or runs are re-issued)",
+        help="requested lease TTL in seconds (default 60); a batch's "
+             "outcomes settle at its end, or after half the TTL, so it "
+             "must outlast twice the slowest run or runs are re-issued",
     )
     worker.add_argument(
         "--poll", type=float, default=0.5, metavar="SECONDS",

@@ -10,13 +10,11 @@ produce up to 32.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import Iterable, List
 
 from repro.cache.request import BLOCK_SHIFT
 
-__all__ = [
-    "coalesce", "coalesce_count", "warp_addresses",
-]
+__all__ = ["coalesce", "warp_addresses"]
 
 
 def coalesce(addresses: Iterable[int]) -> List[int]:
@@ -32,11 +30,6 @@ def coalesce(addresses: Iterable[int]) -> List[int]:
     [0, 1, 2]
     """
     return sorted({addr >> BLOCK_SHIFT for addr in addresses})
-
-
-def coalesce_count(addresses: Sequence[int]) -> int:
-    """Number of transactions the warp instruction generates."""
-    return len({addr >> BLOCK_SHIFT for addr in addresses})
 
 
 def warp_addresses(

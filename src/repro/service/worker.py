@@ -9,6 +9,14 @@ against a ``repro serve --remote`` scheduler, executing each leased
 :class:`~repro.engine.spec.RunSpec` through the exact
 :func:`~repro.engine.spec.execute_spec` path a local sweep uses (same
 packed-arena cache, bit-identical results).
+
+A lease's outcomes settle in one ``POST /v1/leases/{id}/settle`` when
+the batch ends -- one round trip per lease, not one per run.  Each
+send refreshes the lease TTL, so a batch still running when half the
+TTL has passed since the last send (or since the grant) sends what it
+has so far and carries on: the TTL must outlast twice the slowest
+single run.
+
 Everything that can go wrong is the scheduler's problem by design:
 
 * a worker that dies mid-lease simply stops settling -- the lease TTL
@@ -16,8 +24,9 @@ Everything that can go wrong is the scheduler's problem by design:
 * a run that raises settles as an error (traceback attached) instead
   of killing the batch;
 * a settle rejected with **410 Gone** means the lease expired while
-  the worker was computing: the rest of the batch is dropped (those
-  keys are someone else's now) and the loop leases afresh;
+  the worker was computing: the unsent outcomes and the rest of the
+  batch are dropped (those keys are someone else's now) and the loop
+  leases afresh;
 * transport errors back off under the shared
   :class:`~repro.service.retry.RetryPolicy` -- capped exponential with
   jitter derived from the worker's name, so a whole fleet waiting out
@@ -171,9 +180,11 @@ def run_worker(
         name: worker identity in lease grants and ``GET /v1/leases``
             (default ``host:pid``).
         max_runs: batch-size cap per lease (server clamps).
-        ttl: requested lease TTL in seconds (server clamps).  Must
-            outlast the slowest single batch the worker will take
-            between settles, or the scheduler will re-issue its runs.
+        ttl: requested lease TTL in seconds (server clamps).  The
+            worker settles at the end of each batch, or earlier once
+            half the granted TTL has passed since its last send, so the
+            TTL must outlast twice the slowest single run, or the
+            scheduler will re-issue the batch's runs.
         poll_s: the longest the coordinator holds an empty lease (the
             long-poll ``wait``, floored at :data:`MIN_POLL_S` and capped
             at :data:`MAX_LEASE_WAIT_S`).
@@ -238,25 +249,35 @@ def run_worker(
             # the coordinator held the empty grant for the whole wait:
             # lease again at once
             continue
+        lease_id = grant["lease"]
+        # every send refreshes the lease TTL: sending again once half of
+        # it has passed keeps a long batch alive
+        send_after_s = grant["ttl"] / 2
+        sent_at = time.monotonic()
         if hold_s > 0:
             time.sleep(hold_s)
-        lease_id = grant["lease"]
+        unsent: List[Dict] = []
         settled = 0
         try:
-            # settle one by one: each settle refreshes the lease TTL, so
-            # a long batch stays alive as long as runs keep finishing
-            for run in runs:
+            for index, run in enumerate(runs, 1):
                 outcome = _execute_one(run["key"], run)
                 stats.account(outcome)
+                unsent.append(outcome)
+                now = time.monotonic()
+                if index < len(runs) and now - sent_at < send_after_s:
+                    continue
+                sent_at = now
                 reply = client.settle(
-                    lease_id, [outcome], heartbeat=stats.heartbeat()
+                    lease_id, unsent, heartbeat=stats.heartbeat()
                 )
                 draining = bool(reply.get("draining"))
-                settled += 1
+                settled += len(unsent)
+                unsent = []
         except ServiceError as error:
             if error.status == 410:
-                # lease expired mid-batch: the unfinished keys belong to
-                # another worker now -- drop them and lease afresh
+                # lease expired mid-batch: the unsent outcomes and the
+                # unfinished keys belong to another worker now -- drop
+                # them and lease afresh
                 say(f"worker {worker}: lease {lease_id} expired, re-leasing")
             elif error.status == 0:
                 # the client layer already retried the settle under the

@@ -677,6 +677,197 @@ class TestLongPollLease:
             close_out(client, client.lease(worker="closer", max_runs=64))
 
 
+SETTLE_ROUTE = '{route="/v1/leases/{id}/settle"'
+
+
+def settle_posts(client: ServiceClient) -> int:
+    """Settle requests the coordinator has served, whatever their
+    status (``repro_service_requests`` on the settle route)."""
+    return sum(
+        int(float(line.rsplit(" ", 1)[1]))
+        for line in client.metrics().splitlines()
+        if line.startswith("repro_service_requests" + SETTLE_ROUTE)
+    )
+
+
+def slow_runs(monkeypatch, seconds: float) -> list:
+    """Make the worker's every run take at least *seconds* longer;
+    returns the list of keys it executes, in order."""
+    import repro.service.worker as worker_mod
+
+    executed = []
+    execute_one = worker_mod._execute_one
+
+    def execute(key, run):
+        executed.append(key)
+        outcome = execute_one(key, run)
+        time.sleep(seconds)
+        return outcome
+
+    monkeypatch.setattr(worker_mod, "_execute_one", execute)
+    return executed
+
+
+class TestBatchedSettle:
+    """A worker settles a lease's outcomes in one POST at batch end,
+    or earlier once half the lease TTL has passed since its last send."""
+
+    WIDE = dict(
+        configs="L1-SRAM,By-NVM,FA-SRAM,Dy-FUSE",
+        workloads="2DCONV,ATAX,BICG,MVT", scale="smoke", num_sms=2, seed=0,
+    )
+
+    def test_one_settle_per_lease_and_store_matches_local_sweep(
+        self, tmp_path
+    ):
+        store = tmp_path / "store.jsonl"
+        with remote_service(tmp_path, store_path=store) as svc:
+            client = ServiceClient(svc.url)
+            accepted = client.submit(**self.WIDE)
+            assert accepted["total"] == 16
+            wait_until(
+                lambda: client.leases()["pending_runs"] == 16,
+                what="runs to queue",
+            )
+            worker = spawn_worker(svc.url, "batcher", max_runs=8)
+            try:
+                snap = client.wait(accepted["job"], timeout=120)
+            finally:
+                stop_workers(worker)
+            assert snap["state"] == "done"
+            assert snap["fresh"] == 16
+            # two leases of 8, one settle POST each
+            wait_until(
+                lambda: settle_posts(client) >= 2, what="settle metrics"
+            )
+            assert settle_posts(client) == 2
+
+        local = tmp_path / "local.jsonl"
+        sweep = subprocess.run(
+            [sys.executable, "-m", "repro", "sweep",
+             "--configs", self.WIDE["configs"],
+             "--workloads", self.WIDE["workloads"], "--scale", "smoke",
+             "--sms", "2", "--workers", "1", "--store", str(local),
+             "--quiet"],
+            env=subprocess_env(REPRO_SPANS=""),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert sweep.returncode == 0, sweep.stderr
+
+        def lines_by_key(path):
+            return {
+                json.loads(line)["key"]: line
+                for line in path.read_bytes().splitlines()
+            }
+
+        fleet = lines_by_key(store)
+        assert len(fleet) == 16
+        assert fleet == lines_by_key(local)
+
+    def test_long_batch_sends_at_half_ttl_and_is_never_reaped(
+        self, tmp_path, monkeypatch
+    ):
+        """Four 1 s runs under a 3 s lease: one send at the end would
+        come 4 s after the grant, past the TTL.  Sending once 1.5 s have
+        passed keeps the lease alive."""
+        import repro.service.worker as worker_mod
+
+        executed = slow_runs(monkeypatch, 1.0)
+        batches = []
+
+        class CountingClient(ServiceClient):
+            def settle(self, lease_id, runs, heartbeat=None):
+                batches.append(len(runs))
+                return super().settle(lease_id, runs, heartbeat=heartbeat)
+
+        monkeypatch.setattr(worker_mod, "ServiceClient", CountingClient)
+        with remote_service(tmp_path) as svc:
+            client = ServiceClient(svc.url)
+            accepted = client.submit(**SWEEP)
+            wait_until(
+                lambda: client.leases()["pending_runs"] == SWEEP_TOTAL,
+                what="runs to queue",
+            )
+            assert run_worker(
+                svc.url, name="slow", max_runs=SWEEP_TOTAL, ttl=3,
+                once=True,
+            ) == 0
+            snap = client.wait(accepted["job"], timeout=30)
+            assert snap["state"] == "done"
+            assert snap["fresh"] == SWEEP_TOTAL
+            assert len(executed) == SWEEP_TOTAL
+            # 2 s after the grant, then at batch end
+            assert batches == [2, 2]
+            wait_until(
+                lambda: settle_posts(client) >= len(batches),
+                what="settle metrics",
+            )
+            assert settle_posts(client) == len(batches)
+            assert metric_value(client.metrics(), "repro_lease_expired") == 0
+
+    def test_reaped_batch_gets_410_and_worker_leases_afresh(
+        self, tmp_path, monkeypatch
+    ):
+        """A worker holds a four-run lease past its TTL while another
+        worker settles the runs.  Its first send is 410 Gone: it drops
+        the rest of the batch unexecuted, leases again and runs the
+        next job."""
+        executed = slow_runs(monkeypatch, 0.0)
+        lines = []
+        with remote_service(tmp_path) as svc, \
+                ThreadPoolExecutor(1) as pool:
+            client = ServiceClient(svc.url)
+            first = client.submit(**SWEEP)
+            wait_until(
+                lambda: client.leases()["pending_runs"] == SWEEP_TOTAL,
+                what="runs to queue",
+            )
+            worker = pool.submit(
+                run_worker, svc.url, name="late", max_runs=SWEEP_TOTAL,
+                ttl=1, poll_s=0.1, hold_s=3.0, log=lines.append,
+            )
+            try:
+                wait_until(
+                    lambda: not client.leases()["pending_runs"],
+                    what="the late worker to lease the batch",
+                )
+                wait_until(
+                    lambda: client.leases()["pending_runs"] == SWEEP_TOTAL,
+                    what="the reaper to re-queue the batch",
+                )
+                rescue = client.lease(worker="rescuer", max_runs=SWEEP_TOTAL)
+                assert len(rescue["runs"]) == SWEEP_TOTAL
+                close_out(client, rescue)
+                assert client.wait(first["job"], timeout=30)["errors"] \
+                    == SWEEP_TOTAL
+
+                wait_until(
+                    lambda: any("expired, re-leasing" in line
+                                for line in lines),
+                    what="the late worker's send to be refused",
+                )
+                assert len(executed) == 1  # the unsent batch was dropped
+                second = client.submit(
+                    configs="Dy-FUSE", workloads="ATAX", scale="smoke",
+                    num_sms=2,
+                )
+                snap = client.wait(second["job"], timeout=30)
+                assert snap["state"] == "done" and snap["fresh"] == 1
+                assert snap["runs"][0]["worker"] == "late"
+                assert len(executed) == 2
+            finally:
+                # a draining coordinator lets the worker thread exit
+                svc._loop.call_soon_threadsafe(
+                    svc.service.scheduler.begin_drain
+                )
+            assert worker.result(timeout=30) == 0
+            refused = metric_value(
+                client.metrics(), "repro_service_requests",
+                SETTLE_ROUTE + ',status="410"}',
+            )
+            assert refused == 1
+
+
 class _StubClient:
     """Stands in for ServiceClient inside run_worker: replays scripted
     lease answers, advancing a fake clock by each answer's hold."""
@@ -749,7 +940,7 @@ class TestWorkerPacing:
             worker_mod, "_execute_one",
             lambda key, run: {"key": key, "error": "stub"},
         )
-        grant = {"lease": "l1", "runs": [{"key": "k" * 64}],
+        grant = {"lease": "l1", "ttl": 60.0, "runs": [{"key": "k" * 64}],
                  "draining": False}
         code, _, _, lines = self.run(monkeypatch, [
             (0.0, grant),  # the settle reply says draining

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.arbitration import Arbiter, Destination
 from repro.core.factory import l1d_config, make_l1d
 from repro.core.read_level_predictor import ReadLevel, ReadLevelPredictor
-from repro.gpu.coalescer import coalesce, coalesce_count, warp_addresses
+from repro.gpu.coalescer import coalesce, warp_addresses
 from repro.gpu.config import fermi_like
 from repro.gpu.simulator import GPUSimulator
 from repro.gpu.warp import Warp
@@ -30,10 +30,6 @@ class TestCoalescer:
 
     def test_duplicates_merge(self):
         assert coalesce([0, 4, 0, 4]) == [0]
-
-    def test_count_matches_list(self):
-        addrs = warp_addresses(300, 96)
-        assert coalesce_count(addrs) == len(coalesce(addrs))
 
     @given(
         base=st.integers(min_value=0, max_value=1 << 30),
