@@ -10,12 +10,10 @@ against a ``repro serve --remote`` scheduler, executing each leased
 :func:`~repro.engine.spec.execute_spec` path a local sweep uses (same
 packed-arena cache, bit-identical results).
 
-A lease's outcomes settle in one ``POST /v1/leases/{id}/settle`` when
-the batch ends -- one round trip per lease, not one per run.  Each
-send refreshes the lease TTL, so a batch still running when half the
-TTL has passed since the last send (or since the grant) sends what it
-has so far and carries on: the TTL must outlast twice the slowest
-single run.
+A lease's outcomes settle in one ``POST /v1/leases/{id}/settle`` at
+batch end, or earlier once half the TTL has passed since the grant or
+the last send (each send refreshes the lease), so the TTL must outlast
+twice the slowest run.
 
 Everything that can go wrong is the scheduler's problem by design:
 
@@ -24,9 +22,8 @@ Everything that can go wrong is the scheduler's problem by design:
 * a run that raises settles as an error (traceback attached) instead
   of killing the batch;
 * a settle rejected with **410 Gone** means the lease expired while
-  the worker was computing: the unsent outcomes and the rest of the
-  batch are dropped (those keys are someone else's now) and the loop
-  leases afresh;
+  the worker was computing: the rest of the batch is dropped (those
+  keys are someone else's now) and the loop leases afresh;
 * transport errors back off under the shared
   :class:`~repro.service.retry.RetryPolicy` -- capped exponential with
   jitter derived from the worker's name, so a whole fleet waiting out
@@ -180,10 +177,9 @@ def run_worker(
         name: worker identity in lease grants and ``GET /v1/leases``
             (default ``host:pid``).
         max_runs: batch-size cap per lease (server clamps).
-        ttl: requested lease TTL in seconds (server clamps).  The
-            worker settles at the end of each batch, or earlier once
-            half the granted TTL has passed since its last send, so the
-            TTL must outlast twice the slowest single run, or the
+        ttl: requested lease TTL in seconds (server clamps).  Must
+            outlast twice the slowest single run (outcomes are sent at
+            batch end or half a TTL after the last send), or the
             scheduler will re-issue the batch's runs.
         poll_s: the longest the coordinator holds an empty lease (the
             long-poll ``wait``, floored at :data:`MIN_POLL_S` and capped
@@ -275,9 +271,8 @@ def run_worker(
                 unsent = []
         except ServiceError as error:
             if error.status == 410:
-                # lease expired mid-batch: the unsent outcomes and the
-                # unfinished keys belong to another worker now -- drop
-                # them and lease afresh
+                # lease expired mid-batch: its keys belong to another
+                # worker now -- drop the unsent outcomes, lease afresh
                 say(f"worker {worker}: lease {lease_id} expired, re-leasing")
             elif error.status == 0:
                 # the client layer already retried the settle under the
