@@ -690,9 +690,9 @@ def settle_posts(client: ServiceClient) -> int:
     )
 
 
-def slow_runs(monkeypatch, seconds: float) -> list:
-    """Make the worker's every run take at least *seconds* longer;
-    returns the list of keys it executes, in order."""
+def record_runs(monkeypatch, extra_s: float = 0.0) -> list:
+    """Record the keys an in-process worker executes, in order, and
+    make each of its runs take *extra_s* seconds longer."""
     import repro.service.worker as worker_mod
 
     executed = []
@@ -701,7 +701,7 @@ def slow_runs(monkeypatch, seconds: float) -> list:
     def execute(key, run):
         executed.append(key)
         outcome = execute_one(key, run)
-        time.sleep(seconds)
+        time.sleep(extra_s)
         return outcome
 
     monkeypatch.setattr(worker_mod, "_execute_one", execute)
@@ -772,7 +772,7 @@ class TestBatchedSettle:
         passed keeps the lease alive."""
         import repro.service.worker as worker_mod
 
-        executed = slow_runs(monkeypatch, 1.0)
+        executed = record_runs(monkeypatch, 1.0)
         batches = []
 
         class CountingClient(ServiceClient):
@@ -812,7 +812,7 @@ class TestBatchedSettle:
         worker settles the runs.  Its first send is 410 Gone: it drops
         the rest of the batch unexecuted, leases again and runs the
         next job."""
-        executed = slow_runs(monkeypatch, 0.0)
+        executed = record_runs(monkeypatch)
         lines = []
         with remote_service(tmp_path) as svc, \
                 ThreadPoolExecutor(1) as pool:
