@@ -1,88 +1,67 @@
 """Figure 20: counting-Bloom-filter false-positive sensitivity.
 
-Replays an insert/evict/test stream against standalone CBFs while
-sweeping (a) the number of hash functions (1-5) and (b) the counter-
-array length (32/64/128 slots).  More hashes and more slots must both
-cut the false-positive rate, with diminishing returns -- the trends the
-paper uses to pick 3 hash functions.
+Runs Dy-FUSE over Figure 20's nine workloads while sweeping its CBFs:
+(a) the number of hash functions (1-5) at Table I's 16 counters, and
+(b) the counter-array length (16/32/64/128) at Table I's 3 hash
+functions.  Each cell is the false-positive groups per tag search that
+the simulator's own filters produced, next to the Dy-FUSE IPC.  More
+hashes and more counters must both cut false positives -- the trends
+the paper uses to pick 3 hash functions.
 """
 
-import random
-
-from benchmarks.common import emit
-from repro.core.bloom import CountingBloomFilter
+from benchmarks.common import emit, fermi_runner
+from repro.harness.experiments import (
+    FIG20_COUNTERS, FIG20_HASHES, fig20_cbf_sensitivity,
+)
 from repro.harness.report import format_table
 
-WORKLOAD_SEEDS = {
-    "2DCONV": 1, "2MM": 2, "3MM": 3, "ATAX": 4, "BICG": 5, "cfd": 6,
-    "FDTD": 7, "gaussian": 8, "GEMM": 9,
-}
 
-
-def _fp_rate(num_hashes: int, slots: int, seed: int, steps: int = 800) -> float:
-    """False-positive rate of one CBF under a churn workload."""
-    rng = random.Random(seed)
-    cbf = CountingBloomFilter(num_counters=slots, num_hashes=num_hashes)
-    resident = []
-    false_positives = 0
-    probes = 0
-    for step in range(steps):
-        if len(resident) < 4 or rng.random() < 0.5:
-            key = rng.randrange(1 << 24)
-            cbf.insert(key)
-            resident.append(key)
-            if len(resident) > 4:  # group capacity: 4 ways per CBF
-                cbf.remove(resident.pop(0))
-        probe = rng.randrange(1 << 24)
-        probes += 1
-        if cbf.test(probe) and probe not in resident:
-            false_positives += 1
-    return false_positives / probes
-
-
-def test_fig20a_hash_functions(benchmark):
-    # swept at 64 slots: Figure 20's own configuration space starts at
-    # 32 slots, and below that the stuck-counter conservatism of 2-bit
-    # CBFs dominates and inverts the hash-count trend
-    def sweep():
-        return {
-            name: [
-                _fp_rate(hashes, 64, seed) for hashes in (1, 2, 3, 4, 5)
-            ]
-            for name, seed in WORKLOAD_SEEDS.items()
-        }
-
-    results = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    table = format_table(
-        ["workload"] + [f"CBF-{h}func" for h in (1, 2, 3, 4, 5)],
-        [[name] + rates for name, rates in results.items()],
-        title="Figure 20a: CBF false-positive rate vs hash functions",
-        float_format="{:.4f}",
+def test_fig20_cbf_sensitivity(benchmark):
+    runner = fermi_runner()
+    rows = benchmark.pedantic(
+        lambda: fig20_cbf_sensitivity(runner), rounds=1, iterations=1
     )
-    emit("fig20a_cbf_hashes", table)
+    cells = {
+        (r["workload"], r["cbf_hashes"], r["cbf_counters"]): r for r in rows
+    }
+    workloads = list(dict.fromkeys(r["workload"] for r in rows))
+
+    def fp(workload, hashes, counters):
+        return cells[(workload, hashes, counters)]["fp_per_search"]
+
+    def table(name, title, labels, geometries):
+        headers = ["workload"] + [
+            f"{label} {column}" for label in labels
+            for column in ("FP/search", "IPC")
+        ]
+        body = [
+            [workload] + [
+                cells[(workload, *geometry)][field]
+                for geometry in geometries
+                for field in ("fp_per_search", "ipc")
+            ]
+            for workload in workloads
+        ]
+        emit(name, format_table(headers, body, title=title,
+                                float_format="{:.4f}"))
+
+    table("fig20a_cbf_hashes",
+          "Figure 20a: Dy-FUSE CBF false positives vs hash functions "
+          "(16 counters)",
+          [f"{h}func" for h in FIG20_HASHES],
+          [(h, 16) for h in FIG20_HASHES])
+    table("fig20b_cbf_counters",
+          "Figure 20b: Dy-FUSE CBF false positives vs counters per CBF "
+          "(3 hash functions)",
+          [f"{c}slots" for c in FIG20_COUNTERS],
+          [(3, c) for c in FIG20_COUNTERS])
 
     # 3 hash functions must beat 1 on average (the paper reports a 98%
-    # cut); individual churn seeds can invert at high counter occupancy
-    mean_1 = sum(r[0] for r in results.values()) / len(results)
-    mean_3 = sum(r[2] for r in results.values()) / len(results)
+    # cut)
+    mean_1 = sum(fp(w, 1, 16) for w in workloads) / len(workloads)
+    mean_3 = sum(fp(w, 3, 16) for w in workloads) / len(workloads)
     assert mean_3 <= mean_1
 
-
-def test_fig20b_slots(benchmark):
-    def sweep():
-        return {
-            name: [_fp_rate(3, slots, seed) for slots in (32, 64, 128)]
-            for name, seed in WORKLOAD_SEEDS.items()
-        }
-
-    results = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    table = format_table(
-        ["workload", "32slots", "64slots", "128slots"],
-        [[name] + rates for name, rates in results.items()],
-        title="Figure 20b: CBF false-positive rate vs counter slots",
-        float_format="{:.5f}",
-    )
-    emit("fig20b_cbf_slots", table)
-
-    for rates in results.values():
-        assert rates[2] <= rates[0]
+    # on every workload, 128 counters must be no worse than 32
+    for workload in workloads:
+        assert fp(workload, 3, 128) <= fp(workload, 3, 32)

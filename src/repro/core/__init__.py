@@ -3,10 +3,9 @@
 Subsystems (each its own module, mirroring the paper's Section III/IV
 structure):
 
-* :mod:`repro.core.bloom` -- counting Bloom filters + the NVM-CBF timing
-  model (Section IV-C).
 * :mod:`repro.core.approx_assoc` -- CBF-guided associativity approximation
-  for the STT-MRAM bank (Section III-B).
+  for the STT-MRAM bank (Section III-B), with the counting Bloom filters
+  and their NVM-CBF test latency (Section IV-C).
 * :mod:`repro.core.sampler` -- the PC-signature sampler and prediction
   history table that both predictors train through (Table I's predictor
   sizes are its module constants).
@@ -31,8 +30,6 @@ _EXPORTS = {
     "Arbiter": "repro.core.arbitration",
     "ArbiterDecision": "repro.core.arbitration",
     "Destination": "repro.core.arbitration",
-    "CountingBloomFilter": "repro.core.bloom",
-    "NVMCBFTimingModel": "repro.core.bloom",
     "L1DConfig": "repro.core.factory",
     "known_configs": "repro.core.factory",
     "l1d_config": "repro.core.factory",

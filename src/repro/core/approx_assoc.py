@@ -16,6 +16,14 @@ workloads; CBF false positives add wasted iterations, which Figure 20
 quantifies.  The tag queue keeps those extra cycles off the SM's critical
 path (they surface as ``tag_search_stall_cycles``, Figure 15).
 
+These filters are the repository's only counting Bloom filters.  Each
+is a row of 2-bit **saturating** counters indexed by double hashing
+(``h1 + i*h2``, with a per-group salt so groups hash independently).  A
+counter that reaches 3 is never decremented again ("stuck"): it may
+have absorbed more increments than it can count, and decrementing it
+could create a false negative.  Stuck counters only add false
+positives, so a resident block's group always tests positive.
+
 Implementation note: the "test every CBF in parallel" step is priced
 through one **packed nonzero bitmap** -- a Python int holding one lane
 per group, where bit ``c`` of group *g*'s lane is set while counter
@@ -24,16 +32,11 @@ key's membership in every group then collapses to a handful of big-int
 operations: the key's packed slot mask minus the bitmap leaves, in
 each group's lane, the slots the key needs that are still zero; folding
 each lane onto its lowest bit and counting bits yields the number of
-negative groups.  That is semantically identical to testing 128
-independent :class:`~repro.core.bloom.CountingBloomFilter` objects
-(2-bit saturating counters, double hashing, no false negatives) but
-orders of magnitude faster, which the pure-Python simulator needs.  The
-hash-index and key-mask patterns are pure functions of the filter
-geometry, so they are memoised **process-wide** (shared across every
-SM's bank and every run of a sweep) rather than per instance.  The
-standalone class remains the reference implementation and the Figure 20
-microbench subject; property tests assert the two agree on the
-no-false-negative invariant.
+negative groups.  Property tests recount every search from the counter
+rows and check the bitmap against them.  The hash-index and key-mask
+patterns are pure functions of the filter geometry, so they are
+memoised **process-wide** (shared across every SM's bank and every run
+of a sweep) rather than per instance.
 """
 
 from __future__ import annotations
@@ -41,15 +44,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.bloom import NVMCBFTimingModel, _mix64
-
 __all__ = [
-    "ApproximateAssociativeArray", "SearchResult", "TAG_COMPARATORS",
+    "ApproximateAssociativeArray", "CBF_TEST_CYCLES", "SearchResult",
+    "TAG_COMPARATORS",
 ]
 
 #: tags compared in parallel per polling iteration (Section III-B): one
 #: CBF fronts a group of at most this many ways
 TAG_COMPARATORS = 4
+
+#: L1D cycles that testing every CBF adds to a search: none, because
+#: the NVM-CBF test takes one 591 ps STT-MRAM read (Section IV-C), which
+#: fits in one 714 ps L1D cycle at 1.4 GHz
+CBF_TEST_CYCLES = 0
 
 #: stride separating the hash streams of adjacent groups
 _GROUP_SALT = 0x9E3779B97F4A7C15
@@ -64,6 +71,14 @@ _PATTERN_CACHE: Dict[Tuple[int, int, int], Dict[str, Dict]] = {}
 #: underneath are naturally tiny; the key maps are what could grow with
 #: a huge-footprint workload)
 _KEY_CACHE_CAP = 1 << 16
+
+
+def _mix64(value: int) -> int:
+    """A 64-bit finalizer-style mixer (splitmix64 constants)."""
+    value &= 0xFFFFFFFFFFFFFFFF
+    value = (value ^ (value >> 30)) * 0xBF58476D1CE4E5B9 & 0xFFFFFFFFFFFFFFFF
+    value = (value ^ (value >> 27)) * 0x94D049BB133111EB & 0xFFFFFFFFFFFFFFFF
+    return value ^ (value >> 31)
 
 
 def _shared_patterns(num_cbfs: int, num_hashes: int,
@@ -104,16 +119,15 @@ class ApproximateAssociativeArray:
     """Tag-search engine for a 1-set x N-way STT-MRAM bank.
 
     The array tracks *which way holds which block* and prices each lookup.
-    Replacement is FIFO (a rotating cursor over ways) when the array is
-    used standalone; when mirroring a cache engine's tag array, the engine
-    owns placement through :meth:`note_install` / :meth:`note_evict`.
+    It mirrors a cache engine's tag array: the engine owns placement and
+    reports it through :meth:`note_install` / :meth:`note_evict`.
 
     Args:
         num_ways: ways in the (single-set) array; Table I uses 512.
         num_cbfs: tag-array partitions, one CBF each (Table I: 128).
         num_hashes: hash functions per CBF (Table I: 3).
-        cbf_counters: counter-array length per CBF (Table I: 16; at
-            most 64).
+        cbf_counters: counter-array length per CBF (Table I: 16;
+            Figure 20 sweeps up to 128).
         exact: when True, model an ideal fully-associative search (single
             cycle, no CBFs) -- the comparison baseline of Figure 7b.
     """
@@ -134,14 +148,13 @@ class ApproximateAssociativeArray:
             raise ValueError("num_cbfs must be in [1, num_ways]")
         if num_hashes < 1:
             raise ValueError("num_hashes must be >= 1")
-        if cbf_counters < 1 or cbf_counters > 64:
-            raise ValueError("cbf_counters must be in [1, 64]")
+        if cbf_counters < 1:
+            raise ValueError("cbf_counters must be >= 1")
         self.num_ways = num_ways
         self.num_cbfs = num_cbfs
         self.num_hashes = num_hashes
         self.cbf_counters = cbf_counters
         self.exact = exact
-        self.timing = NVMCBFTimingModel()
         self._group_size = (num_ways + num_cbfs - 1) // num_cbfs
 
         #: 2-bit saturating counters, one row per group (plain ints: the
@@ -161,13 +174,11 @@ class ApproximateAssociativeArray:
         self._fold_shifts = tuple(
             self._lane >> k for k in range(1, self._lane.bit_length())
         )
-        self._test_cycles = self.timing.test_cycles
         self._patterns = _shared_patterns(num_cbfs, num_hashes, cbf_counters)
         self._key_mask_of = self._patterns["key_masks"].get
 
         self._way_block: List[int] = [-1] * num_ways
         self._block_way: Dict[int, int] = {}
-        self._fifo_cursor = 0
 
     # ------------------------------------------------------------------
     def _key_hashes(self, key: int) -> Tuple[int, int]:
@@ -251,7 +262,7 @@ class ApproximateAssociativeArray:
             iterations = position + 1
             false_positives = position
 
-        cycles = self._test_cycles + max(1, iterations)
+        cycles = CBF_TEST_CYCLES + max(1, iterations)
         return SearchResult(actual_way, cycles, iterations, false_positives)
 
     # ------------------------------------------------------------------
@@ -269,49 +280,16 @@ class ApproximateAssociativeArray:
         for slot in self._key_slots(block_addr)[group]:
             value = row[slot]
             # stuck counters stay at max (decrement would risk a false
-            # negative -- see repro.core.bloom)
+            # negative -- see the module docstring)
             if 0 < value < self.COUNTER_MAX:
                 row[slot] = value - 1
                 if value == 1:
                     self._nonzero &= ~(1 << (group * self._lane + slot))
 
     # ------------------------------------------------------------------
-    def install(self, block_addr: int) -> Optional[int]:
-        """Place *block_addr* into the FIFO-selected way (standalone use).
-
-        Returns the block address evicted from that way, or None.
-
-        Raises:
-            RuntimeError: when the block is already present (the cache
-                engine must search before installing).
-        """
-        if block_addr in self._block_way:
-            raise RuntimeError(f"block 0x{block_addr:x} already installed")
-        way = self._fifo_cursor
-        self._fifo_cursor = (self._fifo_cursor + 1) % self.num_ways
-        evicted = self._way_block[way]
-        group = way // self._group_size
-        if evicted != -1:
-            del self._block_way[evicted]
-            self._cbf_remove(evicted, group)
-        self._way_block[way] = block_addr
-        self._block_way[block_addr] = way
-        self._cbf_insert(block_addr, group)
-        return None if evicted == -1 else evicted
-
-    def remove(self, block_addr: int) -> bool:
-        """Invalidate *block_addr*; True when it was present."""
-        way = self._block_way.pop(block_addr, None)
-        if way is None:
-            return False
-        self._way_block[way] = -1
-        self._cbf_remove(block_addr, way // self._group_size)
-        return True
-
-    # ------------------------------------------------------------------
-    # Mirror mode: the FUSE cache engine owns placement through its
-    # authoritative TagArray and keeps this structure in sync so that
-    # searches are priced against the true contents.
+    # The FUSE cache engine owns placement through its authoritative
+    # TagArray and keeps this structure in sync so that searches are
+    # priced against the true contents.
     def note_install(self, block_addr: int, way: int) -> None:
         """Mirror an install performed by the owning tag array.
 
@@ -331,5 +309,9 @@ class ApproximateAssociativeArray:
         self._cbf_insert(block_addr, way // self._group_size)
 
     def note_evict(self, block_addr: int) -> None:
-        """Mirror an eviction performed by the owning tag array."""
-        self.remove(block_addr)
+        """Mirror an eviction performed by the owning tag array (a block
+        that is not mirrored is ignored)."""
+        way = self._block_way.pop(block_addr, None)
+        if way is not None:
+            self._way_block[way] = -1
+            self._cbf_remove(block_addr, way // self._group_size)

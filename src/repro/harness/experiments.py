@@ -25,10 +25,11 @@ from repro.workloads.benchmarks import benchmark, benchmark_class, benchmark_nam
 from repro.workloads.suites import SUITES
 
 __all__ = [
-    "ALL_WORKLOADS", "FIG18_WORKLOADS", "FIG3_WORKLOADS", "MAIN_CONFIGS",
-    "dnn_sweep", "fig13_ipc", "fig14_miss_rate", "fig15_stalls",
-    "fig16_predictor", "fig17_energy", "fig18_ratio_sweep", "fig19_volta",
-    "fig1_motivation", "fig3_oracle", "fig6_read_level",
+    "ALL_WORKLOADS", "FIG18_WORKLOADS", "FIG20_COUNTERS", "FIG20_HASHES",
+    "FIG20_WORKLOADS", "FIG3_WORKLOADS", "MAIN_CONFIGS", "dnn_sweep",
+    "fig13_ipc", "fig14_miss_rate", "fig15_stalls", "fig16_predictor",
+    "fig17_energy", "fig18_ratio_sweep", "fig19_volta", "fig1_motivation",
+    "fig20_cbf_sensitivity", "fig3_oracle", "fig6_read_level",
     "fig7_approx_vs_full", "table2_apki",
 ]
 
@@ -43,6 +44,17 @@ FIG18_WORKLOADS = [
     "2DCONV", "2MM", "3MM", "ATAX", "BICG", "FDTD", "GEMM", "GESUMMV",
     "SYR2K",
 ]
+
+#: Figure 20's nine workloads
+FIG20_WORKLOADS = [
+    "2DCONV", "2MM", "3MM", "ATAX", "BICG", "cfd", "FDTD", "gaussian",
+    "GEMM",
+]
+
+#: Figure 20a's hash functions per CBF (at Table I's 16 counters) and
+#: Figure 20b's counters per CBF (at Table I's 3 hash functions)
+FIG20_HASHES = (1, 2, 3, 4, 5)
+FIG20_COUNTERS = (16, 32, 64, 128)
 
 #: the seven L1D configurations of Figures 13/14
 MAIN_CONFIGS = [
@@ -317,6 +329,48 @@ def fig19_volta(runner: Runner, workloads: Optional[List[str]] = None):
                 base = result.ipc or 1.0
             row[config] = result.ipc / base
         rows.append(row)
+    return rows
+
+
+# ======================================================================
+def fig20_cbf_sensitivity(runner: Runner,
+                          workloads: Optional[List[str]] = None):
+    """Figure 20: Dy-FUSE's CBF false positives per tag search as the
+    filters' hash functions and counters vary, next to its IPC.
+
+    One row per (workload, geometry): ``fp_per_search`` is the positive
+    groups that did not hold the tag, averaged over every search.  The
+    3-hash, 16-counter point is Table I's Dy-FUSE itself.
+    """
+    base = l1d_config("Dy-FUSE")
+    table1 = (base.cbf_hashes, base.cbf_counters)
+    geometries = dict.fromkeys(
+        [(hashes, base.cbf_counters) for hashes in FIG20_HASHES]
+        + [(base.cbf_hashes, counters) for counters in FIG20_COUNTERS]
+    )
+    configs = {
+        (hashes, counters): base if (hashes, counters) == table1
+        else base.with_overrides(name=f"Dy-FUSE-{hashes}h{counters}c",
+                                 cbf_hashes=hashes, cbf_counters=counters)
+        for hashes, counters in geometries
+    }
+    names = list(workloads or FIG20_WORKLOADS)
+    runner.prefetch([
+        (cfg, name) for name in names for cfg in configs.values()
+    ])
+    rows = []
+    for name in names:
+        for (hashes, counters), cfg in configs.items():
+            result = runner.run(cfg.name, name, l1d=cfg)
+            tests = result.l1d.cbf_tests
+            rows.append({
+                "workload": name,
+                "cbf_hashes": hashes,
+                "cbf_counters": counters,
+                "fp_per_search": (result.l1d.cbf_false_positives / tests
+                                  if tests else 0.0),
+                "ipc": result.ipc,
+            })
     return rows
 
 

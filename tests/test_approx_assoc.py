@@ -12,46 +12,24 @@ def make_small(exact=False):
     )
 
 
-class TestStandaloneFIFO:
-    def test_install_then_found(self):
-        arr = make_small()
-        arr.install(0x100)
-        result = arr.search(0x100)
-        assert result.way is not None
-        assert result.cycles >= 1
-
-    def test_absent_key_not_found(self):
-        arr = make_small()
-        arr.install(0x100)
-        assert arr.search(0x999).way is None
-
-    def test_fifo_eviction_order(self):
-        arr = make_small()
-        for i in range(64):
-            arr.install(0x1000 + i)
-        evicted = arr.install(0x2000)
-        assert evicted == 0x1000
-
-    def test_double_install_rejected(self):
-        arr = make_small()
-        arr.install(0x100)
-        with pytest.raises(RuntimeError, match="already installed"):
-            arr.install(0x100)
-
-    def test_remove(self):
-        arr = make_small()
-        arr.install(0x100)
-        assert arr.remove(0x100)
-        assert not arr.remove(0x100)
-        assert arr.search(0x100).way is None
-
-
 class TestMirrorMode:
     def test_note_install_and_search(self):
         arr = make_small()
         arr.note_install(0x100, way=37)
         result = arr.search(0x100)
         assert result.way == 37
+        assert result.cycles >= 1
+
+    def test_absent_key_not_found(self):
+        arr = make_small()
+        arr.note_install(0x100, 0)
+        assert arr.search(0x999).way is None
+
+    def test_double_install_rejected(self):
+        arr = make_small()
+        arr.note_install(0x100, 0)
+        with pytest.raises(RuntimeError, match="already mirrored"):
+            arr.note_install(0x100, 1)
 
     def test_note_install_way_conflict(self):
         arr = make_small()
@@ -70,19 +48,22 @@ class TestMirrorMode:
         arr.note_evict(0x100)
         assert arr.search(0x100).way is None
         assert 0x100 not in arr
+        # evicting a block that is not mirrored is a no-op
+        arr.note_evict(0x100)
+        assert arr.occupancy() == 0
 
 
 class TestSearchPricing:
     def test_exact_mode_single_cycle(self):
         arr = make_small(exact=True)
-        arr.install(0x100)
+        arr.note_install(0x100, 0)
         result = arr.search(0x100)
         assert result.cycles == 1
         assert result.false_positives == 0
 
     def test_hit_stops_at_matching_group(self):
         arr = make_small()
-        arr.install(0x100)  # way 0 -> group 0
+        arr.note_install(0x100, 0)  # way 0 -> group 0
         result = arr.search(0x100)
         assert result.iterations >= 1
         # with one resident block, at most a couple of groups are positive
@@ -91,7 +72,7 @@ class TestSearchPricing:
     def test_false_positive_rate_bounded(self):
         arr = make_small()
         for i in range(32):
-            arr.install(0x1000 + i * 7)
+            arr.note_install(0x1000 + i * 7, i)
         for probe in range(40):
             result = arr.search(0x9000 + probe)
             assert 0.0 <= result.false_positives / arr.num_cbfs <= 1.0
@@ -103,6 +84,10 @@ class TestSearchPricing:
             ApproximateAssociativeArray(num_ways=8, num_cbfs=16)
         with pytest.raises(ValueError):
             ApproximateAssociativeArray(num_hashes=0)
+        with pytest.raises(ValueError):
+            ApproximateAssociativeArray(cbf_counters=0)
+        # Figure 20's longest counter array
+        assert ApproximateAssociativeArray(cbf_counters=128).cbf_counters == 128
 
 
 @settings(max_examples=40, deadline=None)
@@ -117,14 +102,102 @@ def test_resident_blocks_always_found(blocks):
     resident block is located at its true way."""
     arr = ApproximateAssociativeArray(num_ways=128, num_cbfs=32)
     resident = {}
-    for block in blocks:
-        evicted = arr.install(block)
-        resident[block] = arr.way_of(block)
-        if evicted is not None:
-            resident.pop(evicted, None)
+    way_block = {}
+    for i, block in enumerate(blocks):
+        way = i % arr.num_ways  # the owner refills ways round robin
+        if way in way_block:
+            evicted = way_block.pop(way)
+            arr.note_evict(evicted)
+            del resident[evicted]
+        arr.note_install(block, way)
+        resident[block] = way
+        way_block[way] = block
     for block, way in resident.items():
         result = arr.search(block)
         assert result.way == way
+
+
+def _positive(arr, block, group):
+    """Whether *group*'s filter, read from its counter row, reports
+    *block* as possibly present."""
+    slots = arr._key_slots(block)[group]
+    return all(arr._counters[group][s] > 0 for s in slots)
+
+
+def _recount_iterations(arr, block):
+    """Polling iterations of a search for *block*, recounted from the
+    counter rows: positive groups are polled in index order, up to the
+    block's own group when it is resident."""
+    positive = [g for g in range(arr.num_cbfs) if _positive(arr, block, g)]
+    way = arr.way_of(block)
+    if way is None:
+        return len(positive)
+    group = way // arr._group_size
+    return sum(1 for g in positive if g < group) + 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    num_cbfs=st.sampled_from([1, 4, 16]),
+    group_size=st.sampled_from([1, 4, 8]),
+    cbf_counters=st.sampled_from([4, 16, 100, 128]),
+    num_hashes=st.integers(min_value=1, max_value=5),
+    ops=st.lists(
+        # (kind, block, pick): kind 0 evicts, the rest install, so the
+        # groups fill up enough to saturate counters
+        st.tuples(st.integers(min_value=0, max_value=3),
+                  st.integers(min_value=0, max_value=300),
+                  st.integers(min_value=0, max_value=1 << 16)),
+        min_size=40, max_size=150,
+    ),
+)
+def test_filters_match_counter_rows(num_cbfs, group_size, cbf_counters,
+                                    num_hashes, ops):
+    """Property: under any install/evict history (few counters and
+    8-way groups saturate counters), no filter forgets a resident block,
+    every counter stays in [0, 3], and every search's iteration count
+    equals a brute-force recount from the counter rows -- so the packed
+    bitmap agrees with them."""
+    arr = ApproximateAssociativeArray(
+        num_ways=num_cbfs * group_size, num_cbfs=num_cbfs,
+        num_hashes=num_hashes, cbf_counters=cbf_counters,
+    )
+    resident = {}
+    way_block = {}
+    seen = set()
+
+    def evict(way):
+        block = way_block.pop(way)
+        arr.note_evict(block)
+        del resident[block]
+        # no false negatives: the group still reports each block it holds
+        group = way // group_size
+        for other in range(group * group_size, (group + 1) * group_size):
+            if other in way_block:
+                assert _positive(arr, way_block[other], group)
+
+    for kind, block, pick in ops:
+        if kind:
+            if block in resident:
+                continue
+            way = pick % arr.num_ways
+            if way in way_block:  # the owner evicts the way's occupant
+                evict(way)
+            arr.note_install(block, way)
+            resident[block] = way
+            way_block[way] = block
+            seen.add(block)
+        elif resident:
+            evict(resident[sorted(resident)[pick % len(resident)]])
+
+    assert all(0 <= c <= 3 for row in arr._counters for c in row)
+    assert arr.occupancy() == len(resident)
+    for block in seen | set(range(1000, 1020)):
+        result = arr.search(block)
+        assert result.way == resident.get(block)
+        assert result.iterations == _recount_iterations(arr, block)
+        assert result.false_positives == (
+            result.iterations - (block in resident))
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,129 +1,94 @@
-"""Unit and property tests for the counting Bloom filter and NVM-CBF."""
+"""Counting-Bloom-filter behaviour of the STT-MRAM bank's tag filters.
 
-import pytest
-from hypothesis import given, settings, strategies as st
+The filters are the counter rows of :class:`ApproximateAssociativeArray`,
+one CBF per group of ways.  A group tests positive for a key when every
+counter the key hashes to is nonzero.
+"""
 
-from repro.core.bloom import CountingBloomFilter, NVMCBFTimingModel
+from repro.core.approx_assoc import (
+    CBF_TEST_CYCLES, ApproximateAssociativeArray,
+)
+from repro.core.factory import l1d_config, make_l1d
+
+
+def is_positive(arr, key, group=0):
+    """Whether *group*'s filter reports *key* as possibly present."""
+    return all(arr._counters[group][s] > 0 for s in arr._key_slots(key)[group])
 
 
 class TestBasics:
     def test_inserted_key_tests_positive(self):
-        cbf = CountingBloomFilter()
-        cbf.insert(0x1234)
-        assert cbf.test(0x1234)
+        arr = ApproximateAssociativeArray(num_ways=4, num_cbfs=1)
+        arr.note_install(0x1234, 0)
+        assert is_positive(arr, 0x1234)
 
     def test_empty_filter_tests_negative(self):
-        cbf = CountingBloomFilter()
-        assert not cbf.test(0x1234)
+        arr = ApproximateAssociativeArray(num_ways=4, num_cbfs=1)
+        assert not is_positive(arr, 0x1234)
+        assert arr.search(0x1234).iterations == 0
 
     def test_remove_clears_lone_key(self):
-        cbf = CountingBloomFilter(num_counters=64)
-        cbf.insert(0x1234)
-        cbf.remove(0x1234)
-        assert not cbf.test(0x1234)
+        arr = ApproximateAssociativeArray(num_ways=4, num_cbfs=1,
+                                          cbf_counters=64)
+        arr.note_install(0x1234, 0)
+        arr.note_evict(0x1234)
+        assert not is_positive(arr, 0x1234)
+        assert arr._counters == [[0] * 64]
 
     def test_counter_saturation_sticks(self):
-        cbf = CountingBloomFilter(num_counters=4, num_hashes=1,
-                                  counter_bits=2)
-        for _ in range(10):
-            cbf.insert(0x1)
-        assert max(cbf.counters()) == 3
+        # one counter, one hash: every key lands on the same counter
+        arr = ApproximateAssociativeArray(num_ways=8, num_cbfs=1,
+                                          num_hashes=1, cbf_counters=1)
+        for way in range(8):
+            arr.note_install(0x1 + way, way)
+        assert arr._counters == [[3]]
         # a saturated counter is never decremented
-        for _ in range(10):
-            cbf.remove(0x1)
-        assert cbf.test(0x1)
-
-    def test_reset(self):
-        cbf = CountingBloomFilter()
-        cbf.insert(1)
-        cbf.reset()
-        assert not cbf.test(1)
-        assert cbf.counters() == [0] * cbf.num_counters
-
-    def test_invalid_params(self):
-        with pytest.raises(ValueError):
-            CountingBloomFilter(num_counters=0)
-        with pytest.raises(ValueError):
-            CountingBloomFilter(num_hashes=0)
-        with pytest.raises(ValueError):
-            CountingBloomFilter(counter_bits=0)
+        for way in range(8):
+            arr.note_evict(0x1 + way)
+        assert arr._counters == [[3]]
+        assert is_positive(arr, 0x1)
+        assert arr.search(0x1).false_positives == 1
 
     def test_independent_seeds_differ(self):
-        a = CountingBloomFilter(seed=0)
-        b = CountingBloomFilter(seed=1)
-        assert a._indices(0xABCD) != b._indices(0xABCD)
+        # each group salts the hashes, so one key lands on different
+        # counters in different groups
+        arr = ApproximateAssociativeArray(num_ways=64, num_cbfs=16)
+        slots = arr._key_slots(0xABCD)
+        assert slots[0] != slots[1]
+
+
+def _false_positives(num_hashes, cbf_counters):
+    """False-positive groups over 400 absent probes, with all 64 ways of
+    16 four-way groups filled by one fixed block set."""
+    arr = ApproximateAssociativeArray(num_ways=64, num_cbfs=16,
+                                      num_hashes=num_hashes,
+                                      cbf_counters=cbf_counters)
+    for way in range(64):
+        arr.note_install(way, way)
+    return sum(arr.search(probe).false_positives
+               for probe in range(1000, 1400))
 
 
 class TestFalsePositiveBehaviour:
     def test_more_hashes_reduce_false_positives(self):
         """Figure 20a's trend: more hash functions, fewer false positives."""
-        members = list(range(0, 6))
-        probes = list(range(1000, 1400))
-        rates = []
-        for hashes in (1, 3):
-            cbf = CountingBloomFilter(num_counters=32, num_hashes=hashes)
-            for key in members:
-                cbf.insert(key)
-            fp = sum(1 for p in probes if cbf.test(p))
-            rates.append(fp / len(probes))
-        assert rates[1] <= rates[0]
+        assert _false_positives(3, 16) <= _false_positives(1, 16)
 
     def test_more_slots_reduce_false_positives(self):
         """Figure 20b's trend: longer counter arrays, fewer false
         positives."""
-        members = list(range(0, 12))
-        probes = list(range(1000, 1400))
-        rates = []
-        for slots in (16, 128):
-            cbf = CountingBloomFilter(num_counters=slots, num_hashes=3)
-            for key in members:
-                cbf.insert(key)
-            fp = sum(1 for p in probes if cbf.test(p))
-            rates.append(fp / len(probes))
-        assert rates[1] <= rates[0]
+        assert _false_positives(3, 128) <= _false_positives(3, 16)
 
 
 class TestTimingModel:
     def test_test_hides_within_one_cycle(self):
-        timing = NVMCBFTimingModel()
-        assert timing.test_ps == pytest.approx(591.0)
-        assert timing.test_cycles == 0
-
-    def test_slow_variant_costs_a_cycle(self):
-        timing = NVMCBFTimingModel(test_ps=1500.0)
-        assert timing.test_cycles == 1
+        # the 591 ps NVM-CBF test fits in one 714 ps L1D cycle
+        assert CBF_TEST_CYCLES == 0
+        arr = ApproximateAssociativeArray(num_ways=4, num_cbfs=1)
+        arr.note_install(0x1234, 0)
+        assert arr.search(0x1234).cycles == 1
 
     def test_area_matches_table(self):
-        assert NVMCBFTimingModel().area_bytes == 512
-
-
-@settings(max_examples=60)
-@given(
-    members=st.sets(st.integers(min_value=0, max_value=10_000), max_size=30),
-    removed=st.sets(st.integers(min_value=0, max_value=10_000), max_size=30),
-)
-def test_no_false_negatives(members, removed):
-    """THE Bloom-filter invariant: a currently-stored key always tests
-    positive, whatever insert/remove history preceded it."""
-    cbf = CountingBloomFilter(num_counters=16, num_hashes=3)
-    for key in members:
-        cbf.insert(key)
-    for key in removed & members:
-        cbf.remove(key)
-    for key in members - removed:
-        assert cbf.test(key)
-
-
-@settings(max_examples=40)
-@given(
-    keys=st.lists(st.integers(min_value=0, max_value=1_000_000), min_size=1,
-                  max_size=50),
-)
-def test_counters_stay_in_range(keys):
-    cbf = CountingBloomFilter(num_counters=8, num_hashes=2, counter_bits=2)
-    for key in keys:
-        cbf.insert(key)
-    assert all(0 <= c <= 3 for c in cbf.counters())
-    for key in keys:
-        cbf.remove(key)
-    assert all(0 <= c <= 3 for c in cbf.counters())
+        # Table I: 512 B of 2-bit counters across Dy-FUSE's filters
+        arr = make_l1d(l1d_config("Dy-FUSE")).approx
+        assert arr.num_cbfs * arr.cbf_counters * 2 // 8 == 512
