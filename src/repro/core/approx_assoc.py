@@ -16,13 +16,12 @@ workloads; CBF false positives add wasted iterations, which Figure 20
 quantifies.  The tag queue keeps those extra cycles off the SM's critical
 path (they surface as ``tag_search_stall_cycles``, Figure 15).
 
-These filters are the repository's only counting Bloom filters.  Each
-is a row of 2-bit **saturating** counters indexed by double hashing
-(``h1 + i*h2``, with a per-group salt so groups hash independently).  A
-counter that reaches 3 is never decremented again ("stuck"): it may
-have absorbed more increments than it can count, and decrementing it
-could create a false negative.  Stuck counters only add false
-positives, so a resident block's group always tests positive.
+Each CBF is a row of 2-bit **saturating** counters indexed by double
+hashing (``h1 + i*h2``, with a per-group salt so groups hash
+independently).  A counter that reaches 3 is never decremented again
+("stuck"): it may have absorbed more increments than it can count, and
+decrementing it could create a false negative.  Stuck counters only
+add false positives, so a resident block's group always tests positive.
 
 Implementation note: the "test every CBF in parallel" step is priced
 through one **packed nonzero bitmap** -- a Python int holding one lane

@@ -1,7 +1,7 @@
 """Unit and property tests for the associativity-approximation engine."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.approx_assoc import ApproximateAssociativeArray
 
@@ -151,6 +151,10 @@ def _recount_iterations(arr, block):
         min_size=40, max_size=150,
     ),
 )
+# one full 8-way group on 4 counters saturates every counter; emptying
+# it then walks stuck counters down if a decrement ever reaches them
+@example(num_cbfs=1, group_size=8, cbf_counters=4, num_hashes=3,
+         ops=[(1, block, block) for block in range(8)] + [(0, 0, 0)] * 32)
 def test_filters_match_counter_rows(num_cbfs, group_size, cbf_counters,
                                     num_hashes, ops):
     """Property: under any install/evict history (few counters and
