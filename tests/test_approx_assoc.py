@@ -12,13 +12,33 @@ def make_small(exact=False):
     )
 
 
+class TestStandaloneFIFO:
+    """One block's install, search and removal, driven the way the owning
+    tag array drives them (the array no longer places blocks itself)."""
+
+    def test_install_then_found(self):
+        arr = make_small()
+        arr.note_install(0x100, 0)
+        result = arr.search(0x100)
+        assert result.way == 0
+        assert result.cycles >= 1
+
+    def test_remove(self):
+        arr = make_small()
+        arr.note_install(0x100, 0)
+        arr.note_evict(0x100)
+        # evicting a block that is not mirrored is a no-op
+        arr.note_evict(0x100)
+        assert arr.occupancy() == 0
+        assert arr.search(0x100).way is None
+
+
 class TestMirrorMode:
     def test_note_install_and_search(self):
         arr = make_small()
         arr.note_install(0x100, way=37)
         result = arr.search(0x100)
         assert result.way == 37
-        assert result.cycles >= 1
 
     def test_absent_key_not_found(self):
         arr = make_small()
@@ -48,9 +68,6 @@ class TestMirrorMode:
         arr.note_evict(0x100)
         assert arr.search(0x100).way is None
         assert 0x100 not in arr
-        # evicting a block that is not mirrored is a no-op
-        arr.note_evict(0x100)
-        assert arr.occupancy() == 0
 
 
 class TestSearchPricing:

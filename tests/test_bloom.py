@@ -5,6 +5,9 @@ one CBF per group of ways.  A group tests positive for a key when every
 counter the key hashes to is nonzero.
 """
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from repro.core.approx_assoc import (
     CBF_TEST_CYCLES, ApproximateAssociativeArray,
 )
@@ -49,6 +52,17 @@ class TestBasics:
         assert is_positive(arr, 0x1)
         assert arr.search(0x1).false_positives == 1
 
+    def test_invalid_params(self):
+        with pytest.raises(ValueError):
+            ApproximateAssociativeArray(cbf_counters=0)
+        with pytest.raises(ValueError):
+            ApproximateAssociativeArray(num_hashes=0)
+        # the smallest filter: one counter, one hash
+        arr = ApproximateAssociativeArray(num_ways=4, num_cbfs=1,
+                                          num_hashes=1, cbf_counters=1)
+        arr.note_install(0x1234, 0)
+        assert arr._counters == [[1]]
+
     def test_independent_seeds_differ(self):
         # each group salts the hashes, so one key lands on different
         # counters in different groups
@@ -92,3 +106,39 @@ class TestTimingModel:
         # Table I: 512 B of 2-bit counters across Dy-FUSE's filters
         arr = make_l1d(l1d_config("Dy-FUSE")).approx
         assert arr.num_cbfs * arr.cbf_counters * 2 // 8 == 512
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    members=st.sets(st.integers(min_value=0, max_value=10_000), max_size=30),
+    removed=st.sets(st.integers(min_value=0, max_value=10_000), max_size=30),
+)
+def test_no_false_negatives(members, removed):
+    """THE Bloom-filter invariant: a block still in a group tests positive
+    in that group's filter, whatever install/evict history preceded it."""
+    arr = ApproximateAssociativeArray(num_ways=32, num_cbfs=1,
+                                      cbf_counters=16)
+    for way, key in enumerate(members):
+        arr.note_install(key, way)
+    for key in removed & members:
+        arr.note_evict(key)
+    for key in members - removed:
+        assert is_positive(arr, key)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    keys=st.lists(st.integers(min_value=0, max_value=1_000_000), min_size=1,
+                  max_size=50, unique=True),
+)
+def test_counters_stay_in_range(keys):
+    arr = ApproximateAssociativeArray(num_ways=50, num_cbfs=1,
+                                      num_hashes=2, cbf_counters=8)
+    for way, key in enumerate(keys):
+        arr.note_install(key, way)
+    assert all(0 <= c <= 3 for c in arr._counters[0])
+    stuck = [c == 3 for c in arr._counters[0]]
+    for key in keys:
+        arr.note_evict(key)
+    # a counter that saturated stays stuck; every other one drains to 0
+    assert arr._counters[0] == [3 if s else 0 for s in stuck]
