@@ -31,7 +31,8 @@ Regression gating (see ``docs/performance.md``)::
     PYTHONPATH=src python benchmarks/bench_throughput.py --smoke --repeats 5 \
         --json benchmarks/results/throughput_baseline.json
     # fail (exit 1) when any pair's cycles/sec regresses >30% against it,
-    # or its py_calls_per_access exceeds the baseline's at all
+    # or its py_calls_per_access exceeds the baseline's at all; refuse
+    # (exit 2) a --repeats other than the baseline's
     PYTHONPATH=src python benchmarks/bench_throughput.py --smoke --repeats 5 \
         --check benchmarks/results/throughput_baseline.json
 
@@ -315,7 +316,8 @@ def main(argv=None) -> int:
         "--check", metavar="BASELINE", default=None,
         help="compare against a recorded baseline JSON; exit 1 when any "
              "pair's cycles/sec regresses more than --tolerance or its "
-             "py_calls_per_access exceeds the baseline's",
+             "py_calls_per_access exceeds the baseline's, exit 2 when "
+             "--repeats differs from the baseline's",
     )
     parser.add_argument(
         "--tolerance", type=float, default=0.30,
@@ -324,6 +326,20 @@ def main(argv=None) -> int:
              "docs/performance.md)",
     )
     args = parser.parse_args(argv)
+
+    if args.check:
+        # best-of-N wall-clock is comparable only at the baseline's N:
+        # a single repeat keeps a time that paid the arena warm-up
+        recorded = json.loads(pathlib.Path(args.check).read_text()).get(
+            "repeats")
+        if recorded is not None and recorded != args.repeats:
+            print(
+                f"error: {args.check} was recorded with --repeats "
+                f"{recorded}; this run asks for --repeats {args.repeats}. "
+                f"Check with --repeats {recorded}.",
+                file=sys.stderr,
+            )
+            return 2
 
     if args.smoke:
         scale, num_sms, pairs = "smoke", 2, SMOKE_PAIRS

@@ -28,74 +28,82 @@ Quickstart::
     base = runner.run("L1-SRAM", "ATAX")
     fuse = runner.run("Dy-FUSE", "ATAX")
     print(f"speedup {fuse.ipc / base.ipc:.2f}x")
+
+Every package that re-exports names (this one, ``core``, ``engine``,
+``gpu``, ``harness`` and ``service``) resolves them lazily through
+:func:`lazy_exports`, so ``import repro`` runs no submodule and each
+process loads only the layers its role runs (ARCHITECTURE.md, "Imports
+follow the role").
 """
 
-from repro.core.factory import (
-    L1DConfig,
-    config_for_budget,
-    known_configs,
-    l1d_config,
-    make_l1d,
-    ratio_config,
-)
-from repro.core.fuse_cache import FuseCache, FuseFeatures
-from repro.core.read_level_predictor import ReadLevel, ReadLevelPredictor
-from repro.engine import (
-    ExperimentEngine,
-    ResultStore,
-    RunKey,
-    RunSpec,
-    default_store_path,
-)
-from repro.gpu.config import GPUConfig, fermi_like, volta_like
-from repro.gpu.simulator import GPUSimulator
-from repro.gpu.stats import SimulationResult
-from repro.harness.runner import Runner, default_runner
-from repro.workloads.benchmarks import (
-    benchmark,
-    benchmark_names,
-    workload_names,
-)
-from repro.workloads.kernels import KernelModel
-from repro.workloads.registry import (
-    REGISTRY,
-    WorkloadRegistry,
-    register_workload,
-)
-from repro.workloads.trace import TraceScale
+import importlib
+from typing import Callable, List, Mapping, Tuple
+
+
+def lazy_exports(
+    namespace: dict, exports: Mapping[str, str],
+) -> Tuple[Callable[[str], object], Callable[[], List[str]]]:
+    """The PEP 562 ``__getattr__`` and ``__dir__`` of the package whose
+    ``globals()`` is *namespace*.
+
+    *exports* maps each exported name to the module defining it.  The
+    first access imports that module and caches the value in the
+    package namespace, so later lookups are plain attribute reads.
+    A package binds ``__getattr__, __dir__ = lazy_exports(globals(),
+    _EXPORTS)`` and sets ``__all__ = sorted(_EXPORTS)``.
+    """
+    package = namespace["__name__"]
+
+    def __getattr__(name: str) -> object:
+        module_name = exports.get(name)
+        if module_name is None:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}"
+            )
+        value = getattr(importlib.import_module(module_name), name)
+        namespace[name] = value
+        return value
+
+    def __dir__() -> List[str]:
+        return sorted(set(namespace) | set(exports))
+
+    return __getattr__, __dir__
+
+
+_EXPORTS = {
+    "L1DConfig": "repro.core.factory",
+    "config_for_budget": "repro.core.factory",
+    "known_configs": "repro.core.factory",
+    "l1d_config": "repro.core.factory",
+    "make_l1d": "repro.core.factory",
+    "ratio_config": "repro.core.factory",
+    "FuseCache": "repro.core.fuse_cache",
+    "FuseFeatures": "repro.core.fuse_cache",
+    "ReadLevel": "repro.core.read_level_predictor",
+    "ReadLevelPredictor": "repro.core.read_level_predictor",
+    "ExperimentEngine": "repro.engine.engine",
+    "ResultStore": "repro.engine.store",
+    "default_store_path": "repro.engine.store",
+    "RunKey": "repro.engine.spec",
+    "RunSpec": "repro.engine.spec",
+    "GPUConfig": "repro.gpu.config",
+    "fermi_like": "repro.gpu.config",
+    "volta_like": "repro.gpu.config",
+    "GPUSimulator": "repro.gpu.simulator",
+    "SimulationResult": "repro.gpu.stats",
+    "Runner": "repro.harness.runner",
+    "default_runner": "repro.harness.runner",
+    "benchmark": "repro.workloads.benchmarks",
+    "benchmark_names": "repro.workloads.benchmarks",
+    "workload_names": "repro.workloads.benchmarks",
+    "KernelModel": "repro.workloads.kernels",
+    "REGISTRY": "repro.workloads.registry",
+    "WorkloadRegistry": "repro.workloads.registry",
+    "register_workload": "repro.workloads.registry",
+    "TraceScale": "repro.workloads.trace",
+}
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "ExperimentEngine",
-    "FuseCache",
-    "FuseFeatures",
-    "GPUConfig",
-    "GPUSimulator",
-    "KernelModel",
-    "L1DConfig",
-    "REGISTRY",
-    "ReadLevel",
-    "ReadLevelPredictor",
-    "ResultStore",
-    "RunKey",
-    "RunSpec",
-    "Runner",
-    "SimulationResult",
-    "TraceScale",
-    "WorkloadRegistry",
-    "default_store_path",
-    "benchmark",
-    "benchmark_names",
-    "config_for_budget",
-    "default_runner",
-    "fermi_like",
-    "known_configs",
-    "l1d_config",
-    "make_l1d",
-    "ratio_config",
-    "register_workload",
-    "volta_like",
-    "workload_names",
-    "__version__",
-]
+__all__ = sorted(_EXPORTS) + ["__version__"]
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

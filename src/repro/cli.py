@@ -51,26 +51,17 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import cProfile
-import io
 import json
-import pstats
+import os
 import sys
 import time
 from typing import List, Optional
 
-from repro.core.factory import known_configs, l1d_config
-from repro.engine import (
-    ExperimentEngine,
-    ResultStore,
-    default_store_path,
-    result_to_dict,
-    stderr_progress,
-)
-from repro.harness.report import format_table
-from repro.harness.runner import Runner
-from repro.workloads.benchmarks import benchmark_class, workload_names
-from repro.workloads.suites import resolve_workloads, suite_of
+# Each command imports what it runs inside its ``_cmd_*`` function, so
+# a process pays only for its own role: ``import repro.cli`` costs
+# argparse and the standard library, and ``repro worker`` never loads
+# the scheduler, the server or the harness (ARCHITECTURE.md, "Imports
+# follow the role").
 
 __all__ = [
     "main",
@@ -407,6 +398,11 @@ def _add_machine_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _cmd_list() -> int:
+    from repro.core.factory import known_configs, l1d_config
+    from repro.harness.report import format_table
+    from repro.workloads.benchmarks import benchmark_class, workload_names
+    from repro.workloads.suites import suite_of
+
     config_rows = [
         [name, l1d_config(name).description] for name in known_configs()
     ]
@@ -429,6 +425,8 @@ def _cmd_list() -> int:
 
 
 def _print_result(result, title: str) -> None:
+    from repro.harness.report import format_table
+
     stats = result.l1d
     rows = [
         ["cycles", result.cycles],
@@ -446,6 +444,8 @@ def _print_result(result, title: str) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.harness.runner import Runner
+
     runner = Runner(
         gpu_profile=args.gpu, scale=args.scale, num_sms=args.sms,
     )
@@ -459,6 +459,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    from repro.harness.report import format_table
+    from repro.harness.runner import Runner
+
     configs = [c.strip() for c in args.configs.split(",") if c.strip()]
     runner = Runner(
         gpu_profile=args.gpu, scale=args.scale, num_sms=args.sms,
@@ -488,6 +491,10 @@ def _profiled(callable_, sort: str = "cumulative", limit: int = 25):
     covers only the callable itself (not the pstats aggregation), so
     throughput numbers derived from it describe the simulation alone.
     """
+    import cProfile
+    import io
+    import pstats
+
     profiler = cProfile.Profile()
     profiler.enable()
     start = time.perf_counter()
@@ -548,6 +555,13 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from repro.core.factory import l1d_config
+    from repro.engine.engine import ExperimentEngine, stderr_progress
+    from repro.engine.serialize import result_to_dict
+    from repro.engine.store import ResultStore, default_store_path
+    from repro.harness.report import format_table
+    from repro.workloads.suites import resolve_workloads
+
     configs = [c.strip() for c in args.configs.split(",") if c.strip()]
     workloads = resolve_workloads(args.workloads)
     for config in configs:
@@ -656,8 +670,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    import os
-
     from repro.service.server import (
         DEFAULT_HOST,
         DEFAULT_PORT,
@@ -712,8 +724,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_submit(args: argparse.Namespace) -> int:
-    import os
-
+    from repro.harness.report import format_table
     from repro.service.client import ServiceClient, ServiceError
 
     url = (
@@ -780,7 +791,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
 
 
 def _cmd_worker(args: argparse.Namespace) -> int:
-    import os
     import signal
 
     from repro.service.client import ServiceError
@@ -817,6 +827,9 @@ def _cmd_worker(args: argparse.Namespace) -> int:
 
 
 def _cmd_store(args: argparse.Namespace) -> int:
+    from repro.engine.store import ResultStore, default_store_path
+    from repro.harness.report import format_table
+
     path = args.store if args.store is not None else default_store_path()
     if not path:
         print(
@@ -856,6 +869,7 @@ def _cmd_store(args: argparse.Namespace) -> int:
 def _cmd_journal(args: argparse.Namespace) -> int:
     import pathlib
 
+    from repro.harness.report import format_table
     from repro.service.journal import load_journal
 
     path = pathlib.Path(args.path)
@@ -923,8 +937,6 @@ def _cmd_journal(args: argparse.Namespace) -> int:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
-    import os
-
     from repro.service.client import ServiceClient, ServiceError
 
     url = (
@@ -967,6 +979,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def _cmd_spans(args: argparse.Namespace) -> int:
+    from repro.harness.report import format_table
     from repro.telemetry.spans import (
         export_chrome_trace,
         merge_chrome_trace,
@@ -1063,8 +1076,6 @@ def _cmd_spans(args: argparse.Namespace) -> int:
 
 
 def _cmd_top(args: argparse.Namespace) -> int:
-    import os
-
     from repro.service.console import run_top
 
     url = (

@@ -19,10 +19,13 @@ structure):
   instantiate.
 * :mod:`repro.core.factory` -- named Table I configurations.
 
-Exports resolve lazily (PEP 562): ``repro.cache.nvm_bypass`` imports the
-sampler from here while ``repro.core.factory`` imports cache models from
-``repro.cache``, and lazy resolution keeps that dependency cycle inert.
+Exports resolve lazily (:func:`repro.lazy_exports`):
+``repro.cache.nvm_bypass`` imports the sampler from here while
+``repro.core.factory`` imports cache models from ``repro.cache``, and
+lazy resolution keeps that dependency cycle inert.
 """
+
+from repro import lazy_exports
 
 _EXPORTS = {
     "ApproximateAssociativeArray": "repro.core.approx_assoc",
@@ -45,20 +48,4 @@ _EXPORTS = {
 }
 
 __all__ = sorted(_EXPORTS)
-
-
-def __getattr__(name: str):
-    """Resolve package exports on first use (PEP 562)."""
-    module_name = _EXPORTS.get(name)
-    if module_name is None:
-        raise AttributeError(f"module 'repro.core' has no attribute {name!r}")
-    import importlib
-
-    module = importlib.import_module(module_name)
-    value = getattr(module, name)
-    globals()[name] = value
-    return value
-
-
-def __dir__():
-    return __all__
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -17,61 +17,40 @@ Typical use::
     table, outcomes = engine.run_matrix(
         ["L1-SRAM", "Dy-FUSE"], ["ATAX", "BICG"], scale="test", num_sms=4
     )
+
+Exports resolve lazily (:func:`repro.lazy_exports`): a fleet worker imports
+:mod:`repro.engine.spec` without the ``multiprocessing`` pool of
+:mod:`repro.engine.engine`.
 """
 
-from repro.engine.engine import (
-    ExperimentEngine,
-    OutcomeCallback,
-    ProgressEvent,
-    RunOutcome,
-    default_workers,
-    stderr_progress,
-)
-from repro.engine.serialize import (
-    SCHEMA_VERSION,
-    config_from_dict,
-    config_to_dict,
-    result_from_dict,
-    result_to_dict,
-)
-from repro.engine.spec import (
-    GPU_PROFILES,
-    SCALE_PRESETS,
-    RunKey,
-    RunSpec,
-    arena_for_spec,
-    execute_spec,
-    gpu_profile,
-    scale_preset,
-    spec_from_dict,
-    spec_to_dict,
-    trace_key,
-)
-from repro.engine.store import ResultStore, default_store_path
+from repro import lazy_exports
 
-__all__ = [
-    "ExperimentEngine",
-    "GPU_PROFILES",
-    "OutcomeCallback",
-    "ProgressEvent",
-    "ResultStore",
-    "RunKey",
-    "RunOutcome",
-    "RunSpec",
-    "SCALE_PRESETS",
-    "SCHEMA_VERSION",
-    "arena_for_spec",
-    "config_from_dict",
-    "config_to_dict",
-    "default_store_path",
-    "default_workers",
-    "execute_spec",
-    "gpu_profile",
-    "result_from_dict",
-    "result_to_dict",
-    "scale_preset",
-    "spec_from_dict",
-    "spec_to_dict",
-    "stderr_progress",
-    "trace_key",
-]
+_EXPORTS = {
+    "ExperimentEngine": "repro.engine.engine",
+    "OutcomeCallback": "repro.engine.engine",
+    "ProgressEvent": "repro.engine.engine",
+    "RunOutcome": "repro.engine.engine",
+    "default_workers": "repro.engine.engine",
+    "stderr_progress": "repro.engine.engine",
+    "SCHEMA_VERSION": "repro.engine.serialize",
+    "config_from_dict": "repro.engine.serialize",
+    "config_to_dict": "repro.engine.serialize",
+    "result_from_dict": "repro.engine.serialize",
+    "result_to_dict": "repro.engine.serialize",
+    "GPU_PROFILES": "repro.engine.spec",
+    "SCALE_PRESETS": "repro.engine.spec",
+    "RunKey": "repro.engine.spec",
+    "RunSpec": "repro.engine.spec",
+    "arena_for_spec": "repro.engine.spec",
+    "execute_spec": "repro.engine.spec",
+    "gpu_profile": "repro.engine.spec",
+    "scale_preset": "repro.engine.spec",
+    "spec_from_dict": "repro.engine.spec",
+    "spec_to_dict": "repro.engine.spec",
+    "trace_key": "repro.engine.spec",
+    "ResultStore": "repro.engine.store",
+    "default_store_path": "repro.engine.store",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

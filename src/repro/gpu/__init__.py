@@ -7,21 +7,25 @@ in order (1 per cycle per SM), memory instructions coalescing into
 structure is abstracted; latency and contention are modelled through
 per-resource ``busy_until`` accounting plus a typed event wheel for
 completions (see ARCHITECTURE.md, "GPU layer").
+
+Exports resolve lazily (:func:`repro.lazy_exports`).  That keeps an import
+cycle inert: ``workloads.trace`` imports :mod:`repro.gpu.coalescer`,
+and an eager package would load the simulator from there, which reaches
+back into ``workloads.trace`` through ``warp`` and ``workloads.arena``.
 """
 
-from repro.gpu.coalescer import coalesce
-from repro.gpu.config import GPUConfig, fermi_like, volta_like
-from repro.gpu.simulator import GPUSimulator
-from repro.gpu.stats import LatencyBreakdown, SimulationResult
-from repro.gpu.warp import Warp
+from repro import lazy_exports
 
-__all__ = [
-    "GPUConfig",
-    "GPUSimulator",
-    "LatencyBreakdown",
-    "SimulationResult",
-    "Warp",
-    "coalesce",
-    "fermi_like",
-    "volta_like",
-]
+_EXPORTS = {
+    "coalesce": "repro.gpu.coalescer",
+    "GPUConfig": "repro.gpu.config",
+    "fermi_like": "repro.gpu.config",
+    "volta_like": "repro.gpu.config",
+    "GPUSimulator": "repro.gpu.simulator",
+    "LatencyBreakdown": "repro.gpu.stats",
+    "SimulationResult": "repro.gpu.stats",
+    "Warp": "repro.gpu.warp",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

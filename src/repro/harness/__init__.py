@@ -8,9 +8,21 @@ stable content hash -- in process (L1) and, when given a
 session that regenerates Figures 13-17 runs each simulation at most
 once, and a repeated session runs none at all.  Matrices fan out across
 worker processes via :meth:`~repro.harness.runner.Runner.prefetch`.
+
+Exports resolve lazily (:func:`repro.lazy_exports`), so the CLI's table
+formatting (:mod:`repro.harness.report`) does not load the runner and
+the engine behind it.
 """
 
-from repro.harness.report import format_table, gmean, normalise
-from repro.harness.runner import Runner, default_runner
+from repro import lazy_exports
 
-__all__ = ["Runner", "default_runner", "format_table", "gmean", "normalise"]
+_EXPORTS = {
+    "format_table": "repro.harness.report",
+    "gmean": "repro.harness.report",
+    "normalise": "repro.harness.report",
+    "Runner": "repro.harness.runner",
+    "default_runner": "repro.harness.runner",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

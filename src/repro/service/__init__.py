@@ -53,36 +53,35 @@ standard library (``asyncio`` server, ``urllib`` client):
 See ``docs/service-api.md`` for the wire API and deployment knobs, and
 ``docs/distributed.md`` for the lease lifecycle and failure model
 (including the coordinator failure model).
+
+Exports resolve lazily (:func:`repro.lazy_exports`): a worker imports the
+client, the lease constants and :mod:`repro.service.worker` without the
+scheduler, the HTTP server, the journal or ``asyncio``.
 """
 
-from repro.service.client import ServiceClient, ServiceError
-from repro.service.jobs import InvalidRequest, Job, SweepRequest, job_id_for
-from repro.service.journal import JobJournal, load_journal, read_journal
-from repro.service.leases import Lease, LeaseManager
-from repro.service.registry import WorkerRegistry
-from repro.service.retry import RetryPolicy
-from repro.service.scheduler import Draining, JobScheduler, QueueFull
-from repro.service.server import BackgroundService, SimulationService
-from repro.service.worker import run_worker
+from repro import lazy_exports
 
-__all__ = [
-    "BackgroundService",
-    "Draining",
-    "InvalidRequest",
-    "Job",
-    "JobJournal",
-    "JobScheduler",
-    "Lease",
-    "LeaseManager",
-    "QueueFull",
-    "RetryPolicy",
-    "ServiceClient",
-    "ServiceError",
-    "SimulationService",
-    "SweepRequest",
-    "WorkerRegistry",
-    "job_id_for",
-    "load_journal",
-    "read_journal",
-    "run_worker",
-]
+_EXPORTS = {
+    "ServiceClient": "repro.service.client",
+    "ServiceError": "repro.service.client",
+    "InvalidRequest": "repro.service.jobs",
+    "Job": "repro.service.jobs",
+    "SweepRequest": "repro.service.jobs",
+    "job_id_for": "repro.service.jobs",
+    "JobJournal": "repro.service.journal",
+    "load_journal": "repro.service.journal",
+    "read_journal": "repro.service.journal",
+    "Lease": "repro.service.leases",
+    "LeaseManager": "repro.service.leases",
+    "WorkerRegistry": "repro.service.registry",
+    "RetryPolicy": "repro.service.retry",
+    "Draining": "repro.service.scheduler",
+    "JobScheduler": "repro.service.scheduler",
+    "QueueFull": "repro.service.scheduler",
+    "BackgroundService": "repro.service.server",
+    "SimulationService": "repro.service.server",
+    "run_worker": "repro.service.worker",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -110,13 +110,20 @@ class TestSearchPricing:
 @settings(max_examples=40, deadline=None)
 @given(
     blocks=st.lists(
-        st.integers(min_value=0, max_value=100_000), min_size=1, max_size=80,
+        # past 128 blocks the round-robin refill evicts
+        st.integers(min_value=0, max_value=100_000), min_size=1, max_size=300,
         unique=True,
     )
 )
+# blocks 0, 2, 3 and 10 all hash to counter 0 of group 0, so filling
+# ways 0-3 with them saturates it; refilling ways 0-2 with blocks that
+# miss that counter then walks it to 0 under block 10 if a decrement
+# ever reaches a stuck counter
+@example(blocks=[0, 2, 3, 10] + list(range(1000, 1124)) + [1, 4, 5])
 def test_resident_blocks_always_found(blocks):
     """Property: the CBF-guided search has no false negatives -- every
-    resident block is located at its true way."""
+    resident block is located at its true way, and its group's filter
+    reports it."""
     arr = ApproximateAssociativeArray(num_ways=128, num_cbfs=32)
     resident = {}
     way_block = {}
@@ -132,6 +139,11 @@ def test_resident_blocks_always_found(blocks):
     for block, way in resident.items():
         result = arr.search(block)
         assert result.way == way
+        # the way comes from the owner's map, so read the filter itself:
+        # the block's own group tests positive and the search is priced
+        # from the counter rows
+        assert _positive(arr, block, way // arr._group_size)
+        assert result.iterations == _recount_iterations(arr, block)
 
 
 def _positive(arr, block, group):
@@ -228,9 +240,14 @@ def test_filters_match_counter_rows(num_cbfs, group_size, cbf_counters,
         max_size=120,
     )
 )
+# the saturated counter of test_resident_blocks_always_found, emptied by
+# removals
+@example(ops=[(True, 0), (True, 2), (True, 3), (True, 10),
+              (False, 0), (False, 2), (False, 3)])
 def test_mirror_matches_reference_set(ops):
     """Property: under arbitrary install/remove sequences the structure's
-    membership matches a reference dict."""
+    membership matches a reference dict, and every resident block's
+    group filter reports it."""
     arr = ApproximateAssociativeArray(num_ways=64, num_cbfs=16)
     reference = {}
     next_way = iter(range(64))
@@ -247,4 +264,7 @@ def test_mirror_matches_reference_set(ops):
             del reference[block]
     assert arr.occupancy() == len(reference)
     for block, way in reference.items():
-        assert arr.search(block).way == way
+        result = arr.search(block)
+        assert result.way == way
+        assert _positive(arr, block, way // arr._group_size)
+        assert result.iterations == _recount_iterations(arr, block)

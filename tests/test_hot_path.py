@@ -330,3 +330,18 @@ def test_throughput_gate_is_exact_on_calls_per_access(tmp_path):
         report(cycles_per_sec=800.0), baseline, 0.3) == 0
     assert bench.check_against_baseline(
         report(cycles_per_sec=600.0), baseline, 0.3) == 1
+
+
+def test_throughput_check_refuses_other_repeat_counts(tmp_path, capsys):
+    # best-of-1 pays the arena warm-up, so a --repeats 1 check against a
+    # best-of-5 baseline fails an unchanged tree; it is refused before
+    # anything is measured
+    bench = _bench_throughput()
+    baseline = tmp_path / "baseline.json"
+    baseline.write_text(json.dumps(
+        {"scale": "smoke", "num_sms": 2, "repeats": 5, "rows": []}))
+    code = bench.main(
+        ["--smoke", "--repeats", "1", "--check", str(baseline)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "--repeats 5" in err and "--repeats 1" in err
