@@ -57,11 +57,9 @@ import sys
 import time
 from typing import List, Optional
 
-# Each command imports what it runs inside its ``_cmd_*`` function, so
-# a process pays only for its own role: ``import repro.cli`` costs
-# argparse and the standard library, and ``repro worker`` never loads
-# the scheduler, the server or the harness (ARCHITECTURE.md, "Imports
-# follow the role").
+# Each command imports its dependencies inside its ``_cmd_*`` function,
+# so ``import repro.cli`` costs only argparse and the standard library
+# (ARCHITECTURE.md, "Imports follow the role").
 
 __all__ = [
     "main",
