@@ -29,11 +29,10 @@ Quickstart::
     fuse = runner.run("Dy-FUSE", "ATAX")
     print(f"speedup {fuse.ipc / base.ipc:.2f}x")
 
-Every package that re-exports names (this one, ``core``, ``engine``,
-``gpu``, ``harness`` and ``service``) resolves them lazily through
-:func:`lazy_exports`, so ``import repro`` runs no submodule and each
-process loads only the layers its role runs (ARCHITECTURE.md, "Imports
-follow the role").
+This package and ``core``, ``engine``, ``gpu``, ``harness`` and
+``service`` resolve their exports lazily through :func:`lazy_exports`,
+so ``import repro`` runs no submodule and each process loads only the
+layers its role runs (ARCHITECTURE.md, "Imports follow the role").
 """
 
 import importlib

@@ -2,8 +2,9 @@
 
 A fleet worker, a coordinator and every CLI command start a fresh
 interpreter, so what their first imports pull in is start-up time
-(``setup_s`` in perfbench's ``smoke-fleet``).  Package ``__init__`` s
-resolve their exports lazily (:func:`repro.lazy_exports`) and
+(``setup_s`` in perfbench's ``smoke-fleet``).  The packages in
+:data:`LAZY_PACKAGES` resolve their exports lazily
+(:func:`repro.lazy_exports`) and
 :mod:`repro.cli` imports each command's dependencies inside the
 command, so these checks read ``sys.modules`` in fresh subprocesses.
 """
