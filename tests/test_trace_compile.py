@@ -6,9 +6,10 @@ packer's runaway guard.
 buffers (``op_kind``, ``op_pc``, ``op_count``, ``txn_off``, ``txns``,
 ``warp_bounds``; each prefixed by its name, type code and length) for
 every workload in ``REGISTRY.names()`` at smoke and test scale, 2 SMs,
-seed 1.  Any change to the pattern helpers, the coalescer or the packer
-that alters a single transaction, pc or warp boundary fails here, before
-it can move a simulation result.
+seed 1; ``PINNED_ARENAS_15SM`` does the same at smoke scale on the
+paper's 15 SMs.  Any change to the pattern helpers, the coalescer or the
+packer that alters a single transaction, pc or warp boundary fails here,
+before it can move a simulation result.
 """
 
 from __future__ import annotations
@@ -148,6 +149,60 @@ PINNED_ARENAS = {
 }
 
 
+#: the paper's machine shape (Table I: 15 SMs) at smoke scale, seed 1;
+#: pins the per-warp offsets across many SMs, which 2 SMs do not reach
+PINNED_ARENAS_15SM = {
+    "2DCONV":
+        "8e38bdcaaed058b46e9256dc6312c737c196c04f48790a499518741ab7e78dbd",
+    "2MM":
+        "51693caafc7f2bb8906ff9763ca6417838f04eb2b5e41220d6b938c1ec6e005c",
+    "3MM":
+        "1ad4d519b18feb0ffa812e3aed9566de27fb47dc52d2b1922d842ddd0c9afba7",
+    "ATAX":
+        "09c258e2bd95a7a7939ab988f0ed5a011d52c8b41470c582d3cc9e962ef52fc4",
+    "BICG":
+        "fb9685a097c0fa4e476f4ffa7cc3dfbe41fea018a5661a69a9a24bb2cf594113",
+    "cfd":
+        "bebb99b82782666c46f93315c29dcf8c329273c88afd71f6b5b9153b9108c221",
+    "FDTD":
+        "907674266e740a3d72a8dd94171651aefc587180ccb76ce776e31c2d21997b64",
+    "gaussian":
+        "296aa1b1724008307c21a805993f4e3207b2f77538567634aff84cd99741373c",
+    "GEMM":
+        "5a37f27eeaeefb71913b39e1885a997c8fde75464b1d11659388496b96d1eec6",
+    "GESUMMV":
+        "f8bcbbbd899299588f1d9c565135b150ea473c5e3685c3a5c9bf603aecd1def3",
+    "II":
+        "a128ab6be1887b3a20e13499120d890b5a095cf73916cec20b200a2390922af8",
+    "MVT":
+        "973075b1f75db361d6a954111cdb2cb1293184a9edd423f6112d704fd2b39970",
+    "PVC":
+        "181280a7300b20d1032e35b9d7ffe382767f8a83d30e3101ac9c9bc6bb62923f",
+    "PVR":
+        "22c6e269b6cb97348788072ea97bc42ee9726c5dc9f5fc91fdee05f341c06393",
+    "pathf":
+        "62acc5e6906f3dccd9f89e3659c578502e6743035d7e74f839683c9182426817",
+    "SS":
+        "378bbbccf11a280c1a7972a548d76ba327ab14e7aab6615f57dc6691ad8013ff",
+    "srad_v1":
+        "c4bf9e39899badf26abc6d869b84350f8d14537bc58763826923f9257fd97ef1",
+    "SM":
+        "8ae2fec0ac02b0e3ea0792d83be06917c75ac34e44d927264edc21d59add486a",
+    "SYR2K":
+        "5e78660b95b0deab31620ba24973398bd925dad32a3cbaca21293712bca8a116",
+    "mri-g":
+        "c8e23e92e091fcc005fb9daa47dff7769861dead867e9db16ccdac5d5020c542",
+    "histo":
+        "fd3d048e82400ce5bbc6fec5645147eb143081e9ef4732a12642b9549a2c809b",
+    "conv2d":
+        "d9050b5d0313aa8dfaa61c2ac27a0ca48b93caed97637f9c03625a5f38212e1c",
+    "gemm-tile":
+        "ec5d17c5bf36d692e4028e2999192bd0437ac60690a79b8b61f5bea5a624a7b6",
+    "attention":
+        "24a0d5e0d32d172aedd994b904657e4445c1951f8906aa9fa025176f587756c1",
+}
+
+
 def arena_digest(arena: PackedTraceArena) -> str:
     digest = hashlib.sha256()
     for name in BUFFERS:
@@ -179,6 +234,19 @@ def test_arena_digests_are_pinned(scale):
             seed=1,
         ))
         if arena_digest(arena) != PINNED_ARENAS[(name, scale)]:
+            mismatched.append(name)
+    assert mismatched == []
+
+
+def test_paper_shape_digests_are_pinned():
+    assert sorted(PINNED_ARENAS_15SM) == sorted(workload_names())
+    mismatched = []
+    for name in workload_names():
+        arena = arena_for_spec(RunSpec.build(
+            "L1-SRAM", name, gpu_profile="fermi", scale="smoke", num_sms=15,
+            seed=1,
+        ))
+        if arena_digest(arena) != PINNED_ARENAS_15SM[name]:
             mismatched.append(name)
     assert mismatched == []
 
