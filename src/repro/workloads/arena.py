@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import time
 from array import array
+from itertools import accumulate, chain, islice
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, Tuple
 
 from repro.telemetry.metrics import REGISTRY
@@ -63,6 +64,10 @@ __all__ = [
 #: (matching the 50M-cycle default's magnitude) and raises instead of
 #: consuming all memory.
 MAX_ARENA_OPS = 50_000_000
+
+#: records the packer pulls from a warp stream at a time; bounds what it
+#: holds at once and how far a runaway stream overshoots the budget
+PACK_SLICE = 1024
 
 
 class PackedTraceArena:
@@ -108,32 +113,32 @@ class PackedTraceArena:
 
         Counts as one *pack* in :func:`arena_cache_stats` (this is where
         trace generation -- the generators plus the coalescer -- runs).
-        Each record is unpacked into its four fields and appended
-        through bound methods; the op budget is checked on every op.
+        Each warp stream is pulled :data:`PACK_SLICE` records at a time
+        and transposed into field columns that extend the buffers whole;
+        the op budget is checked once per slice.
 
         Raises:
-            RuntimeError: past :data:`MAX_ARENA_OPS` ops -- a
-                non-terminating (or absurdly over-long) stream must fail
-                loudly here rather than exhaust memory.
+            RuntimeError: past :data:`MAX_ARENA_OPS` ops, within a slice
+                -- a non-terminating (or absurdly over-long) stream must
+                fail loudly here rather than exhaust memory.
         """
         started = time.perf_counter()
         started_ns = time.time_ns()
         op_kind = array("b")
         op_pc = array("q")
         op_count = array("q")
-        txn_off = array("q", [0])
+        txn_off = array("q")
         txns = array("q")
         warp_bounds = array("q", [0])
-        add_kind, add_pc, add_count = (
-            op_kind.append, op_pc.append, op_count.append
-        )
-        add_off, add_txns = txn_off.append, txns.extend
         limit = MAX_ARENA_OPS
         ops = transactions = 0
         for sm_id in range(num_sms):
             for warp_id in range(warps_per_sm):
-                for kind, pc, count, blocks in streams(sm_id, warp_id):
-                    ops += 1
+                stream = iter(streams(sm_id, warp_id))
+                for records in iter(
+                    lambda: list(islice(stream, PACK_SLICE)), []
+                ):
+                    ops += len(records)
                     if ops > limit:
                         raise RuntimeError(
                             f"trace for {workload!r} exceeds "
@@ -141,14 +146,18 @@ class PackedTraceArena:
                             f"({sm_id}, {warp_id}); the stream is "
                             "runaway or far beyond any simulatable scale"
                         )
-                    add_kind(kind)
-                    add_pc(pc)
-                    add_count(count)
-                    if blocks:
-                        add_txns(blocks)
-                        transactions += len(blocks)
-                    add_off(transactions)
+                    kinds, pcs, counts, blocks = zip(*records)
+                    op_kind.extend(kinds)
+                    op_pc.extend(pcs)
+                    op_count.extend(counts)
+                    # each op's start offset; the end is the next slice's start
+                    txn_off.extend(accumulate(
+                        map(len, blocks), initial=transactions
+                    ))
+                    transactions = txn_off.pop()
+                    txns.extend(chain.from_iterable(blocks))
                 warp_bounds.append(ops)
+        txn_off.append(transactions)
         _PACKS.inc()
         _PACK_SECONDS.inc(time.perf_counter() - started)
         record_span(

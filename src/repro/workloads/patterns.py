@@ -32,11 +32,11 @@ from typing import Iterable, Iterator, List, Tuple
 from repro.cache.request import BLOCK_SHIFT
 from repro.gpu.coalescer import coalesce
 from repro.workloads.trace import (
+    COMPUTE,
     LOAD,
     STORE,
     WarpInstruction,
     _new,
-    compute_block,
     load_instruction,
     store_instruction,
 )
@@ -45,7 +45,7 @@ __all__ = [
     "ELEMENT", "Region", "WARP_BYTES", "WARP_LANES", "coalesced_load",
     "coalesced_store", "gather_load", "interleave", "region", "rmw",
     "scatter_store", "strided_blocks", "strided_load", "strided_store",
-    "take_instructions", "unit_stride_blocks", "zipf_indices",
+    "unit_stride_blocks", "zipf_indices",
 ]
 
 #: lane element size; each thread reads/writes a 4-byte word
@@ -212,31 +212,19 @@ def interleave(
     """
     if apki <= 0:
         raise ValueError("apki must be positive")
+    draw = rng.random
     budget = 0.0
     for instruction in memory_instructions:
-        transactions = max(1, len(instruction.transactions))
-        slots = 1000.0 * transactions / apki
-        budget += slots - 1  # the memory instruction occupies one slot
+        # the memory instruction occupies one of its slots
+        budget += 1000.0 * (len(instruction.transactions) or 1) / apki - 1
         if budget >= 1.0:
-            jitter = rng.uniform(0.9, 1.1)
-            pad = max(1, int(budget * jitter))
-            pad = min(pad, int(budget) + 1)
-            yield compute_block(pad)
+            # ``rng.uniform(0.9, 1.1)``'s own arithmetic, same draw
+            pad = int(budget * (0.9 + (1.1 - 0.9) * draw())) or 1
+            if pad > int(budget) + 1:
+                pad = int(budget) + 1
+            yield _new(WarpInstruction, (COMPUTE, 0, pad, ()))
             budget -= pad
         yield instruction
-
-
-def take_instructions(
-    stream: Iterator[WarpInstruction], limit: int
-) -> Iterator[WarpInstruction]:
-    """Cut a stream after ~*limit* warp instructions (compute counts by
-    its collapsed ``count``)."""
-    issued = 0
-    for instruction in stream:
-        yield instruction
-        issued += instruction.count if instruction.kind == 0 else 1
-        if issued >= limit:
-            return
 
 
 def zipf_indices(

@@ -23,7 +23,7 @@ notes").
 
 ``WarpInstruction`` is the *authoring* representation: kernel models
 emit it and tests assert on it.  It is a named tuple of its four fields,
-so the packer unpacks each record in one step.
+so the packer transposes a slice of records with one ``zip``.
 The simulator itself replays the columnar packed form
 (:class:`~repro.workloads.arena.PackedTraceArena`); the two convert
 losslessly in both directions.

@@ -1,6 +1,7 @@
 """Pins for trace compilation: the packed arena of every registered
 workload, the closed-form coalescing of the pattern helpers, and the
-packer's runaway guard.
+packer's runaway guard, and the packer and the compute pad each
+against a per-record reference that defines their output.
 
 ``PINNED_ARENAS`` holds a literal SHA-256 digest over all six arena
 buffers (``op_kind``, ``op_pc``, ``op_count``, ``txn_off``, ``txns``,
@@ -16,9 +17,12 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import random
+from array import array
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.engine.spec import RunSpec, arena_for_spec
 from repro.gpu.coalescer import coalesce, warp_addresses
@@ -30,6 +34,7 @@ from repro.workloads.patterns import (
     ELEMENT,
     Region,
     coalesced_load,
+    interleave,
     coalesced_store,
     strided_blocks,
     strided_load,
@@ -37,6 +42,7 @@ from repro.workloads.patterns import (
     unit_stride_blocks,
 )
 from repro.workloads.trace import (
+    COMPUTE,
     LOAD,
     STORE,
     WarpInstruction,
@@ -266,6 +272,184 @@ def test_runaway_stream_fails_loudly(monkeypatch):
     message = str(raised.value)
     assert "'endless'" in message
     assert "warp (1, 2)" in message
+
+
+def test_runaway_stream_pulls_at_most_one_slice_past_the_budget(
+    monkeypatch,
+):
+    limit = 100
+    monkeypatch.setattr(arena_module, "MAX_ARENA_OPS", limit)
+    most = limit + arena_module.PACK_SLICE
+    pulls = 0
+
+    def endless():
+        nonlocal pulls
+        while True:
+            pulls += 1
+            if pulls > most:  # a packer that drains without bound
+                raise AssertionError(f"packer pulled {pulls:,} records")
+            yield compute_block(1)
+
+    exact = PackedTraceArena.from_streams(
+        "at-budget", 1, 1, lambda sm_id, warp_id: [compute_block(1)] * limit
+    )
+    assert exact.num_ops == limit
+    with pytest.raises(RuntimeError, match="'endless'.*warp \\(0, 0\\)"):
+        PackedTraceArena.from_streams(
+            "endless", 1, 1, lambda sm_id, warp_id: endless()
+        )
+    assert limit < pulls <= most
+
+
+# ----------------------------------------------------------------------
+# the slice packer and the inline pad equal the per-record originals
+
+def reference_pack(num_sms, warps_per_sm, streams):
+    """The per-record packer the slice packer replaced: the six buffers
+    it builds from ``streams(sm_id, warp_id)``."""
+    op_kind, op_pc, op_count = array("b"), array("q"), array("q")
+    txn_off, txns, warp_bounds = array("q", [0]), array("q"), array("q", [0])
+    for sm_id in range(num_sms):
+        for warp_id in range(warps_per_sm):
+            for kind, pc, count, blocks in streams(sm_id, warp_id):
+                op_kind.append(kind)
+                op_pc.append(pc)
+                op_count.append(count)
+                txns.extend(blocks)
+                txn_off.append(len(txns))
+            warp_bounds.append(len(op_kind))
+    return op_kind, op_pc, op_count, txn_off, txns, warp_bounds
+
+
+records = st.one_of(
+    st.builds(compute_block, st.integers(1, 5000)),
+    st.builds(
+        WarpInstruction,
+        kind=st.sampled_from([LOAD, STORE]),
+        pc=st.integers(0, 1 << 20),
+        count=st.just(1),
+        transactions=st.lists(
+            st.integers(0, 1 << 40), max_size=4
+        ).map(tuple),
+    ),
+)
+
+
+@st.composite
+def machines(draw):
+    """(slice size, SMs, warps per SM, every warp's record list).
+
+    A warp cycles a small drawn pool of records from its own starting
+    point, so it can run to a length just below, at or just above one
+    or two slices -- the real slice size included -- without drawing
+    each record; a length of 0 is an empty warp."""
+    size = draw(st.sampled_from([1, 2, 3, 7, arena_module.PACK_SLICE]))
+    num_sms = draw(st.integers(1, 3))
+    warps_per_sm = draw(st.integers(1, 4))
+    pool = draw(st.lists(records, min_size=1, max_size=8))
+    lengths = st.one_of(
+        st.integers(0, 4),
+        st.builds(
+            lambda slices, step: slices * size + step,
+            st.integers(1, 2), st.integers(-1, 1),
+        ),
+    )
+    warps = {}
+    for sm_id in range(num_sms):
+        for warp_id in range(warps_per_sm):
+            start, length = draw(st.integers(0, 7)), draw(lengths)
+            warps[sm_id, warp_id] = [
+                pool[(start + i) % len(pool)] for i in range(length)
+            ]
+    return size, num_sms, warps_per_sm, warps
+
+
+@settings(max_examples=150, deadline=None)
+@given(machine=machines())
+def test_slice_packer_matches_the_per_record_packer(machine):
+    size, num_sms, warps_per_sm, warps = machine
+
+    def streams(sm_id, warp_id):  # a generator, as the kernels return
+        yield from warps[sm_id, warp_id]
+
+    with mock.patch.object(arena_module, "PACK_SLICE", size):
+        arena = PackedTraceArena.from_streams(
+            "drawn", num_sms, warps_per_sm, streams
+        )
+    expected = reference_pack(num_sms, warps_per_sm, streams)
+    for name, want in zip(BUFFERS, expected):
+        got = getattr(arena, name)
+        assert (name, got.typecode, got.tobytes()) == (
+            name, want.typecode, want.tobytes()
+        )
+
+
+def reference_interleave(memory_instructions, apki, rng, capped=None):
+    """The pad as it was written with ``rng.uniform``, ``max`` and
+    ``min``; appends to *capped* each time the ``int(budget) + 1`` cap
+    shortens a pad."""
+    budget = 0.0
+    for instruction in memory_instructions:
+        transactions = max(1, len(instruction.transactions))
+        slots = 1000.0 * transactions / apki
+        budget += slots - 1
+        if budget >= 1.0:
+            jitter = rng.uniform(0.9, 1.1)
+            pad = max(1, int(budget * jitter))
+            if capped is not None and pad > int(budget) + 1:
+                capped.append(pad)
+            pad = min(pad, int(budget) + 1)
+            yield compute_block(pad)
+            budget -= pad
+        yield instruction
+
+
+memory_records = st.builds(
+    WarpInstruction,
+    kind=st.sampled_from([LOAD, STORE]),
+    pc=st.integers(0, 1 << 16),
+    count=st.just(1),
+    transactions=st.lists(
+        st.integers(0, 1 << 32), max_size=32
+    ).map(tuple),
+)
+
+#: sparse densities leave whole-slot budgets in the tens or hundreds,
+#: where the +10% jitter overshoots ``int(budget) + 1`` and the cap binds
+apkis = st.one_of(
+    st.floats(0.5, 20.0), st.floats(20.0, 2000.0), st.sampled_from([60.0])
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    memory=st.lists(memory_records, max_size=60),
+    apki=apkis,
+    seed=st.integers(0, 1 << 32),
+)
+@example(memory=[WarpInstruction(LOAD, 0x40, 1, (1,) * 32)] * 8, apki=3.0,
+         seed=1)
+def test_inline_pad_matches_the_uniform_pad(memory, apki, seed):
+    ours, theirs = random.Random(seed), random.Random(seed)
+    assert list(interleave(memory, apki, ours)) == list(
+        reference_interleave(memory, apki, theirs)
+    )
+    assert ours.getstate() == theirs.getstate()
+
+
+def test_the_pad_cap_binds_on_sparse_streams():
+    """The reference shows the ``int(budget) + 1`` cap shortening pads
+    on the property test's sparse example, so that test covers it."""
+    memory = [WarpInstruction(LOAD, 0x40, 1, (1,) * 32)] * 8
+    capped = []
+    expected = list(reference_interleave(
+        memory, 3.0, random.Random(1), capped
+    ))
+    assert capped
+    assert list(interleave(memory, 3.0, random.Random(1))) == expected
+    assert all(
+        record.count >= 1 for record in expected if record.kind == COMPUTE
+    )
 
 
 # ----------------------------------------------------------------------
