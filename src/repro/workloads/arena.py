@@ -118,9 +118,9 @@ class PackedTraceArena:
         the op budget is checked once per slice.
 
         Raises:
-            RuntimeError: past :data:`MAX_ARENA_OPS` ops, within a slice
-                -- a non-terminating (or absurdly over-long) stream must
-                fail loudly here rather than exhaust memory.
+            RuntimeError: past :data:`MAX_ARENA_OPS` ops (at most one
+                slice later) -- a non-terminating (or absurdly over-long)
+                stream must fail loudly here rather than exhaust memory.
         """
         started = time.perf_counter()
         started_ns = time.time_ns()

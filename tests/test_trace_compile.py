@@ -42,7 +42,6 @@ from repro.workloads.patterns import (
     unit_stride_blocks,
 )
 from repro.workloads.trace import (
-    COMPUTE,
     LOAD,
     STORE,
     WarpInstruction,
@@ -294,7 +293,7 @@ def test_runaway_stream_pulls_at_most_one_slice_past_the_budget(
         "at-budget", 1, 1, lambda sm_id, warp_id: [compute_block(1)] * limit
     )
     assert exact.num_ops == limit
-    with pytest.raises(RuntimeError, match="'endless'.*warp \\(0, 0\\)"):
+    with pytest.raises(RuntimeError, match=r"'endless'.*warp \(0, 0\)"):
         PackedTraceArena.from_streams(
             "endless", 1, 1, lambda sm_id, warp_id: endless()
         )
@@ -416,9 +415,7 @@ memory_records = st.builds(
 
 #: sparse densities leave whole-slot budgets in the tens or hundreds,
 #: where the +10% jitter overshoots ``int(budget) + 1`` and the cap binds
-apkis = st.one_of(
-    st.floats(0.5, 20.0), st.floats(20.0, 2000.0), st.sampled_from([60.0])
-)
+apkis = st.one_of(st.floats(0.5, 20.0), st.floats(20.0, 2000.0))
 
 
 @settings(max_examples=300, deadline=None)
@@ -447,9 +444,6 @@ def test_the_pad_cap_binds_on_sparse_streams():
     ))
     assert capped
     assert list(interleave(memory, 3.0, random.Random(1))) == expected
-    assert all(
-        record.count >= 1 for record in expected if record.kind == COMPUTE
-    )
 
 
 # ----------------------------------------------------------------------
