@@ -200,12 +200,3 @@ class L1DCacheModel(abc.ABC):
     def flush_metadata(self) -> None:
         """Hook for end-of-run bookkeeping (e.g. scoring still-resident
         predictor decisions).  Default: nothing."""
-
-    def mshr_occupancy(self) -> int:
-        """In-flight primary misses right now (timeline sampling hook).
-
-        The default reads the conventional ``mshr`` attribute every
-        bundled model exposes; models without one report zero.
-        """
-        mshr = getattr(self, "mshr", None)
-        return len(mshr) if mshr is not None else 0

@@ -124,11 +124,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=0, help="simulation seed (default 0)",
     )
     sweep.add_argument(
-        "--timeline", type=int, default=0, metavar="CYCLES",
-        help="sample the in-simulation timeline every CYCLES cycles "
-             "(0 = off; sampled runs key separately in the store)",
-    )
-    sweep.add_argument(
         "--json", action="store_true",
         help="emit results as JSON instead of a table",
     )
@@ -261,11 +256,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     submit.add_argument(
         "--seed", type=int, default=0, help="simulation seed (default 0)",
-    )
-    submit.add_argument(
-        "--timeline", type=int, default=0, metavar="CYCLES",
-        help="sample the in-simulation timeline every CYCLES cycles "
-             "(0 = off; fetch the series from /v1/jobs/{id}/timeline)",
     )
     submit.add_argument(
         "--timeout", type=float, default=600.0,
@@ -581,7 +571,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     run = lambda: engine.run_matrix(  # noqa: E731 - tiny dispatch shim
         configs, workloads,
         gpu_profile=args.gpu, scale=args.scale, seed=args.seed,
-        num_sms=args.sms, timeline_interval=args.timeline,
+        num_sms=args.sms,
     )
     if args.profile:
         # stderr, like the progress ticker: --json consumers own stdout
@@ -648,16 +638,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             f"{fresh} fresh, {len(errors)} failed"
             + (f" (store: {store.path})" if store is not None else "")
         )
-        if args.timeline:
-            sampled = sum(
-                1 for o in outcomes
-                if o.result is not None and o.result.timeline is not None
-            )
-            print(
-                f"timeline: {sampled}/{len(outcomes)} runs carry a "
-                f"series sampled every {args.timeline} cycles "
-                "(--json to export)"
-            )
     for outcome in errors:
         print(
             f"error: {outcome.spec.l1d.name} on {outcome.spec.workload}:\n"
@@ -747,7 +727,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         snapshot = client.run_to_completion(
             args.configs, args.workloads, gpu_profile=args.gpu,
             scale=args.scale, seed=args.seed, num_sms=args.sms,
-            timeline=args.timeline, timeout=args.timeout, on_event=on_event,
+            timeout=args.timeout, on_event=on_event,
         )
     except (ServiceError, TimeoutError) as error:
         print(f"error: {error}", file=sys.stderr)
@@ -773,10 +753,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
             f"{snapshot['errors']} failed "
             f"({snapshot['elapsed_s']:.2f}s)"
         )
-        if args.timeline:
-            print(
-                f"timeline: GET {url}/v1/jobs/{snapshot['job']}/timeline"
-            )
     failed = snapshot["state"] == "failed" or snapshot["errors"] > 0
     for run in snapshot.get("runs", []):
         if run.get("error"):

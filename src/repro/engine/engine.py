@@ -354,16 +354,11 @@ class ExperimentEngine:
         scale: str = "bench",
         seed: int = 0,
         num_sms: Optional[int] = None,
-        timeline_interval: int = 0,
         progress: Optional[ProgressCallback] = None,
     ) -> Tuple[Dict[str, Dict[str, SimulationResult]], List[RunOutcome]]:
         """Run a configs x workloads grid.
 
         *configs* entries may be names or :class:`L1DConfig` instances.
-        A non-zero *timeline_interval* turns on the in-simulation
-        timeline sampler (one row per that many cycles; see
-        ``docs/observability.md``) and becomes part of each run's
-        identity.
 
         Returns:
             ``({workload: {config_name: result}}, outcomes)`` -- failed
@@ -376,7 +371,6 @@ class ExperimentEngine:
             RunSpec.build(
                 config, workload, gpu_profile=gpu_profile, scale=scale,
                 seed=seed, num_sms=num_sms,
-                timeline_interval=timeline_interval,
             )
             for workload in workloads
             for config in configs

@@ -24,7 +24,6 @@ from repro.core.factory import L1DConfig
 from repro.core.fuse_cache import FuseFeatures
 from repro.energy.model import EnergyReport
 from repro.gpu.stats import LatencyBreakdown, MemorySystemStats, SimulationResult
-from repro.telemetry.timeline import timeline_from_payload, timeline_to_payload
 
 __all__ = [
     "SCHEMA_VERSION", "config_from_dict", "config_to_dict",
@@ -93,11 +92,8 @@ def result_to_dict(result: SimulationResult) -> Dict[str, Any]:
 
     Every counter is preserved exactly (all fields are ints/floats), so
     :func:`result_from_dict` reproduces a bit-identical result object.
-    The sampled timeline, when a run carried one, rides along under
-    ``"timeline"``; the key is **absent** (not null) for runs without
-    one, keeping every pre-timeline payload byte-identical.
     """
-    payload = {
+    return {
         "config_name": result.config_name,
         "workload_name": result.workload_name,
         "cycles": result.cycles,
@@ -111,9 +107,6 @@ def result_to_dict(result: SimulationResult) -> Dict[str, Any]:
         "retries": result.retries,
         "energy": _energy_to_dict(result.energy),
     }
-    if result.timeline is not None:
-        payload["timeline"] = timeline_to_payload(result.timeline)
-    return payload
 
 
 def result_from_dict(payload: Dict[str, Any]) -> SimulationResult:
@@ -131,5 +124,4 @@ def result_from_dict(payload: Dict[str, Any]) -> SimulationResult:
         store_transactions=payload["store_transactions"],
         retries=payload["retries"],
         energy=_energy_from_dict(payload["energy"]),
-        timeline=timeline_from_payload(payload.get("timeline")),
     )

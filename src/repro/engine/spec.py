@@ -39,7 +39,6 @@ from repro.gpu.config import GPUConfig, fermi_like, volta_like
 from repro.gpu.simulator import GPUSimulator
 from repro.gpu.stats import SimulationResult
 from repro.telemetry.spans import span
-from repro.telemetry.timeline import TimelineSampler
 from repro.workloads.benchmarks import benchmark
 from repro.workloads.trace import TraceScale
 
@@ -96,13 +95,6 @@ class RunSpec:
     time: carrying it in the spec (rather than reading the global at
     execution time) keeps worker processes faithful to the submitting
     process even under spawn-style pools that re-import the modules.
-
-    ``timeline_interval`` opts the run into timeline sampling (a
-    sample every that many cycles; 0 -- the default -- disables it).
-    It is part of the run identity *only when set*: sampling never
-    perturbs the simulation, but a stored result either carries the
-    series or it does not, so timeline runs key separately while every
-    pre-existing key stays byte-identical.
     """
 
     l1d: L1DConfig
@@ -112,7 +104,6 @@ class RunSpec:
     seed: int = 0
     num_sms: int = 15
     trace_salt: int = 0
-    timeline_interval: int = 0
 
     @classmethod
     def build(
@@ -124,7 +115,6 @@ class RunSpec:
         seed: int = 0,
         num_sms: Optional[int] = None,
         trace_salt: Optional[int] = None,
-        timeline_interval: int = 0,
     ) -> "RunSpec":
         """Resolve a named or custom L1D config into a spec.
 
@@ -132,8 +122,8 @@ class RunSpec:
         ``trace_salt=None`` snapshots the current global salt.
 
         Raises:
-            ValueError: for an unknown GPU profile or scale preset, an
-                SM count below 1 or a negative timeline interval.
+            ValueError: for an unknown GPU profile or scale preset, or
+                an SM count below 1.
         """
         from repro.workloads.kernels import KernelModel
 
@@ -148,14 +138,9 @@ class RunSpec:
             raise ValueError(f"num_sms must be >= 1: {num_sms}")
         if trace_salt is None:
             trace_salt = KernelModel.TRACE_SALT
-        if timeline_interval < 0:
-            raise ValueError(
-                f"timeline_interval must be >= 0: {timeline_interval}"
-            )
         return cls(
             l1d=cfg, workload=workload, gpu_profile=gpu_profile,
             scale=scale, seed=seed, num_sms=num_sms, trace_salt=trace_salt,
-            timeline_interval=timeline_interval,
         )
 
     def key(self) -> "RunKey":
@@ -194,7 +179,7 @@ def spec_to_dict(spec: RunSpec) -> Dict:
     """
     l1d = config_to_dict(spec.l1d)
     l1d.pop("description", None)  # cosmetic, not part of run identity
-    payload = {
+    return {
         "l1d": l1d,
         "workload": spec.workload,
         "gpu_profile": spec.gpu_profile,
@@ -203,11 +188,6 @@ def spec_to_dict(spec: RunSpec) -> Dict:
         "num_sms": spec.num_sms,
         "trace_salt": spec.trace_salt,
     }
-    if spec.timeline_interval:
-        # included only when sampling is on, so the identities (and
-        # store keys) of every non-timeline run are unchanged
-        payload["timeline_interval"] = spec.timeline_interval
-    return payload
 
 
 def spec_from_dict(payload: Dict) -> RunSpec:
@@ -232,7 +212,6 @@ def spec_from_dict(payload: Dict) -> RunSpec:
             seed=int(payload["seed"]),
             num_sms=int(payload["num_sms"]),
             trace_salt=int(payload["trace_salt"]),
-            timeline_interval=int(payload.get("timeline_interval", 0)),
         )
     except (KeyError, TypeError, ValueError) as error:
         raise ValueError(f"malformed spec payload: {error}") from error
@@ -249,8 +228,6 @@ def trace_key(spec: RunSpec) -> str:
     payload = spec_to_dict(spec)
     del payload["l1d"]
     del payload["gpu_profile"]
-    # timeline sampling observes the run without touching the trace
-    payload.pop("timeline_interval", None)
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
 
@@ -300,16 +277,11 @@ def execute_spec(spec: RunSpec) -> SimulationResult:
     )
     with span("arena", workload=spec.workload):
         arena = arena_for_spec(spec)
-    sampler = (
-        TimelineSampler(spec.timeline_interval)
-        if spec.timeline_interval else None
-    )
     simulator = GPUSimulator(
         machine,
         l1d_factory=lambda: make_l1d(spec.l1d),
         warps_per_sm=arena.warps_per_sm,
         arena=arena,
-        sampler=sampler,
     )
     with span(
         "simulate", config=spec.l1d.name, workload=spec.workload

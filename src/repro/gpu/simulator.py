@@ -18,9 +18,8 @@ a compute span, or a retry that pushed the port past a wake it had
 already registered -- is not polled: it re-parks at
 ``port_busy_until``.  That cycle is one the loop visits anyway (the
 compute warp is ready then, or the retry event fires then), so the
-schedule and every sampled timeline row stay bit-identical to the
-poll-every-SM loop this replaced (pinned by
-``tests/test_golden_parity.py``).
+schedule stays bit-identical to the poll-every-SM loop this replaced
+(pinned by ``tests/test_golden_parity.py``).
 
 Events live in a typed wheel: fixed-shape heap entries tagged
 ``EV_FILL`` (off-chip response for a block), ``EV_RETRY`` (re-present a
@@ -64,7 +63,6 @@ from repro.gpu.stats import (
 )
 from repro.gpu.warp import Warp
 from repro.memory.subsystem import MemorySubsystem
-from repro.telemetry.timeline import SAMPLER_STOP, TimelineSampler
 from repro.workloads.arena import PackedTraceArena
 from repro.workloads.trace import WarpInstruction
 
@@ -89,14 +87,6 @@ class GPUSimulator:
         arena: a pre-packed trace arena to replay (its shape must match
             the machine being built); the compile-once path used by
             :func:`~repro.engine.spec.execute_spec`.
-        sampler: an optional
-            :class:`~repro.telemetry.timeline.TimelineSampler`; when
-            given, the run loop snapshots machine-wide counters every
-            sampler interval and the result carries the
-            :class:`~repro.telemetry.timeline.Timeline`.  When absent
-            (the default) the loop pays one integer compare per
-            iteration against an unreachable sentinel -- nothing is
-            allocated or read.
     """
 
     def __init__(
@@ -109,7 +99,6 @@ class GPUSimulator:
         warps_per_sm: Optional[int] = None,
         max_cycles: int = 50_000_000,
         arena: Optional[PackedTraceArena] = None,
-        sampler: Optional["TimelineSampler"] = None,
     ) -> None:
         self.config = config
         self.memory = MemorySubsystem(config)
@@ -121,7 +110,6 @@ class GPUSimulator:
                 f"must exceed RETRY_INTERVAL={RETRY_INTERVAL}"
             )
         self.max_cycles = max_cycles
-        self.sampler = sampler
         #: the event wheel: a heap of ``(cycle, post, order, tag, ...)``
         #: entries the SMs post (layout in :mod:`repro.gpu.sm`);
         #: ``(post, order)`` breaks same-cycle ties in the order the
@@ -182,13 +170,6 @@ class GPUSimulator:
         #: SM ids woken by an EV_WAKE this cycle
         wakeups: set = set()
         max_cycles = self.max_cycles
-        # timeline sampling: with no sampler, sample_at is an
-        # unreachable sentinel and the per-iteration cost is one
-        # integer compare (the disabled path allocates nothing)
-        sampler = self.sampler
-        sample_at = sampler.interval if sampler is not None else SAMPLER_STOP
-        for sm in sms:
-            sm.next_sample = sample_at
 
         while True:
             cycle = self.cycle
@@ -244,11 +225,6 @@ class GPUSimulator:
                     )
                 self.cycle = nxt if nxt > cycle else cycle + 1
 
-            if self.cycle >= sample_at:
-                sample_at = sampler.sample(self.cycle, sms, self.memory)
-                for sm in sms:
-                    sm.next_sample = sample_at
-
             if self.cycle > max_cycles:
                 raise RuntimeError(
                     f"exceeded max_cycles={self.max_cycles}; aborting"
@@ -257,12 +233,6 @@ class GPUSimulator:
         # the loop only breaks once the event wheel is empty
         for sm in sms:
             sm.l1d.flush_metadata()
-
-        timeline = None
-        if sampler is not None:
-            # the end-of-run row makes even a truncated timeline
-            # reconcile exactly with the aggregate stats below
-            timeline = sampler.finalize(self.cycle, sms, self.memory)
 
         return SimulationResult(
             config_name=config_name,
@@ -276,5 +246,4 @@ class GPUSimulator:
             load_transactions=sum(sm.load_transactions for sm in sms),
             store_transactions=sum(sm.store_transactions for sm in sms),
             retries=sum(sm.retries for sm in sms),
-            timeline=timeline,
         )

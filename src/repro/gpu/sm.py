@@ -77,7 +77,6 @@ from repro.cache.interface import (
 )
 from repro.cache.request import AccessType, MemoryRequest
 from repro.gpu.warp import Warp
-from repro.telemetry.timeline import SAMPLER_STOP
 from repro.workloads.trace import COMPUTE, LOAD
 
 __all__ = [
@@ -128,11 +127,9 @@ class SM:
     The SM takes the simulator's memory subsystem, event heap and event
     sequence counter at construction but holds no reference to the
     simulator itself, which lists the SM in ``sms``: the current cycle
-    reaches it as an argument, and the simulator writes the next
-    timeline sample cycle into :attr:`next_sample`.  A finished machine
-    is then an acyclic graph that reference counting frees at once,
-    leaving nothing for the cyclic garbage collector
-    (``tests/test_lifetime.py``).
+    reaches it as an argument.  A finished machine is then an acyclic
+    graph that reference counting frees at once, leaving nothing for the
+    cyclic garbage collector (``tests/test_lifetime.py``).
     """
 
     def __init__(
@@ -160,9 +157,6 @@ class SM:
         #: recycled MemoryRequest objects (hit-path allocation freedom);
         #: per-SM so ``sm_id`` never needs rewriting on reuse
         self._request_pool: List[MemoryRequest] = []
-        #: the cycle of the simulator's next timeline sample (a retry
-        #: never sleeps past it: the sample reads the skipped counters)
-        self.next_sample = SAMPLER_STOP
         #: completion cycles of this SM's pending ``EV_FILL``s (a heap)
         self._fills: List[int] = []
         #: requests with a retry pending; at most one batch's worth,
@@ -478,9 +472,8 @@ class SM:
         fills) or an accepted retry (the port bars new issue), so the
         bound is the earliest of the rejection's ``fail_until``, the
         next fill, every other pending retry's next attempt (or its own
-        ``fail_until`` when that attempt is a known replay too), the
-        next timeline sample, and the step whose attempt trips
-        :data:`MAX_RETRIES`.
+        ``fail_until`` when that attempt is a known replay too), and the
+        step whose attempt trips :data:`MAX_RETRIES`.
         """
         l1d = self.l1d
         stats = l1d.stats
@@ -499,8 +492,6 @@ class SM:
                     at = other.fail_until
                 if at < bound:
                     bound = at
-        if self.next_sample < bound:
-            bound = self.next_sample
         livelock = cycle + RETRY_INTERVAL * (MAX_RETRIES + 1 - attempts)
         return livelock if livelock < bound else bound
 

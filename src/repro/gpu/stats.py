@@ -97,9 +97,6 @@ class SimulationResult:
     retries: int = 0
     #: energy report, attached by the harness (repro.energy.model)
     energy: Optional[object] = None
-    #: sampled time-resolved series (repro.telemetry.timeline.Timeline),
-    #: present only when the run opted into timeline sampling
-    timeline: Optional[object] = None
 
     @property
     def ipc(self) -> float:

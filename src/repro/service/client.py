@@ -145,16 +145,12 @@ class ServiceClient:
         scale: str = "test",
         seed: int = 0,
         num_sms: Optional[int] = None,
-        timeline: int = 0,
     ) -> Dict:
         """POST a sweep; returns the acceptance payload (``job``,
         ``created``, ``total``, ``location``).
 
         *configs* / *workloads* may be lists or comma strings; workload
-        tokens follow the sweep grammar (names, suites, ``all``).  A
-        non-zero *timeline* asks the service to sample the in-simulation
-        timeline every that many cycles (fetch the series with
-        :meth:`timeline` once the job settles).
+        tokens follow the sweep grammar (names, suites, ``all``).
         """
         payload: Dict = {
             "configs": configs, "workloads": workloads,
@@ -162,20 +158,11 @@ class ServiceClient:
         }
         if num_sms is not None:
             payload["num_sms"] = num_sms
-        if timeline:
-            payload["timeline"] = timeline
         return self._request("POST", "/v1/sweeps", payload)
 
     def job(self, job_id: str) -> Dict:
         """GET a job snapshot."""
         return self._request("GET", f"/v1/jobs/{job_id}")
-
-    def timeline(self, job_id: str) -> Dict:
-        """GET a job's per-run timeline series (``/v1/jobs/{id}/timeline``).
-
-        Runs executed without sampling carry ``"timeline": null``.
-        """
-        return self._request("GET", f"/v1/jobs/{job_id}/timeline")
 
     def result(self, key: str) -> Dict:
         """GET a completed run record (``spec`` + ``result``) by key."""
@@ -378,7 +365,6 @@ class ServiceClient:
         scale: str = "test",
         seed: int = 0,
         num_sms: Optional[int] = None,
-        timeline: int = 0,
         timeout: float = 600.0,
         on_event: Optional[Callable[[str, Dict], None]] = None,
     ) -> Dict:
@@ -398,7 +384,7 @@ class ServiceClient:
         def resubmit() -> Dict:
             return self.submit(
                 configs, workloads, gpu_profile=gpu_profile, scale=scale,
-                seed=seed, num_sms=num_sms, timeline=timeline,
+                seed=seed, num_sms=num_sms,
             )
 
         job_id = resubmit()["job"]

@@ -111,15 +111,11 @@ class SweepRequest:
     scale: str = "test"
     seed: int = 0
     num_sms: Optional[int] = None
-    #: cycles between timeline samples (0 = sampling off); part of run
-    #: identity when set, so sampled and unsampled runs key separately
-    timeline: int = 0
 
     #: payload keys from_payload accepts (anything else is a 400: typos
     #: like "workload" must not silently produce a default sweep)
     FIELDS = (
         "configs", "workloads", "gpu_profile", "scale", "seed", "num_sms",
-        "timeline",
     )
 
     @classmethod
@@ -175,13 +171,9 @@ class SweepRequest:
             num_sms = _int_field(
                 num_sms, "num_sms", minimum=1, maximum=MAX_NUM_SMS
             )
-        timeline = _int_field(
-            payload.get("timeline", 0), "timeline", minimum=0
-        )
         return cls(
             configs=tuple(configs), workloads=tuple(workloads),
             gpu_profile=gpu_profile, scale=scale, seed=seed, num_sms=num_sms,
-            timeline=timeline,
         )
 
     def to_specs(self) -> List[RunSpec]:
@@ -196,7 +188,6 @@ class SweepRequest:
                 RunSpec.build(
                     config, workload, gpu_profile=self.gpu_profile,
                     scale=self.scale, seed=self.seed, num_sms=self.num_sms,
-                    timeline_interval=self.timeline,
                 )
                 for workload in self.workloads
                 for config in self.configs
@@ -212,7 +203,6 @@ class SweepRequest:
             "scale": self.scale,
             "seed": self.seed,
             "num_sms": self.num_sms,
-            "timeline": self.timeline,
         }
 
     @classmethod
@@ -223,8 +213,11 @@ class SweepRequest:
         validated when it was first accepted, so this only reshapes
         (its canonical specs are journaled alongside, and replay checks
         each against its run key).
-        Keys this version no longer writes (``backend``, from journals
-        of older coordinators) are ignored.
+        Keys this version no longer writes (``backend`` and
+        ``timeline``, from journals of older coordinators) are ignored.
+        A job that asked for sampling still fails replay: its journaled
+        specs carry the retired sampling interval, so they no longer
+        hash to their journaled run keys.
 
         Raises:
             ValueError: structurally malformed payload (wrong types).
@@ -242,7 +235,6 @@ class SweepRequest:
                     None if payload.get("num_sms") is None
                     else int(payload["num_sms"])
                 ),
-                timeline=int(payload.get("timeline", 0)),
             )
         except (KeyError, TypeError) as error:
             raise ValueError(f"malformed request payload: {error}") from error

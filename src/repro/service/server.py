@@ -12,9 +12,6 @@ Endpoints (see ``docs/service-api.md`` for payload shapes):
   by a ``done`` event carrying the final snapshot.
 * ``GET /v1/results?key=...``  -- a completed run's record (spec +
   result) by run-key digest, served from cache without simulating.
-* ``GET /v1/jobs/{id}/timeline`` -- the sampled per-run timelines of a
-  job submitted with ``"timeline": <interval>`` (null per run until it
-  settles or when sampling was off).
 * ``POST /v1/leases``          -- (remote mode) a worker pulls a lease
   over a batch of pending runs; 200 with ``{"lease", "ttl", "runs"}``
   (``runs`` empty when nothing is pending), 400 when the service is
@@ -218,8 +215,6 @@ def _route_label(path: str) -> str:
         rest = path[len("/v1/jobs/"):]
         if rest.endswith("/events"):
             return "/v1/jobs/{id}/events"
-        if rest.endswith("/timeline"):
-            return "/v1/jobs/{id}/timeline"
         return "/v1/jobs/{id}"
     return "other"
 
@@ -537,11 +532,6 @@ class SimulationService:
                 await self._handle_events(rest[: -len("/events")].rstrip("/"),
                                           writer)
                 return
-            if rest.endswith("/timeline"):
-                self._handle_timeline(
-                    rest[: -len("/timeline")].rstrip("/"), writer
-                )
-                return
             if "/" not in rest:
                 job = self.scheduler.jobs.get(rest)
                 if job is None:
@@ -782,37 +772,6 @@ class SimulationService:
                 await push()
         finally:
             self.scheduler.unsubscribe(job_id, queue)
-
-    def _handle_timeline(self, job_id: str, writer) -> None:
-        """GET /v1/jobs/{id}/timeline: the sampled series per run.
-
-        Each run entry carries its timeline payload (interval,
-        truncated flag, cumulative columns -- see
-        :mod:`repro.telemetry.timeline`) or ``null`` while the run is
-        unsettled, errored, or was executed without sampling.
-        """
-        job = self.scheduler.jobs.get(job_id)
-        if job is None:
-            raise _HTTPError(404, f"unknown job {job_id}")
-        runs = []
-        for key, run in job.runs.items():
-            timeline = None
-            record = self.scheduler.result_record(key)
-            if record is not None:
-                timeline = (record.get("result") or {}).get("timeline")
-            runs.append({
-                "key": key,
-                "config": run.config,
-                "workload": run.workload,
-                "state": run.state,
-                "timeline": timeline,
-            })
-        writer.write(_json_response(200, {
-            "job": job.id,
-            "state": job.state,
-            "interval": job.request.timeline,
-            "runs": runs,
-        }))
 
 
 def _sse_event(name: str, payload: dict) -> bytes:

@@ -1,6 +1,6 @@
-"""Unified telemetry layer: metrics, spans, timelines.
+"""Unified telemetry layer: metrics, spans, trace context.
 
-Three observability primitives with disjoint jobs (see
+Two observability primitives with disjoint jobs (see
 ``docs/observability.md``):
 
 * :mod:`repro.telemetry.metrics` -- process-wide **metrics registry**
@@ -9,13 +9,13 @@ Three observability primitives with disjoint jobs (see
 * :mod:`repro.telemetry.spans` -- **phase-span tracing** to a JSONL
   log with Chrome ``trace_event`` export.  Answers "where did this
   sweep's wall-time go".
-* :mod:`repro.telemetry.timeline` -- the opt-in **in-simulation
-  timeline sampler**.  Answers "what did the simulated machine do over
-  simulated time".
 
-Everything is stdlib-only and off-by-default on the simulator's hot
-path: metrics live in the service/engine layers, spans cost one check
-when disabled, and the sampler is a sentinel compare when off.
+:mod:`repro.telemetry.tracectx` carries a job's trace id across
+processes so their span logs merge onto one timeline.
+
+Everything is stdlib-only and off the simulator's cycle loop: metrics
+live in the service/engine layers and spans cost one check when
+disabled.
 """
 
 from repro.telemetry.metrics import (
@@ -45,23 +45,13 @@ from repro.telemetry.tracectx import (
     trace_id_for_job,
     trace_scope,
 )
-from repro.telemetry.timeline import (
-    COLUMNS,
-    Timeline,
-    TimelineSampler,
-    timeline_from_payload,
-    timeline_to_payload,
-)
 
 __all__ = [
-    "COLUMNS",
     "CONTENT_TYPE",
     "DEFAULT_BUCKETS",
     "MAX_LABEL_SETS",
     "MetricsRegistry",
     "REGISTRY",
-    "Timeline",
-    "TimelineSampler",
     "current_trace_id",
     "disable_spans",
     "enable_spans",
@@ -76,8 +66,6 @@ __all__ = [
     "span_id_for_key",
     "span_log_path",
     "spans_enabled",
-    "timeline_from_payload",
-    "timeline_to_payload",
     "trace_id_for_job",
     "trace_scope",
 ]

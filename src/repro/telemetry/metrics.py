@@ -29,8 +29,7 @@ The HTTP layer renders both in one exposition.
 All mutation is lock-guarded (one lock per family), so metrics are safe
 to bump from the scheduler's thread-pool executor, the engine thread
 and the event loop at once.  None of this appears on the simulator's
-cycle loop -- the in-simulation timeline sampler
-(:mod:`repro.telemetry.timeline`) uses flat arrays instead.
+cycle loop.
 """
 
 from __future__ import annotations

@@ -65,32 +65,25 @@ class TestRunKey:
                                scale="smoke", num_sms=4)
         assert base.key() != bigger.key()
 
-    @pytest.mark.parametrize("config, interval, digest", [
+    @pytest.mark.parametrize("config, digest", [
         (
-            "L1-SRAM", 0,
+            "L1-SRAM",
             "d9c207a7d5c8268e2edded48de760af075c1a5bb45abc4834cbf97ffb3150f47",
         ),
         (
-            "L1-SRAM", 50,
-            "eca4c3ebd99d500b9bd06b8065f23713afeaeb9e34a2c4ff3a5b33bb16259c8d",
-        ),
-        (
-            ratio_config(Fraction(1, 2)), 0,
+            ratio_config(Fraction(1, 2)),
             "39a0509e08096ee37c69549a56b9931c3c7898d6ac9ba2549cc25e619029f158",
         ),
-    ], ids=["L1-SRAM", "L1-SRAM-timeline50", "Dy-FUSE-1/2"])
-    def test_store_keys_pinned(self, config, interval, digest):
+    ], ids=["L1-SRAM", "Dy-FUSE-1/2"])
+    def test_store_keys_pinned(self, config, digest):
         # literal digests of stored runs: a change to spec_to_dict's
         # layout would orphan every result already in a store
-        spec = RunSpec.build(
-            config, "ATAX", trace_salt=0, timeline_interval=interval,
-            **SMOKE,
-        )
+        spec = RunSpec.build(config, "ATAX", trace_salt=0, **SMOKE)
         assert spec.key().digest == digest
 
     @pytest.mark.parametrize("bad", [
         dict(num_sms=0), dict(num_sms=-2), dict(scale="huge"),
-        dict(gpu_profile="pascal"), dict(timeline_interval=-1),
+        dict(gpu_profile="pascal"),
     ])
     def test_build_rejects_out_of_range_fields(self, bad):
         fields = dict(SMOKE, **bad)

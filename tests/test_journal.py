@@ -68,6 +68,17 @@ SWEEP_TOTAL = 4
 SMALL = dict(configs="L1-SRAM", workloads="2DCONV", scale="smoke", num_sms=2)
 
 
+#: the L1-SRAM config as every journaled spec below spells it
+OLD_L1_SRAM = {
+    "name": "L1-SRAM", "kind": "sram", "sram_kb": 32,
+    "sram_assoc": 4, "stt_kb": 0, "stt_assoc": 4,
+    "features": None, "exact_fa": False, "swap_entries": 3,
+    "tag_queue_capacity": 16, "num_cbfs": 128,
+    "cbf_counters": 16, "cbf_hashes": 3, "mshr_entries": 32,
+    "mshr_max_merge": 8, "dead_threshold": 10,
+    "unused_threshold": 14,
+}
+
 #: a ``job_accepted`` entry for a ``trace:<path>`` workload, exactly as
 #: coordinators that replayed trace files journaled it
 OLD_TRACE_JOB = {
@@ -83,18 +94,56 @@ OLD_TRACE_JOB = {
             "59a80df67585144ae286935482af3da8"
         ),
         "spec": {
-            "l1d": {
-                "name": "L1-SRAM", "kind": "sram", "sram_kb": 32,
-                "sram_assoc": 4, "stt_kb": 0, "stt_assoc": 4,
-                "features": None, "exact_fa": False, "swap_entries": 3,
-                "tag_queue_capacity": 16, "num_cbfs": 128,
-                "cbf_counters": 16, "cbf_hashes": 3, "mshr_entries": 32,
-                "mshr_max_merge": 8, "dead_threshold": 10,
-                "unused_threshold": 14,
-            },
+            "l1d": OLD_L1_SRAM,
             "workload": "trace:/x", "gpu_profile": "fermi",
             "scale": "smoke", "seed": 0, "num_sms": 2, "trace_salt": 0,
             "trace_sha256": "5" * 64,
+        },
+    }],
+}
+
+#: SMALL's ``job_accepted`` entry exactly as coordinators with an
+#: in-simulation timeline sampler journaled it: the request carries
+#: ``"timeline": 0``, the spec the same fields as today's
+OLD_UNSAMPLED_JOB = {
+    "job": "9a877ecf32f1c8cb8023bff77a83eb6e7d74829c536d0933d36ed0d4acc66486",
+    "request": {
+        "configs": ["L1-SRAM"], "workloads": ["2DCONV"],
+        "gpu_profile": "fermi", "scale": "smoke", "seed": 0,
+        "num_sms": 2, "timeline": 0,
+    },
+    "specs": [{
+        "key": (
+            "6f0c764c1071247b9b60857a04602e48"
+            "83c649499c634bcbbbba48302065ce66"
+        ),
+        "spec": {
+            "l1d": OLD_L1_SRAM,
+            "workload": "2DCONV", "gpu_profile": "fermi",
+            "scale": "smoke", "seed": 0, "num_sms": 2, "trace_salt": 0,
+        },
+    }],
+}
+
+#: the same slice submitted with ``"timeline": 50``: its spec carries
+#: the sampling interval that was part of its run key
+OLD_SAMPLED_JOB = {
+    "job": "9334955ee5a8e8afdff6cb64bcd1b194c8e9ff2cb50250b42e061ed2cb776831",
+    "request": {
+        "configs": ["L1-SRAM"], "workloads": ["2DCONV"],
+        "gpu_profile": "fermi", "scale": "smoke", "seed": 0,
+        "num_sms": 2, "timeline": 50,
+    },
+    "specs": [{
+        "key": (
+            "e9022caff2075653f1b2d1db0b81bcd7"
+            "66f43cfaa42e5ef15ffcf22d0bd2a36a"
+        ),
+        "spec": {
+            "l1d": OLD_L1_SRAM,
+            "workload": "2DCONV", "gpu_profile": "fermi",
+            "scale": "smoke", "seed": 0, "num_sms": 2, "trace_salt": 0,
+            "timeline_interval": 50,
         },
     }],
 }
@@ -569,6 +618,32 @@ class TestRecoveryInProcess:
             snap = ServiceClient(svc.url).wait(job.id, timeout=120)
             assert snap["state"] == "done"
             assert snap["errors"] == 0
+
+    def test_timeline_jobs_from_an_old_journal(self, tmp_path):
+        """Coordinators that sampled timelines journaled a ``timeline``
+        request key.  An unsampled job replays under its original id
+        (restore ignores the key); a sampled one no longer hashes to
+        its key, so replay skips it without failing the restart."""
+        assert (SweepRequest.restore(OLD_UNSAMPLED_JOB["request"])
+                == make_job().request)
+        journal = tmp_path / "journal.jsonl"
+        writer = JobJournal(journal)
+        writer.append(EV_JOB_ACCEPTED, **OLD_SAMPLED_JOB)
+        writer.append(EV_JOB_ACCEPTED, **OLD_UNSAMPLED_JOB)
+        writer.close()
+        with BackgroundService(
+            workers=1, no_store=True, journal=str(journal),
+        ) as svc:
+            recovered = svc.service.scheduler.recovered
+            assert recovered["unrecoverable_jobs"] == 1
+            assert recovered["requeued_jobs"] == 1
+            client = ServiceClient(svc.url)
+            snap = client.wait(OLD_UNSAMPLED_JOB["job"], timeout=120)
+            assert snap["state"] == "done"
+            assert snap["errors"] == 0
+            with pytest.raises(ServiceError) as excinfo:
+                client.job(OLD_SAMPLED_JOB["job"])
+            assert excinfo.value.status == 404
 
     def test_unrecoverable_entry_skipped(self, tmp_path):
         journal = tmp_path / "journal.jsonl"

@@ -1,7 +1,7 @@
 """A finished simulation frees itself.
 
 The per-run object graph (simulator, SMs, warps, L1D engines, memory
-subsystem, sampler) is acyclic by construction: no per-run object holds
+subsystem) is acyclic by construction: no per-run object holds
 a reference back to its owner, and a callback a cache hands to a
 sub-object is a plain function, never a bound method of that cache.
 Reference counting therefore frees a whole machine as soon as
@@ -48,14 +48,4 @@ def test_finished_run_leaves_no_cyclic_garbage(config):
         "cycles for the garbage collector"
     )
 
-
-def test_timeline_run_leaves_no_cyclic_garbage():
-    spec = RunSpec.build(
-        "Dy-FUSE", "ATAX", scale="smoke", num_sms=2, timeline_interval=50
-    )
-    leftover = _cyclic_garbage_after(spec)
-    assert leftover == 0, (
-        f"a timeline-sampled run left {leftover} objects in reference "
-        "cycles for the garbage collector"
-    )
 

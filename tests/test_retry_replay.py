@@ -16,8 +16,8 @@ the cache's epoch (``accesses + fills``) and the rejection's
   holds for every configuration;
 * the run loop never polls an SM whose issue port is busy;
 * retry sleep is invisible too: sleep on and sleep off (the SM's sleep
-  bound patched to "never sleep") give identical payloads, timelines
-  included, and same-cycle events dispatch in the order the
+  bound patched to "never sleep") give identical payloads, and
+  same-cycle events dispatch in the order the
   step-by-step loop posts them.
 """
 
@@ -350,13 +350,10 @@ def _never_sleep(self, request, cycle, attempts):
     workload=st.sampled_from(RETRY_WORKLOADS),
     seed=st.integers(min_value=0, max_value=2**16),
     num_sms=st.sampled_from([1, 2, 4, 15]),
-    timeline_interval=st.sampled_from([0, 7, 50]),
 )
-def test_sleep_on_equals_sleep_off(config, workload, seed, num_sms,
-                                   timeline_interval):
+def test_sleep_on_equals_sleep_off(config, workload, seed, num_sms):
     spec = RunSpec.build(config, workload, scale="smoke", seed=seed,
-                         num_sms=num_sms,
-                         timeline_interval=timeline_interval)
+                         num_sms=num_sms)
     asleep = result_to_dict(execute_spec(spec))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(SM, "_sleep_bound", _never_sleep)

@@ -149,6 +149,7 @@ class TestSweepRequest:
         {"num_sms": 100_000_000},  # one request must not OOM the workers
         {"typo_field": 1},
         {"backend": "interp"},  # removed field: a 400, not silently ignored
+        {"timeline": 50},  # removed field, as above
     ])
     def test_invalid_payloads_rejected(self, bad):
         with pytest.raises(InvalidRequest):

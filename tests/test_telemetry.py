@@ -1,7 +1,6 @@
 """Tests for the telemetry layer: metrics registry semantics, phase-span
-logging/export, the in-simulation timeline sampler (on/off parity and
-exact end-of-run reconciliation) and the service-level observability
-surfaces (``GET /metrics``, ``/v1/jobs/{id}/timeline``, access log)."""
+logging/export and the service-level observability surfaces
+(``GET /metrics``, access log)."""
 
 from __future__ import annotations
 
@@ -12,8 +11,6 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.engine.serialize import result_from_dict, result_to_dict
-from repro.engine.spec import RunSpec, execute_spec, spec_to_dict, trace_key
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.server import BackgroundService
 from repro.telemetry.metrics import (
@@ -29,14 +26,6 @@ from repro.telemetry.spans import (
     record_span,
     span,
     spans_enabled,
-)
-from repro.telemetry.timeline import (
-    COLUMNS,
-    SAMPLER_STOP,
-    Timeline,
-    TimelineSampler,
-    timeline_from_payload,
-    timeline_to_payload,
 )
 
 
@@ -214,169 +203,22 @@ class TestSpans:
 
 
 # ----------------------------------------------------------------------
-# timeline sampler
-# ----------------------------------------------------------------------
-SPEC_KW = dict(gpu_profile="fermi", scale="smoke", num_sms=2)
-
-
-class TestTimelineSampler:
-    def test_interval_validation(self):
-        with pytest.raises(ValueError):
-            TimelineSampler(0)
-        with pytest.raises(ValueError):
-            RunSpec.build("L1-SRAM", "ATAX", timeline_interval=-1, **SPEC_KW)
-
-    def test_sampler_off_is_bit_identical(self):
-        base = execute_spec(RunSpec.build("L1-SRAM", "ATAX", **SPEC_KW))
-        again = execute_spec(RunSpec.build("L1-SRAM", "ATAX", **SPEC_KW))
-        assert base.timeline is None
-        assert result_to_dict(base) == result_to_dict(again)
-        # and the payload has no "timeline" key at all, so pre-telemetry
-        # golden payloads stay byte-comparable
-        assert "timeline" not in result_to_dict(base)
-
-    def test_sampler_on_changes_nothing_but_adds_the_series(self):
-        base = execute_spec(RunSpec.build("L1-SRAM", "ATAX", **SPEC_KW))
-        sampled = execute_spec(RunSpec.build(
-            "L1-SRAM", "ATAX", timeline_interval=200, **SPEC_KW
-        ))
-        d_base, d_sampled = result_to_dict(base), result_to_dict(sampled)
-        timeline = d_sampled.pop("timeline")
-        assert d_base == d_sampled  # zero behavioural impact
-        assert timeline is not None
-        assert len(timeline["columns"]["cycle"]) > 1
-
-    def test_final_row_reconciles_exactly(self):
-        result = execute_spec(RunSpec.build(
-            "Dy-FUSE", "ATAX", timeline_interval=128, **SPEC_KW
-        ))
-        tl = result.timeline
-        last = tl.row(len(tl) - 1)
-        assert last["cycle"] == result.cycles
-        assert last["instructions"] == result.instructions
-        assert last["l1d_accesses"] == result.l1d.accesses
-        assert last["l1d_hits"] == result.l1d.hits
-        assert last["l1d_misses"] == result.l1d.misses
-        assert last["l1d_bypasses"] == result.l1d.bypasses
-        assert last["offchip_reads"] == result.memory.reads
-        assert last["writeback_flits"] == result.memory.writeback_flits
-        # cumulative columns never decrease
-        for name in COLUMNS:
-            if name == "mshr_occupancy":
-                continue
-            col = tl.columns[name]
-            assert all(a <= b for a, b in zip(col, col[1:])), name
-
-    def test_deltas_derive_rates(self):
-        result = execute_spec(RunSpec.build(
-            "L1-SRAM", "ATAX", timeline_interval=256, **SPEC_KW
-        ))
-        deltas = result.timeline.deltas()
-        # one delta per sample: the first covers from cycle 0
-        assert len(deltas) == len(result.timeline)
-        for row in deltas:
-            assert row["l1d_miss_rate"] >= 0.0
-            assert row["ipc"] >= 0.0
-            assert row["instructions"] >= 0
-        total_instr = sum(row["instructions"] for row in deltas)
-        assert total_instr == result.instructions
-
-    def test_spec_key_and_payload_stability(self):
-        plain = RunSpec.build("L1-SRAM", "ATAX", **SPEC_KW)
-        sampled = RunSpec.build(
-            "L1-SRAM", "ATAX", timeline_interval=100, **SPEC_KW
-        )
-        # unsampled specs serialise exactly as before the telemetry PR
-        assert "timeline_interval" not in spec_to_dict(plain)
-        assert spec_to_dict(sampled)["timeline_interval"] == 100
-        # sampling is part of run identity, but not of trace identity
-        assert plain.key().digest != sampled.key().digest
-        assert trace_key(plain) == trace_key(sampled)
-
-    def test_serialize_round_trip(self):
-        result = execute_spec(RunSpec.build(
-            "L1-SRAM", "ATAX", timeline_interval=300, **SPEC_KW
-        ))
-        payload = result_to_dict(result)
-        back = result_from_dict(payload)
-        assert back.timeline is not None
-        assert back.timeline.rows() == result.timeline.rows()
-        assert result_to_dict(back) == payload
-
-    def test_truncation_keeps_reconciliation(self):
-        sampler = TimelineSampler(1, max_samples=4)
-
-        class _Stats:
-            accesses = hits = misses = merged_misses = 0
-            bypasses = bank_wait_cycles = 0
-
-        class _L1D:
-            stats = _Stats()
-
-            def mshr_occupancy(self):
-                return 0
-
-        class _SM:
-            instructions = 0
-            l1d = _L1D()
-
-        class _MemStats:
-            reads = writeback_flits = 0
-
-        class _Memory:
-            stats = _MemStats()
-
-        sms, memory = [_SM()], _Memory()
-        nxt = 1
-        for cycle in range(1, 10):
-            _SM.instructions = cycle * 3
-            if cycle >= nxt:
-                nxt = sampler.sample(cycle, sms, memory)
-        assert nxt == SAMPLER_STOP  # sampling stopped at the cap
-        _SM.instructions = 42
-        tl = sampler.finalize(9, sms, memory)
-        assert tl.truncated
-        # the cap stops periodic sampling, but finalize still appends
-        # the end-of-run row so reconciliation survives truncation
-        assert len(tl) == 5
-        assert tl.row(len(tl) - 1) == {
-            "cycle": 9, "instructions": 42, "l1d_accesses": 0,
-            "l1d_hits": 0, "l1d_misses": 0, "l1d_merged_misses": 0,
-            "l1d_bypasses": 0, "bank_wait_cycles": 0, "mshr_occupancy": 0,
-            "offchip_reads": 0, "writeback_flits": 0,
-        }
-
-    def test_payload_helpers_propagate_none(self):
-        assert timeline_to_payload(None) is None
-        assert timeline_from_payload(None) is None
-        tl = Timeline(interval=10, columns={c: [0] for c in COLUMNS})
-        assert timeline_from_payload(
-            timeline_to_payload(tl)
-        ).rows() == tl.rows()
-
-
-# ----------------------------------------------------------------------
-# service surfaces: /metrics, timeline endpoint, access log
+# service surfaces: /metrics, access log
 # ----------------------------------------------------------------------
 class TestServiceObservability:
-    def test_metrics_exposition_and_timeline_endpoint(self, tmp_path):
+    def test_metrics_exposition(self, tmp_path):
         with BackgroundService(
             store_path=tmp_path / "s.jsonl", workers=1
         ) as svc:
             client = ServiceClient(svc.url)
             snap = client.run_to_completion(
                 ["L1-SRAM"], ["ATAX"], scale="smoke", num_sms=2,
-                timeline=500,
             )
             assert snap["state"] == "done"
-
-            series = client.timeline(snap["job"])
-            assert series["interval"] == 500
-            (run,) = series["runs"]
-            assert run["state"] == "done"
-            cols = run["timeline"]["columns"]
-            assert set(cols) == set(COLUMNS)
-            assert len(cols["cycle"]) >= 2
+            # the retired per-job timeline route is no route at all
+            with pytest.raises(ServiceError) as excinfo:
+                client._request("GET", f"/v1/jobs/{snap['job']}/timeline")
+            assert excinfo.value.status == 404
 
             text = client.metrics()
             assert "# HELP repro_service_requests " in text
@@ -391,36 +233,6 @@ class TestServiceObservability:
                 if line.startswith("# HELP "):
                     name = line.split()[2]
                     assert f"# TYPE {name} " in text
-
-    def test_unsampled_job_serves_null_timeline(self, tmp_path):
-        with BackgroundService(
-            store_path=tmp_path / "s.jsonl", workers=1
-        ) as svc:
-            client = ServiceClient(svc.url)
-            snap = client.run_to_completion(
-                ["L1-SRAM"], ["ATAX"], scale="smoke", num_sms=2,
-            )
-            series = client.timeline(snap["job"])
-            assert series["interval"] == 0
-            assert series["runs"][0]["timeline"] is None
-            with pytest.raises(ServiceError) as excinfo:
-                client.timeline("no-such-job")
-            assert excinfo.value.status == 404
-
-    def test_sampled_and_unsampled_runs_key_separately(self, tmp_path):
-        with BackgroundService(
-            store_path=tmp_path / "s.jsonl", workers=1
-        ) as svc:
-            client = ServiceClient(svc.url)
-            plain = client.run_to_completion(
-                ["L1-SRAM"], ["ATAX"], scale="smoke", num_sms=2,
-            )
-            sampled = client.run_to_completion(
-                ["L1-SRAM"], ["ATAX"], scale="smoke", num_sms=2,
-                timeline=400,
-            )
-            assert plain["job"] != sampled["job"]
-            assert sampled["fresh"] == 1  # not served from the plain run
 
     def test_access_log_records_requests(self, tmp_path):
         log = tmp_path / "access.jsonl"

@@ -256,25 +256,13 @@ def test_paper_shape_digests_are_pinned():
     assert mismatched == []
 
 
-def test_runaway_stream_fails_loudly(monkeypatch):
-    monkeypatch.setattr(arena_module, "MAX_ARENA_OPS", 100)
-
-    def streams(sm_id, warp_id):
-        if (sm_id, warp_id) == (1, 2):
-            return itertools.cycle(
-                [load_instruction(0x40, [0, 4]), compute_block(3)]
-            )
-        return [compute_block(1)] * 5
-
-    with pytest.raises(RuntimeError) as raised:
-        PackedTraceArena.from_streams("endless", 2, 4, streams)
-    message = str(raised.value)
-    assert "'endless'" in message
-    assert "warp (1, 2)" in message
-
-
+@pytest.mark.parametrize("num_sms, warps_per_sm, runaway, records", [
+    (1, 1, (0, 0), [compute_block(1)]),
+    # a runaway warp among finite ones, its records carrying transactions
+    (2, 4, (1, 2), [load_instruction(0x40, [0, 4]), compute_block(3)]),
+], ids=["lone-warp", "among-finite-warps"])
 def test_runaway_stream_pulls_at_most_one_slice_past_the_budget(
-    monkeypatch,
+    monkeypatch, num_sms, warps_per_sm, runaway, records,
 ):
     limit = 100
     monkeypatch.setattr(arena_module, "MAX_ARENA_OPS", limit)
@@ -283,21 +271,30 @@ def test_runaway_stream_pulls_at_most_one_slice_past_the_budget(
 
     def endless():
         nonlocal pulls
-        while True:
+        for record in itertools.cycle(records):
             pulls += 1
             if pulls > most:  # a packer that drains without bound
                 raise AssertionError(f"packer pulled {pulls:,} records")
-            yield compute_block(1)
+            yield record
+
+    def streams(sm_id, warp_id):
+        if (sm_id, warp_id) == runaway:
+            return endless()
+        return [compute_block(1)] * 5
 
     exact = PackedTraceArena.from_streams(
         "at-budget", 1, 1, lambda sm_id, warp_id: [compute_block(1)] * limit
     )
     assert exact.num_ops == limit
-    with pytest.raises(RuntimeError, match=r"'endless'.*warp \(0, 0\)"):
+    with pytest.raises(RuntimeError) as raised:
         PackedTraceArena.from_streams(
-            "endless", 1, 1, lambda sm_id, warp_id: endless()
+            "endless", num_sms, warps_per_sm, streams
         )
-    assert limit < pulls <= most
+    message = str(raised.value)
+    assert "'endless'" in message
+    assert f"warp {runaway}" in message
+    earlier = 5 * (runaway[0] * warps_per_sm + runaway[1])  # finite ops
+    assert limit - earlier < pulls <= most
 
 
 # ----------------------------------------------------------------------
