@@ -1,6 +1,6 @@
 """Command-line interface: ``python -m repro <command>`` (or ``repro``).
 
-Thirteen commands cover the workflows a downstream user reaches for
+Twelve commands cover the workflows a downstream user reaches for
 first:
 
 * ``list``    -- show the available L1D configurations and every
@@ -42,9 +42,6 @@ first:
   <log>... --chrome`` several process' logs (coordinator + workers)
   into one timeline with per-process tracks
   (see ``docs/observability.md``).
-* ``top``     -- live refreshing fleet console over a running service:
-  queue depth, active jobs with ETAs, per-worker throughput and
-  liveness, lease ages (``--once`` for a single snapshot).
 """
 
 from __future__ import annotations
@@ -64,6 +61,12 @@ from typing import List, Optional
 __all__ = [
     "main",
 ]
+
+#: where ``submit``, ``worker`` and ``metrics`` connect without ``--url``
+DEFAULT_SERVICE_URL = "http://127.0.0.1:8177"
+
+#: ANSI: clear screen + home the cursor (``metrics --watch`` redraws)
+CLEAR = "\x1b[2J\x1b[H"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -204,11 +207,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="pull leased runs from a `repro serve --remote` scheduler, "
              "execute them and settle the outcomes back",
     )
-    worker.add_argument(
-        "--url", default=None,
-        help="scheduler base URL (default: REPRO_SERVICE_URL or "
-             "http://127.0.0.1:8177)",
-    )
+    _add_url_arg(worker)
     worker.add_argument(
         "--name", default=None,
         help="worker identity shown in lease grants (default host:pid)",
@@ -240,11 +239,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "submit",
         help="submit a sweep to a running service and follow it",
     )
-    submit.add_argument(
-        "--url", default=None,
-        help="service base URL (default: REPRO_SERVICE_URL or "
-             "http://127.0.0.1:8177)",
-    )
+    _add_url_arg(submit)
     submit.add_argument(
         "--configs",
         default="L1-SRAM,By-NVM,Hybrid,Base-FUSE,FA-FUSE,Dy-FUSE",
@@ -303,11 +298,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "metrics",
         help="scrape a running service's GET /metrics exposition",
     )
-    metrics.add_argument(
-        "--url", default=None,
-        help="service base URL (default: REPRO_SERVICE_URL or "
-             "http://127.0.0.1:8177)",
-    )
+    _add_url_arg(metrics)
     metrics.add_argument(
         "--grep", default=None, metavar="SUBSTRING",
         help="print only lines containing SUBSTRING (HELP/TYPE lines "
@@ -335,26 +326,23 @@ def _build_parser() -> argparse.ArgumentParser:
              "Perfetto / chrome://tracing) instead of the summary table",
     )
 
-    top = sub.add_parser(
-        "top",
-        help="live terminal console over a running service: jobs, "
-             "workers, leases (see docs/observability.md)",
-    )
-    top.add_argument(
-        "--url", default=None,
-        help="service base URL (default: REPRO_SERVICE_URL or "
-             "http://127.0.0.1:8177)",
-    )
-    top.add_argument(
-        "--interval", type=float, default=2.0, metavar="SECONDS",
-        help="refresh interval (default 2.0, floor 0.2)",
-    )
-    top.add_argument(
-        "--once", action="store_true",
-        help="print one snapshot and exit (no screen clearing; exit 1 "
-             "if the service is unreachable)",
-    )
     return parser
+
+
+def _add_url_arg(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--url", default=None,
+        help=f"service base URL (default: REPRO_SERVICE_URL or "
+             f"{DEFAULT_SERVICE_URL})",
+    )
+
+
+def _service_url(args: argparse.Namespace) -> str:
+    """``--url``, else ``REPRO_SERVICE_URL``, else the default."""
+    return (
+        args.url or os.environ.get("REPRO_SERVICE_URL")
+        or DEFAULT_SERVICE_URL
+    )
 
 
 def _add_profile_args(parser: argparse.ArgumentParser) -> None:
@@ -705,10 +693,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     from repro.harness.report import format_table
     from repro.service.client import ServiceClient, ServiceError
 
-    url = (
-        args.url or os.environ.get("REPRO_SERVICE_URL")
-        or "http://127.0.0.1:8177"
-    )
+    url = _service_url(args)
     client = ServiceClient(url)
 
     def on_event(name: str, payload: dict) -> None:
@@ -770,10 +755,7 @@ def _cmd_worker(args: argparse.Namespace) -> int:
     from repro.service.client import ServiceError
     from repro.service.worker import run_worker
 
-    url = (
-        args.url or os.environ.get("REPRO_SERVICE_URL")
-        or "http://127.0.0.1:8177"
-    )
+    url = _service_url(args)
     log = None if args.quiet else (
         lambda line: print(f"[worker] {line}", file=sys.stderr, flush=True)
     )
@@ -913,10 +895,7 @@ def _cmd_journal(args: argparse.Namespace) -> int:
 def _cmd_metrics(args: argparse.Namespace) -> int:
     from repro.service.client import ServiceClient, ServiceError
 
-    url = (
-        args.url or os.environ.get("REPRO_SERVICE_URL")
-        or "http://127.0.0.1:8177"
-    )
+    url = _service_url(args)
     client = ServiceClient(url)
 
     def scrape() -> int:
@@ -938,8 +917,6 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         return scrape()
     # watch mode: clear + re-scrape until Ctrl-C; a transient scrape
     # failure prints and keeps watching (the service may be restarting)
-    from repro.service.console import CLEAR
-
     interval = max(0.2, args.watch)
     try:
         while True:
@@ -1049,19 +1026,6 @@ def _cmd_spans(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_top(args: argparse.Namespace) -> int:
-    from repro.service.console import run_top
-
-    url = (
-        args.url or os.environ.get("REPRO_SERVICE_URL")
-        or "http://127.0.0.1:8177"
-    )
-    try:
-        return run_top(url, interval=args.interval, once=args.once)
-    except KeyboardInterrupt:
-        return 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = _build_parser().parse_args(argv)
@@ -1090,8 +1054,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             return _cmd_metrics(args)
         if args.command == "spans":
             return _cmd_spans(args)
-        if args.command == "top":
-            return _cmd_top(args)
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2

@@ -42,13 +42,12 @@ standard library (``asyncio`` server, ``urllib`` client):
   while the shared :class:`~repro.service.retry.RetryPolicy` gives
   every client and worker capped, jittered, idempotent-only transport
   retries so fleets bridge a restart instead of dying on it.
-* :mod:`repro.service.registry` + :mod:`repro.service.console` --
-  fleet observability.  Workers heartbeat their identity and
-  throughput (piggybacked on every lease and settle) into a TTL'd
+* :mod:`repro.service.registry` -- fleet observability.  Workers
+  heartbeat their identity and throughput (piggybacked on every lease
+  and settle) into a TTL'd
   :class:`~repro.service.registry.WorkerRegistry` served at ``GET
   /v1/workers`` and aggregated into ``repro_fleet_*`` metrics; lease
-  grants carry a per-job trace context every worker span adopts; and
-  ``repro top`` renders the whole fleet as a live terminal console.
+  grants carry a per-job trace context every worker span adopts.
 
 See ``docs/service-api.md`` for the wire API and deployment knobs, and
 ``docs/distributed.md`` for the lease lifecycle and failure model

@@ -27,7 +27,7 @@ Endpoints (see ``docs/service-api.md`` for payload shapes):
   active leases and the pending-run queue.
 * ``GET /v1/workers``          -- (remote mode) the fleet registry:
   every known worker with liveness state, settled-run counts and
-  reported throughput (``repro top`` renders this).
+  reported throughput.
 * ``GET /v1/jobs``             -- recent job snapshots, newest first
   (``?limit=`` caps the list).
 * ``GET /healthz``             -- liveness (``draining`` while
@@ -577,7 +577,7 @@ class SimulationService:
 
     def _handle_jobs_list(self, query: str, writer) -> None:
         """GET /v1/jobs: recent job snapshots (no per-run detail),
-        newest first -- the job-history feed ``repro top`` renders."""
+        newest first."""
         raw = parse_qs(query).get("limit", ["50"])[0]
         try:
             limit = max(1, min(500, int(raw)))

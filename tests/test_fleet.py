@@ -1,4 +1,4 @@
-"""Fleet observability: trace propagation, worker registry, repro top.
+"""Fleet observability: trace propagation and the worker registry.
 
 Four layers of proof:
 
@@ -17,7 +17,6 @@ Four layers of proof:
   spans all carry the submitting job's trace id.
 """
 
-import io
 import json
 import re
 import time
@@ -27,7 +26,6 @@ import pytest
 from faultutil import free_port, spawn_worker, stop_workers
 from repro.cli import main
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.console import fetch_state, render, run_top
 from repro.service.registry import WorkerRegistry
 from repro.service.server import BackgroundService
 from repro.telemetry.spans import (
@@ -398,7 +396,7 @@ class TestFleetEndpoints:
     def test_fleet_endpoints_require_remote_mode(self):
         with BackgroundService(no_store=True) as svc:
             client = ServiceClient(svc.url)
-            for call in (client.workers,
+            for call in (client.workers, client.leases,
                          lambda: heartbeat_lease(client, {"name": "w"})):
                 with pytest.raises(ServiceError) as excinfo:
                     call()
@@ -541,87 +539,6 @@ class TestTwoWorkerFleet:
 
 
 # ----------------------------------------------------------------------
-class TestTopConsole:
-    def test_render_unreachable(self):
-        frame = render({"url": "http://x:1", "error": "boom"})
-        assert "unreachable" in frame
-
-    def test_render_full_fleet_state(self):
-        state = {
-            "url": "http://h:8177", "error": None,
-            "health": {"status": "ok", "uptime_s": 12.0},
-            "metrics": (
-                "repro_service_queue_depth 1\n"
-                "repro_service_active_jobs 2\n"
-                "repro_lease_pending_runs 3\n"
-                "repro_fleet_cycles_per_second 1234.0\n"
-            ),
-            "workers": {
-                "workers": [{
-                    "name": "w1", "state": "live", "runs_settled": 4,
-                    "errors": 0, "cycles_per_s": 99.0, "last_seen_s": 0.5,
-                }],
-                "expired_total": 1,
-            },
-            "leases": {"active": [{
-                "lease": "abcdef123456", "worker": "w1",
-                "unsettled": 1, "granted": 2, "expires_in": 30.0,
-            }]},
-            "jobs": {"jobs": [{
-                "job": "deadbeef" * 8, "state": "running",
-                "total": 4, "completed": 2, "elapsed_s": 10.0,
-            }], "known": 1},
-        }
-        frame = render(state, now=0.0)
-        assert "status=ok" in frame
-        assert "2 active, 1 queued" in frame
-        assert "lease queue: 3 runs pending" in frame
-        assert "1,234 sim cycles/s" in frame
-        assert "WORKERS (1 registered, 1 expired)" in frame
-        assert "w1" in frame and "live" in frame
-        assert "LEASES (1 active)" in frame
-        assert "expires in  30.0s" in frame
-        assert "JOBS (showing 1 of 1)" in frame
-        assert "running" in frame and "2/4" in frame
-        assert "eta" in frame  # mid-run job gets a completion estimate
-
-    def test_render_degrades_without_fleet_sections(self):
-        frame = render({
-            "url": "http://h:8177", "error": None,
-            "health": {"status": "ok", "uptime_s": 1.0},
-            "metrics": "repro_service_queue_depth 0\n",
-            "workers": None, "leases": None,
-            "jobs": {"jobs": [], "known": 0},
-        })
-        assert "WORKERS" not in frame  # local mode: no fleet sections
-        assert "LEASES" not in frame
-        assert "(no jobs submitted yet)" in frame
-
-    def test_top_once_against_live_service(self, capsys):
-        with BackgroundService(no_store=True, remote=True) as svc:
-            client = ServiceClient(svc.url)
-            heartbeat_lease(client, {"name": "console-w"})
-            assert main(["top", "--url", svc.url, "--once"]) == 0
-            out = capsys.readouterr().out
-            assert f"repro top -- {svc.url}" in out
-            assert "console-w" in out
-            assert "\x1b[2J" not in out  # --once never clears the screen
-
-    def test_top_once_fetch_state_degrades_local(self):
-        with BackgroundService(no_store=True) as svc:
-            state = fetch_state(ServiceClient(svc.url))
-            assert state["error"] is None
-            assert state["workers"] is None  # 400 in local mode
-            assert state["jobs"] is not None
-
-    def test_top_once_unreachable_exits_1(self):
-        url = f"http://127.0.0.1:{free_port()}"
-        buffer = io.StringIO()
-        assert run_top(url, once=True, out=buffer) == 1
-        assert "unreachable" in buffer.getvalue()
-
-
-# ----------------------------------------------------------------------
 class TestMetricsWatch:
     def test_watch_redraws_until_interrupt(self, capsys, monkeypatch):
         with BackgroundService(no_store=True) as svc:
@@ -639,3 +556,19 @@ class TestMetricsWatch:
             assert "\x1b[2J" in out  # watch mode clears between frames
             assert "repro metrics --watch 5" in out
             assert "repro_service_queue_depth" in out
+
+
+# ----------------------------------------------------------------------
+class TestServiceUrl:
+    def test_env_then_flag_resolves_the_service(self, capsys, monkeypatch):
+        """``REPRO_SERVICE_URL`` stands in for ``--url``; ``--url`` wins."""
+        with BackgroundService(no_store=True) as svc:
+            monkeypatch.setenv("REPRO_SERVICE_URL", svc.url)
+            assert main(["metrics", "--grep", "queue_depth"]) == 0
+            assert "repro_service_queue_depth" in capsys.readouterr().out
+
+            dead = f"http://127.0.0.1:{free_port()}"
+            monkeypatch.setenv("REPRO_SERVICE_URL", dead)
+            assert main(["metrics", "--url", svc.url,
+                         "--grep", "queue_depth"]) == 0
+            assert "repro_service_queue_depth" in capsys.readouterr().out

@@ -1,13 +1,22 @@
 #!/usr/bin/env python3
-"""Link-check the repository's markdown documentation.
+"""Check the repository's markdown documentation against the tree.
 
 Scans the given markdown files (default: README.md, ARCHITECTURE.md and
-docs/*.md) for inline links/images ``[text](target)`` and verifies that
-every relative target exists on disk.  External (http/https/mailto)
-links and pure in-page anchors are skipped; a ``path#fragment`` target
-is checked for the path only.
+docs/*.md) for two kinds of drift:
 
-Exit status 0 when everything resolves, 1 with a per-link report
+* **Links.** Every relative target of an inline link/image
+  ``[text](target)`` must exist on disk.  External (http/https/mailto)
+  links and pure in-page anchors are skipped; a ``path#fragment``
+  target is checked for the path only.
+* **Commands.** In fenced blocks and inline code, every ``repro <word>``
+  must name a subcommand of the CLI parser
+  (:func:`repro.cli._build_parser`, read from this checkout's ``src/``),
+  and every ``--long-flag`` after it on the same command line must be
+  one of that subcommand's options.  ``from repro import ...`` is
+  Python, not the CLI; a command line ends at ``|``, ``;`` or ``&``, and
+  a fenced line ending in a backslash continues on the next.
+
+Exit status 0 when everything resolves, 1 with a per-problem report
 otherwise (the CI docs job runs this).
 
 Usage::
@@ -17,10 +26,11 @@ Usage::
 
 from __future__ import annotations
 
+import argparse
 import pathlib
 import re
 import sys
-from typing import Iterable, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Set, Tuple
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -29,8 +39,21 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 #: pattern from swallowing prose parentheses.
 LINK = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)\)")
 
+#: fenced code blocks and inline code
+FENCE = re.compile(r"```.*?```", re.DOTALL)
+INLINE = re.compile(r"`[^`]*`")
+
 #: schemes (and in-page anchors) that are not filesystem paths
 SKIP_PREFIXES = ("http://", "https://", "mailto:", "#")
+
+#: a documented CLI invocation, ``repro <word>`` (not ``src/repro/...``)
+COMMAND = re.compile(r"(?<![\w./-])repro[ \t]+([A-Za-z][\w-]*)")
+
+#: a long option, ``--name``
+FLAG = re.compile(r"(?<![\w-])--[A-Za-z][\w-]*")
+
+#: shell operators that end one command line
+SHELL_BREAK = re.compile(r"[|;&]")
 
 
 def default_files() -> List[pathlib.Path]:
@@ -42,39 +65,95 @@ def default_files() -> List[pathlib.Path]:
 def strip_code(text: str) -> str:
     """Drop fenced code blocks and inline code: shell snippets routinely
     contain ``[...](...)``-shaped globs that are not links."""
-    text = re.sub(r"```.*?```", "", text, flags=re.DOTALL)
-    return re.sub(r"`[^`]*`", "", text)
+    return INLINE.sub("", FENCE.sub("", text))
 
 
-def check_file(path: pathlib.Path) -> List[Tuple[str, str]]:
-    """Broken links in one file as (target, reason) pairs."""
+def code_lines(text: str) -> Iterator[str]:
+    """The command lines of fenced blocks and inline code: a fenced line
+    ending in a backslash joins the next, and inline code that wraps a
+    line is one line."""
+    for block in FENCE.findall(text):
+        yield from block.replace("\\\n", " ").splitlines()
+    for span in INLINE.findall(FENCE.sub("", text)):
+        yield span.replace("\n", " ")
+
+
+def _options(parser: argparse.ArgumentParser) -> Set[str]:
+    """Every option string of *parser* and of its nested subcommands."""
+    options: Set[str] = set()
+    for action in parser._actions:
+        options.update(action.option_strings)
+        if isinstance(action, argparse._SubParsersAction):
+            for child in action.choices.values():
+                options |= _options(child)
+    return options
+
+
+def cli_commands() -> Dict[str, Set[str]]:
+    """Subcommand name -> its option strings, from this checkout's CLI."""
+    sys.path.insert(0, str(REPO_ROOT / "src"))
+    from repro.cli import _build_parser
+
+    (sub,) = [action for action in _build_parser()._actions
+              if isinstance(action, argparse._SubParsersAction)]
+    return {name: _options(child) for name, child in sub.choices.items()}
+
+
+def check_commands(text: str,
+                   commands: Dict[str, Set[str]]) -> List[Tuple[str, str]]:
+    """Documented ``repro`` commands and flags the CLI does not have,
+    as (command, reason) pairs."""
     broken = []
-    for target in LINK.findall(strip_code(path.read_text())):
+    for line in code_lines(text):
+        matches = list(COMMAND.finditer(line))
+        for index, match in enumerate(matches):
+            name = match.group(1)
+            if name == "import":  # ``from repro import ...``
+                continue
+            if name not in commands:
+                broken.append((f"repro {name}", "no such command"))
+                continue
+            end = (matches[index + 1].start() if index + 1 < len(matches)
+                   else len(line))
+            rest = SHELL_BREAK.split(line[match.end():end], 1)[0]
+            for flag in FLAG.findall(rest):
+                if flag not in commands[name]:
+                    broken.append((f"repro {name} {flag}", "no such option"))
+    return broken
+
+
+def check_file(path: pathlib.Path,
+               commands: Dict[str, Set[str]]) -> List[Tuple[str, str]]:
+    """Broken links and commands in one file as (target, reason) pairs."""
+    text = path.read_text()
+    broken = []
+    for target in LINK.findall(strip_code(text)):
         if target.startswith(SKIP_PREFIXES):
             continue
         resolved = (path.parent / target.split("#", 1)[0]).resolve()
         if not resolved.exists():
             broken.append((target, f"missing: {resolved}"))
-    return broken
+    return broken + check_commands(text, commands)
 
 
 def main(argv: Iterable[str]) -> int:
     args = list(argv)
     files = [pathlib.Path(a) for a in args] if args else default_files()
+    commands = cli_commands()
     failures = 0
     for path in files:
         if not path.exists():
             print(f"FAIL {path}: file does not exist")
             failures += 1
             continue
-        broken = check_file(path)
+        broken = check_file(path, commands)
         for target, reason in broken:
             print(f"FAIL {path}: [{target}] {reason}")
         failures += len(broken)
         if not broken:
             print(f"ok   {path}")
     if failures:
-        print(f"\n{failures} broken link(s)")
+        print(f"\n{failures} broken link(s) or command(s)")
     return 1 if failures else 0
 
 
