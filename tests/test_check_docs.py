@@ -24,8 +24,10 @@ def test_repo_docs_pass(check_docs, capsys):
 
 def test_retired_command_and_flag_fail(check_docs, tmp_path, capsys):
     for text, named in (
-        ("Watch it with `repro top --once`.\n", "repro top"),
+        ("Watch it with `repro\ntop --once`.\n", "repro top"),
         ("```bash\nrepro sweep --timeline 50 --workers 2\n```\n",
+         "--timeline"),
+        ("```bash\nrepro sweep --workers 2 \\\n    --timeline 50\n```\n",
          "--timeline"),
     ):
         doc = tmp_path / "doc.md"
@@ -36,7 +38,11 @@ def test_retired_command_and_flag_fail(check_docs, tmp_path, capsys):
         assert "--workers" not in out
 
 
-def test_python_import_is_not_a_command(check_docs, tmp_path):
+def test_python_import_and_valid_commands_pass(check_docs, tmp_path):
     doc = tmp_path / "doc.md"
-    doc.write_text("```python\nfrom repro import Runner\n```\n")
+    doc.write_text(
+        "```python\nfrom repro import Runner\n```\n"
+        "```bash\nrepro store info --store /tmp/s.jsonl\n"
+        "repro metrics --grep fleet | grep --count fleet\n```\n"
+    )
     assert check_docs.main([str(doc)]) == 0

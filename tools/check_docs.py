@@ -90,8 +90,7 @@ def _options(parser: argparse.ArgumentParser) -> Set[str]:
 
 
 def cli_commands() -> Dict[str, Set[str]]:
-    """Subcommand name -> its option strings, from this checkout's CLI."""
-    sys.path.insert(0, str(REPO_ROOT / "src"))
+    """Subcommand name -> its option strings, from the CLI parser."""
     from repro.cli import _build_parser
 
     (sub,) = [action for action in _build_parser()._actions
@@ -158,4 +157,6 @@ def main(argv: Iterable[str]) -> int:
 
 
 if __name__ == "__main__":
+    # check against this checkout's CLI, installed or not
+    sys.path.insert(0, str(REPO_ROOT / "src"))
     sys.exit(main(sys.argv[1:]))
