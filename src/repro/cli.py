@@ -171,13 +171,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--queue", type=int, default=None,
-        help="max jobs waiting before 429 (default: REPRO_SERVICE_QUEUE "
-             "or 32)",
-    )
-    serve.add_argument(
-        "--active", type=int, default=None,
-        help="max jobs executing concurrently (default: "
-             "REPRO_SERVICE_ACTIVE or 1)",
+        help="unfinished jobs admitted beyond the first before 429 "
+             "(default: REPRO_SERVICE_QUEUE or 32)",
     )
     serve.add_argument(
         "--store", default=None,
@@ -651,7 +646,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     service = build_service(
         host=host, port=port, store_path=args.store, no_store=args.no_store,
-        workers=args.workers, max_queue=args.queue, max_active=args.active,
+        workers=args.workers, max_queue=args.queue,
         remote=True if args.remote else None,
         journal=args.journal,
     )

@@ -9,10 +9,11 @@ standard library (``asyncio`` server, ``urllib`` client):
   a content hash over the sorted :class:`~repro.engine.spec.RunKey`
   digests, so *what* is being asked for -- not *when* or *by whom* --
   names the job.
-* :mod:`repro.service.scheduler` -- a bounded async job queue with one
-  dispatch path: pending run keys always queue on the lease table,
-  which a local service's in-process lessee drains into
-  :class:`~repro.engine.engine.ExperimentEngine` off the event loop.
+* :mod:`repro.service.scheduler` -- settle-driven jobs over one queue:
+  a job starts on submit, its pending run keys queue on the lease
+  table, which a local service's in-process lessee drains into
+  :class:`~repro.engine.engine.ExperimentEngine` off the event loop,
+  and it finishes when its last run settles.
   **Single-flight coalescing**: concurrent identical jobs collapse to
   one execution, overlapping run keys attach to in-flight work, and
   completed keys are served straight from the
@@ -21,7 +22,7 @@ standard library (``asyncio`` server, ``urllib`` client):
 * :mod:`repro.service.server` -- minimal HTTP/1.1 on
   ``asyncio.start_server``: submit sweeps, poll jobs, stream progress
   over SSE, fetch results by run key, health and metrics endpoints,
-  backpressure (429) when the queue is full and graceful drain on
+  backpressure (429) past the unfinished-job bound and graceful drain on
   SIGTERM.
 * :mod:`repro.service.client` -- ``urllib``-based
   :class:`~repro.service.client.ServiceClient` with submit / poll /

@@ -1,23 +1,25 @@
-"""Bounded async job queue over one lease queue.
+"""Settle-driven jobs over one lease queue.
 
 The scheduler owns the three layers of single-flight coalescing that
 let a busy service do dramatically less work than it is asked for:
 
-1. **job level** -- a submission whose content-addressed id matches a
-   queued/running job attaches to it instead of enqueueing a duplicate;
-2. **run-key level** -- when a job starts, any of its keys currently
-   being simulated by *another* in-flight job are awaited instead of
-   re-dispatched;
+1. **job level** -- a submission whose content-addressed id matches an
+   unfinished job attaches to it instead of starting a duplicate;
+2. **run-key level** -- a key already in flight for *another* job gets
+   this job added to its waiting list instead of being re-dispatched;
 3. **completed-key level** -- keys already settled are served from the
    in-memory record mirror, then the
    :class:`~repro.engine.store.ResultStore`.  A warm store answers a
    whole sweep with **zero** simulations.
 
-**One dispatch path.**  The remaining keys always queue on the
-:class:`~repro.service.leases.LeaseManager`, and every outcome comes
-back through :meth:`JobScheduler.settle` -- the store's only writer.
-Given an engine (``repro serve``), one in-process *lessee* task leases
-every pending key at once and runs the batch through
+**One queue.**  Every accepted job starts inside :meth:`JobScheduler.
+submit` (or :meth:`JobScheduler.recover`): its remaining keys queue on
+the :class:`~repro.service.leases.LeaseManager`, and every outcome
+comes back through :meth:`JobScheduler.settle` -- the store's only
+writer -- which settles every job waiting on the key (the owner
+``fresh``, the rest ``coalesced``) and finishes each job whose last run
+that was.  Given an engine (``repro serve``), one in-process *lessee*
+task leases every pending key at once and runs the batch through
 :meth:`~repro.engine.engine.ExperimentEngine.run_specs` in a thread-pool
 executor, settling outcomes as they stream back via
 ``call_soon_threadsafe``.  Without one (``repro serve --remote``),
@@ -26,13 +28,13 @@ a long poll held in :meth:`JobScheduler.wait_for_work` until keys
 become pending or draining begins.  A reaper re-queues the keys of
 expired leases, so no job hangs on a dead worker.
 
-Jobs beyond ``max_active`` wait in a bounded FIFO queue; submissions
-past ``max_queue`` raise :class:`QueueFull` (HTTP 429).  All scheduler
-state is mutated on the event loop thread only, so job state needs no
-locks.  With a :class:`~repro.service.journal.JobJournal` attached,
-every lifecycle transition is journaled and :meth:`JobScheduler.recover`
+A submission that would leave more than ``max_queue + 1`` jobs
+unfinished raises :class:`QueueFull` (HTTP 429).  All scheduler state
+is mutated on the event loop thread only, so job state needs no locks.
+With a :class:`~repro.service.journal.JobJournal` attached, every
+lifecycle transition is journaled and :meth:`JobScheduler.recover`
 replays the log at startup, so a restarted coordinator serves finished
-jobs from history and re-queues unfinished ones.
+jobs from history and restarts unfinished ones.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ import math
 import sys
 import threading
 import time
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.engine.engine import ExperimentEngine, RunOutcome
 from repro.engine.serialize import result_to_dict
@@ -78,15 +80,10 @@ from repro.telemetry.tracectx import (
     trace_scope,
 )
 
-__all__ = [
-    "DEFAULT_MAX_ACTIVE", "DEFAULT_MAX_QUEUE", "Draining", "JobScheduler",
-    "QueueFull",
-]
+__all__ = ["DEFAULT_MAX_QUEUE", "Draining", "JobScheduler", "QueueFull"]
 
-#: default bound on jobs waiting to start (HTTP 429 past this)
+#: default bound on unfinished jobs beyond the first (HTTP 429 past it)
 DEFAULT_MAX_QUEUE = 32
-#: default bound on jobs executing concurrently
-DEFAULT_MAX_ACTIVE = 1
 #: bound on in-memory completed-run records (LRU evicted)
 RESULT_CACHE = 4096
 #: finished jobs kept for GET /v1/jobs/{id}
@@ -111,7 +108,7 @@ def _usable_timing(timing) -> Optional[dict]:
 
 
 class QueueFull(RuntimeError):
-    """The waiting queue is at capacity (HTTP 429)."""
+    """Too many jobs are unfinished to accept another (HTTP 429)."""
 
 
 class Draining(RuntimeError):
@@ -126,8 +123,8 @@ class JobScheduler:
             leased batch through; ``None`` leaves the queue to workers
             leasing over HTTP.
         store: the durable cache layer, written only by :meth:`settle`.
-        max_queue: waiting-job bound (:class:`QueueFull` past it).
-        max_active: concurrently executing job bound.
+        max_queue: unfinished jobs admitted beyond the first
+            (:class:`QueueFull` past it).
         journal: write-ahead job journal for crash recovery (``None``
             keeps behaviour byte-identical to an unjournaled service).
     """
@@ -137,21 +134,19 @@ class JobScheduler:
         engine: Optional[ExperimentEngine] = None,
         store: Optional[ResultStore] = None,
         max_queue: int = DEFAULT_MAX_QUEUE,
-        max_active: int = DEFAULT_MAX_ACTIVE,
         journal: Optional[JobJournal] = None,
     ) -> None:
         self.engine = engine
         self.store = store
         self.max_queue = max(0, max_queue)
-        self.max_active = max(1, max_active)
         self.jobs: Dict[str, Job] = {}
         self.draining = False
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._waiting: Deque[Job] = collections.deque()
-        self._active: Dict[str, asyncio.Task] = {}
-        #: run keys being simulated right now -> future resolving to
-        #: ``(source, error)`` for jobs that attach (single-flight)
-        self._inflight: Dict[str, asyncio.Future] = {}
+        #: in-flight run key -> the jobs waiting on it, owner first;
+        #: a key is here exactly while it is pending, leased or being
+        #: persisted by :meth:`settle` (single-flight)
+        self._waiters: Dict[str, List[Job]] = {}
+        #: fired whenever a job finishes (:meth:`drain` re-checks)
+        self._job_finished = asyncio.Event()
         #: completed-run record mirror: key -> {"key", "spec", "result"}
         self._records: "collections.OrderedDict[str, dict]" = (
             collections.OrderedDict()
@@ -165,7 +160,7 @@ class JobScheduler:
         self._reaper: Optional[asyncio.Task] = None
         self._lessee: Optional[asyncio.Task] = None
         #: job id -> the exception text of a batch that failed as a
-        #: whole under the lessee (the job ends ``failed`` with it)
+        #: whole under the lessee (the owning job ends ``failed`` with it)
         self._failures: Dict[str, str] = {}
         #: long-poll wake signal: fired (and replaced by a fresh event)
         #: whenever keys become pending or draining begins
@@ -179,7 +174,7 @@ class JobScheduler:
             name: self.registry.counter(f"repro_service_{name}", help_text)
             for name, help_text in (
                 ("jobs_submitted", "Sweep jobs accepted (new, not coalesced)"),
-                ("jobs_executed", "Jobs whose execution started"),
+                ("jobs_executed", "Jobs started (submitted or recovered)"),
                 ("jobs_coalesced",
                  "Submissions attached to an identical in-flight job"),
                 ("keys_coalesced",
@@ -271,14 +266,10 @@ class JobScheduler:
     def _register_gauges(self) -> None:
         """Expose live scheduler state as read-at-scrape-time gauges."""
         gauges = (
-            ("queue_depth", "Jobs waiting to start",
-             lambda: len(self._waiting)),
-            ("queue_limit", "Waiting-job bound (429 past it)",
+            ("queue_limit",
+             "Unfinished jobs admitted beyond the first (429 past it)",
              lambda: self.max_queue),
-            ("active_jobs", "Jobs executing right now",
-             lambda: len(self._active)),
-            ("max_active", "Concurrent-job bound",
-             lambda: self.max_active),
+            ("active_jobs", "Unfinished jobs", self._unfinished),
             ("draining", "1 while shutting down, else 0",
              lambda: int(self.draining)),
             ("result_cache_records", "In-memory completed-run records",
@@ -341,10 +332,10 @@ class JobScheduler:
 
         Jobs whose journal says they finished are restored straight
         into history (their snapshots and SSE ``done`` events serve
-        immediately); jobs accepted but unfinished are re-queued
-        through the normal execution path, where keys already settled
-        into the :class:`~repro.engine.store.ResultStore` serve warm
-        and only the true remainder re-enters the lease queue.
+        immediately); jobs accepted but unfinished restart through the
+        same path as a submission, where keys already settled into the
+        :class:`~repro.engine.store.ResultStore` serve warm and only
+        the true remainder re-enters the lease queue.
         Journaled *error* settles re-run rather than replaying -- a
         restart retries runs that died with
         the previous incarnation.  Leases of the dead incarnation are
@@ -352,7 +343,7 @@ class JobScheduler:
         LeaseManager` starts empty, so a surviving worker's late settle
         hits the settle-pending/410 path exactly like a reaped lease.
 
-        Recovered jobs bypass the waiting-queue bound: they were
+        Recovered jobs bypass the unfinished-job bound: they were
         accepted once and must not bounce with 429 semantics.
 
         Returns:
@@ -361,8 +352,7 @@ class JobScheduler:
         """
         if self.journal is None:
             return None
-        self._loop = asyncio.get_running_loop()
-        replay = await self._loop.run_in_executor(
+        replay = await asyncio.get_running_loop().run_in_executor(
             None, load_journal, self.journal.path
         )
         summary = {
@@ -401,41 +391,34 @@ class JobScheduler:
             summary["requeued_jobs"] += 1
             summary["requeued_runs"] += unsettled
             self._journal_requeued.inc(unsettled)
-            self._waiting.append(job)
-        if self._waiting:
-            self._pump()
+            self._start(job)
         self.recovered = summary
         return summary
 
     # ------------------------------------------------------------------
     def submit(self, request: SweepRequest) -> Tuple[Job, bool]:
-        """Submit a sweep; returns ``(job, created)``.
+        """Submit a sweep and start it; returns ``(job, created)``.
 
         ``created`` is ``False`` when the submission coalesced onto an
-        already queued/running identical job.
+        unfinished identical job.
 
         Raises:
             Draining: the service is shutting down.
-            QueueFull: the waiting queue is at capacity.
+            QueueFull: ``max_queue + 1`` jobs are already unfinished.
             InvalidRequest: (from spec building) malformed request.
         """
         if self.draining:
             raise Draining("service is draining; not accepting jobs")
-        self._loop = asyncio.get_running_loop()
         job = Job(request, request.to_specs())
         existing = self.jobs.get(job.id)
         if existing is not None and not existing.done:
             self._counters["jobs_coalesced"].inc()
             return existing, False
-        # a job that can start immediately never counts against the
-        # waiting bound; only jobs that would actually queue do
-        if (
-            len(self._active) >= self.max_active
-            and len(self._waiting) >= self.max_queue
-        ):
+        unfinished = self._unfinished()
+        if unfinished > self.max_queue:
             raise QueueFull(
-                f"queue full ({len(self._waiting)}/{self.max_queue} "
-                "jobs waiting)"
+                f"queue full ({unfinished} jobs unfinished, "
+                f"bound {self.max_queue + 1})"
             )
         self._counters["jobs_submitted"].inc()
         submitted_ns = time.time_ns()
@@ -457,10 +440,12 @@ class JobScheduler:
                 for key, spec in job.specs.items()
             ],
         )
-        self._waiting.append(job)
         self._prune_history()
-        self._pump()
+        self._start(job)
         return job, True
+
+    def _unfinished(self) -> int:
+        return sum(1 for job in self.jobs.values() if not job.done)
 
     def _prune_history(self) -> None:
         """Drop the oldest finished jobs beyond the history bound."""
@@ -473,79 +458,51 @@ class JobScheduler:
             self.jobs.pop(job.id, None)
             self._subscribers.pop(job.id, None)
 
-    def _pump(self) -> None:
-        """Start waiting jobs while active slots are free."""
-        while self._waiting and len(self._active) < self.max_active:
-            job = self._waiting.popleft()
-            task = self._loop.create_task(self._run_job(job))
-            self._active[job.id] = task
-            task.add_done_callback(
-                lambda _t, job_id=job.id: self._job_task_done(job_id)
-            )
-
-    def _job_task_done(self, job_id: str) -> None:
-        self._active.pop(job_id, None)
-        self._pump()
-
-    # ------------------------------------------------------------------
-    async def _run_job(self, job: Job) -> None:
-        """Execute one job: cache, attach, queue, settle, finish."""
+    def _start(self, job: Job) -> None:
+        """Start *job*: settle its completed keys from cache, wait on
+        keys another job has in flight, and queue the rest.  The job
+        finishes in :meth:`_settle` when its last run settles."""
         self._counters["jobs_executed"].inc()
-        job_started_ns = time.time_ns()
         job.mark_running()
-        self._emit(job, {"event": "state", "state": "running"})
-
-        owned: List[asyncio.Future] = []
-        attached: Dict[str, asyncio.Future] = {}
+        queued = False
         for key, spec in job.specs.items():
-            inflight = self._inflight.get(key)
-            if inflight is not None:
-                # single-flight: someone else is simulating this key
+            waiting = self._waiters.get(key)
+            if waiting is not None:
                 self._counters["keys_coalesced"].inc()
-                attached[key] = inflight
+                waiting.append(job)
             elif self.result_record(key) is not None:
                 self._settle(job, key, "store")
             else:
-                # settling this key (see settle) resolves and pops it
-                future = self._inflight[key] = self._loop.create_future()
-                owned.append(future)
-                self.leases.add(key, (spec, job))
-
-        if owned:
+                self._waiters[key] = [job]
+                self.leases.add(key, spec)
+                queued = True
+        if queued:
             self._ensure_tasks()
             self._wake_lessees()
-            for future in owned:
-                await future
 
-        for key, future in attached.items():
-            source, error = await future
-            self._settle(
-                job, key, "coalesced" if error is None else "error", error
-            )
-
+    def _finish(self, job: Job) -> None:
+        """Close *job* once its last run has settled."""
         job.finish(self._failures.pop(job.id, None))
         self._journal_event(
             EV_JOB_DONE, job=job.id, state=job.state, error=job.error
         )
         with trace_scope(job.trace_id):
             record_span(
-                "job", job_started_ns, time.time_ns(), cat="job",
-                args={
-                    "job": job.id[:12], "state": job.state,
-                    "total": job.counters["total"],
-                    "dispatched": len(owned), "attached": len(attached),
-                },
+                "job", int(job.started * 1e9), time.time_ns(), cat="job",
+                args={"job": job.id[:12], "state": job.state,
+                      **job.counters},
             )
         self._emit(job, {"event": "done", "job": job.snapshot()})
+        self._job_finished.set()
 
     def _ensure_tasks(self) -> None:
         """Start the reaper and, given an engine, the in-process lessee."""
         if self._reaper is None or self._reaper.done():
-            self._reaper = self._loop.create_task(self._reap_loop())
+            self._reaper = asyncio.create_task(self._reap_loop())
         if self.engine is not None and (
             self._lessee is None or self._lessee.done()
         ):
-            self._lessee = self._loop.create_task(self._lessee_loop())
+            self._lessee = asyncio.create_task(self._lessee_loop())
 
     # ------------------------------------------------------------------
     # the in-process lessee: a local service's one worker
@@ -564,8 +521,8 @@ class JobScheduler:
         """Run one lessee lease, settling each outcome as it streams in.
 
         If ``run_specs`` raises as a whole, every key it left unsettled
-        settles as an error carrying the exception text, and each owning
-        job ends ``failed`` with it.
+        settles as an error carrying the exception text for every job
+        waiting on it, and each owning job ends ``failed`` with it.
         """
         loop = asyncio.get_running_loop()
         arrived: asyncio.Queue = asyncio.Queue()
@@ -579,9 +536,9 @@ class JobScheduler:
                 run["error"] = outcome.error
             loop.call_soon_threadsafe(arrived.put_nowait, run)
 
-        specs = [spec for spec, _job in lease.runs.values()]
         call = loop.run_in_executor(None, functools.partial(
-            self.engine.run_specs, specs, on_outcome=on_outcome,
+            self.engine.run_specs, list(lease.runs.values()),
+            on_outcome=on_outcome,
         ))
         # lands behind every outcome the engine thread posted
         call.add_done_callback(lambda _call: arrived.put_nowait(None))
@@ -602,7 +559,7 @@ class JobScheduler:
         except Exception as error:  # wholesale engine failure
             failure = f"{type(error).__name__}: {error}"
             self._failures.update(
-                (job.id, failure) for _spec, job in lease.runs.values())
+                (self._waiters[key][0].id, failure) for key in lease.runs)
         if lease.runs:
             message = failure or "engine returned without settling"
             await self.settle(lease.lease_id, [
@@ -638,16 +595,12 @@ class JobScheduler:
         if requeued:
             self._lease_requeued.inc(requeued)
             self._wake_lessees()
-        for key, (spec, job) in abandoned:
-            message = (
+        for key, _spec in abandoned:
+            self._lease_settled.labels("abandoned").inc()
+            self._settle_waiters(key, "error", (
                 f"abandoned after {MAX_ATTEMPTS} lease attempts "
                 "(every worker that leased this run died or stalled)"
-            )
-            self._lease_settled.labels("abandoned").inc()
-            self._settle(job, key, "error", message)
-            future = self._inflight.pop(key, None)
-            if future is not None and not future.done():
-                future.set_result(("error", message))
+            ))
 
     def _wake_lessees(self) -> None:
         """Release the idle lessee and every lease request held in
@@ -705,15 +658,16 @@ class JobScheduler:
             "runs": [
                 {
                     "key": digest,
-                    "spec": spec_to_dict(payload[0]),
+                    "spec": spec_to_dict(spec),
                     # trace context: the owning job's trace id + this
                     # run's span id, adopted by the worker for every
                     # span it emits while executing the run
                     "trace": format_traceparent(
-                        payload[1].trace_id, span_id_for_key(digest)
+                        self._waiters[digest][0].trace_id,
+                        span_id_for_key(digest),
                     ),
                 }
-                for digest, payload in lease.runs.items()
+                for digest, spec in lease.runs.items()
             ],
             "draining": self.draining,
         }
@@ -736,21 +690,22 @@ class JobScheduler:
         loop from their lease -- or from the pending queue, where a
         reaped lease's keys wait (the late result is real); keys found
         in neither place are duplicates.  Claimed results are persisted
-        off the loop, then the owning jobs settle.  *worker* names the
-        ledger entry when the lease no longer does; *attribute* records
-        it on each job run (off for the lessee, so local job snapshots
-        keep their shape).  Returns ``accepted`` ``(run, spec, job)``
-        triples, ``duplicates``, ``lease_known`` and ``remaining``.
+        off the loop, then every job waiting on each key settles.
+        *worker* names the ledger entry when the lease no longer does;
+        *attribute* records it on the owning job's run (off for the
+        lessee, so local job snapshots keep their shape).  Returns
+        ``accepted`` ``(run, spec, owner)`` triples, ``duplicates``,
+        ``lease_known`` and ``remaining``.
         """
         held = self.leases.get(lease_id)
         # read before claiming: accepting the last key retires the lease
         worker = (held.worker if held is not None else worker) or "unknown"
         accepted: List[tuple] = []
         for run in runs:
-            payload = (self.leases.settle_key(lease_id, run["key"])
-                       or self.leases.settle_pending(run["key"]))
-            if payload is not None:
-                accepted.append((run, *payload))
+            spec = (self.leases.settle_key(lease_id, run["key"])
+                    or self.leases.settle_pending(run["key"]))
+            if spec is not None:
+                accepted.append((run, spec, self._waiters[run["key"]][0]))
         if self.store is not None and any(
             run.get("error") is None for run, _spec, _job in accepted
         ):
@@ -766,7 +721,7 @@ class JobScheduler:
                     "settling these runs without storing them",
                     file=sys.stderr, flush=True,
                 )
-        for run, spec, job in accepted:
+        for run, spec, _owner in accepted:
             key, error = run["key"], run.get("error")
             if error is None:
                 self._remember(key, {
@@ -777,11 +732,9 @@ class JobScheduler:
             source = "fresh" if error is None else "error"
             timing = _usable_timing(run.get("timing"))
             self._lease_settled.labels(source).inc()
-            self._settle(job, key, source, error,
-                         worker=worker if attribute else None, timing=timing)
-            future = self._inflight.pop(key, None)
-            if future is not None and not future.done():
-                future.set_result((source, error))
+            self._settle_waiters(key, source, error,
+                                 worker=worker if attribute else None,
+                                 timing=timing)
             self._record_fleet_settle(worker, source, timing)
         lease = self.leases.get(lease_id)
         return {
@@ -819,6 +772,23 @@ class JobScheduler:
             self._fleet_sim_cycles.inc(cycles)
         self._fleet_settle_seconds.labels(worker).observe(sim_s)
 
+    def _settle_waiters(
+        self,
+        key: str,
+        source: str,
+        error: Optional[str] = None,
+        worker: Optional[str] = None,
+        timing: Optional[dict] = None,
+    ) -> None:
+        """Settle every job waiting on an in-flight *key*: the owner as
+        *source*, the rest ``coalesced`` (or ``error`` alongside it)."""
+        owner, *attached = self._waiters.pop(key)
+        self._settle(owner, key, source, error, worker=worker, timing=timing)
+        for job in attached:
+            self._settle(
+                job, key, "coalesced" if error is None else "error", error
+            )
+
     def _settle(
         self,
         job: Job,
@@ -828,7 +798,8 @@ class JobScheduler:
         worker: Optional[str] = None,
         timing: Optional[dict] = None,
     ) -> None:
-        """Record one run settlement and stream it to subscribers."""
+        """Record one run settlement, stream it to subscribers, and
+        finish the job when it was the last."""
         if source == "error":
             self._counters["runs_error"].inc()
         elif source == "fresh":
@@ -844,6 +815,8 @@ class JobScheduler:
             "completed": job.counters["completed"],
             "total": job.counters["total"],
         })
+        if job.counters["completed"] == job.counters["total"]:
+            self._finish(job)
 
     def _remember(self, key: str, record: dict) -> None:
         self._records[key] = record
@@ -902,18 +875,15 @@ class JobScheduler:
         self._wake_lessees()
 
     async def drain(self) -> None:
-        """Stop accepting work and wait for queued + active jobs.
+        """Stop accepting work and wait until no job is unfinished.
 
-        Queued jobs still execute (they were accepted); new submissions
-        raise :class:`Draining` the moment this is called.
+        Accepted jobs still finish; new submissions raise
+        :class:`Draining` the moment this is called.
         """
         self.begin_drain()
-        while self._waiting or self._active:
-            tasks = list(self._active.values())
-            if tasks:
-                await asyncio.gather(*tasks, return_exceptions=True)
-            else:  # queued but not yet pumped (no free slot this tick)
-                await asyncio.sleep(0.01)
+        while self._unfinished():
+            self._job_finished.clear()
+            await self._job_finished.wait()
         for task in (self._reaper, self._lessee):
             if task is not None:
                 task.cancel()

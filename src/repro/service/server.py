@@ -3,9 +3,9 @@
 Endpoints (see ``docs/service-api.md`` for payload shapes):
 
 * ``POST /v1/sweeps``          -- submit a sweep; 202 with the job id
-  (an identical queued/running job coalesces: same id, ``created``
-  false), 400 on a malformed request, 429 when the queue is full,
-  503 while draining.
+  (an identical unfinished job coalesces: same id, ``created`` false),
+  400 on a malformed request, 429 when ``--queue`` + 1 jobs are
+  unfinished, 503 while draining.
 * ``GET /v1/jobs/{id}``        -- job snapshot (state, counters, runs).
 * ``GET /v1/jobs/{id}/events`` -- Server-Sent Events progress stream:
   a ``snapshot`` event, then one ``run`` event per settled run, closed
@@ -33,15 +33,15 @@ Endpoints (see ``docs/service-api.md`` for payload shapes):
 * ``GET /healthz``             -- liveness (``draining`` while
   shutting down).
 * ``GET /metrics``             -- Prometheus text exposition (format
-  0.0.4) of the scheduler's registry plus the process-wide one: queue
-  depth, store hit rate, jobs/runs served, coalescing counters,
+  0.0.4) of the scheduler's registry plus the process-wide one:
+  unfinished jobs, store hit rate, jobs/runs served, coalescing counters,
   request counts/latency, arena + store + engine families.
 
 Operational behaviour: request bodies are bounded (413 past
 ``max_body``), non-sweep methods get 405, unknown paths 404; SIGTERM /
 SIGINT triggers a graceful drain -- submits are refused and held
-leases released, queued and active jobs finish (workers can still
-lease and settle), then the listener closes and the process exits.  With
+leases released, unfinished jobs finish (workers can still lease and
+settle), then the listener closes and the process exits.  With
 ``REPRO_SERVICE_ACCESS_LOG=<path>`` every request appends one JSONL
 line (ts, method, path, status, duration_ms, bytes_out, job id when a
 submission created/coalesced one).  With ``--journal PATH`` /
@@ -80,7 +80,6 @@ from repro.service.leases import (
     MAX_LEASE_WAIT_S,
 )
 from repro.service.scheduler import (
-    DEFAULT_MAX_ACTIVE,
     DEFAULT_MAX_QUEUE,
     Draining,
     JobScheduler,
@@ -788,7 +787,6 @@ def build_service(
     no_store: bool = False,
     workers: Optional[int] = None,
     max_queue: Optional[int] = None,
-    max_active: Optional[int] = None,
     max_body: Optional[int] = None,
     access_log: Optional[str] = None,
     remote: Optional[bool] = None,
@@ -797,8 +795,8 @@ def build_service(
     """Assemble store + engine -> scheduler -> service with env-var
     defaults.
 
-    ``REPRO_SERVICE_QUEUE`` / ``REPRO_SERVICE_ACTIVE`` /
-    ``REPRO_SERVICE_MAX_BODY`` fill unspecified bounds;
+    ``REPRO_SERVICE_QUEUE`` / ``REPRO_SERVICE_MAX_BODY`` fill
+    unspecified bounds;
     ``REPRO_SERVICE_ACCESS_LOG=<path>`` turns on the structured
     per-request JSONL access log.  The scheduler's lease queue is the
     only dispatch path: by default it gets a store-less engine
@@ -834,10 +832,6 @@ def build_service(
         max_queue=(
             max_queue if max_queue is not None
             else env_int("REPRO_SERVICE_QUEUE", DEFAULT_MAX_QUEUE)
-        ),
-        max_active=(
-            max_active if max_active is not None
-            else env_int("REPRO_SERVICE_ACTIVE", DEFAULT_MAX_ACTIVE)
         ),
         journal=JobJournal(journal_path) if journal_path else None,
     )

@@ -46,3 +46,18 @@ def test_python_import_and_valid_commands_pass(check_docs, tmp_path):
         "repro metrics --grep fleet | grep --count fleet\n```\n"
     )
     assert check_docs.main([str(doc)]) == 0
+
+
+@pytest.mark.parametrize("text, ok", [
+    ("Point `REPRO_STORE` at a shared file.\n", True),
+    ("Set REPRO_NOT_A_KNOB=1 to go faster.\n", False),
+    ("Every knob has a `REPRO_SERVICE_*` default.\n", True),
+    ("A `REPRO_NOT_A_PREFIX_*` family.\n", False),
+])
+def test_environment_knobs_must_exist_in_code(check_docs, tmp_path,
+                                              capsys, text, ok):
+    doc = tmp_path / "doc.md"
+    doc.write_text(text)
+    assert check_docs.main([str(doc)]) == (0 if ok else 1)
+    out = capsys.readouterr().out
+    assert ("no such environment knob" in out) != ok

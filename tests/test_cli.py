@@ -222,3 +222,13 @@ class TestSubmitCommand:
         ])
         assert code == 2
         assert "cannot reach" in capsys.readouterr().err
+
+
+class TestServeCommand:
+    def test_retired_active_flag_is_a_usage_error(self, capsys):
+        """Jobs start on submit, so there is no concurrent-job bound to
+        set: ``--active`` is an unknown option."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--active", "2"])
+        assert exit_info.value.code == 2
+        assert "--active" in capsys.readouterr().err

@@ -555,7 +555,7 @@ class TestMetricsWatch:
             assert calls["n"] == 1
             assert "\x1b[2J" in out  # watch mode clears between frames
             assert "repro metrics --watch 5" in out
-            assert "repro_service_queue_depth" in out
+            assert "repro_service_queue_limit" in out
 
 
 # ----------------------------------------------------------------------
@@ -564,11 +564,11 @@ class TestServiceUrl:
         """``REPRO_SERVICE_URL`` stands in for ``--url``; ``--url`` wins."""
         with BackgroundService(no_store=True) as svc:
             monkeypatch.setenv("REPRO_SERVICE_URL", svc.url)
-            assert main(["metrics", "--grep", "queue_depth"]) == 0
-            assert "repro_service_queue_depth" in capsys.readouterr().out
+            assert main(["metrics", "--grep", "queue_limit"]) == 0
+            assert "repro_service_queue_limit" in capsys.readouterr().out
 
             dead = f"http://127.0.0.1:{free_port()}"
             monkeypatch.setenv("REPRO_SERVICE_URL", dead)
             assert main(["metrics", "--url", svc.url,
-                         "--grep", "queue_depth"]) == 0
-            assert "repro_service_queue_depth" in capsys.readouterr().out
+                         "--grep", "queue_limit"]) == 0
+            assert "repro_service_queue_limit" in capsys.readouterr().out

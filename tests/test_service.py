@@ -196,7 +196,7 @@ class TestSchedulerSingleFlight:
         async def scenario():
             engine = StubEngine()
             engine.release.clear()
-            scheduler = JobScheduler(engine, max_active=2)
+            scheduler = JobScheduler(engine)
             job1, created1 = scheduler.submit(request())
             job2, created2 = scheduler.submit(request())
             assert created1 and not created2
@@ -214,7 +214,7 @@ class TestSchedulerSingleFlight:
         async def scenario():
             engine = StubEngine()
             engine.release.clear()
-            scheduler = JobScheduler(engine, max_active=2)
+            scheduler = JobScheduler(engine)
             job_a, _ = scheduler.submit(request(workloads=["ATAX", "BICG"]))
             await engine_started(engine)  # A holds its keys in flight
             job_b, _ = scheduler.submit(request(workloads=["BICG", "GEMM"]))
@@ -254,7 +254,7 @@ class TestSchedulerSingleFlight:
         async def scenario():
             engine = StubEngine()
             engine.release.clear()
-            scheduler = JobScheduler(engine, max_queue=1, max_active=1)
+            scheduler = JobScheduler(engine, max_queue=1)
             job1, _ = scheduler.submit(request(seed=1))
             await engine_started(engine)
             scheduler.submit(request(seed=2))  # fills the one queue slot
@@ -348,7 +348,7 @@ class TestSchedulerSingleFlight:
         async def scenario():
             engine = StubEngine(fail=True)
             engine.release.clear()
-            scheduler = JobScheduler(engine, max_active=2)
+            scheduler = JobScheduler(engine)
             job_a, _ = scheduler.submit(request(workloads=["ATAX"]))
             await engine_started(engine)
             job_b, _ = scheduler.submit(request(workloads=["ATAX", "BICG"]))
@@ -478,7 +478,7 @@ class TestServiceEndToEnd:
                 ["L1-SRAM"], ["ATAX"], scale="smoke", num_sms=2,
             )
             text = client.metrics()
-            assert "repro_service_queue_depth 0" in text
+            assert "repro_service_active_jobs 0" in text
             assert "repro_service_runs_fresh 1" in text
             assert "repro_service_store_records 1" in text
             assert "repro_service_uptime_seconds" in text
@@ -491,7 +491,7 @@ class TestServiceBackpressure:
         return engine, SimulationService(scheduler, port=0)
 
     def test_full_queue_returns_429(self):
-        engine, service = self._stub_service(max_queue=0, max_active=1)
+        engine, service = self._stub_service(max_queue=0)
         engine.release.clear()
         with BackgroundService(service=service) as svc:
             client = ServiceClient(svc.url)

@@ -2,7 +2,7 @@
 """Check the repository's markdown documentation against the tree.
 
 Scans the given markdown files (default: README.md, ARCHITECTURE.md and
-docs/*.md) for two kinds of drift:
+docs/*.md) for three kinds of drift:
 
 * **Links.** Every relative target of an inline link/image
   ``[text](target)`` must exist on disk.  External (http/https/mailto)
@@ -15,6 +15,10 @@ docs/*.md) for two kinds of drift:
   one of that subcommand's options.  ``from repro import ...`` is
   Python, not the CLI; a command line ends at ``|``, ``;`` or ``&``, and
   a fenced line ending in a backslash continues on the next.
+* **Environment knobs.** Every ``REPRO_[A-Z0-9_]+`` name anywhere in
+  the text must appear in a Python file under ``src/`` or
+  ``benchmarks/``.  A name ending in ``_`` (``REPRO_SERVICE_*``) is a
+  prefix: some name in the code must start with it.
 
 Exit status 0 when everything resolves, 1 with a per-problem report
 otherwise (the CI docs job runs this).
@@ -54,6 +58,12 @@ FLAG = re.compile(r"(?<![\w-])--[A-Za-z][\w-]*")
 
 #: shell operators that end one command line
 SHELL_BREAK = re.compile(r"[|;&]")
+
+#: an environment knob; a trailing ``_`` makes it a prefix
+KNOB = re.compile(r"(?<!\w)REPRO_[A-Z0-9_]+")
+
+#: trees whose Python files define the knobs the docs may name
+KNOB_ROOTS = ("src", "benchmarks")
 
 
 def default_files() -> List[pathlib.Path]:
@@ -121,9 +131,29 @@ def check_commands(text: str,
     return broken
 
 
-def check_file(path: pathlib.Path,
-               commands: Dict[str, Set[str]]) -> List[Tuple[str, str]]:
-    """Broken links and commands in one file as (target, reason) pairs."""
+def code_knobs() -> Set[str]:
+    """Every ``REPRO_*`` name in the Python files of :data:`KNOB_ROOTS`."""
+    knobs: Set[str] = set()
+    for root in KNOB_ROOTS:
+        for path in (REPO_ROOT / root).rglob("*.py"):
+            knobs.update(KNOB.findall(path.read_text()))
+    return knobs
+
+
+def check_knobs(text: str, knobs: Set[str]) -> List[Tuple[str, str]]:
+    """Documented environment knobs the code never names."""
+    return [
+        (name, "no such environment knob in src/ or benchmarks/")
+        for name in sorted(set(KNOB.findall(text)))
+        if not (any(knob.startswith(name) for knob in knobs)
+                if name.endswith("_") else name in knobs)
+    ]
+
+
+def check_file(path: pathlib.Path, commands: Dict[str, Set[str]],
+               knobs: Set[str]) -> List[Tuple[str, str]]:
+    """Broken links, commands and knobs in one file as (target,
+    reason) pairs."""
     text = path.read_text()
     broken = []
     for target in LINK.findall(strip_code(text)):
@@ -132,27 +162,28 @@ def check_file(path: pathlib.Path,
         resolved = (path.parent / target.split("#", 1)[0]).resolve()
         if not resolved.exists():
             broken.append((target, f"missing: {resolved}"))
-    return broken + check_commands(text, commands)
+    return broken + check_commands(text, commands) + check_knobs(text, knobs)
 
 
 def main(argv: Iterable[str]) -> int:
     args = list(argv)
     files = [pathlib.Path(a) for a in args] if args else default_files()
     commands = cli_commands()
+    knobs = code_knobs()
     failures = 0
     for path in files:
         if not path.exists():
             print(f"FAIL {path}: file does not exist")
             failures += 1
             continue
-        broken = check_file(path, commands)
+        broken = check_file(path, commands, knobs)
         for target, reason in broken:
             print(f"FAIL {path}: [{target}] {reason}")
         failures += len(broken)
         if not broken:
             print(f"ok   {path}")
     if failures:
-        print(f"\n{failures} broken link(s) or command(s)")
+        print(f"\n{failures} broken link(s), command(s) or knob(s)")
     return 1 if failures else 0
 
 
