@@ -29,28 +29,31 @@ Quickstart::
     fuse = runner.run("Dy-FUSE", "ATAX")
     print(f"speedup {fuse.ipc / base.ipc:.2f}x")
 
-This package and ``core``, ``engine``, ``gpu``, ``harness`` and
-``service`` resolve their exports lazily through :func:`lazy_exports`,
-so ``import repro`` runs no submodule and each process loads only the
-layers its role runs (ARCHITECTURE.md, "Imports follow the role").
+This package and ``cache``, ``core``, ``energy``, ``engine``, ``gpu``,
+``harness``, ``service`` and ``telemetry`` resolve their exports lazily
+through :func:`lazy_exports`, so ``import repro`` runs no submodule and
+each process loads only the layers its role runs (ARCHITECTURE.md,
+"Imports follow the role").
 """
 
 import importlib
-from typing import Callable, List, Mapping, Tuple
+from typing import Callable, List, Mapping, Sequence, Tuple
 
 
 def lazy_exports(
-    namespace: dict, exports: Mapping[str, str],
-) -> Tuple[Callable[[str], object], Callable[[], List[str]]]:
-    """The PEP 562 ``__getattr__`` and ``__dir__`` of the package whose
-    ``globals()`` is *namespace*.
+    namespace: dict, modules: Mapping[str, Sequence[str]],
+) -> Tuple[Callable[[str], object], Callable[[], List[str]], List[str]]:
+    """The PEP 562 ``__getattr__`` and ``__dir__``, and the ``__all__``,
+    of the package whose ``globals()`` is *namespace*.
 
-    *exports* maps each exported name to the module defining it.  The
-    first access imports that module and caches the value in the
-    package namespace, so later lookups are plain attribute reads.
-    A package binds ``__getattr__, __dir__ = lazy_exports(globals(),
-    _EXPORTS)`` and sets ``__all__ = sorted(_EXPORTS)``.
+    *modules* maps each defining module to the names it exports.  The
+    first access to a name imports its module and caches the value in
+    the package namespace, so later lookups are plain attribute reads.
+    A package binds ``__getattr__, __dir__, __all__ =
+    lazy_exports(globals(), {module: names, ...})``.
     """
+    exports = {name: module for module, names in modules.items()
+               for name in names}
     package = namespace["__name__"]
 
     def __getattr__(name: str) -> object:
@@ -66,43 +69,32 @@ def lazy_exports(
     def __dir__() -> List[str]:
         return sorted(set(namespace) | set(exports))
 
-    return __getattr__, __dir__
+    return __getattr__, __dir__, sorted(exports)
 
 
-_EXPORTS = {
-    "L1DConfig": "repro.core.factory",
-    "config_for_budget": "repro.core.factory",
-    "known_configs": "repro.core.factory",
-    "l1d_config": "repro.core.factory",
-    "make_l1d": "repro.core.factory",
-    "ratio_config": "repro.core.factory",
-    "FuseCache": "repro.core.fuse_cache",
-    "FuseFeatures": "repro.core.fuse_cache",
-    "ReadLevel": "repro.core.read_level_predictor",
-    "ReadLevelPredictor": "repro.core.read_level_predictor",
-    "ExperimentEngine": "repro.engine.engine",
-    "ResultStore": "repro.engine.store",
-    "default_store_path": "repro.engine.store",
-    "RunKey": "repro.engine.spec",
-    "RunSpec": "repro.engine.spec",
-    "GPUConfig": "repro.gpu.config",
-    "fermi_like": "repro.gpu.config",
-    "volta_like": "repro.gpu.config",
-    "GPUSimulator": "repro.gpu.simulator",
-    "SimulationResult": "repro.gpu.stats",
-    "Runner": "repro.harness.runner",
-    "default_runner": "repro.harness.runner",
-    "benchmark": "repro.workloads.benchmarks",
-    "benchmark_names": "repro.workloads.benchmarks",
-    "workload_names": "repro.workloads.benchmarks",
-    "KernelModel": "repro.workloads.kernels",
-    "REGISTRY": "repro.workloads.registry",
-    "WorkloadRegistry": "repro.workloads.registry",
-    "register_workload": "repro.workloads.registry",
-    "TraceScale": "repro.workloads.trace",
-}
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "repro.core.factory": (
+        "FuseFeatures", "L1DConfig", "config_for_budget", "known_configs",
+        "l1d_config", "make_l1d", "ratio_config",
+    ),
+    "repro.core.fuse_cache": ("FuseCache",),
+    "repro.core.read_level_predictor": ("ReadLevel", "ReadLevelPredictor"),
+    "repro.engine.engine": ("ExperimentEngine",),
+    "repro.engine.store": ("ResultStore", "default_store_path"),
+    "repro.engine.spec": ("RunKey", "RunSpec"),
+    "repro.gpu.config": ("GPUConfig", "fermi_like", "volta_like"),
+    "repro.gpu.simulator": ("GPUSimulator",),
+    "repro.gpu.stats": ("SimulationResult",),
+    "repro.harness.runner": ("Runner", "default_runner"),
+    "repro.workloads.benchmarks": (
+        "benchmark", "benchmark_names", "workload_names",
+    ),
+    "repro.workloads.kernels": ("KernelModel",),
+    "repro.workloads.registry": (
+        "REGISTRY", "WorkloadRegistry", "register_workload",
+    ),
+    "repro.workloads.trace": ("TraceScale",),
+})
 
 __version__ = "1.0.0"
-
-__all__ = sorted(_EXPORTS) + ["__version__"]
-__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
+__all__ += ["__version__"]

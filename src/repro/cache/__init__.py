@@ -13,37 +13,23 @@ geometry, technology and mechanism.  Which values each Table I
 organisation uses is the business of :mod:`repro.core.factory`:
 :func:`~repro.core.factory.make_l1d` is the only path from a
 configuration to an engine.
+
+Exports resolve lazily (:func:`repro.lazy_exports`), so importing one
+submodule (``repro.cache.stats`` for a result's counters) loads no
+engine.
 """
 
-from repro.cache.interface import (
-    AccessOutcome,
-    AccessResult,
-    FillResult,
-    L1DCacheModel,
-)
-from repro.cache.mshr import MSHR, MSHREntry
-from repro.cache.basecache import BaseCache
-from repro.cache.nvm_bypass import ByNVMCache, DeadWritePredictor
-from repro.cache.oracle import OracleCache
-from repro.cache.request import AccessType, MemoryRequest, block_address
-from repro.cache.stats import CacheStats
-from repro.cache.tag_array import CacheLine, TagArray
+from repro import lazy_exports
 
-__all__ = [
-    "AccessOutcome",
-    "AccessResult",
-    "AccessType",
-    "BaseCache",
-    "ByNVMCache",
-    "CacheLine",
-    "CacheStats",
-    "DeadWritePredictor",
-    "FillResult",
-    "L1DCacheModel",
-    "MSHR",
-    "MSHREntry",
-    "MemoryRequest",
-    "OracleCache",
-    "TagArray",
-    "block_address",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "repro.cache.interface": (
+        "AccessOutcome", "AccessResult", "FillResult", "L1DCacheModel",
+    ),
+    "repro.cache.mshr": ("MSHR", "MSHREntry"),
+    "repro.cache.basecache": ("BaseCache",),
+    "repro.cache.nvm_bypass": ("ByNVMCache", "DeadWritePredictor"),
+    "repro.cache.oracle": ("OracleCache",),
+    "repro.cache.request": ("AccessType", "MemoryRequest", "block_address"),
+    "repro.cache.stats": ("CacheStats",),
+    "repro.cache.tag_array": ("CacheLine", "TagArray"),
+})

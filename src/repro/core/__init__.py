@@ -21,31 +21,24 @@ structure):
 
 Exports resolve lazily (:func:`repro.lazy_exports`):
 ``repro.cache.nvm_bypass`` imports the sampler from here while
-``repro.core.factory`` imports cache models from ``repro.cache``, and
-lazy resolution keeps that dependency cycle inert.
+``repro.core.fuse_cache`` imports cache primitives from ``repro.cache``,
+and lazy resolution keeps that dependency cycle inert.  The factory
+loads the engines only inside ``make_l1d``, so naming a configuration
+(``l1d_config``, ``L1DConfig``, ``FuseFeatures``) loads no engine.
 """
 
 from repro import lazy_exports
 
-_EXPORTS = {
-    "ApproximateAssociativeArray": "repro.core.approx_assoc",
-    "SearchResult": "repro.core.approx_assoc",
-    "Arbiter": "repro.core.arbitration",
-    "ArbiterDecision": "repro.core.arbitration",
-    "Destination": "repro.core.arbitration",
-    "L1DConfig": "repro.core.factory",
-    "known_configs": "repro.core.factory",
-    "l1d_config": "repro.core.factory",
-    "ratio_config": "repro.core.factory",
-    "make_l1d": "repro.core.factory",
-    "FuseCache": "repro.core.fuse_cache",
-    "FuseFeatures": "repro.core.fuse_cache",
-    "ReadLevel": "repro.core.read_level_predictor",
-    "ReadLevelPredictor": "repro.core.read_level_predictor",
-    "SamplingPredictor": "repro.core.sampler",
-    "SwapBuffer": "repro.core.swap_buffer",
-    "TagQueue": "repro.core.tag_queue",
-}
-
-__all__ = sorted(_EXPORTS)
-__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "repro.core.approx_assoc": ("ApproximateAssociativeArray", "SearchResult"),
+    "repro.core.arbitration": ("Arbiter", "ArbiterDecision", "Destination"),
+    "repro.core.factory": (
+        "FuseFeatures", "L1DConfig", "known_configs", "l1d_config",
+        "ratio_config", "make_l1d",
+    ),
+    "repro.core.fuse_cache": ("FuseCache",),
+    "repro.core.read_level_predictor": ("ReadLevel", "ReadLevelPredictor"),
+    "repro.core.sampler": ("SamplingPredictor",),
+    "repro.core.swap_buffer": ("SwapBuffer",),
+    "repro.core.tag_queue": ("TagQueue",),
+})

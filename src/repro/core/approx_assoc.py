@@ -40,6 +40,7 @@ of a sweep) rather than per instance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -186,24 +187,37 @@ class ApproximateAssociativeArray:
         return h1 % self.cbf_counters, h2 % self.cbf_counters
 
     def _build_patterns(self, key: int) -> Tuple[tuple, int]:
-        """Resolve (and memoise) *key*'s per-group slot/mask patterns."""
+        """Resolve (and memoise) *key*'s per-group slot/mask patterns.
+
+        A group's row depends on it only through ``group * salt_step %
+        m``, so rows repeat every ``m / gcd(salt_step, m)`` groups: one
+        period is built and tiled across the groups."""
         h1m, h2m = self._key_hashes(key)
         residue = (h1m, h2m)
         slots = self._patterns["slots"].get(residue)
         if slots is None:
             m = self.cbf_counters
+            lane = self._lane
             salt_step = _GROUP_SALT % m
+            period = m // math.gcd(salt_step, m)
             rows = []
-            for group in range(self.num_cbfs):
+            block = 0
+            for group in range(min(period, self.num_cbfs)):
                 base = h1m + (group * salt_step) % m
-                rows.append(tuple([
+                row = tuple([
                     (base + step * h2m) % m for step in range(self.num_hashes)
-                ]))
-            slots = tuple(rows)
-            masks = 0
-            for group, group_slots in enumerate(slots):
-                for s in group_slots:
-                    masks |= 1 << (group * self._lane + s)
+                ])
+                rows.append(row)
+                for s in row:
+                    block |= 1 << (group * lane + s)
+            repeats, rest = divmod(self.num_cbfs, period)
+            slots = tuple(rows) * repeats + tuple(rows[:rest])
+            # times a base-2**width repunit: one carry-free copy per
+            # whole period, then the first ``rest`` lanes
+            width = period * lane
+            repunit = ((1 << width * repeats) - 1) // ((1 << width) - 1)
+            masks = block * repunit | (
+                block & ((1 << rest * lane) - 1)) << width * repeats
             self._patterns["slots"][residue] = slots
             self._patterns["masks"][residue] = masks
         masks = self._patterns["masks"][residue]

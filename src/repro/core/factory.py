@@ -26,22 +26,17 @@ the rest on STT-MRAM (4x denser), so ``1/2`` reproduces the Table I
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Dict, Optional, Union
+from typing import TYPE_CHECKING, Dict, Optional, Union
 
-from repro.cache.basecache import BaseCache
-from repro.cache.interface import L1DCacheModel
-from repro.cache.nvm_bypass import ByNVMCache
-from repro.cache.oracle import OracleCache
-from repro.cache.tag_array import sets_for
-from repro.core.approx_assoc import TAG_COMPARATORS
-from repro.core.fuse_cache import FuseCache, FuseFeatures
+if TYPE_CHECKING:  # pragma: no cover - the engines load in make_l1d
+    from repro.cache.interface import L1DCacheModel
 
 __all__ = [
-    "AREA_BUDGET_SRAM_KB", "L1DConfig", "STT_DENSITY_FACTOR",
-    "config_for_budget", "known_configs", "l1d_config", "make_l1d",
-    "ratio_config",
+    "AREA_BUDGET_SRAM_KB", "FuseFeatures", "L1DConfig",
+    "STT_DENSITY_FACTOR", "config_for_budget", "known_configs",
+    "l1d_config", "make_l1d", "ratio_config",
 ]
 
 #: Area budget every configuration must fit: a 32 KB SRAM array.
@@ -49,6 +44,32 @@ AREA_BUDGET_SRAM_KB = 32
 
 #: STT-MRAM density advantage under the same area (36F^2 vs 140F^2 ~ 4x).
 STT_DENSITY_FACTOR = 4
+
+
+@dataclass(frozen=True, slots=True)
+class FuseFeatures:
+    """Feature toggles selecting the FUSE configuration
+    (:mod:`repro.core.fuse_cache`'s module docs)."""
+
+    non_blocking: bool = True
+    approx_assoc: bool = True
+    use_predictor: bool = True
+
+    @classmethod
+    def hybrid(cls) -> "FuseFeatures":
+        return cls(non_blocking=False, approx_assoc=False, use_predictor=False)
+
+    @classmethod
+    def base_fuse(cls) -> "FuseFeatures":
+        return cls(non_blocking=True, approx_assoc=False, use_predictor=False)
+
+    @classmethod
+    def fa_fuse(cls) -> "FuseFeatures":
+        return cls(non_blocking=True, approx_assoc=True, use_predictor=False)
+
+    @classmethod
+    def dy_fuse(cls) -> "FuseFeatures":
+        return cls(non_blocking=True, approx_assoc=True, use_predictor=True)
 
 
 @dataclass(frozen=True)
@@ -174,6 +195,8 @@ def ratio_config(
         A config whose SRAM bank holds ``fraction x budget`` KB and whose
         STT bank holds the remaining area at 4x density.
     """
+    from repro.cache.tag_array import sets_for
+
     fraction = Fraction(str(sram_fraction))
     if not 0 < fraction < 1:
         raise ValueError("sram_fraction must be in (0, 1)")
@@ -210,6 +233,9 @@ def config_for_budget(name: str, area_budget_kb: int) -> L1DConfig:
     count scales with the approximated way count so each CBF still covers
     a group of :data:`~repro.core.approx_assoc.TAG_COMPARATORS` ways.
     """
+    from repro.cache.tag_array import sets_for
+    from repro.core.approx_assoc import TAG_COMPARATORS
+
     if area_budget_kb < 4 or area_budget_kb % 4:
         raise ValueError("area_budget_kb must be a positive multiple of 4")
     template = l1d_config(name)
@@ -229,14 +255,23 @@ def config_for_budget(name: str, area_budget_kb: int) -> L1DConfig:
     )
 
 
-def make_l1d(config: L1DConfig) -> L1DCacheModel:
+def make_l1d(config: L1DConfig) -> "L1DCacheModel":
     """Instantiate the cache model described by *config*: the only path
     from a configuration to an engine.
+
+    The engines load here, not at import, so a process that only names
+    configurations (a remote coordinator) never loads them.
 
     Raises:
         ValueError: for an unknown ``kind``, or a size that does not
             divide into the configured ways.
     """
+    from repro.cache.basecache import BaseCache
+    from repro.cache.nvm_bypass import ByNVMCache
+    from repro.cache.oracle import OracleCache
+    from repro.cache.tag_array import sets_for
+    from repro.core.fuse_cache import FuseCache
+
     common = dict(
         mshr_entries=config.mshr_entries,
         mshr_max_merge=config.mshr_max_merge,

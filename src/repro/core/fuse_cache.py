@@ -50,7 +50,6 @@ every other rejection lifts only with a new epoch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.cache.engine import BankPort, MissPath, WritebackSink
@@ -69,43 +68,17 @@ from repro.cache.stats import CacheStats
 from repro.cache.tag_array import CacheLine, TagArray, sets_for
 from repro.core.approx_assoc import TAG_COMPARATORS, ApproximateAssociativeArray
 from repro.core.arbitration import Arbiter, ArbiterDecision, Destination
+from repro.core.factory import FuseFeatures
 from repro.core.read_level_predictor import ReadLevel, ReadLevelPredictor
 from repro.core.swap_buffer import SwapBuffer
 from repro.core.tag_queue import TagQueue
 
-__all__ = [
-    "FuseCache", "FuseFeatures",
-]
+__all__ = ["FuseCache"]
 
 _HIT = AccessOutcome.HIT
 _MISS = AccessOutcome.MISS
 #: :meth:`FuseCache._plan_sram_eviction`'s "structural hazard" verdict
 _HAZARD = object()
-
-
-@dataclass(frozen=True, slots=True)
-class FuseFeatures:
-    """Feature toggles selecting the paper configuration (see module docs)."""
-
-    non_blocking: bool = True
-    approx_assoc: bool = True
-    use_predictor: bool = True
-
-    @classmethod
-    def hybrid(cls) -> "FuseFeatures":
-        return cls(non_blocking=False, approx_assoc=False, use_predictor=False)
-
-    @classmethod
-    def base_fuse(cls) -> "FuseFeatures":
-        return cls(non_blocking=True, approx_assoc=False, use_predictor=False)
-
-    @classmethod
-    def fa_fuse(cls) -> "FuseFeatures":
-        return cls(non_blocking=True, approx_assoc=True, use_predictor=False)
-
-    @classmethod
-    def dy_fuse(cls) -> "FuseFeatures":
-        return cls(non_blocking=True, approx_assoc=True, use_predictor=True)
 
 
 class FuseCache(L1DCacheModel):

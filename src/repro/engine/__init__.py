@@ -25,32 +25,19 @@ Exports resolve lazily (:func:`repro.lazy_exports`): a fleet worker imports
 
 from repro import lazy_exports
 
-_EXPORTS = {
-    "ExperimentEngine": "repro.engine.engine",
-    "OutcomeCallback": "repro.engine.engine",
-    "ProgressEvent": "repro.engine.engine",
-    "RunOutcome": "repro.engine.engine",
-    "default_workers": "repro.engine.engine",
-    "stderr_progress": "repro.engine.engine",
-    "SCHEMA_VERSION": "repro.engine.serialize",
-    "config_from_dict": "repro.engine.serialize",
-    "config_to_dict": "repro.engine.serialize",
-    "result_from_dict": "repro.engine.serialize",
-    "result_to_dict": "repro.engine.serialize",
-    "GPU_PROFILES": "repro.engine.spec",
-    "SCALE_PRESETS": "repro.engine.spec",
-    "RunKey": "repro.engine.spec",
-    "RunSpec": "repro.engine.spec",
-    "arena_for_spec": "repro.engine.spec",
-    "execute_spec": "repro.engine.spec",
-    "gpu_profile": "repro.engine.spec",
-    "scale_preset": "repro.engine.spec",
-    "spec_from_dict": "repro.engine.spec",
-    "spec_to_dict": "repro.engine.spec",
-    "trace_key": "repro.engine.spec",
-    "ResultStore": "repro.engine.store",
-    "default_store_path": "repro.engine.store",
-}
-
-__all__ = sorted(_EXPORTS)
-__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "repro.engine.engine": (
+        "ExperimentEngine", "OutcomeCallback", "ProgressEvent", "RunOutcome",
+        "default_workers", "stderr_progress",
+    ),
+    "repro.engine.serialize": (
+        "SCHEMA_VERSION", "config_from_dict", "config_to_dict",
+        "result_from_dict", "result_to_dict",
+    ),
+    "repro.engine.spec": (
+        "GPU_PROFILES", "SCALE_PRESETS", "RunKey", "RunSpec", "arena_for_spec",
+        "execute_spec", "gpu_profile", "scale_preset", "spec_from_dict",
+        "spec_to_dict", "trace_key",
+    ),
+    "repro.engine.store": ("ResultStore", "default_store_path"),
+})

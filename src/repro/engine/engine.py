@@ -47,11 +47,16 @@ import traceback
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.engine.spec import RunSpec, arena_for_spec, execute_spec, trace_key
+from repro.engine.spec import (
+    RunSpec, arena_for_spec, execute_spec, load_execution_chain, trace_key,
+)
 from repro.engine.store import ResultStore
 from repro.gpu.stats import SimulationResult
 from repro.telemetry.metrics import REGISTRY
 from repro.telemetry.spans import span
+
+# pool workers fork from this process: load the simulator before they do
+load_execution_chain()
 
 __all__ = [
     "ExperimentEngine", "OutcomeCallback", "ProgressCallback",

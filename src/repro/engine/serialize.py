@@ -20,8 +20,7 @@ import dataclasses
 from typing import Any, Dict, Optional
 
 from repro.cache.stats import CacheStats
-from repro.core.factory import L1DConfig
-from repro.core.fuse_cache import FuseFeatures
+from repro.core.factory import FuseFeatures, L1DConfig
 from repro.energy.model import EnergyReport
 from repro.gpu.stats import LatencyBreakdown, MemorySystemStats, SimulationResult
 

@@ -28,6 +28,7 @@ ones they need from the spec (see
 from __future__ import annotations
 
 import hashlib
+import importlib
 import json
 from dataclasses import dataclass
 from typing import Dict, Optional, Union
@@ -36,17 +37,34 @@ from repro.core.factory import L1DConfig, l1d_config, make_l1d
 from repro.energy.model import compute_energy, l1d_energy_params
 from repro.engine.serialize import config_from_dict, config_to_dict
 from repro.gpu.config import GPUConfig, fermi_like, volta_like
-from repro.gpu.simulator import GPUSimulator
 from repro.gpu.stats import SimulationResult
 from repro.telemetry.spans import span
-from repro.workloads.benchmarks import benchmark
+from repro.workloads.registry import BUILTIN_MODULES
 from repro.workloads.trace import TraceScale
 
 __all__ = [
-    "GPU_PROFILES", "RunKey", "RunSpec", "SCALE_PRESETS", "arena_for_spec",
-    "execute_spec", "gpu_profile", "scale_preset", "spec_from_dict",
+    "EXECUTION_CHAIN", "GPU_PROFILES", "RunKey", "RunSpec", "SCALE_PRESETS",
+    "arena_for_spec", "execute_spec", "gpu_profile",
+    "load_execution_chain", "scale_preset", "spec_from_dict",
     "spec_to_dict", "trace_key",
 ]
+
+#: what a run executes beyond run identity: the simulator, the engines
+#: :func:`~repro.core.factory.make_l1d` builds, the trace packer and the
+#: workload families.  A remote coordinator loads the workloads package
+#: to validate jobs, but never the simulator or an engine.
+EXECUTION_CHAIN = (
+    "repro.gpu.simulator", "repro.cache.basecache", "repro.cache.nvm_bypass",
+    "repro.cache.oracle", "repro.core.fuse_cache", "repro.workloads.arena",
+) + BUILTIN_MODULES
+
+
+def load_execution_chain() -> None:
+    """Import :data:`EXECUTION_CHAIN`: the engine and the fleet worker
+    call this at import, so pool workers fork with it loaded and no
+    run's first call imports anything."""
+    for name in EXECUTION_CHAIN:
+        importlib.import_module(name)
 
 #: named machine profiles a spec may reference
 GPU_PROFILES = {
@@ -241,6 +259,7 @@ def arena_for_spec(spec: RunSpec):
     every module) builds the same arena for the same spec.
     """
     from repro.workloads.arena import PackedTraceArena, cached_arena
+    from repro.workloads.benchmarks import benchmark
     from repro.workloads.kernels import KernelModel
 
     def build() -> PackedTraceArena:
@@ -272,6 +291,8 @@ def execute_spec(spec: RunSpec) -> SimulationResult:
     (compiled on first use, replayed from cache after -- see
     :func:`arena_for_spec`), simulates, and attaches the energy report.
     """
+    from repro.gpu.simulator import GPUSimulator
+
     machine = gpu_profile(spec.gpu_profile).with_overrides(
         num_sms=spec.num_sms
     )

@@ -16,16 +16,10 @@ back into ``workloads.trace`` through ``warp`` and ``workloads.arena``.
 
 from repro import lazy_exports
 
-_EXPORTS = {
-    "coalesce": "repro.gpu.coalescer",
-    "GPUConfig": "repro.gpu.config",
-    "fermi_like": "repro.gpu.config",
-    "volta_like": "repro.gpu.config",
-    "GPUSimulator": "repro.gpu.simulator",
-    "LatencyBreakdown": "repro.gpu.stats",
-    "SimulationResult": "repro.gpu.stats",
-    "Warp": "repro.gpu.warp",
-}
-
-__all__ = sorted(_EXPORTS)
-__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "repro.gpu.coalescer": ("coalesce",),
+    "repro.gpu.config": ("GPUConfig", "fermi_like", "volta_like"),
+    "repro.gpu.simulator": ("GPUSimulator",),
+    "repro.gpu.stats": ("LatencyBreakdown", "SimulationResult"),
+    "repro.gpu.warp": ("Warp",),
+})

@@ -16,13 +16,7 @@ the engine behind it.
 
 from repro import lazy_exports
 
-_EXPORTS = {
-    "format_table": "repro.harness.report",
-    "gmean": "repro.harness.report",
-    "normalise": "repro.harness.report",
-    "Runner": "repro.harness.runner",
-    "default_runner": "repro.harness.runner",
-}
-
-__all__ = sorted(_EXPORTS)
-__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "repro.harness.report": ("format_table", "gmean", "normalise"),
+    "repro.harness.runner": ("Runner", "default_runner"),
+})

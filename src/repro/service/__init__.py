@@ -61,27 +61,16 @@ scheduler, the HTTP server, the journal or ``asyncio``.
 
 from repro import lazy_exports
 
-_EXPORTS = {
-    "ServiceClient": "repro.service.client",
-    "ServiceError": "repro.service.client",
-    "InvalidRequest": "repro.service.jobs",
-    "Job": "repro.service.jobs",
-    "SweepRequest": "repro.service.jobs",
-    "job_id_for": "repro.service.jobs",
-    "JobJournal": "repro.service.journal",
-    "load_journal": "repro.service.journal",
-    "read_journal": "repro.service.journal",
-    "Lease": "repro.service.leases",
-    "LeaseManager": "repro.service.leases",
-    "WorkerRegistry": "repro.service.registry",
-    "RetryPolicy": "repro.service.retry",
-    "Draining": "repro.service.scheduler",
-    "JobScheduler": "repro.service.scheduler",
-    "QueueFull": "repro.service.scheduler",
-    "BackgroundService": "repro.service.server",
-    "SimulationService": "repro.service.server",
-    "run_worker": "repro.service.worker",
-}
-
-__all__ = sorted(_EXPORTS)
-__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "repro.service.client": ("ServiceClient", "ServiceError"),
+    "repro.service.jobs": (
+        "InvalidRequest", "Job", "SweepRequest", "job_id_for",
+    ),
+    "repro.service.journal": ("JobJournal", "load_journal", "read_journal"),
+    "repro.service.leases": ("Lease", "LeaseManager"),
+    "repro.service.registry": ("WorkerRegistry",),
+    "repro.service.retry": ("RetryPolicy",),
+    "repro.service.scheduler": ("Draining", "JobScheduler", "QueueFull"),
+    "repro.service.server": ("BackgroundService", "SimulationService"),
+    "repro.service.worker": ("run_worker",),
+})

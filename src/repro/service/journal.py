@@ -22,8 +22,9 @@ jobs whose last event is ``job_done`` are restored straight into
 history; jobs accepted but unfinished are re-queued through the normal
 scheduler path, where settled keys are served warm from the
 :class:`~repro.engine.store.ResultStore` and only the genuinely
-unfinished remainder simulates again (or re-enters the lease queue in
-remote mode).  Journaled *error* settles are deliberately not replayed
+unfinished remainder re-enters the lease queue -- in every mode, since
+a local service's in-process lessee leases from that queue like any
+remote worker.  Journaled *error* settles are deliberately not replayed
 -- a restart is exactly the right moment to retry a run that died with
 its worker.
 

@@ -28,8 +28,8 @@ the scheduler wires expiry/abandon callbacks into its own settle path.
 
 from __future__ import annotations
 
+import os
 import time
-import uuid
 from typing import Callable, Dict, List, Optional, Tuple
 
 __all__ = [
@@ -62,7 +62,7 @@ class Lease:
     def __init__(
         self, worker: str, ttl: float, runs: Dict[str, object], now: float
     ) -> None:
-        self.lease_id = uuid.uuid4().hex[:16]
+        self.lease_id = os.urandom(8).hex()
         self.worker = worker
         self.ttl = ttl
         self.expires = now + ttl

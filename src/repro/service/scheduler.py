@@ -47,9 +47,8 @@ import math
 import sys
 import threading
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.engine.engine import ExperimentEngine, RunOutcome
 from repro.engine.serialize import result_to_dict
 from repro.engine.spec import spec_to_dict
 from repro.engine.store import ResultStore
@@ -79,6 +78,9 @@ from repro.telemetry.tracectx import (
     span_id_for_key,
     trace_scope,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - only a local service has an engine
+    from repro.engine.engine import ExperimentEngine, RunOutcome
 
 __all__ = ["DEFAULT_MAX_QUEUE", "Draining", "JobScheduler", "QueueFull"]
 

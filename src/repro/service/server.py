@@ -67,7 +67,6 @@ import time
 from typing import Dict, Optional, Set, Tuple
 from urllib.parse import parse_qs, urlsplit
 
-from repro.engine.engine import ExperimentEngine
 from repro.engine.serialize import result_from_dict
 from repro.engine.store import ResultStore, default_store_path
 from repro.service.jobs import InvalidRequest, SweepRequest
@@ -826,8 +825,15 @@ def build_service(
     if remote is None:
         remote = os.environ.get("REPRO_SERVICE_REMOTE", "").strip() in (
             "1", "true", "yes")
+    engine = None
+    if not remote:
+        # only a local service executes runs: a coordinator never loads
+        # the engine, its pool or the simulator behind them
+        from repro.engine.engine import ExperimentEngine
+
+        engine = ExperimentEngine(workers=workers)
     scheduler = JobScheduler(
-        None if remote else ExperimentEngine(workers=workers),
+        engine,
         store=store,
         max_queue=(
             max_queue if max_queue is not None

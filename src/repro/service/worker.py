@@ -56,13 +56,18 @@ import time
 import traceback
 from typing import Callable, Dict, List, Optional
 
-from repro.engine.spec import RunKey, execute_spec, spec_from_dict
+from repro.engine.spec import (
+    RunKey, execute_spec, load_execution_chain, spec_from_dict,
+)
 from repro.engine.serialize import result_to_dict
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.leases import MAX_LEASE_WAIT_S
 from repro.service.retry import RetryPolicy
 from repro.telemetry.tracectx import parse_traceparent, trace_scope
 from repro.workloads.arena import arena_cache_stats
+
+# the first leased run must find the simulator already loaded
+load_execution_chain()
 
 __all__ = ["default_worker_name", "run_worker", "transport_delay_s"]
 

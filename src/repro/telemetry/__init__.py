@@ -15,57 +15,24 @@ processes so their span logs merge onto one timeline.
 
 Everything is stdlib-only and off the simulator's cycle loop: metrics
 live in the service/engine layers and spans cost one check when
-disabled.
+disabled.  Exports resolve lazily (:func:`repro.lazy_exports`), so
+importing one of these modules loads neither of the others.
 """
 
-from repro.telemetry.metrics import (
-    CONTENT_TYPE,
-    DEFAULT_BUCKETS,
-    MAX_LABEL_SETS,
-    MetricsRegistry,
-    REGISTRY,
-    render_exposition,
-)
-from repro.telemetry.spans import (
-    disable_spans,
-    enable_spans,
-    export_chrome_trace,
-    merge_chrome_trace,
-    read_spans,
-    record_span,
-    span,
-    span_log_path,
-    spans_enabled,
-)
-from repro.telemetry.tracectx import (
-    current_trace_id,
-    format_traceparent,
-    parse_traceparent,
-    span_id_for_key,
-    trace_id_for_job,
-    trace_scope,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "CONTENT_TYPE",
-    "DEFAULT_BUCKETS",
-    "MAX_LABEL_SETS",
-    "MetricsRegistry",
-    "REGISTRY",
-    "current_trace_id",
-    "disable_spans",
-    "enable_spans",
-    "export_chrome_trace",
-    "format_traceparent",
-    "merge_chrome_trace",
-    "parse_traceparent",
-    "read_spans",
-    "record_span",
-    "render_exposition",
-    "span",
-    "span_id_for_key",
-    "span_log_path",
-    "spans_enabled",
-    "trace_id_for_job",
-    "trace_scope",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "repro.telemetry.metrics": (
+        "CONTENT_TYPE", "DEFAULT_BUCKETS", "MAX_LABEL_SETS", "MetricsRegistry",
+        "REGISTRY", "render_exposition",
+    ),
+    "repro.telemetry.spans": (
+        "disable_spans", "enable_spans", "export_chrome_trace",
+        "merge_chrome_trace", "read_spans", "record_span", "span",
+        "span_log_path", "spans_enabled",
+    ),
+    "repro.telemetry.tracectx": (
+        "current_trace_id", "format_traceparent", "parse_traceparent",
+        "span_id_for_key", "trace_id_for_job", "trace_scope",
+    ),
+})

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.core.approx_assoc import ApproximateAssociativeArray
+from repro.core.approx_assoc import _GROUP_SALT, ApproximateAssociativeArray
 
 
 def make_small(exact=False):
@@ -268,3 +268,43 @@ def test_mirror_matches_reference_set(ops):
         assert result.way == way
         assert _positive(arr, block, way // arr._group_size)
         assert result.iterations == _recount_iterations(arr, block)
+
+
+def _per_group_patterns(arr, h1m, h2m):
+    """The reference construction: every group's row built on its own,
+    every row's bits set one at a time."""
+    m = arr.cbf_counters
+    salt_step = _GROUP_SALT % m
+    rows = tuple(
+        tuple((h1m + (group * salt_step) % m + step * h2m) % m
+              for step in range(arr.num_hashes))
+        for group in range(arr.num_cbfs)
+    )
+    masks = 0
+    for group, row in enumerate(rows):
+        for slot in row:
+            masks |= 1 << (group * arr._lane + slot)
+    return rows, masks
+
+
+@pytest.mark.parametrize("num_ways, num_cbfs, num_hashes, cbf_counters", [
+    (512, 128, 3, 16),   # Table I: period 16 divides 128 groups
+    (400, 100, 3, 16),   # 6 whole periods of 16, then 4 groups
+    (400, 100, 3, 24),   # 4 whole periods of 24, then 4 groups
+    (7, 7, 3, 16),       # fewer groups than one period
+    (512, 128, 3, 128),  # Figure 20's largest filter
+    (100, 25, 3, 10),    # period 2: 12 whole periods, then 1 group
+    (40, 20, 2, 5),      # period 1: every group shares one row
+    (4, 1, 3, 1),        # one counter, one group
+])
+def test_periodic_patterns_match_per_group_construction(
+        num_ways, num_cbfs, num_hashes, cbf_counters):
+    arr = ApproximateAssociativeArray(
+        num_ways=num_ways, num_cbfs=num_cbfs, num_hashes=num_hashes,
+        cbf_counters=cbf_counters,
+    )
+    residues = {}
+    for key in range(4 * cbf_counters * cbf_counters):
+        residues.setdefault(arr._key_hashes(key), key)
+    for residue, key in residues.items():
+        assert arr._build_patterns(key) == _per_group_patterns(arr, *residue)

@@ -22,8 +22,15 @@ from faultutil import subprocess_env
 
 #: the packages whose ``__init__`` re-exports names from submodules
 LAZY_PACKAGES = (
-    "repro", "repro.core", "repro.engine", "repro.gpu", "repro.harness",
-    "repro.service",
+    "repro", "repro.cache", "repro.core", "repro.energy", "repro.engine",
+    "repro.gpu", "repro.harness", "repro.service", "repro.telemetry",
+)
+
+#: a sample of :data:`repro.engine.spec.EXECUTION_CHAIN` and what it
+#: pulls in: the simulator, an engine, the workload families
+SIMULATOR = (
+    "repro.gpu.simulator", "repro.core.fuse_cache", "repro.cache.basecache",
+    "repro.workloads.benchmarks",
 )
 
 
@@ -57,11 +64,16 @@ class TestWorkerRole:
     def test_loads_its_execution_chain(self, modules, name):
         assert name in modules
 
+    def test_loads_the_whole_execution_chain(self, modules):
+        from repro.engine.spec import EXECUTION_CHAIN
+
+        assert set(EXECUTION_CHAIN) <= modules
+
     @pytest.mark.parametrize("name", [
         "asyncio", "multiprocessing", "repro.harness",
         "repro.harness.runner", "repro.engine.engine",
         "repro.service.scheduler", "repro.service.server",
-        "repro.service.journal",
+        "repro.service.journal", "uuid",
     ])
     def test_never_loads_the_coordinator_or_pool(self, modules, name):
         assert name not in modules
@@ -95,6 +107,49 @@ class TestWorkerRole:
         )
         assert proc.returncode == 0, proc.stderr
         assert "NEW []" in proc.stdout.splitlines()
+
+
+class TestCoordinatorRole:
+    """``repro serve --remote`` keeps run identity, the store, the job
+    ledger and the HTTP server; the workers simulate."""
+
+    @pytest.fixture(scope="class")
+    def modules(self):
+        return loaded_after(
+            "import repro.cli\n"
+            "from repro.service.server import build_service\n"
+            "build_service(remote=True, no_store=True, port=0)"
+        )
+
+    @pytest.mark.parametrize("name", [
+        "repro.gpu.simulator", "repro.gpu.sm", "repro.memory.subsystem",
+        "repro.cache.basecache", "repro.cache.nvm_bypass",
+        "repro.cache.oracle", "repro.core.fuse_cache", "repro.engine.engine",
+        "multiprocessing", "uuid",
+    ])
+    def test_never_loads_the_simulator_or_pool(self, modules, name):
+        assert name not in modules
+
+    @pytest.mark.parametrize("name", [
+        "repro.engine.spec", "repro.engine.store", "repro.service.jobs",
+        "repro.service.journal", "repro.service.leases",
+        "repro.service.scheduler", "repro.service.server",
+    ])
+    def test_loads_identity_store_ledger_and_server(self, modules, name):
+        assert name in modules
+
+
+@pytest.mark.parametrize("code", [
+    "from repro.service.server import build_service\n"
+    "build_service(workers=2, no_store=True, port=0)",
+    "import repro.engine.engine",
+], ids=["local-service", "engine"])
+def test_executing_roles_load_the_simulator_before_any_fork(code):
+    # a pool forks from this process, so its workers inherit the
+    # simulator instead of each importing it on their first run
+    modules = loaded_after(code)
+    for name in SIMULATOR:
+        assert name in modules
 
 
 def test_cli_import_costs_only_the_standard_library():
